@@ -27,7 +27,7 @@ from .ensemble import EnsembleSpec, binarize, predict_ensemble, wmh_volume_ml
 from .errors import ContractError, DegenerateError, FormatError
 from .histo import HistParams, histogram_segment, modal_threshold
 from .lesions import label_components
-from .metrics import metric_report, pr_curve_auc, pr_curve_tsv
+from .metrics import metric_report, pr_curve_tsv
 from .nifti import parse_nifti, write_nifti
 from .phantom import make_phantom
 from .stats import (
@@ -286,9 +286,8 @@ def cmd_evaluate(args) -> int:
             mask = parse_nifti(mask_raw)
     with timer.stage("metrics"):
         report_obj = metric_report(pred, gt, posterior, mask, connectivity=args.connectivity)
-    if args.out_pr_tsv and posterior is not None:
-        curve = pr_curve_auc(posterior, gt, mask)
-        Path(args.out_pr_tsv).write_text(pr_curve_tsv(curve))
+    if args.out_pr_tsv and report_obj.pr_curve is not None:
+        Path(args.out_pr_tsv).write_text(pr_curve_tsv(report_obj.pr_curve))
     params = {
         "pred": args.pred,
         "gt": args.gt,

@@ -63,7 +63,9 @@ def label_components(mask: Volume3D, connectivity: int = DEFAULT_CONNECTIVITY) -
     """Label connected foreground components under 6/18/26-connectivity.
 
     Lesion ids are 1..K, assigned by descending voxel count with ties broken
-    by the lowest x-fastest linear index.
+    by the lowest x-fastest linear index. The cost is O(N + K log K) for N
+    voxels and K components: labelling, sizes, bounding boxes and first
+    indices are whole-volume passes, and only the id order is a sort.
     """
     require_binary(mask, "lesion mask")
     if connectivity not in CONNECTIVITY_RANK:
@@ -71,36 +73,27 @@ def label_components(mask: Volume3D, connectivity: int = DEFAULT_CONNECTIVITY) -
     structure = ndimage.generate_binary_structure(3, CONNECTIVITY_RANK[connectivity])
     raw_labels, n = ndimage.label(mask.data > 0, structure=structure)
 
-    relabeled = np.zeros_like(raw_labels)
-    lesions: list[Lesion] = []
-    if n > 0:
-        flat = raw_labels.ravel(order="F")
-        present, first_idx, counts = np.unique(flat, return_index=True, return_counts=True)
-        fg = present != 0
-        order = sorted(
-            zip(present[fg], counts[fg], first_idx[fg]),
-            key=lambda t: (-t[1], t[2]),
-        )
-        voxel_ml = mask.voxel_volume_mm3 / 1000.0
-        remap = np.zeros(n + 1, dtype=raw_labels.dtype)
-        for new_id, (old, cnt, _) in enumerate(order, start=1):
-            remap[old] = new_id
-            xs, ys, zs = np.nonzero(raw_labels == old)
-            lesions.append(
-                Lesion(
-                    id=new_id,
-                    voxel_count=int(cnt),
-                    volume_ml=float(cnt) * voxel_ml,
-                    bbox=(
-                        int(xs.min()), int(ys.min()), int(zs.min()),
-                        int(xs.max()), int(ys.max()), int(zs.max()),
-                    ),
-                )
-            )
-        relabeled = remap[raw_labels]
+    counts = np.bincount(raw_labels.ravel())[1:]
+    flat = raw_labels.ravel(order="F")
+    fg_idx = np.flatnonzero(flat)
+    first_idx = np.full(n, flat.size, dtype=fg_idx.dtype)
+    np.minimum.at(first_idx, flat[fg_idx] - 1, fg_idx)
+    order = np.lexsort((first_idx, -counts))  # raw label - 1, in new-id order
 
-    labels_vol = mask.with_data(relabeled.astype(np.float32))
-    return LesionSet(labels=labels_vol, lesions=tuple(lesions), connectivity=connectivity)
+    remap = np.zeros(n + 1, dtype=np.float32)
+    remap[order + 1] = np.arange(1, n + 1, dtype=np.float32)
+    boxes = ndimage.find_objects(raw_labels)
+    voxel_ml = mask.voxel_volume_mm3 / 1000.0
+    lesions = tuple(
+        Lesion(
+            id=new_id,
+            voxel_count=int(counts[old]),
+            volume_ml=float(counts[old]) * voxel_ml,
+            bbox=tuple(s.start for s in boxes[old]) + tuple(s.stop - 1 for s in boxes[old]),
+        )
+        for new_id, old in enumerate(order.tolist(), start=1)
+    )
+    return LesionSet(labels=mask.with_data(remap[raw_labels]), lesions=lesions, connectivity=connectivity)
 
 
 def match_lesions(pred: LesionSet, gt: LesionSet) -> LesionMatching:
@@ -114,16 +107,15 @@ def match_lesions(pred: LesionSet, gt: LesionSet) -> LesionMatching:
     neither paired nor counted as false positives.
     """
     require_same_dims(pred.labels, gt.labels, "label maps")
-    p = pred.labels.data.astype(np.int64)
-    g = gt.labels.data.astype(np.int64)
-
-    both = (p > 0) & (g > 0)
+    both = (pred.labels.data > 0) & (gt.labels.data > 0)
     overlaps: dict[tuple[int, int], int] = {}
     if both.any():
-        keys = p[both] * (g.max() + 1) + g[both]
-        uniq, cnt = np.unique(keys, return_counts=True)
-        for k, c in zip(uniq, cnt):
-            overlaps[(int(k) // (int(g.max()) + 1), int(k) % (int(g.max()) + 1))] = int(c)
+        p = pred.labels.data[both].astype(np.int64)
+        g = gt.labels.data[both].astype(np.int64)
+        base = int(g.max()) + 1
+        uniq, cnt = np.unique(p * base + g, return_counts=True)
+        pids, gids = np.divmod(uniq, base)
+        overlaps = dict(zip(zip(pids.tolist(), gids.tolist()), cnt.tolist()))
 
     pred_hit = {pid for pid, _ in overlaps}
     gt_hit = {gid for _, gid in overlaps}

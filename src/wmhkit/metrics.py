@@ -3,7 +3,7 @@ and the precision-recall curve with its trapezoidal area."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -11,6 +11,10 @@ from .ensemble import wmh_volume_ml
 from .errors import NoPositives, ZeroReference
 from .lesions import LesionMatching, label_components, match_lesions
 from .volume import Volume3D, require_binary, require_same_dims
+
+
+TSV_CHUNK_ROWS = 65536
+_TSV_ROW = "{:.9g}\t{:.9g}\t{:.9g}\n".format
 
 
 @dataclass(frozen=True)
@@ -28,6 +32,7 @@ class MetricReport:
     avd_percent: float
     auc_pr: float | None
     counts: dict[str, int]
+    pr_curve: PRCurve | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -108,10 +113,21 @@ def pr_curve_auc(post: Volume3D, gt: Volume3D, mask: Volume3D) -> PRCurve:
 
 
 def pr_curve_tsv(curve: PRCurve) -> str:
-    lines = ["threshold\tprecision\trecall"]
-    for t, p, r in zip(curve.thresholds, curve.precision, curve.recall):
-        lines.append(f"{t:.9g}\t{p:.9g}\t{r:.9g}")
-    return "\n".join(lines) + "\n"
+    """The PR curve as TSV text.
+
+    Rows are formatted TSV_CHUNK_ROWS at a time, so no Python float list of
+    the whole curve (millions of points on a continuous posterior) is held.
+    """
+    parts = ["threshold\tprecision\trecall\n"]
+    for start in range(0, curve.thresholds.size, TSV_CHUNK_ROWS):
+        rows = slice(start, start + TSV_CHUNK_ROWS)
+        parts.append("".join(map(
+            _TSV_ROW,
+            curve.thresholds[rows].tolist(),
+            curve.precision[rows].tolist(),
+            curve.recall[rows].tolist(),
+        )))
+    return "".join(parts)
 
 
 def metric_report(
@@ -141,16 +157,17 @@ def metric_report(
         "fn_lesions": matching.fn_lesions,
     }
 
-    auc = None
+    curve = None
     if posterior is not None:
         if mask is None:
             raise ValueError("PR metrics need a brain mask alongside the posterior")
-        auc = pr_curve_auc(posterior, gt, mask).auc
+        curve = pr_curve_auc(posterior, gt, mask)
 
     return MetricReport(
         dice_pixel=dice_pixel(pred, gt),
         dice_lesion=dice_lesion(matching),
         avd_percent=abs_volume_diff_pct(wmh_volume_ml(pred), wmh_volume_ml(gt)),
-        auc_pr=auc,
+        auc_pr=None if curve is None else curve.auc,
         counts=counts,
+        pr_curve=curve,
     )

@@ -289,6 +289,43 @@ class TestEvaluate:
         assert lines[0] == "threshold\tprecision\trecall"
         assert len(lines) > 1
 
+    def test_pr_curve_computed_once_and_written_as_tsv(self, phantom_dir, tmp_path, capsys, monkeypatch):
+        import wmhkit.cli as cli
+        import wmhkit.metrics as metrics
+
+        calls = []
+        original = metrics.pr_curve_auc
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (metrics, cli):  # also catches a second call made from the CLI
+            monkeypatch.setattr(module, "pr_curve_auc", counting, raising=False)
+        # a continuous posterior, so the curve has many operating points
+        gt_path = phantom_dir / "gt.nii.gz"
+        gt = parse_nifti(gt_path.read_bytes())
+        noise = np.random.default_rng(5).random(gt.data.shape)
+        post_path = tmp_path / "post.nii.gz"
+        post_path.write_bytes(write_nifti(gt.with_data((0.3 * gt.data + 0.7 * noise).astype(np.float32))))
+        tsv = tmp_path / "pr.tsv"
+        code, out = run_cli(
+            capsys,
+            "evaluate",
+            "--pred", str(gt_path),
+            "--gt", str(gt_path),
+            "--posterior", str(post_path),
+            "--mask", str(phantom_dir / "brain_mask.nii.gz"),
+            "--out-pr-tsv", str(tsv),
+        )
+        assert code == 0
+        assert len(calls) == 1
+        mask = parse_nifti((phantom_dir / "brain_mask.nii.gz").read_bytes())
+        curve = original(parse_nifti(post_path.read_bytes()), gt, mask)
+        assert tsv.read_text() == metrics.pr_curve_tsv(curve)
+        assert curve.thresholds.size > 1000
+        assert last_json(out)["auc_pr"] == curve.auc
+
     def test_posterior_without_mask_is_shape_error(self, phantom_dir, capsys):
         code = main(
             [

@@ -151,3 +151,87 @@ class TestMatchLesions:
         b = label_components(_mask(np.zeros((5, 5, 5))))
         with pytest.raises(ShapeMismatch):
             match_lesions(a, b)
+
+
+def _reference_lesions(mask: np.ndarray, connectivity: int):
+    """(voxel_count, bbox) per component in id order, and each component's voxels,
+    from the flood-fill oracle and one np.nonzero per component."""
+    flood = flood_fill_label(mask > 0, connectivity)
+    nx, ny, _ = mask.shape
+    comps = []
+    for k in range(1, int(flood.max()) + 1):
+        xs, ys, zs = np.nonzero(flood == k)
+        first = int((xs + nx * (ys + ny * zs)).min())
+        bbox = (int(xs.min()), int(ys.min()), int(zs.min()), int(xs.max()), int(ys.max()), int(zs.max()))
+        comps.append((-xs.size, first, bbox, flood == k))
+    comps.sort(key=lambda c: (c[0], c[1]))
+    return [(-c[0], c[2]) for c in comps], [c[3] for c in comps]
+
+
+class TestManyComponents:
+    @staticmethod
+    def _specks_and_blobs(rng):
+        # specks on even coordinates in x < 25 are pairwise non-adjacent under
+        # 26-connectivity; the blobs sit in x >= 27, out of their reach
+        data = np.zeros((40, 24, 24), dtype=np.float32)
+        even = np.stack(np.meshgrid(*(np.arange(0, n, 2) for n in (25, 24, 24)), indexing="ij"), -1)
+        picks = rng.choice(even.reshape(-1, 3), size=1100, replace=False)
+        data[tuple(picks.T)] = 1.0
+        data[28:32, 2:7, 3:9] = 1.0  # solid box
+        data[35, 2:9, 12] = 1.0  # cross: one blob at every connectivity
+        data[32:39, 5, 12] = 1.0
+        for i in range(5):
+            data[28 + i, 12 + i, 18] = 1.0  # edge-diagonal: 18/26-connected only
+            data[33 + i, 14 + i, 14 + i] = 1.0  # body-diagonal: 26-connected only
+        return data
+
+    @pytest.mark.parametrize("connectivity,blobs", [(6, 12), (18, 8), (26, 4)])
+    def test_specks_match_flood_fill_oracle(self, rng, connectivity, blobs):
+        data = self._specks_and_blobs(rng)
+        got = label_components(_mask(data), connectivity)
+        assert got.count == 1100 + blobs
+        want = flood_fill_label(data > 0, connectivity)
+        assert partitions_equal(got.labels.data.astype(np.int64), want)
+
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_counts_bboxes_and_order_match_brute_force(self, rng, connectivity):
+        for shape, p in (((9, 13, 7), 0.15), ((11, 6, 10), 0.3), ((5, 8, 12), 0.5)):
+            mask = (rng.random(shape) < p).astype(np.float32)
+            got = label_components(_mask(mask, spacing=(0.5, 1.0, 2.0)), connectivity)
+            want, voxels = _reference_lesions(mask, connectivity)
+            assert [(l.voxel_count, l.bbox) for l in got.lesions] == want
+            assert [l.id for l in got.lesions] == list(range(1, len(want) + 1))
+            for lesion, where in zip(got.lesions, voxels):
+                assert np.all(got.labels.data[where] == lesion.id)
+                assert lesion.volume_ml == pytest.approx(lesion.voxel_count / 1000.0)
+            assert got.labels.data.dtype == np.float32
+
+
+def _reference_matching(pred: np.ndarray, gt: np.ndarray):
+    overlaps: dict[tuple[int, int], int] = {}
+    for pid, gid in zip(pred.ravel().tolist(), gt.ravel().tolist()):
+        if pid > 0 and gid > 0:
+            key = (int(pid), int(gid))
+            overlaps[key] = overlaps.get(key, 0) + 1
+    pairs, used_pred, used_gt = [], set(), set()
+    for (pid, gid), _ in sorted(overlaps.items(), key=lambda kv: (-kv[1], kv[0][1], kv[0][0])):
+        if pid not in used_pred and gid not in used_gt:
+            pairs.append((pid, gid))
+            used_pred.add(pid)
+            used_gt.add(gid)
+    return overlaps, sorted(pairs, key=lambda t: t[1])
+
+
+class TestMatchDense:
+    def test_noisy_pair_matches_brute_force(self, rng):
+        pred = label_components(_mask((rng.random((24, 24, 24)) < 0.3).astype(np.float32)), 6)
+        gt = label_components(_mask((rng.random((24, 24, 24)) < 0.3).astype(np.float32)), 6)
+        overlaps, pairs = _reference_matching(pred.labels.data, gt.labels.data)
+        assert len(overlaps) >= 300
+        m = match_lesions(pred, gt)
+        assert list(m.pairs) == pairs
+        pred_hit = {p for p, _ in overlaps}
+        gt_hit = {g for _, g in overlaps}
+        assert m.unmatched_pred == tuple(i for i in range(1, pred.count + 1) if i not in pred_hit)
+        assert m.unmatched_gt == tuple(i for i in range(1, gt.count + 1) if i not in gt_hit)
+        assert (m.n_pred, m.n_gt) == (pred.count, gt.count)

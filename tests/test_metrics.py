@@ -5,6 +5,8 @@ from oracles import pr_enumeration
 from wmhkit.errors import NoPositives, ShapeMismatch, ZeroReference
 from wmhkit.lesions import label_components, match_lesions
 from wmhkit.metrics import (
+    TSV_CHUNK_ROWS,
+    PRCurve,
     abs_volume_diff_pct,
     dice_lesion,
     dice_pixel,
@@ -184,6 +186,25 @@ class TestPRCurve:
         assert lines[0] == "threshold\tprecision\trecall"
         assert len(lines) == curve.thresholds.size + 1
 
+    def test_tsv_matches_per_row_formatting_across_chunks(self, rng):
+        n = 2 * TSV_CHUNK_ROWS + 7
+        thresholds = np.sort(rng.random(n))[::-1]
+        thresholds[0], thresholds[-1] = 1.0, 0.0
+        thresholds[TSV_CHUNK_ROWS - 1 : TSV_CHUNK_ROWS + 1] = (1 / 3, 2e-10)
+        precision = rng.random(n)
+        precision[TSV_CHUNK_ROWS] = 1.0
+        recall = np.linspace(0.0, 1.0, n)
+        curve = PRCurve(thresholds=thresholds, precision=precision, recall=recall, auc=0.5)
+        per_row = ["threshold\tprecision\trecall"]
+        for t, p, r in zip(thresholds, precision, recall):
+            per_row.append(f"{t:.9g}\t{p:.9g}\t{r:.9g}")
+        text = pr_curve_tsv(curve)
+        assert text == "\n".join(per_row) + "\n"
+        lines = text.splitlines()  # lines[i + 1] is row i
+        assert lines[1].startswith("1\t") and lines[-1].startswith("0\t")
+        assert lines[TSV_CHUNK_ROWS].startswith("0.333333333\t")  # last row of chunk 1
+        assert lines[TSV_CHUNK_ROWS + 1].startswith("2e-10\t1\t")  # first row of chunk 2
+
 
 class TestMetricReport:
     def test_report_fields(self, rng):
@@ -203,6 +224,16 @@ class TestMetricReport:
         report = metric_report(_vol(gt), _vol(gt), post, _ones((6, 6, 6)))
         assert report.auc_pr == pytest.approx(1.0)
         assert report.to_dict()["auc_pr"] == pytest.approx(1.0)
+
+    def test_report_keeps_its_pr_curve(self, rng):
+        gt = (rng.random((6, 6, 6)) < 0.3).astype(np.float32)
+        post = Volume3D(rng.random((6, 6, 6)).astype(np.float32))
+        report = metric_report(_vol(gt), _vol(gt), post, _ones((6, 6, 6)))
+        curve = pr_curve_auc(post, _vol(gt), _ones((6, 6, 6)))
+        assert report.pr_curve.auc == report.auc_pr == curve.auc
+        assert np.array_equal(report.pr_curve.thresholds, curve.thresholds)
+        assert "pr_curve" not in report.to_dict()
+        assert metric_report(_vol(gt), _vol(gt)).pr_curve is None
 
     def test_counts_consistent(self, rng):
         pred = (rng.random((8, 8, 8)) < 0.25).astype(np.float32)
