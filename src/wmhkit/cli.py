@@ -106,7 +106,7 @@ def _resolve_weights(arg: str | None) -> str:
 
 
 def _segment_one(
-    flair_path: str, mask_path: str, spec_nets: dict, args, out_dir: Path, extra_digests: dict
+    flair_path: str, mask_path: str, spec: EnsembleSpec, args, out_dir: Path, extra_digests: dict
 ) -> dict:
     timer = StageTimer()
     digests = dict(extra_digests)
@@ -119,15 +119,6 @@ def _segment_one(
         mask = parse_nifti(mask_raw)
     with timer.stage("normalize"):
         normalized = normalize_intensity(flair, mask)
-    spec = EnsembleSpec(
-        axial_net=spec_nets["axial"],
-        sagittal_net=spec_nets["sagittal"],
-        coronal_net=spec_nets["coronal"],
-        meta_net=spec_nets["meta"],
-        threshold=args.threshold,
-        tile=(args.tile,) * 3,
-        overlap=args.overlap,
-    )
     with timer.stage("inference"):
         posterior = predict_ensemble(spec, normalized, mask)
     with timer.stage("postprocess"):
@@ -183,6 +174,19 @@ def cmd_segment(args) -> int:
     weights_path = _resolve_weights(args.weights)
     args.weights = weights_path
     nets = _load_networks(weights_path)
+    try:
+        spec = EnsembleSpec(
+            axial_net=nets["axial"],
+            sagittal_net=nets["sagittal"],
+            coronal_net=nets["coronal"],
+            meta_net=nets["meta"],
+            threshold=args.threshold,
+            tile=(args.tile,) * 3,
+            overlap=args.overlap,
+        )
+    except ValueError as exc:
+        print(f"error [input]: {exc}", file=sys.stderr)
+        return 2
     weights_digests = (
         {weights_path: _digest(Path(weights_path).read_bytes())}
         if Path(weights_path).is_file()
@@ -209,14 +213,14 @@ def cmd_segment(args) -> int:
             pairs.append((str(f), str(match)))
         with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
             futures = [
-                pool.submit(_segment_one, f, m, nets, args, out_dir, weights_digests)
+                pool.submit(_segment_one, f, m, spec, args, out_dir, weights_digests)
                 for f, m in pairs
             ]
             reports = [fut.result() for fut in futures]
         print(json.dumps({"subjects": len(reports), "out_dir": str(out_dir)}, indent=2))
         return 0
 
-    report = _segment_one(args.flair, args.mask, nets, args, out_dir, weights_digests)
+    report = _segment_one(args.flair, args.mask, spec, args, out_dir, weights_digests)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

@@ -3,6 +3,11 @@
 Activations are float32 arrays of shape (C, D, H, W). Convolution is
 cross-correlation (no kernel flip) with zero padding, accumulated in float64
 with a fixed reduction order so repeated runs are bit-identical.
+
+Each layer type is one frozen dataclass that owns its SGWT manifest tag
+(``TYPE``), its shape rule (``out_shape``) and its kernel (``forward``); its
+fields are its manifest entry. A new layer type is one class plus its entry in
+``LAYER_TYPES``.
 """
 
 from __future__ import annotations
@@ -13,9 +18,34 @@ import numpy as np
 
 from .errors import ShapeMismatch, UnknownConcatSource
 
+Shape = tuple[int, int, int, int]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_triple(value, least: int, what: str) -> tuple[int, int, int]:
+    if not isinstance(value, (tuple, list)) or len(value) != 3:
+        raise ShapeMismatch(f"{what} must be a triple, got {value!r}")
+    if not all(_is_int(v) and v >= least for v in value):
+        raise ShapeMismatch(f"{what} must hold ints >= {least}, got {value!r}")
+    return tuple(value)
+
+
+class Layer:
+    """Base of the vocabulary; by default a layer keeps its input's shape."""
+
+    def out_shape(self, shape: Shape, produced: dict[str, Shape]) -> Shape:
+        """Output shape for an input of ``shape``, given the shapes of earlier
+        named outputs. Raises ShapeMismatch or UnknownConcatSource exactly when
+        ``forward`` cannot run on such an input."""
+        return shape
+
 
 @dataclass(frozen=True)
-class Conv3D:
+class Conv3D(Layer):
+    TYPE = "conv3d"
     weights: np.ndarray  # (Cout, Cin, kd, kh, kw)
     bias: np.ndarray  # (Cout,)
     stride: tuple[int, int, int] = (1, 1, 1)
@@ -28,16 +58,29 @@ class Conv3D:
             raise ShapeMismatch(f"conv weights must be 5D, got shape {w.shape}")
         if b.shape != (w.shape[0],):
             raise ShapeMismatch(f"bias shape {b.shape} != ({w.shape[0]},)")
-        if len(self.stride) != 3 or len(self.padding) != 3:
-            raise ShapeMismatch(f"stride/padding must be triples: {self.stride}, {self.padding}")
-        if any(s < 1 for s in self.stride) or any(p < 0 for p in self.padding):
-            raise ShapeMismatch(f"bad stride {self.stride} or padding {self.padding}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
+        object.__setattr__(self, "stride", _int_triple(self.stride, 1, "conv stride"))
+        object.__setattr__(self, "padding", _int_triple(self.padding, 0, "conv padding"))
+
+    def out_shape(self, shape, produced):
+        cout, cin, *kernel = self.weights.shape
+        if len(shape) != 4 or shape[0] != cin:
+            raise ShapeMismatch(f"conv expects {cin} input channels, got shape {shape}")
+        dims = tuple(zip(shape[1:], kernel, self.stride, self.padding))
+        if any(n + 2 * p < k for n, k, s, p in dims):
+            raise ShapeMismatch(
+                f"kernel {tuple(kernel)} padding {self.padding} does not fit input {shape[1:]}"
+            )
+        return (cout, *((n + 2 * p - k) // s + 1 for n, k, s, p in dims))
+
+    def forward(self, x, bindings):
+        return conv3d(x, self)
 
 
 @dataclass(frozen=True)
-class BatchNorm:
+class BatchNorm(Layer):
+    TYPE = "batchnorm"
     gamma: np.ndarray
     beta: np.ndarray
     mean: np.ndarray
@@ -54,67 +97,117 @@ class BatchNorm:
             raise ShapeMismatch("batchnorm parameter vectors must share one length")
         if np.any(self.var < 0):
             raise ShapeMismatch("batchnorm variance must be non-negative")
+        object.__setattr__(self, "eps", float(self.eps))
+
+    def out_shape(self, shape, produced):
+        if self.gamma.shape != shape[:1]:
+            raise ShapeMismatch(f"batchnorm sized for {self.gamma.shape[0]} channels, got {shape[0]}")
+        return shape
+
+    def forward(self, x, bindings):
+        shape = (x.shape[0], 1, 1, 1)
+        g = self.gamma.astype(np.float64).reshape(shape)
+        b = self.beta.astype(np.float64).reshape(shape)
+        m = self.mean.astype(np.float64).reshape(shape)
+        v = self.var.astype(np.float64).reshape(shape)
+        return (g * (x - m) / np.sqrt(v + self.eps) + b).astype(np.float32)
 
 
 @dataclass(frozen=True)
-class ReLU:
-    pass
+class ReLU(Layer):
+    TYPE = "relu"
+
+    def forward(self, x, bindings):
+        return np.maximum(x, np.float32(0.0))
 
 
 @dataclass(frozen=True)
-class MaxPool:
+class MaxPool(Layer):
+    TYPE = "maxpool"
     kernel: tuple[int, int, int] = (2, 2, 2)
     stride: tuple[int, int, int] = (2, 2, 2)
 
     def __post_init__(self):
-        if len(self.kernel) != 3 or len(self.stride) != 3:
-            raise ShapeMismatch(f"kernel/stride must be triples: {self.kernel}, {self.stride}")
-        if any(k < 1 for k in self.kernel) or any(s < 1 for s in self.stride):
-            raise ShapeMismatch(f"bad pool kernel {self.kernel} or stride {self.stride}")
+        object.__setattr__(self, "kernel", _int_triple(self.kernel, 1, "pool kernel"))
+        object.__setattr__(self, "stride", _int_triple(self.stride, 1, "pool stride"))
+
+    def out_shape(self, shape, produced):
+        c, *spatial = shape
+        if any(n < k for n, k in zip(spatial, self.kernel)):
+            raise ShapeMismatch(f"pool kernel {self.kernel} exceeds input {tuple(spatial)}")
+        return (c, *((n - k) // s + 1 for n, k, s in zip(spatial, self.kernel, self.stride)))
+
+    def forward(self, x, bindings):
+        sd, sh, sw = self.stride
+        windows = np.lib.stride_tricks.sliding_window_view(x, self.kernel, axis=(1, 2, 3))
+        return windows[:, ::sd, ::sh, ::sw].max(axis=(-3, -2, -1))
 
 
 @dataclass(frozen=True)
-class UpsampleNearest:
+class UpsampleNearest(Layer):
+    TYPE = "upsample"
     factor: int = 2
 
     def __post_init__(self):
-        if self.factor < 1:
-            raise ShapeMismatch(f"upsample factor must be >= 1, got {self.factor}")
+        if not _is_int(self.factor) or self.factor < 1:
+            raise ShapeMismatch(f"upsample factor must be an int >= 1, got {self.factor!r}")
+
+    def out_shape(self, shape, produced):
+        c, *spatial = shape
+        return (c, *(n * self.factor for n in spatial))
+
+    def forward(self, x, bindings):
+        out = x
+        for axis in (1, 2, 3):
+            out = np.repeat(out, self.factor, axis=axis)
+        return out
 
 
 @dataclass(frozen=True)
-class Concat:
-    source: str  # name of an earlier layer output
+class Concat(Layer):
+    """Current tensor's channels first, then those of the earlier output ``source``."""
+
+    TYPE = "concat"
+    source: str
+
+    def __post_init__(self):
+        if not isinstance(self.source, str):
+            raise ShapeMismatch(f"concat source must be a layer name, got {self.source!r}")
+
+    def out_shape(self, shape, produced):
+        if self.source not in produced:
+            raise UnknownConcatSource(f"no earlier output named {self.source!r}")
+        src = produced[self.source]
+        if src[1:] != shape[1:]:
+            raise ShapeMismatch(
+                f"concat source {self.source!r} spatial dims {src[1:]} != current {shape[1:]}"
+            )
+        return (shape[0] + src[0], *shape[1:])
+
+    def forward(self, x, bindings):
+        return np.concatenate([x, bindings[self.source]], axis=0)
 
 
 @dataclass(frozen=True)
-class Softmax:
-    pass
+class Softmax(Layer):
+    TYPE = "softmax"
+
+    def forward(self, x, bindings):
+        z = x.astype(np.float64)
+        z = z - z.max(axis=0, keepdims=True)
+        e = np.exp(z)
+        return (e / e.sum(axis=0, keepdims=True)).astype(np.float32)
 
 
-LayerSpec = Conv3D | BatchNorm | ReLU | MaxPool | UpsampleNearest | Concat | Softmax
-
-
-def conv_output_dims(
-    spatial: tuple[int, int, int],
-    kernel: tuple[int, int, int],
-    stride: tuple[int, int, int],
-    padding: tuple[int, int, int],
-) -> tuple[int, int, int]:
-    out = tuple((n + 2 * p - k) // s + 1 for n, k, s, p in zip(spatial, kernel, stride, padding))
-    if any(n + 2 * p - k < 0 for n, k, p in zip(spatial, kernel, padding)) or min(out) < 1:
-        raise ShapeMismatch(
-            f"kernel {kernel} stride {stride} padding {padding} does not fit input {spatial}"
-        )
-    return out
+LAYER_TYPES: dict[str, type[Layer]] = {
+    cls.TYPE: cls for cls in (Conv3D, BatchNorm, ReLU, MaxPool, UpsampleNearest, Concat, Softmax)
+}
 
 
 def conv3d(x: np.ndarray, p: Conv3D) -> np.ndarray:
     """Strided zero-padded cross-correlation over a (C, D, H, W) tensor."""
     cout, cin, kd, kh, kw = p.weights.shape
-    if x.ndim != 4 or x.shape[0] != cin:
-        raise ShapeMismatch(f"conv expects {cin} input channels, got tensor shape {x.shape}")
-    do, ho, wo = conv_output_dims(x.shape[1:], (kd, kh, kw), p.stride, p.padding)
+    _, do, ho, wo = p.out_shape(x.shape, {})
     sd, sh, sw = p.stride
     pd, ph, pw = p.padding
 
@@ -133,63 +226,13 @@ def conv3d(x: np.ndarray, p: Conv3D) -> np.ndarray:
     return acc.astype(np.float32)
 
 
-def _maxpool(x: np.ndarray, layer: MaxPool) -> np.ndarray:
-    kd, kh, kw = layer.kernel
-    sd, sh, sw = layer.stride
-    d, h, w = x.shape[1:]
-    if kd > d or kh > h or kw > w:
-        raise ShapeMismatch(f"pool kernel {layer.kernel} exceeds input {x.shape[1:]}")
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kd, kh, kw), axis=(1, 2, 3))
-    windows = windows[:, ::sd, ::sh, ::sw]
-    return windows.max(axis=(-3, -2, -1))
-
-
-def _softmax_channels(x: np.ndarray) -> np.ndarray:
-    z = x.astype(np.float64)
-    z = z - z.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    return (e / e.sum(axis=0, keepdims=True)).astype(np.float32)
-
-
 def apply_layer(
-    x: np.ndarray, layer: LayerSpec, bindings: dict[str, np.ndarray] | None = None
+    x: np.ndarray, layer: Layer, bindings: dict[str, np.ndarray] | None = None
 ) -> np.ndarray:
-    """Apply one layer to a (C, D, H, W) tensor.
+    """Apply one layer to a (C, D, H, W) tensor after checking its shape rule.
 
-    ``bindings`` maps earlier layer names to their outputs; only Concat reads
-    it. Concat places the current tensor's channels first, then the source's.
+    ``bindings`` maps earlier layer names to their outputs; only Concat reads it.
     """
-    if isinstance(layer, Conv3D):
-        return conv3d(x, layer)
-    if isinstance(layer, BatchNorm):
-        c = x.shape[0]
-        if any(arr.shape != (c,) for arr in (layer.gamma, layer.beta, layer.mean, layer.var)):
-            raise ShapeMismatch(f"batchnorm parameters do not match {c} channels")
-        shape = (c, 1, 1, 1)
-        g = layer.gamma.astype(np.float64).reshape(shape)
-        b = layer.beta.astype(np.float64).reshape(shape)
-        m = layer.mean.astype(np.float64).reshape(shape)
-        v = layer.var.astype(np.float64).reshape(shape)
-        return (g * (x - m) / np.sqrt(v + layer.eps) + b).astype(np.float32)
-    if isinstance(layer, ReLU):
-        return np.maximum(x, np.float32(0.0))
-    if isinstance(layer, MaxPool):
-        return _maxpool(x, layer)
-    if isinstance(layer, UpsampleNearest):
-        out = x
-        for axis in (1, 2, 3):
-            out = np.repeat(out, layer.factor, axis=axis)
-        return out
-    if isinstance(layer, Concat):
-        if bindings is None or layer.source not in bindings:
-            raise UnknownConcatSource(f"no earlier output named {layer.source!r}")
-        other = bindings[layer.source]
-        if other.shape[1:] != x.shape[1:]:
-            raise ShapeMismatch(
-                f"concat source {layer.source!r} spatial dims {other.shape[1:]} "
-                f"!= current {x.shape[1:]}"
-            )
-        return np.concatenate([x, other], axis=0)
-    if isinstance(layer, Softmax):
-        return _softmax_channels(x)
-    raise TypeError(f"unknown layer type {type(layer).__name__}")
+    bindings = bindings or {}
+    layer.out_shape(x.shape, {name: out.shape for name, out in bindings.items()})
+    return layer.forward(x, bindings)

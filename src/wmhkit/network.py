@@ -12,25 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeCheckFailed, ShapeMismatch, UnknownConcatSource
-from .layers import (
-    BatchNorm,
-    Concat,
-    Conv3D,
-    LayerSpec,
-    MaxPool,
-    ReLU,
-    Softmax,
-    UpsampleNearest,
-    apply_layer,
-    conv_output_dims,
-)
+from .layers import Layer, apply_layer
 
 DEFAULT_PROBE_SPATIAL = (16, 16, 16)
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    layers: tuple[tuple[str, LayerSpec], ...]
+    layers: tuple[tuple[str, Layer], ...]
     in_channels: int
     out_channels: int
 
@@ -52,59 +41,19 @@ class NetworkSpec:
             )
 
 
-def _layer_shape(
-    shape: tuple[int, int, int, int],
-    layer: LayerSpec,
-    produced: dict[str, tuple[int, int, int, int]],
-) -> tuple[int, int, int, int]:
-    c, *spatial = shape
-    spatial = tuple(spatial)
-    if isinstance(layer, Conv3D):
-        cout, cin = layer.weights.shape[:2]
-        if cin != c:
-            raise ShapeMismatch(f"conv expects {cin} channels, upstream provides {c}")
-        return (cout, *conv_output_dims(spatial, layer.weights.shape[2:], layer.stride, layer.padding))
-    if isinstance(layer, BatchNorm):
-        if layer.gamma.shape != (c,):
-            raise ShapeMismatch(f"batchnorm sized for {layer.gamma.shape[0]} channels, got {c}")
-        return shape
-    if isinstance(layer, (ReLU, Softmax)):
-        return shape
-    if isinstance(layer, MaxPool):
-        out = tuple((n - k) // s + 1 for n, k, s in zip(spatial, layer.kernel, layer.stride))
-        if any(n < k for n, k in zip(spatial, layer.kernel)) or min(out) < 1:
-            raise ShapeMismatch(f"pool {layer.kernel} does not fit input {spatial}")
-        return (c, *out)
-    if isinstance(layer, UpsampleNearest):
-        return (c, *(n * layer.factor for n in spatial))
-    if isinstance(layer, Concat):
-        if layer.source not in produced:
-            raise UnknownConcatSource(f"no earlier output named {layer.source!r}")
-        src = produced[layer.source]
-        if src[1:] != shape[1:]:
-            raise ShapeMismatch(
-                f"concat source {layer.source!r} spatial dims {src[1:]} != current {shape[1:]}"
-            )
-        return (c + src[0], *spatial)
-    raise TypeError(f"unknown layer type {type(layer).__name__}")
-
-
 def infer_shapes(
     net: NetworkSpec, spatial: tuple[int, int, int]
 ) -> list[tuple[int, int, int, int]]:
     """Shapes after each layer for an input of (in_channels, *spatial).
 
-    Mirrors ``forward`` exactly: it succeeds iff forward succeeds on a
-    conforming input of that size.
+    Runs the same ``out_shape`` rules that ``apply_layer`` checks before each
+    layer, so it succeeds iff forward succeeds on a conforming input of that size.
     """
     shape = (net.in_channels, *spatial)
     produced: dict[str, tuple[int, int, int, int]] = {}
-    shapes = []
     for name, layer in net.layers:
-        shape = _layer_shape(shape, layer, produced)
-        produced[name] = shape
-        shapes.append(shape)
-    return shapes
+        shape = produced[name] = layer.out_shape(shape, produced)
+    return list(produced.values())
 
 
 def forward(net: NetworkSpec, x: np.ndarray) -> np.ndarray:

@@ -13,17 +13,25 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import BadMagic, BadManifest, BadVersion, ShapeMismatch, TruncatedTensor
-from .layers import BatchNorm, Concat, Conv3D, LayerSpec, MaxPool, ReLU, Softmax, UpsampleNearest
+from .layers import LAYER_TYPES, Layer
 from .network import NetworkSpec
 
 MAGIC = b"SGWT"
 VERSION = 1
 
 ENSEMBLE_ROLES = ("axial", "sagittal", "coronal", "meta")
+
+# per layer class, the fields stored as blob tensors
+_TENSOR_FIELDS = {
+    cls: {name for name, hint in get_type_hints(cls).items() if hint is np.ndarray}
+    for cls in LAYER_TYPES.values()
+}
 
 
 class _BlobWriter:
@@ -39,37 +47,17 @@ class _BlobWriter:
         return entry
 
 
-def _layer_to_manifest(name: str, layer: LayerSpec, blob: _BlobWriter) -> dict:
-    if isinstance(layer, Conv3D):
-        return {
-            "name": name,
-            "type": "conv3d",
-            "stride": list(layer.stride),
-            "padding": list(layer.padding),
-            "weights": blob.add(layer.weights),
-            "bias": blob.add(layer.bias),
-        }
-    if isinstance(layer, BatchNorm):
-        return {
-            "name": name,
-            "type": "batchnorm",
-            "eps": layer.eps,
-            "gamma": blob.add(layer.gamma),
-            "beta": blob.add(layer.beta),
-            "mean": blob.add(layer.mean),
-            "var": blob.add(layer.var),
-        }
-    if isinstance(layer, ReLU):
-        return {"name": name, "type": "relu"}
-    if isinstance(layer, MaxPool):
-        return {"name": name, "type": "maxpool", "kernel": list(layer.kernel), "stride": list(layer.stride)}
-    if isinstance(layer, UpsampleNearest):
-        return {"name": name, "type": "upsample", "factor": layer.factor}
-    if isinstance(layer, Concat):
-        return {"name": name, "type": "concat", "source": layer.source}
-    if isinstance(layer, Softmax):
-        return {"name": name, "type": "softmax"}
-    raise TypeError(f"unknown layer type {type(layer).__name__}")
+def _layer_to_manifest(name: str, layer: Layer, blob: _BlobWriter) -> dict:
+    """Array fields become blob tensors in field order, tuples int lists."""
+    entry = {"name": name, "type": layer.TYPE}
+    for f in fields(layer):
+        value = getattr(layer, f.name)
+        if isinstance(value, np.ndarray):
+            value = blob.add(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        entry[f.name] = value
+    return entry
 
 
 def _network_to_manifest(net: NetworkSpec, role: str | None, blob: _BlobWriter) -> dict:
@@ -126,44 +114,24 @@ def _read_tensor(entry, blob: bytes, what: str) -> np.ndarray:
     return flat.reshape(shape).astype(np.float32)
 
 
-def _layer_from_manifest(entry: dict, blob: bytes) -> tuple[str, LayerSpec]:
+def _layer_from_manifest(entry: dict, blob: bytes) -> tuple[str, Layer]:
     if not isinstance(entry, dict) or "type" not in entry or "name" not in entry:
         raise BadManifest(f"layer entry must carry name and type: {entry}")
     name = str(entry["name"])
     kind = entry["type"]
+    cls = LAYER_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise BadManifest(f"unknown layer type {kind!r}")
+    # a field left out of the entry takes its default; without one the constructor refuses
+    params = {}
+    for f in fields(cls):
+        if f.name in entry:
+            value = entry[f.name]
+            params[f.name] = _read_tensor(value, blob, name) if f.name in _TENSOR_FIELDS[cls] else value
     try:
-        if kind == "conv3d":
-            layer = Conv3D(
-                weights=_read_tensor(entry["weights"], blob, name),
-                bias=_read_tensor(entry["bias"], blob, name),
-                stride=tuple(entry.get("stride", [1, 1, 1])),
-                padding=tuple(entry.get("padding", [0, 0, 0])),
-            )
-        elif kind == "batchnorm":
-            layer = BatchNorm(
-                gamma=_read_tensor(entry["gamma"], blob, name),
-                beta=_read_tensor(entry["beta"], blob, name),
-                mean=_read_tensor(entry["mean"], blob, name),
-                var=_read_tensor(entry["var"], blob, name),
-                eps=float(entry.get("eps", 1e-5)),
-            )
-        elif kind == "relu":
-            layer = ReLU()
-        elif kind == "maxpool":
-            layer = MaxPool(kernel=tuple(entry["kernel"]), stride=tuple(entry["stride"]))
-        elif kind == "upsample":
-            layer = UpsampleNearest(factor=int(entry["factor"]))
-        elif kind == "concat":
-            layer = Concat(source=str(entry["source"]))
-        elif kind == "softmax":
-            layer = Softmax()
-        else:
-            raise BadManifest(f"unknown layer type {kind!r}")
-    except KeyError as exc:
-        raise BadManifest(f"layer {name!r} missing field {exc}") from exc
+        return name, cls(**params)
     except (ShapeMismatch, TypeError, ValueError) as exc:
         raise BadManifest(f"layer {name!r} has malformed parameters: {exc}") from exc
-    return name, layer
 
 
 def _network_from_manifest(entry: dict, blob: bytes) -> NetworkSpec:

@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,46 @@ class TestSegment:
         )
         capsys.readouterr()
         assert code == 3
+
+    def test_float_stride_in_bundle_is_format_error(self, phantom_dir, tmp_path, capsys):
+        raw = (phantom_dir / "weights.sgwt").read_bytes()
+        (mlen,) = struct.unpack_from("<I", raw, 8)
+        manifest = json.loads(raw[12 : 12 + mlen])
+        manifest["networks"][0]["layers"][0]["stride"] = [1.0, 1, 1]
+        body = json.dumps(manifest).encode()
+        bad = tmp_path / "float_stride.sgwt"
+        bad.write_bytes(raw[:8] + struct.pack("<I", len(body)) + body + raw[12 + mlen :])
+        code = main(
+            [
+                "segment",
+                "--flair", str(phantom_dir / "flair.nii.gz"),
+                "--mask", str(phantom_dir / "brain_mask.nii.gz"),
+                "--weights", str(bad),
+                "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error [format]:")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--threshold", "1.5"), ("--threshold", "0"), ("--overlap", "64"), ("--overlap", "-1"), ("--tile", "0")],
+    )
+    def test_bad_ensemble_arguments_are_input_errors(self, phantom_dir, tmp_path, capsys, flag, value):
+        code = main(
+            [
+                "segment",
+                "--flair", str(phantom_dir / "flair.nii.gz"),
+                "--mask", str(phantom_dir / "brain_mask.nii.gz"),
+                "--weights", str(phantom_dir / "weights.sgwt"),
+                "--out-dir", str(tmp_path),
+                flag, value,
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error [input]:") and len(err.splitlines()) == 1
 
     def test_constant_flair_is_degenerate(self, phantom_dir, tmp_path, capsys):
         flat = Volume3D(np.full((24, 24, 24), 5.0, dtype=np.float32))

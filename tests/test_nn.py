@@ -238,26 +238,69 @@ class TestShapeCheck:
             BatchNorm(gamma=np.ones(2), beta=np.zeros(3), mean=np.zeros(2), var=np.ones(2))
         with pytest.raises(ShapeMismatch):
             Conv3D(weights=np.zeros((1, 1, 1, 1, 1)), bias=np.zeros(1), stride=(1, 1))
+        # integer parameters must be Python ints, not floats or bools
+        w, b = np.zeros((1, 1, 1, 1, 1)), np.zeros(1)
+        for bad in ((1.0, 1, 1), (1, True, 1), (1, 1, 2.5)):
+            with pytest.raises(ShapeMismatch):
+                Conv3D(weights=w, bias=b, stride=bad)
+            with pytest.raises(ShapeMismatch):
+                Conv3D(weights=w, bias=b, padding=bad)
+            with pytest.raises(ShapeMismatch):
+                MaxPool(kernel=bad)
+            with pytest.raises(ShapeMismatch):
+                MaxPool(stride=bad)
+        for bad in (2.7, 2.0, True):
+            with pytest.raises(ShapeMismatch):
+                UpsampleNearest(factor=bad)
+        for bad in (3, None, ("enc",)):
+            with pytest.raises(ShapeMismatch):
+                Concat(source=bad)
+        assert Conv3D(weights=w, bias=b, stride=[2, 1, 1]).stride == (2, 1, 1)
 
     def test_shape_check_agrees_with_forward_on_random_nets(self, rng):
-        # networks with random layer stacks: validate() accepts iff forward works
-        for _ in range(40):
-            depth = int(rng.integers(1, 5))
+        # networks with random layer stacks of all seven kinds: validate()
+        # accepts iff the layer kernels run, and then forward gives their
+        # output with the inferred shape
+        kinds = ["conv", "conv3", "bn", "pool", "up", "relu", "concat", "softmax"]
+        seen = {kind: 0 for kind in kinds}
+        outcomes = set()
+        for _ in range(200):
+            depth = int(rng.integers(1, 6))
             layers = []
+            produced = {}  # layer name -> channels it outputs
             channels = 1
             for i in range(depth):
-                kind = rng.choice(["conv", "pool", "up", "relu"])
-                if kind == "conv":
+                kind = str(rng.choice(kinds))
+                seen[kind] += 1
+                if kind in ("conv", "conv3"):
                     cout = int(rng.integers(1, 4))
                     cin = channels if rng.random() < 0.8 else channels + 1
-                    layers.append((f"l{i}", _conv(cout, cin, 1, rng=rng)))
+                    if kind == "conv":
+                        layer = _conv(cout, cin, 1, rng=rng)
+                    else:
+                        stride = tuple(int(s) for s in rng.integers(1, 3, size=3))
+                        padding = tuple(int(p) for p in rng.integers(0, 2, size=3))
+                        layer = _conv(cout, cin, 3, stride=stride, padding=padding, rng=rng)
                     channels = cout
+                elif kind == "bn":
+                    n = channels if rng.random() < 0.8 else channels + 1
+                    layer = BatchNorm(gamma=rng.normal(size=n), beta=rng.normal(size=n),
+                                      mean=rng.normal(size=n), var=rng.uniform(0.5, 2.0, size=n))
                 elif kind == "pool":
-                    layers.append((f"l{i}", MaxPool(kernel=(2, 2, 2), stride=(2, 2, 2))))
+                    layer = MaxPool(kernel=(2, 2, 2), stride=(2, 2, 2))
                 elif kind == "up":
-                    layers.append((f"l{i}", UpsampleNearest(factor=2)))
+                    layer = UpsampleNearest(factor=2)
+                elif kind == "relu":
+                    layer = ReLU()
+                elif kind == "concat":
+                    # an earlier output (possibly at another resolution) or an unknown name
+                    source = str(rng.choice([*produced, "missing"]))
+                    layer = Concat(source=source)
+                    channels += produced.get(source, 0)
                 else:
-                    layers.append((f"l{i}", ReLU()))
+                    layer = Softmax()
+                layers.append((f"l{i}", layer))
+                produced[f"l{i}"] = channels
             net = NetworkSpec(layers=tuple(layers), in_channels=1, out_channels=channels)
             x = rng.normal(size=(1, 8, 8, 8)).astype(np.float32)
             try:
@@ -266,8 +309,17 @@ class TestShapeCheck:
             except Exception:
                 ok = False
             try:
-                forward(net, x)
+                # the kernels alone, without the shape check apply_layer adds
+                bindings = {}
+                y = x
+                for name, layer in net.layers:
+                    y = bindings[name] = layer.forward(y, bindings)
                 ran = True
             except Exception:
                 ran = False
             assert ok == ran
+            if ran:
+                assert np.array_equal(forward(net, x), y)
+                assert y.shape == infer_shapes(net, (8, 8, 8))[-1]
+            outcomes.add(ok)
+        assert min(seen.values()) > 0 and outcomes == {True, False}

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -49,6 +50,25 @@ def _rich_net(rng):
     )
 
 
+DROP = object()
+
+
+def _edit_layer(raw: bytes, layer_name: str, **changes) -> bytes:
+    """Container whose named layer entry has ``changes`` applied; DROP removes a key."""
+    (mlen,) = struct.unpack_from("<I", raw, 8)
+    manifest = json.loads(raw[12 : 12 + mlen])
+    for net in manifest["networks"]:
+        for entry in net["layers"]:
+            if entry["name"] == layer_name:
+                for key, value in changes.items():
+                    if value is DROP:
+                        del entry[key]
+                    else:
+                        entry[key] = value
+    body = json.dumps(manifest).encode()
+    return raw[:4] + struct.pack("<II", 1, len(body)) + body + raw[12 + mlen :]
+
+
 class TestRoundTrip:
     def test_single_network(self, rng):
         net = _rich_net(rng)
@@ -61,6 +81,51 @@ class TestRoundTrip:
         net = _rich_net(rng)
         raw = save_network(net)
         assert save_network(load_network(raw)) == raw
+
+    def test_wire_format_pinned(self, rng):
+        # every manifest key of all seven layer types, and the blob order
+        net = _rich_net(rng)
+        raw = save_network(net)
+        (mlen,) = struct.unpack_from("<I", raw, 8)
+        manifest = json.loads(raw[12 : 12 + mlen])
+        assert raw[12 : 12 + mlen] == json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+
+        def t(shape, offset):
+            return {"shape": shape, "offset": offset}
+
+        assert manifest == {
+            "networks": [
+                {
+                    "role": None,
+                    "in_channels": 1,
+                    "out_channels": 2,
+                    "layers": [
+                        {"name": "enc", "type": "conv3d", "stride": [1, 1, 1], "padding": [1, 1, 1],
+                         "weights": t([4, 1, 3, 3, 3], 0), "bias": t([4], 432)},
+                        {"name": "bn", "type": "batchnorm", "eps": 1e-5, "gamma": t([4], 448),
+                         "beta": t([4], 464), "mean": t([4], 480), "var": t([4], 496)},
+                        {"name": "act", "type": "relu"},
+                        {"name": "pool", "type": "maxpool", "kernel": [2, 2, 2], "stride": [2, 2, 2]},
+                        {"name": "up", "type": "upsample", "factor": 2},
+                        {"name": "skip", "type": "concat", "source": "act"},
+                        {"name": "head", "type": "conv3d", "stride": [1, 1, 1], "padding": [0, 0, 0],
+                         "weights": t([2, 8, 1, 1, 1], 512), "bias": t([2], 576)},
+                        {"name": "post", "type": "softmax"},
+                    ],
+                }
+            ]
+        }
+        layers = dict(net.layers)
+        conv, bn, head = layers["enc"], layers["bn"], layers["head"]
+        tensors = (conv.weights, conv.bias, bn.gamma, bn.beta, bn.mean, bn.var, head.weights, head.bias)
+        assert raw[12 + mlen :] == b"".join(np.asarray(a, "<f4").tobytes() for a in tensors)
+
+    def test_optional_fields_take_their_defaults(self, rng):
+        raw = save_network(_rich_net(rng))
+        trimmed = _edit_layer(raw, "pool", kernel=DROP, stride=DROP)
+        trimmed = _edit_layer(trimmed, "head", stride=DROP, padding=DROP)
+        trimmed = _edit_layer(trimmed, "bn", eps=DROP)
+        assert save_network(load_network(trimmed)) == raw
 
     def test_ensemble_roles(self):
         nets = {
@@ -143,4 +208,28 @@ class TestContainerErrors:
         )
         raw = save_network(net)
         with pytest.raises(ShapeCheckFailed):
+            load_network(raw)
+
+    @pytest.mark.parametrize(
+        "layer, changes",
+        [
+            ("enc", {"stride": [1.0, 1, 1]}),
+            ("enc", {"padding": [1, True, 1]}),
+            ("pool", {"kernel": [2, 2.0, 2]}),
+            ("pool", {"stride": 2}),
+            ("up", {"factor": 2.7}),
+            ("up", {"factor": 2.0}),
+            ("skip", {"source": 3}),
+            ("bn", {"eps": [1e-5]}),
+            ("post", {"type": "dense"}),
+            ("post", {"type": ["softmax"]}),
+            ("enc", {"weights": DROP}),
+            ("bn", {"var": DROP}),
+            ("skip", {"source": DROP}),
+            ("up", {"factor": DROP, "type": "conv3d"}),
+        ],
+    )
+    def test_malformed_layer_entry(self, rng, layer, changes):
+        raw = _edit_layer(save_network(_rich_net(rng)), layer, **changes)
+        with pytest.raises(BadManifest):
             load_network(raw)
