@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, TileTooSmall
+from .errors import ShapeCheckFailed, ShapeMismatch, TileTooSmall
 from .network import NetworkSpec, forward, infer_shapes
 from .reformat import PlaneOrientation, reformat_from, reformat_to, to_canonical
 from .volume import Volume3D, require_binary, require_same_grid
@@ -45,7 +45,7 @@ class EnsembleSpec:
             raise ValueError(f"overlap {self.overlap} must be < tile dims {self.tile}")
         for net, cin in ((self.axial_net, 1), (self.sagittal_net, 1), (self.coronal_net, 1), (self.meta_net, 3)):
             if net.in_channels != cin or net.out_channels != 2:
-                raise ValueError(
+                raise ShapeCheckFailed(
                     f"expected a {cin}-in/2-out network, got "
                     f"{net.in_channels}-in/{net.out_channels}-out"
                 )

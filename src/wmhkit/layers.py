@@ -1,8 +1,13 @@
 """Layer vocabulary and forward kernels for 3D CNN inference.
 
 Activations are float32 arrays of shape (C, D, H, W). Convolution is
-cross-correlation (no kernel flip) with zero padding, accumulated in float64
-with a fixed reduction order so repeated runs are bit-identical.
+cross-correlation (no kernel flip) with zero padding, lowered to float64 GEMM
+(im2col, as in cuDNN). The reduction order is fixed: each output voxel is one
+float64 dot product over (Cin, kd, kh, kw) taken by the BLAS GEMM, whose
+operand shapes follow from the layer and the input shape alone (the slab
+height comes from ``_COL_BYTES``), and the bias is added after it. Repeated
+runs are therefore bit-identical, and so are runs at different BLAS thread
+counts, since OpenBLAS splits a GEMM over its output, not its reduction.
 
 Each layer type is one frozen dataclass that owns its SGWT manifest tag
 (``TYPE``), its shape rule (``out_shape``) and its kernel (``forward``); its
@@ -13,12 +18,17 @@ fields are its manifest entry. A new layer type is one class plus its entry in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .errors import ShapeMismatch, UnknownConcatSource
 
 Shape = tuple[int, int, int, int]
+
+# bound on the float64 im2col buffer that conv3d fills per slab; a slab is
+# never less than one output plane, whatever that plane needs
+_COL_BYTES = 32 * 2**20
 
 
 def _is_int(value) -> bool:
@@ -98,6 +108,10 @@ class BatchNorm(Layer):
         if np.any(self.var < 0):
             raise ShapeMismatch("batchnorm variance must be non-negative")
         object.__setattr__(self, "eps", float(self.eps))
+        if not (np.isfinite(self.eps) and self.eps >= 0):
+            raise ShapeMismatch(f"batchnorm eps must be finite and non-negative, got {self.eps}")
+        if not np.all(self.var.astype(np.float64) + self.eps > 0):
+            raise ShapeMismatch("batchnorm var + eps must be positive in every channel")
 
     def out_shape(self, shape, produced):
         if self.gamma.shape != shape[:1]:
@@ -110,7 +124,13 @@ class BatchNorm(Layer):
         b = self.beta.astype(np.float64).reshape(shape)
         m = self.mean.astype(np.float64).reshape(shape)
         v = self.var.astype(np.float64).reshape(shape)
-        return (g * (x - m) / np.sqrt(v + self.eps) + b).astype(np.float32)
+        # the operations of g * (x - m) / sqrt(v + eps) + b in its order, so the bits
+        # match, but in one float64 buffer instead of four temporaries
+        z = x - m
+        z *= g
+        z /= np.sqrt(v + self.eps)
+        z += b
+        return z.astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -138,9 +158,13 @@ class MaxPool(Layer):
         return (c, *((n - k) // s + 1 for n, k, s in zip(spatial, self.kernel, self.stride)))
 
     def forward(self, x, bindings):
+        _, do, ho, wo = self.out_shape(x.shape, {})
         sd, sh, sw = self.stride
-        windows = np.lib.stride_tricks.sliding_window_view(x, self.kernel, axis=(1, 2, 3))
-        return windows[:, ::sd, ::sh, ::sw].max(axis=(-3, -2, -1))
+        out = None
+        for a, b, c in product(*map(range, self.kernel)):
+            tap = x[:, a : a + sd * do : sd, b : b + sh * ho : sh, c : c + sw * wo : sw]
+            out = tap.copy() if out is None else np.maximum(out, tap, out=out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -205,7 +229,14 @@ LAYER_TYPES: dict[str, type[Layer]] = {
 
 
 def conv3d(x: np.ndarray, p: Conv3D) -> np.ndarray:
-    """Strided zero-padded cross-correlation over a (C, D, H, W) tensor."""
+    """Strided zero-padded cross-correlation over a (C, D, H, W) tensor.
+
+    Lowered to float64 GEMM: a 1x1x1 stride-1 kernel is one matmul over the
+    padded input; any other kernel fills a reused im2col buffer for a slab of
+    output planes at a time and multiplies it by the (Cout, Cin*kd*kh*kw)
+    weight matrix. A slab holds as many planes as fit in ``_COL_BYTES``, and
+    at least one.
+    """
     cout, cin, kd, kh, kw = p.weights.shape
     _, do, ho, wo = p.out_shape(x.shape, {})
     sd, sh, sw = p.stride
@@ -215,15 +246,30 @@ def conv3d(x: np.ndarray, p: Conv3D) -> np.ndarray:
     xpad = np.zeros((cin, d + 2 * pd, h + 2 * ph, w + 2 * pw), dtype=np.float64)
     xpad[:, pd : pd + d, ph : ph + h, pw : pw + w] = x
 
-    wt = p.weights.astype(np.float64)
-    acc = np.zeros((cout, do, ho, wo), dtype=np.float64)
-    for a in range(kd):
-        for b in range(kh):
-            for c in range(kw):
-                sub = xpad[:, a : a + sd * do : sd, b : b + sh * ho : sh, c : c + sw * wo : sw]
-                acc += np.tensordot(wt[:, :, a, b, c], sub, axes=(1, 0))
-    acc += p.bias.astype(np.float64)[:, None, None, None]
-    return acc.astype(np.float32)
+    wt = p.weights.reshape(cout, -1).astype(np.float64)
+    bias = p.bias.astype(np.float64)[:, None]
+    if (kd, kh, kw) == (1, 1, 1) and p.stride == (1, 1, 1):
+        acc = wt @ xpad.reshape(cin, -1)
+        acc += bias
+        return acc.reshape(cout, do, ho, wo).astype(np.float32)
+
+    # windows[c, i, j, k, a, b, e] = xpad[c, i*sd + a, j*sh + b, k*sw + e]
+    windows = np.lib.stride_tricks.sliding_window_view(xpad, (kd, kh, kw), axis=(1, 2, 3))
+    windows = windows[:, ::sd, ::sh, ::sw].transpose(0, 4, 5, 6, 1, 2, 3)
+    taps = cin * kd * kh * kw
+    plane = ho * wo
+    rows = max(1, min(do, _COL_BYTES // (8 * taps * plane)))
+    col_buf = np.empty(taps * rows * plane, dtype=np.float64)
+    acc_buf = np.empty(cout * rows * plane, dtype=np.float64)
+    out = np.empty((cout, do, ho, wo), dtype=np.float32)
+    for r0 in range(0, do, rows):
+        n = min(rows, do - r0)
+        col = col_buf[: taps * n * plane].reshape(taps, n * plane)
+        col.reshape(cin, kd, kh, kw, n, ho, wo)[...] = windows[..., r0 : r0 + n, :, :]
+        acc = np.matmul(wt, col, out=acc_buf[: cout * n * plane].reshape(cout, n * plane))
+        acc += bias
+        out[:, r0 : r0 + n] = acc.reshape(cout, n, ho, wo)
+    return out
 
 
 def apply_layer(

@@ -83,6 +83,44 @@ def naive_conv3d(x, weights, bias, stride, padding):
     return out.astype(np.float32)
 
 
+def tapwise_conv3d(x, weights, bias, stride, padding):
+    """Per-tap convolution: one tensordot over input channels for each kernel
+    tap, accumulated tap by tap in float64, with the bias added last."""
+    cout, cin, kd, kh, kw = weights.shape
+    sd, sh, sw = stride
+    pd, ph, pw = padding
+    d, h, w = x.shape[1:]
+    do = (d + 2 * pd - kd) // sd + 1
+    ho = (h + 2 * ph - kh) // sh + 1
+    wo = (w + 2 * pw - kw) // sw + 1
+    xpad = np.zeros((cin, d + 2 * pd, h + 2 * ph, w + 2 * pw), dtype=np.float64)
+    xpad[:, pd : pd + d, ph : ph + h, pw : pw + w] = x
+    wt = weights.astype(np.float64)
+    acc = np.zeros((cout, do, ho, wo), dtype=np.float64)
+    for a in range(kd):
+        for b in range(kh):
+            for c in range(kw):
+                sub = xpad[:, a : a + sd * do : sd, b : b + sh * ho : sh, c : c + sw * wo : sw]
+                acc += np.tensordot(wt[:, :, a, b, c], sub, axes=(1, 0))
+    acc += bias.astype(np.float64)[:, None, None, None]
+    return acc.astype(np.float32)
+
+
+def loop_maxpool(x, kernel, stride):
+    """Max pooling by an explicit loop over every output voxel's window."""
+    kd, kh, kw = kernel
+    sd, sh, sw = stride
+    c, d, h, w = x.shape
+    out = np.empty((c, (d - kd) // sd + 1, (h - kh) // sh + 1, (w - kw) // sw + 1), dtype=x.dtype)
+    for ch in range(c):
+        for i in range(out.shape[1]):
+            for j in range(out.shape[2]):
+                for k in range(out.shape[3]):
+                    window = x[ch, i * sd : i * sd + kd, j * sh : j * sh + kh, k * sw : k * sw + kw]
+                    out[ch, i, j, k] = max(window.ravel().tolist())
+    return out
+
+
 def flood_fill_label(mask: np.ndarray, connectivity: int) -> np.ndarray:
     """BFS connected-component labeling with explicit neighbor offsets."""
     offsets = []

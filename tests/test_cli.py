@@ -42,6 +42,36 @@ def last_json(out: str) -> dict:
     return json.loads(out[start:])
 
 
+def _network(manifest: dict, role: str) -> dict:
+    return next(net for net in manifest["networks"] if net["role"] == role)
+
+
+def _edited_bundle(phantom_dir, tmp_path, edit) -> Path:
+    """A copy of the phantom's weight bundle after ``edit(manifest, blob)``,
+    where ``blob`` is a bytearray of the tensors that ``edit`` may extend."""
+    raw = (phantom_dir / "weights.sgwt").read_bytes()
+    (mlen,) = struct.unpack_from("<I", raw, 8)
+    manifest = json.loads(raw[12 : 12 + mlen])
+    blob = bytearray(raw[12 + mlen :])
+    edit(manifest, blob)
+    body = json.dumps(manifest).encode()
+    path = tmp_path / "edited.sgwt"
+    path.write_bytes(raw[:8] + struct.pack("<I", len(body)) + body + bytes(blob))
+    return path
+
+
+def _segment(phantom_dir, tmp_path, weights) -> int:
+    return main(
+        [
+            "segment",
+            "--flair", str(phantom_dir / "flair.nii.gz"),
+            "--mask", str(phantom_dir / "brain_mask.nii.gz"),
+            "--weights", str(weights),
+            "--out-dir", str(tmp_path / "seg"),
+        ]
+    )
+
+
 @pytest.fixture
 def phantom_dir(tmp_path, capsys):
     out = tmp_path / "phantom"
@@ -185,24 +215,37 @@ class TestSegment:
         assert code == 3
 
     def test_float_stride_in_bundle_is_format_error(self, phantom_dir, tmp_path, capsys):
-        raw = (phantom_dir / "weights.sgwt").read_bytes()
-        (mlen,) = struct.unpack_from("<I", raw, 8)
-        manifest = json.loads(raw[12 : 12 + mlen])
-        manifest["networks"][0]["layers"][0]["stride"] = [1.0, 1, 1]
-        body = json.dumps(manifest).encode()
-        bad = tmp_path / "float_stride.sgwt"
-        bad.write_bytes(raw[:8] + struct.pack("<I", len(body)) + body + raw[12 + mlen :])
-        code = main(
-            [
-                "segment",
-                "--flair", str(phantom_dir / "flair.nii.gz"),
-                "--mask", str(phantom_dir / "brain_mask.nii.gz"),
-                "--weights", str(bad),
-                "--out-dir", str(tmp_path),
-            ]
-        )
+        def float_stride(manifest, blob):
+            manifest["networks"][0]["layers"][0]["stride"] = [1.0, 1, 1]
+
+        code = _segment(phantom_dir, tmp_path, _edited_bundle(phantom_dir, tmp_path, float_stride))
         assert code == 3
         assert capsys.readouterr().err.startswith("error [format]:")
+
+    def test_negative_batchnorm_eps_in_bundle_is_format_error(self, phantom_dir, tmp_path, capsys):
+        def add_batchnorm(manifest, blob):
+            axial = _network(manifest, "axial")
+            entry = {"name": "bn", "type": "batchnorm", "eps": -1.0}
+            for field, value in (("gamma", 1.0), ("beta", 0.0), ("mean", 0.0), ("var", 1.0)):
+                entry[field] = {"shape": [2], "offset": len(blob)}
+                blob += np.full(2, value, dtype="<f4").tobytes()
+            axial["layers"].insert(1, entry)  # between the logits conv and the softmax
+
+        code = _segment(phantom_dir, tmp_path, _edited_bundle(phantom_dir, tmp_path, add_batchnorm))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error [format]:") and "eps" in err
+
+    def test_wrong_channel_count_in_bundle_is_format_error(self, phantom_dir, tmp_path, capsys):
+        def one_input_meta(manifest, blob):
+            meta = _network(manifest, "meta")
+            meta["in_channels"] = 1
+            meta["layers"][0]["weights"]["shape"] = [2, 1, 1, 1, 1]  # a valid 1-in net
+
+        code = _segment(phantom_dir, tmp_path, _edited_bundle(phantom_dir, tmp_path, one_input_meta))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error [format]:") and "3-in/2-out" in err
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -1,8 +1,16 @@
+import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oracles import naive_conv3d
+from oracles import loop_maxpool, naive_conv3d, tapwise_conv3d
 from wmhkit.errors import ShapeMismatch, UnknownConcatSource
+from wmhkit import layers
 from wmhkit.layers import (
     BatchNorm,
     Concat,
@@ -64,6 +72,113 @@ class TestConv3D:
         assert np.array_equal(a, b)
 
 
+def _rel_err(got, want):
+    return float(np.max(np.abs(got.astype(np.float64) - want)) / np.max(np.abs(want)))
+
+
+class TestConvAtScale:
+    """The GEMM kernel against the per-tap kernel on U-Net-sized layers."""
+
+    @pytest.mark.parametrize(
+        "cin, cout, k, stride, padding, spatial",
+        [
+            (1, 3, 3, (1, 1, 1), (1, 1, 1), (5, 6, 7)),
+            (2, 3, 3, (2, 1, 2), (0, 1, 1), (7, 6, 5)),
+            (3, 2, 2, (1, 2, 1), (1, 0, 0), (4, 5, 6)),
+            (4, 2, 1, (1, 1, 1), (1, 0, 1), (3, 4, 5)),
+        ],
+    )
+    def test_tapwise_oracle_matches_naive(self, rng, cin, cout, k, stride, padding, spatial):
+        x = rng.normal(size=(cin, *spatial)).astype(np.float32)
+        p = _conv(cout, cin, k, stride=stride, padding=padding, rng=rng)
+        got = tapwise_conv3d(x, p.weights, p.bias, stride, padding)
+        want = naive_conv3d(x, p.weights, p.bias, stride, padding)
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "cin, cout, k, stride, padding, spatial",
+        [
+            (32, 16, 3, (1, 1, 1), (1, 1, 1), (49, 48, 48)),  # many slabs, ragged last one
+            (16, 16, 3, (2, 2, 2), (1, 1, 1), (33, 32, 32)),
+            (16, 2, 1, (1, 1, 1), (0, 0, 0), (32, 32, 32)),  # pointwise path
+            (16, 4, 1, (2, 2, 2), (0, 0, 0), (32, 32, 32)),  # 1^3 kernel, strided: slab path
+        ],
+    )
+    def test_matches_tapwise_kernel(self, rng, cin, cout, k, stride, padding, spatial):
+        x = rng.normal(size=(cin, *spatial)).astype(np.float32)
+        p = _conv(cout, cin, k, stride=stride, padding=padding, rng=rng)
+        got = conv3d(x, p)
+        want = tapwise_conv3d(x, p.weights, p.bias, stride, padding)
+        assert got.shape == want.shape and got.dtype == np.float32
+        assert _rel_err(got, want) < 1e-6
+        print(f"conv {cin}->{cout} k{k} stride {stride} on {spatial}: "
+              f"bit-identical to the per-tap kernel: {np.array_equal(got, want)}")
+
+    def test_slab_plan_of_the_large_case(self):
+        # the 49x48x48 case above spans several slabs with a partial last one
+        rows = layers._COL_BYTES // (8 * 32 * 27 * 48 * 48)
+        assert 1 <= rows < 49 and 49 % rows != 0
+
+    @pytest.mark.parametrize("k, stride, padding", [(3, (1, 1, 1), (1, 1, 1)), (1, (1, 1, 1), (0, 0, 0))])
+    def test_non_contiguous_input(self, rng, k, stride, padding):
+        base = rng.normal(size=(20, 8, 24, 12)).astype(np.float32)
+        x = base[2:18:2, :, ::2].transpose(0, 3, 2, 1)  # (8, 12, 12, 8), no contiguous axis order
+        assert not x.flags["C_CONTIGUOUS"] and not x.flags["F_CONTIGUOUS"]
+        p = _conv(5, 8, k, stride=stride, padding=padding, rng=rng)
+        got = conv3d(x, p)
+        assert np.array_equal(got, conv3d(np.ascontiguousarray(x), p))
+        assert _rel_err(got, tapwise_conv3d(x, p.weights, p.bias, stride, padding)) < 1e-6
+
+
+_SEEDED_FORWARDS = textwrap.dedent(
+    """
+    import hashlib
+    import numpy as np
+    from wmhkit.layers import BatchNorm, Concat, Conv3D, MaxPool, ReLU, Softmax, UpsampleNearest, conv3d
+    from wmhkit.network import NetworkSpec, forward
+
+    rng = np.random.default_rng(7)
+
+    def conv(cout, cin, k):
+        w = rng.normal(scale=0.2, size=(cout, cin, k, k, k)).astype(np.float32)
+        return Conv3D(weights=w, bias=rng.normal(size=cout).astype(np.float32), padding=(k // 2,) * 3)
+
+    def bn(c):
+        return BatchNorm(gamma=rng.normal(size=c), beta=rng.normal(size=c),
+                         mean=rng.normal(size=c), var=rng.uniform(0.5, 2.0, size=c))
+
+    x = rng.normal(size=(32, 24, 24, 24)).astype(np.float32)
+    print(hashlib.sha256(conv3d(x, conv(16, 32, 3)).tobytes()).hexdigest())
+    net = NetworkSpec(
+        layers=(
+            ("enc", conv(8, 1, 3)), ("enc_bn", bn(8)), ("enc_relu", ReLU()),
+            ("pool", MaxPool()), ("mid", conv(16, 8, 3)), ("mid_bn", bn(16)), ("mid_relu", ReLU()),
+            ("up", UpsampleNearest(factor=2)), ("skip", Concat(source="enc_relu")),
+            ("dec", conv(8, 24, 3)), ("dec_relu", ReLU()), ("head", conv(2, 8, 1)), ("post", Softmax()),
+        ),
+        in_channels=1,
+        out_channels=2,
+    )
+    x = rng.normal(size=(1, 64, 64, 64)).astype(np.float32)
+    print(hashlib.sha256(forward(net, x).tobytes()).hexdigest())
+    """
+)
+
+
+def test_output_independent_of_blas_threads():
+    # batch mode pins BLAS to nproc/jobs threads; a subject's bytes must not depend on it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _SEEDED_FORWARDS], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
+
+
 class TestLayers:
     def test_batchnorm_identity(self, rng):
         x = rng.normal(size=(2, 3, 3, 3)).astype(np.float32)
@@ -81,6 +196,26 @@ class TestLayers:
     def test_batchnorm_rejects_negative_var(self):
         with pytest.raises(ShapeMismatch):
             BatchNorm(gamma=np.ones(1), beta=np.zeros(1), mean=np.zeros(1), var=np.array([-1.0]))
+
+    @pytest.mark.parametrize(
+        "var, eps",
+        [([1.0, 1.0], -1.0), ([1.0, 1.0], float("nan")), ([1.0, 1.0], float("inf")), ([1.0, 0.0], 0.0),
+         ([1.0, float("nan")], 1e-5)],
+    )
+    def test_batchnorm_rejects_bad_eps(self, var, eps):
+        with pytest.raises(ShapeMismatch):
+            BatchNorm(gamma=np.ones(2), beta=np.zeros(2), mean=np.zeros(2), var=np.array(var), eps=eps)
+
+    def test_batchnorm_matches_formula_bitwise(self, rng):
+        c = 6
+        x = rng.normal(scale=3.0, size=(c, 9, 10, 11)).astype(np.float32)
+        g, b, m = (rng.normal(size=c).astype(np.float32) for _ in range(3))
+        v = rng.uniform(0.0, 3.0, size=c).astype(np.float32)
+        layer = BatchNorm(gamma=g, beta=b, mean=m, var=v, eps=1e-3)
+        shape = (c, 1, 1, 1)
+        g, b, m, v = (a.astype(np.float64).reshape(shape) for a in (g, b, m, v))
+        want = (g * (x - m) / np.sqrt(v + 1e-3) + b).astype(np.float32)
+        assert np.array_equal(apply_layer(x, layer), want)
 
     def test_relu(self):
         x = np.array([[-1.0, 2.0]], dtype=np.float32).reshape(1, 1, 1, 2)
@@ -102,6 +237,16 @@ class TestLayers:
         out = apply_layer(x, MaxPool(kernel=(2, 2, 2), stride=(2, 2, 2)))
         assert out.shape == (1, 1, 1, 1)
         assert out[0, 0, 0, 0] == 8.0
+
+    @pytest.mark.parametrize(
+        "kernel, stride",
+        [((3, 3, 3), (2, 2, 2)), ((2, 2, 2), (1, 1, 1)), ((1, 2, 3), (2, 1, 1)), ((2, 2, 2), (2, 2, 2))],
+    )
+    def test_maxpool_matches_loop_oracle(self, rng, kernel, stride):
+        x = rng.normal(size=(3, 7, 8, 9)).astype(np.float32)
+        got = apply_layer(x, MaxPool(kernel=kernel, stride=stride))
+        assert np.array_equal(got, loop_maxpool(x, kernel, stride))
+        assert got.dtype == np.float32
 
     def test_maxpool_stride_one(self):
         x = np.arange(27.0, dtype=np.float32).reshape(1, 3, 3, 3)

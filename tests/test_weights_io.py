@@ -233,3 +233,10 @@ class TestContainerErrors:
         raw = _edit_layer(save_network(_rich_net(rng)), layer, **changes)
         with pytest.raises(BadManifest):
             load_network(raw)
+
+    @pytest.mark.parametrize("eps", [-1.0, -1e-12, float("nan"), float("inf")])
+    def test_bad_batchnorm_eps(self, rng, eps):
+        # json writes NaN and Infinity as bare tokens, which the reader accepts
+        raw = _edit_layer(save_network(_rich_net(rng)), "bn", eps=eps)
+        with pytest.raises(BadManifest, match="eps"):
+            load_network(raw)
