@@ -1,15 +1,22 @@
 """Orthogonal-plane ensemble inference with meta-network fusion.
 
-The pipeline: reformat the normalized volume into each processing plane, run
-tiled inference with that plane's network, map the posteriors back to the
-canonical frame, stack them as channels, and fuse with the meta network.
-Fusion happens in canonical space, so results are bit-exact regardless of the
-input volume's on-disk orientation.
+The pipeline: run each plane's network over the normalized volume in that
+plane's frame, stack the three posteriors as channels in the canonical frame,
+and fuse them with the meta network. Fusion happens in canonical space, so
+results are bit-exact regardless of the input volume's on-disk orientation.
+
+The tile plan follows from each network's receptive field. A pointwise net
+(receptive field of one voxel) commutes with the plane's axis permutation, so
+it runs on the canonical volume directly, over disjoint blocks of at most one
+tile: each voxel is computed once. Any other net runs on the volume reformatted
+into its plane, over overlapping tiles whose predictions are averaged per voxel,
+and its posterior is mapped back to the canonical frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -68,13 +75,29 @@ def _tile_starts(n: int, tile: int, overlap: int) -> list[int]:
     return starts
 
 
+def _coverage(n: int, tile: int, starts: list[int]) -> np.ndarray:
+    """How many of the tiles starting at ``starts`` cover each index of one axis."""
+    cnt = np.zeros(n, dtype=np.int64)
+    for s in starts:
+        cnt[s : s + tile] += 1
+    return cnt
+
+
 def _tiled_posterior(
     net: NetworkSpec,
     x: np.ndarray,
     tile: tuple[int, int, int],
     overlap: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Mean-of-tiles channel-1 posterior for a (C, D, H, W) input array."""
+    """Channel-1 posterior for a (C, D, H, W) input array, as float32 (D, H, W),
+    written into ``out`` when given.
+
+    A pointwise net runs on disjoint blocks of at most ``tile`` (the last block
+    on each axis clipped), so each voxel is computed once and ``overlap`` is
+    unused. Any other net runs on overlapping tiles of ``tile`` (edge tiles
+    shifted inward) and each voxel gets the mean over the tiles covering it.
+    """
     if net.out_channels < 2:
         raise ShapeMismatch(
             f"posterior extraction needs a >=2-channel network, got {net.out_channels}"
@@ -89,22 +112,28 @@ def _tiled_posterior(
         raise ShapeMismatch(
             f"tiled inference needs a size-preserving network; {actual} -> {shapes[-1][1:]}"
         )
+    if out is None:
+        out = np.empty(spatial, dtype=np.float32)
+
+    if net.pointwise:
+        blocks = [[slice(s, s + t) for s in range(0, n, t)] for n, t in zip(spatial, actual)]
+        for sl in product(*blocks):
+            out[sl] = forward(net, x[(slice(None), *sl)])[1]
+        return out
 
     acc = np.zeros(spatial, dtype=np.float64)
-    cnt = np.zeros(spatial, dtype=np.int64)
     starts = [_tile_starts(n, t, overlap) for n, t in zip(spatial, actual)]
-    for d0 in starts[0]:
-        for h0 in starts[1]:
-            for w0 in starts[2]:
-                sl = (
-                    slice(d0, d0 + actual[0]),
-                    slice(h0, h0 + actual[1]),
-                    slice(w0, w0 + actual[2]),
-                )
-                pred = forward(net, x[(slice(None),) + sl])
-                acc[sl] += pred[1].astype(np.float64)
-                cnt[sl] += 1
-    return (acc / cnt).astype(np.float32)
+    for sl in product(*([slice(s, s + t) for s in axis] for axis, t in zip(starts, actual))):
+        pred = forward(net, x[(slice(None), *sl)])
+        acc[sl] += pred[1].astype(np.float64)
+    # the tiles are the product of per-axis starts, so a voxel's tile count is
+    # the product of its per-axis coverage counts
+    cnt_d, cnt_h, cnt_w = (_coverage(n, t, s) for n, t, s in zip(spatial, actual, starts))
+    cnt_hw = np.multiply.outer(cnt_h, cnt_w)
+    for d, c in enumerate(cnt_d):
+        acc[d] /= c * cnt_hw
+    out[...] = acc
+    return out
 
 
 def tiled_forward(
@@ -113,11 +142,15 @@ def tiled_forward(
     tile: tuple[int, int, int] = DEFAULT_TILE,
     overlap: int = DEFAULT_OVERLAP,
 ) -> Volume3D:
-    """Cover the volume with overlapping tiles and average the predictions.
+    """Channel-1 posterior of ``net`` over the volume, computed tile by tile.
 
-    Each voxel's posterior is the arithmetic mean over all tiles containing
-    it; edge tiles are clamped to the volume bounds. A volume smaller than
-    one tile degenerates to a single forward pass.
+    A pointwise net (receptive field of one voxel) covers the volume with
+    disjoint blocks of at most ``tile`` and ignores ``overlap``; every
+    partition gives the same result. Any other net is run on tiles of ``tile``
+    that overlap by ``overlap``, and each voxel's posterior is the arithmetic
+    mean over all tiles containing it; edge tiles are shifted inward to stay
+    inside the volume. A volume smaller than one tile degenerates to a single
+    forward pass either way.
     """
     post = _tiled_posterior(net, v.data[np.newaxis], tile, overlap)
     return v.with_data(post)
@@ -134,13 +167,16 @@ def predict_ensemble(spec: EnsembleSpec, flair: Volume3D, mask: Volume3D) -> Vol
     flair_c = to_canonical(flair)
     mask_c = to_canonical(mask)
 
-    plane_posteriors = []
-    for plane in _PLANES:
-        vp = reformat_to(flair_c, plane)
-        post = tiled_forward(spec.plane_net(plane), vp, spec.tile, spec.overlap)
-        plane_posteriors.append(reformat_from(post, plane).data)
+    stacked = np.empty((len(_PLANES), *flair_c.dims), dtype=np.float32)
+    for post, plane in zip(stacked, _PLANES):
+        net = spec.plane_net(plane)
+        if net.pointwise:
+            # a per-voxel net commutes with the plane's axis permutation
+            _tiled_posterior(net, flair_c.data[np.newaxis], spec.tile, spec.overlap, out=post)
+        else:
+            vp = reformat_to(flair_c, plane)
+            post[...] = reformat_from(tiled_forward(net, vp, spec.tile, spec.overlap), plane).data
 
-    stacked = np.stack(plane_posteriors, axis=0)
     fused = _tiled_posterior(spec.meta_net, stacked, spec.tile, spec.overlap)
     fused[mask_c.data == 0] = 0.0
     return flair_c.with_data(fused)

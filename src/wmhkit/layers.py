@@ -44,13 +44,22 @@ def _int_triple(value, least: int, what: str) -> tuple[int, int, int]:
 
 
 class Layer:
-    """Base of the vocabulary; by default a layer keeps its input's shape."""
+    """Base of the vocabulary; by default a layer keeps its input's shape, maps
+    each voxel on its own and reads no earlier output."""
 
     def out_shape(self, shape: Shape, produced: dict[str, Shape]) -> Shape:
         """Output shape for an input of ``shape``, given the shapes of earlier
         named outputs. Raises ShapeMismatch or UnknownConcatSource exactly when
         ``forward`` cannot run on such an input."""
         return shape
+
+    # receptive field of one voxel: each output voxel depends on the input (and
+    # on the earlier outputs read) at that voxel alone, on the same grid
+    pointwise = True
+
+    def sources(self) -> tuple[str, ...]:
+        """Names of the earlier outputs that ``forward`` reads from its bindings."""
+        return ()
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,10 @@ class Conv3D(Layer):
                 f"kernel {tuple(kernel)} padding {self.padding} does not fit input {shape[1:]}"
             )
         return (cout, *((n + 2 * p - k) // s + 1 for n, k, s, p in dims))
+
+    @property
+    def pointwise(self):
+        return self.weights.shape[2:] == (1, 1, 1) and self.stride == (1, 1, 1) and self.padding == (0, 0, 0)
 
     def forward(self, x, bindings):
         return conv3d(x, self)
@@ -157,6 +170,10 @@ class MaxPool(Layer):
             raise ShapeMismatch(f"pool kernel {self.kernel} exceeds input {tuple(spatial)}")
         return (c, *((n - k) // s + 1 for n, k, s in zip(spatial, self.kernel, self.stride)))
 
+    @property
+    def pointwise(self):
+        return self.kernel == self.stride == (1, 1, 1)
+
     def forward(self, x, bindings):
         _, do, ho, wo = self.out_shape(x.shape, {})
         sd, sh, sw = self.stride
@@ -179,6 +196,10 @@ class UpsampleNearest(Layer):
     def out_shape(self, shape, produced):
         c, *spatial = shape
         return (c, *(n * self.factor for n in spatial))
+
+    @property
+    def pointwise(self):
+        return self.factor == 1
 
     def forward(self, x, bindings):
         out = x
@@ -207,6 +228,9 @@ class Concat(Layer):
                 f"concat source {self.source!r} spatial dims {src[1:]} != current {shape[1:]}"
             )
         return (shape[0] + src[0], *shape[1:])
+
+    def sources(self):
+        return (self.source,)
 
     def forward(self, x, bindings):
         return np.concatenate([x, bindings[self.source]], axis=0)

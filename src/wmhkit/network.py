@@ -29,6 +29,13 @@ class NetworkSpec:
         if len(set(names)) != len(names):
             raise ShapeCheckFailed(f"duplicate layer names in {names}")
 
+    @property
+    def pointwise(self) -> bool:
+        """True when the receptive field is one voxel: each output voxel is a
+        function of the input at that voxel alone, so any partition of the
+        volume into blocks gives the same output as one pass."""
+        return all(layer.pointwise for _, layer in self.layers)
+
     def validate(self, spatial: tuple[int, int, int] = DEFAULT_PROBE_SPATIAL) -> None:
         """Dry-run shape inference; raises ShapeCheckFailed on any violation."""
         try:
@@ -59,18 +66,24 @@ def infer_shapes(
 def forward(net: NetworkSpec, x: np.ndarray) -> np.ndarray:
     """Run the network on a (C, D, H, W) float32 tensor.
 
-    Named outputs are retained so later Concat layers can consume them.
-    Deterministic: identical inputs and weights give bit-identical outputs.
+    A named output stays bound only while a later layer (a Concat) still reads
+    it, and is dropped after its last reader. Deterministic: identical inputs
+    and weights give bit-identical outputs.
     """
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 4 or x.shape[0] != net.in_channels:
         raise ShapeMismatch(
             f"network declares {net.in_channels} input channels, got tensor shape {x.shape}"
         )
+    last_read = {src: i for i, (_, layer) in enumerate(net.layers) for src in layer.sources()}
     bindings: dict[str, np.ndarray] = {}
-    for name, layer in net.layers:
+    for i, (name, layer) in enumerate(net.layers):
         x = apply_layer(x, layer, bindings)
-        bindings[name] = x
+        for src in layer.sources():
+            if last_read[src] == i:
+                del bindings[src]
+        if last_read.get(name, -1) > i:
+            bindings[name] = x
     if x.shape[0] != net.out_channels:
         raise ShapeMismatch(
             f"network produced {x.shape[0]} channels, declared {net.out_channels}"

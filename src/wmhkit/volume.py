@@ -65,7 +65,8 @@ class Volume3D:
 
 
 def is_binary(v: Volume3D) -> bool:
-    return bool(np.isin(v.data, (0.0, 1.0)).all())
+    d = v.data
+    return bool(((d == 0) | (d == 1)).all())
 
 
 def require_binary(v: Volume3D, name: str = "mask") -> None:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import all_signed_orientations
+from oracles import all_signed_orientations, overlap_tile_ensemble, overlap_tile_posterior
+from wmhkit import ensemble
 from wmhkit.ensemble import (
     EnsembleSpec,
     binarize,
@@ -10,7 +11,7 @@ from wmhkit.ensemble import (
     wmh_volume_ml,
 )
 from wmhkit.errors import NonBinaryInput, TileTooSmall
-from wmhkit.layers import Conv3D, MaxPool, Softmax
+from wmhkit.layers import BatchNorm, Concat, Conv3D, MaxPool, ReLU, Softmax, UpsampleNearest
 from wmhkit.network import NetworkSpec, forward
 from wmhkit.phantom import (
     averaging_meta_net,
@@ -19,6 +20,7 @@ from wmhkit.phantom import (
     phantom_ensemble,
     threshold_detector_net,
 )
+from wmhkit.reformat import PlaneOrientation
 from wmhkit.volume import Volume3D, normalize_intensity
 
 
@@ -76,13 +78,20 @@ class TestTiledForward:
         oracle = (acc / cnt).astype(np.float32)
         np.testing.assert_allclose(got.data, oracle, atol=1e-7)
 
+        # uneven per-axis starts (0,5,10,11 / 0,5,8 / 0,5,10,15): 1 to 12 tiles
+        # per voxel, divided with the same bits as a count volume
+        v = Volume3D(rng.normal(size=(19, 16, 23)).astype(np.float32))
+        got = tiled_forward(net, v, tile=(8, 8, 8), overlap=3)
+        assert np.array_equal(got.data, overlap_tile_posterior(forward, net, v.data[None], (8, 8, 8), 3))
+
     def test_edge_tiles_shift_inward(self, rng):
         # 10 voxels, tile 8, overlap 4 -> starts 0, 2 (clamped from 4)
-        net = threshold_detector_net(0.0)
+        net = _receptive_net(rng)
         v = Volume3D(rng.normal(size=(10, 8, 8)).astype(np.float32))
         out = tiled_forward(net, v, tile=(8, 8, 8), overlap=4)
         assert out.dims == (10, 8, 8)
         assert float(out.data.min()) >= 0.0 and float(out.data.max()) <= 1.0
+        assert np.array_equal(out.data, overlap_tile_posterior(forward, net, v.data[None], (8, 8, 8), 4))
 
     def test_tile_too_small_for_pooling_net(self, rng):
         net = NetworkSpec(
@@ -103,6 +112,157 @@ class TestTiledForward:
         v = Volume3D(rng.normal(size=(16, 16, 16)).astype(np.float32))
         with pytest.raises(TileTooSmall):
             tiled_forward(net, v, tile=(4, 4, 4), overlap=1)
+
+
+def _pointwise_net(rng, cin):
+    """A multi-layer net with a receptive field of one voxel: 1^3 conv to 8
+    channels, BatchNorm, ReLU, a Concat of the conv output, 1^3 conv to 2, softmax."""
+    return NetworkSpec(
+        layers=(
+            ("c1", Conv3D(weights=rng.normal(size=(8, cin, 1, 1, 1)), bias=rng.normal(size=8))),
+            ("bn", BatchNorm(gamma=rng.normal(size=8), beta=rng.normal(size=8),
+                             mean=rng.normal(size=8), var=rng.uniform(0.5, 2.0, size=8))),
+            ("relu", ReLU()),
+            ("skip", Concat(source="c1")),
+            ("head", Conv3D(weights=rng.normal(scale=0.5, size=(2, 16, 1, 1, 1)), bias=rng.normal(size=2))),
+            ("post", Softmax()),
+        ),
+        in_channels=cin,
+        out_channels=2,
+    )
+
+
+def _pool_net(rng, cin):
+    """1^3 convs around a 2^3 pool and an upsample: not pointwise."""
+    return NetworkSpec(
+        layers=(
+            ("c1", Conv3D(weights=rng.normal(size=(4, cin, 1, 1, 1)), bias=rng.normal(size=4))),
+            ("pool", MaxPool()),
+            ("up", UpsampleNearest(factor=2)),
+            ("head", Conv3D(weights=rng.normal(size=(2, 4, 1, 1, 1)), bias=rng.normal(size=2))),
+            ("post", Softmax()),
+        ),
+        in_channels=cin,
+        out_channels=2,
+    )
+
+
+def _nets(kind, rng):
+    """(axial, sagittal, coronal, meta), four distinct network objects."""
+    if kind == "phantom":
+        return (*(threshold_detector_net(t) for t in (-0.2, 0.1, 0.4)), mean_threshold_meta_net())
+    make = {"pointwise": _pointwise_net, "receptive": _receptive_net, "pool": _pool_net}[kind]
+    return (*(make(rng, 1) for _ in range(3)), make(rng, 3))
+
+
+def _spec(nets, tile, overlap):
+    axial, sagittal, coronal, meta = nets
+    return EnsembleSpec(axial_net=axial, sagittal_net=sagittal, coronal_net=coronal,
+                        meta_net=meta, tile=tile, overlap=overlap)
+
+
+def _inputs(rng, shape):
+    flair = rng.normal(size=shape).astype(np.float32)
+    mask = (rng.random(shape) < 0.8).astype(np.float32)
+    return flair, mask
+
+
+class TestTilePlan:
+    @pytest.mark.parametrize("kind", ["phantom", "pointwise"])
+    @pytest.mark.parametrize(
+        "shape, tile, overlap",
+        [
+            ((70, 33, 129), (24, 16, 40), 5),
+            ((70, 33, 129), (96, 16, 64), 8),
+            ((70, 33, 129), (80, 64, 160), 16),
+            ((5, 7, 3), (2, 3, 2), 1),
+            ((5, 7, 3), (8, 8, 8), 2),
+        ],
+    )
+    def test_pointwise_ensemble_matches_overlap_tile_reference(self, rng, kind, shape, tile, overlap):
+        nets = _nets(kind, rng)
+        assert all(net.pointwise for net in nets)
+        flair, mask = _inputs(rng, shape)
+        got = predict_ensemble(_spec(nets, tile, overlap), Volume3D(flair), Volume3D(mask))
+        want = overlap_tile_ensemble(forward, nets, flair, mask, tile, overlap)
+        assert np.array_equal(got.data, want)
+
+    @pytest.mark.parametrize("kind", ["phantom", "pointwise"])
+    def test_pointwise_ensemble_matches_reference_in_every_orientation(self, rng, kind):
+        nets = _nets(kind, rng)
+        tile, overlap = (4, 3, 2), 1
+        flair, mask = _inputs(rng, (5, 7, 3))
+        spec = _spec(nets, tile, overlap)
+        want = overlap_tile_ensemble(forward, nets, flair, mask, tile, overlap)
+        for orientation in all_signed_orientations():
+            v = Volume3D(_inverse_remap(flair, orientation), orientation=orientation)
+            m = Volume3D(_inverse_remap(mask, orientation), orientation=orientation)
+            assert np.array_equal(predict_ensemble(spec, v, m).data, want), orientation
+
+    @pytest.mark.parametrize("kind", ["receptive", "pool"])
+    def test_other_nets_match_overlap_tile_reference(self, rng, kind):
+        nets = _nets(kind, rng)
+        assert not any(net.pointwise for net in nets)
+        flair, mask = _inputs(rng, (20, 18, 22))
+        got = predict_ensemble(_spec(nets, (8, 8, 8), 3), Volume3D(flair), Volume3D(mask))
+        assert np.array_equal(got.data, overlap_tile_ensemble(forward, nets, flair, mask, (8, 8, 8), 3))
+
+    def test_pointwise_ensemble_passes_each_voxel_once(self, rng, monkeypatch):
+        nets = _nets("pointwise", rng)
+        flair, mask = _inputs(rng, (20, 17, 13))
+        passes, shapes, reformats = _spy_plan(monkeypatch)
+        predict_ensemble(_spec(nets, (8, 8, 8), 4), Volume3D(flair), Volume3D(mask))
+        assert reformats == []
+        assert sorted(passes) == sorted(id(net) for net in nets)
+        for net in nets:
+            counts = passes[id(net)]
+            assert counts.shape == (20, 17, 13) and np.all(counts == 1)
+            # disjoint blocks of the tile, clipped (not shifted) at the far edge
+            assert sorted(shapes[id(net)]) == sorted(
+                (d, h, w) for d in (8, 8, 4) for h in (8, 8, 1) for w in (8, 5)
+            )
+
+    @pytest.mark.parametrize("kind", ["receptive", "pool"])
+    def test_other_nets_overlap_tiles_in_their_planes(self, rng, monkeypatch, kind):
+        nets = _nets(kind, rng)
+        flair, mask = _inputs(rng, (20, 18, 22))
+        passes, _, reformats = _spy_plan(monkeypatch)
+        predict_ensemble(_spec(nets, (8, 8, 8), 3), Volume3D(flair), Volume3D(mask))
+        assert reformats == [PlaneOrientation.AXIAL, PlaneOrientation.SAGITTAL, PlaneOrientation.CORONAL]
+        for net in nets:
+            assert passes[id(net)].min() == 1 and passes[id(net)].max() > 1
+
+
+def _spy_plan(monkeypatch):
+    """Spy on the ensemble's forward and reformat_to calls.
+
+    Returns ``passes`` (id(net) -> how often forward saw each voxel of the
+    net's input array), ``shapes`` (id(net) -> spatial shape of each forward
+    call) and the list of planes passed to ``reformat_to``. A tile's position
+    is read from its offset in the contiguous array it is a view of.
+    """
+    passes, shapes, reformats = {}, {}, []
+    real_forward, real_reformat_to = ensemble.forward, ensemble.reformat_to
+
+    def spy_forward(net, x):
+        root = x
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        assert root.flags.c_contiguous
+        offset = x.__array_interface__["data"][0] - root.__array_interface__["data"][0]
+        start = np.unravel_index(offset // root.itemsize, root.shape)[-3:]
+        counts = passes.setdefault(id(net), np.zeros(root.shape[-3:], np.int64))
+        counts[tuple(slice(s, s + n) for s, n in zip(start, x.shape[1:]))] += 1
+        shapes.setdefault(id(net), []).append(x.shape[1:])
+        return real_forward(net, x)
+
+    def spy_reformat_to(v, plane):
+        reformats.append(plane)
+        return real_reformat_to(v, plane)
+
+    monkeypatch.setattr(ensemble, "forward", spy_forward)
+    monkeypatch.setattr(ensemble, "reformat_to", spy_reformat_to)
+    return passes, shapes, reformats
 
 
 def _normalized_phantom(seed=0, shape=(24, 24, 24)):

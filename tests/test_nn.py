@@ -10,7 +10,7 @@ import pytest
 
 from oracles import loop_maxpool, naive_conv3d, tapwise_conv3d
 from wmhkit.errors import ShapeMismatch, UnknownConcatSource
-from wmhkit import layers
+from wmhkit import layers, network
 from wmhkit.layers import (
     BatchNorm,
     Concat,
@@ -331,6 +331,46 @@ class TestForward:
         assert np.array_equal(got, y)
         np.testing.assert_allclose(got.sum(axis=0), 1.0, atol=1e-6)
 
+    def test_forward_binds_only_outputs_a_later_layer_reads(self, rng, monkeypatch):
+        # the bindings each layer sees: an output is bound from the layer that
+        # makes it until its last Concat reader, and nothing else is kept
+        seen = []
+        real = network.apply_layer
+
+        def spy(x, layer, bindings):
+            seen.append(sorted(bindings))
+            return real(x, layer, bindings)
+
+        monkeypatch.setattr(network, "apply_layer", spy)
+        unet = _unet(rng)
+        x = rng.normal(size=(1, 8, 8, 8)).astype(np.float32)
+        forward(unet, x)
+        assert seen == [[], [], *[["enc_relu"]] * 5, [], []]
+
+        # two readers of one source, and an output read by the very next layer
+        seen.clear()
+        twice = NetworkSpec(
+            layers=(
+                ("a", _conv(2, 1, 1, rng=rng)),
+                ("b", Concat(source="a")),
+                ("c", Concat(source="b")),
+                ("d", Concat(source="a")),
+                ("post", Softmax()),
+            ),
+            in_channels=1,
+            out_channels=10,
+        )
+        forward(twice, x)
+        assert seen == [[], ["a"], ["a", "b"], ["a"], []]
+
+        # the same bits as keeping every output bound
+        monkeypatch.undo()
+        for net in (unet, twice):
+            bindings, y = {}, x
+            for name, layer in net.layers:
+                y = bindings[name] = apply_layer(y, layer, bindings)
+            assert np.array_equal(forward(net, x), y)
+
     def test_input_channel_check(self, rng):
         net = _unet(rng)
         with pytest.raises(ShapeMismatch):
@@ -340,6 +380,72 @@ class TestForward:
         net = _unet(rng)
         x = rng.normal(size=(1, 8, 8, 8)).astype(np.float32)
         assert np.array_equal(forward(net, x), forward(net, x))
+
+
+class TestPointwise:
+    def test_rule_per_layer(self, rng):
+        assert all(layer.pointwise for layer in (
+            _conv(3, 2, 1, rng=rng),
+            BatchNorm(gamma=np.ones(2), beta=np.zeros(2), mean=np.zeros(2), var=np.ones(2)),
+            ReLU(),
+            Concat(source="a"),
+            Softmax(),
+            MaxPool(kernel=(1, 1, 1), stride=(1, 1, 1)),
+            UpsampleNearest(factor=1),
+        ))
+        assert not any(layer.pointwise for layer in (
+            _conv(3, 2, 3, rng=rng),
+            _conv(3, 2, 1, stride=(1, 2, 1), rng=rng),
+            _conv(3, 2, 1, padding=(0, 0, 1), rng=rng),
+            Conv3D(weights=np.ones((1, 1, 1, 1, 3)), bias=np.zeros(1)),
+            MaxPool(),
+            MaxPool(kernel=(1, 1, 1), stride=(2, 1, 1)),
+            MaxPool(kernel=(1, 2, 1), stride=(1, 1, 1)),
+            UpsampleNearest(factor=2),
+        ))
+
+    def test_network_rule(self, rng):
+        assert NetworkSpec(layers=(), in_channels=1, out_channels=1).pointwise
+        assert not _unet(rng).pointwise
+        head = NetworkSpec(
+            layers=(("c", _conv(2, 1, 1, rng=rng)), ("skip", Concat(source="c")), ("post", Softmax())),
+            in_channels=1,
+            out_channels=4,
+        )
+        assert head.pointwise
+
+    def test_pointwise_nets_commute_with_any_partition(self, rng):
+        # random stacks of the pointwise layer kinds: forward over blocks of
+        # any size gives the bits of one pass over the whole volume
+        x = rng.normal(size=(1, 7, 9, 5)).astype(np.float32)
+        for _ in range(30):
+            layers, channels, produced = [], 1, {}
+            for i in range(int(rng.integers(1, 6))):
+                kind = str(rng.choice(["conv", "bn", "relu", "concat", "softmax"]))
+                if kind == "conv":
+                    cout = int(rng.integers(1, 5))
+                    layer, channels = _conv(cout, channels, 1, rng=rng), cout
+                elif kind == "bn":
+                    layer = BatchNorm(gamma=rng.normal(size=channels), beta=rng.normal(size=channels),
+                                      mean=rng.normal(size=channels), var=rng.uniform(0.5, 2.0, size=channels))
+                elif kind == "concat" and produced:
+                    source = str(rng.choice(list(produced)))
+                    layer, channels = Concat(source=source), channels + produced[source]
+                else:
+                    layer = Softmax() if kind == "softmax" else ReLU()
+                layers.append((f"l{i}", layer))
+                produced[f"l{i}"] = channels
+            net = NetworkSpec(layers=tuple(layers), in_channels=1, out_channels=channels)
+            assert net.pointwise
+            whole = forward(net, x)
+            b = tuple(int(n) for n in rng.integers(1, 5, size=3))
+            parts = np.empty_like(whole)
+            for d in range(0, 7, b[0]):
+                for h in range(0, 9, b[1]):
+                    for w in range(0, 5, b[2]):
+                        sl = (slice(None), slice(d, d + b[0]), slice(h, h + b[1]), slice(w, w + b[2]))
+                        parts[sl] = forward(net, x[sl])
+            assert np.array_equal(parts, whole)
 
 
 class TestShapeCheck:

@@ -43,6 +43,9 @@ class TestBinaryHelpers:
     def test_is_binary(self):
         assert is_binary(_vol([[[0, 1], [1, 0]], [[1, 1], [0, 0]]]))
         assert not is_binary(_vol([[[0.5, 1], [1, 0]], [[1, 1], [0, 0]]]))
+        assert is_binary(_vol([[[-0.0, 1], [1, 0]], [[1, 1], [0, 0]]]))
+        for bad in (np.nan, np.inf, -np.inf, 0.5, -1.0, 2.0):
+            assert not is_binary(_vol([[[bad, 1], [1, 0]], [[1, 1], [0, 0]]])), bad
 
     def test_require_binary_raises(self):
         with pytest.raises(NonBinaryInput):
