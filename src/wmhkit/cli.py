@@ -38,6 +38,7 @@ from .stats import (
     ols_regress,
     paired_ttest,
 )
+from .tsv import tsv_rows
 from .volume import normalize_intensity
 from .weights_io import ENSEMBLE_ROLES, load_ensemble, load_network, save_ensemble
 
@@ -269,6 +270,10 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.posterior and not args.mask:
+        raise ContractError("--posterior needs --mask for in-mask PR evaluation")
+    if args.out_pr_tsv and not args.posterior:
+        raise ContractError("--out-pr-tsv needs --posterior (and --mask): there is no PR curve without one")
     timer = StageTimer()
     digests = {}
     with timer.stage("parse"):
@@ -280,8 +285,6 @@ def cmd_evaluate(args) -> int:
         gt = parse_nifti(gt_raw)
         posterior = mask = None
         if args.posterior:
-            if not args.mask:
-                raise ContractError("--posterior needs --mask for in-mask PR evaluation")
             post_raw = _read(args.posterior)
             mask_raw = _read(args.mask)
             digests[args.posterior] = _digest(post_raw)
@@ -290,8 +293,9 @@ def cmd_evaluate(args) -> int:
             mask = parse_nifti(mask_raw)
     with timer.stage("metrics"):
         report_obj = metric_report(pred, gt, posterior, mask, connectivity=args.connectivity)
-    if args.out_pr_tsv and report_obj.pr_curve is not None:
-        Path(args.out_pr_tsv).write_text(pr_curve_tsv(report_obj.pr_curve))
+    if args.out_pr_tsv:
+        with timer.stage("write"):
+            Path(args.out_pr_tsv).write_text(pr_curve_tsv(report_obj.pr_curve))
     params = {
         "pred": args.pred,
         "gt": args.gt,
@@ -319,8 +323,7 @@ def cmd_agree(args) -> int:
         result = bland_altman(a, b)
         points = bland_altman_points(a, b)
     if args.out_tsv:
-        lines = ["mean\tdifference"] + [f"{m:.9g}\t{d:.9g}" for m, d in points]
-        Path(args.out_tsv).write_text("\n".join(lines) + "\n")
+        Path(args.out_tsv).write_text("mean\tdifference\n" + tsv_rows(tuple(zip(*points))))
     report = {
         "manifest": _manifest(
             "agree",

@@ -10,11 +10,8 @@ import numpy as np
 from .ensemble import wmh_volume_ml
 from .errors import NoPositives, ZeroReference
 from .lesions import LesionMatching, label_components, match_lesions
+from .tsv import TSV_CHUNK_ROWS, tsv_rows  # noqa: F401  (the chunk pr_curve_tsv renders by)
 from .volume import Volume3D, require_binary, require_same_dims
-
-
-TSV_CHUNK_ROWS = 65536
-_TSV_ROW = "{:.9g}\t{:.9g}\t{:.9g}\n".format
 
 
 @dataclass(frozen=True)
@@ -113,21 +110,19 @@ def pr_curve_auc(post: Volume3D, gt: Volume3D, mask: Volume3D) -> PRCurve:
 
 
 def pr_curve_tsv(curve: PRCurve) -> str:
-    """The PR curve as TSV text.
+    """The PR curve as TSV text: a header, then one row per operating point
+    with threshold, precision and recall, each as ``format(v, '.9g')``.
 
-    Rows are formatted TSV_CHUNK_ROWS at a time, so no Python float list of
-    the whole curve (millions of points on a continuous posterior) is held.
+    ``tsv.tsv_rows`` renders the rows with numpy, TSV_CHUNK_ROWS at a time.
+    Each value's nine digits are ``rint(x·10**k)`` for an exact power of
+    ten, so they carry a single rounding; a value that rounding could leave
+    ambiguous (within 1e-6 of a tie), one outside [1e-4, 2**29), zero, a
+    negative or a non-finite value is formatted by Python's own ``format``.
+    The text is byte-identical to per-row ``str.format``.
     """
-    parts = ["threshold\tprecision\trecall\n"]
-    for start in range(0, curve.thresholds.size, TSV_CHUNK_ROWS):
-        rows = slice(start, start + TSV_CHUNK_ROWS)
-        parts.append("".join(map(
-            _TSV_ROW,
-            curve.thresholds[rows].tolist(),
-            curve.precision[rows].tolist(),
-            curve.recall[rows].tolist(),
-        )))
-    return "".join(parts)
+    return "threshold\tprecision\trecall\n" + tsv_rows(
+        (curve.thresholds, curve.precision, curve.recall)
+    )
 
 
 def metric_report(

@@ -422,6 +422,45 @@ class TestEvaluate:
         capsys.readouterr()
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "extra", [[], ["--posterior", "gt.nii.gz"]], ids=["no-posterior", "posterior-without-mask"]
+    )
+    def test_pr_tsv_contract_errors_come_before_any_parse(self, phantom_dir, tmp_path, capsys, monkeypatch, extra):
+        import wmhkit.cli as cli
+
+        parsed = []
+        monkeypatch.setattr(cli, "parse_nifti", lambda raw: parsed.append(raw))
+        tsv = tmp_path / "pr.tsv"
+        extra = [str(phantom_dir / a) if a.endswith(".nii.gz") else a for a in extra]
+        code = main(
+            [
+                "evaluate",
+                "--pred", str(phantom_dir / "gt.nii.gz"),
+                "--gt", str(phantom_dir / "gt.nii.gz"),
+                "--out-pr-tsv", str(tsv),
+                *extra,
+            ]
+        )
+        assert "error [shape]" in capsys.readouterr().err
+        assert code == 3
+        assert not tsv.exists()
+        assert parsed == []
+
+    def test_tsv_write_is_a_timed_stage(self, phantom_dir, tmp_path, capsys):
+        gt = str(phantom_dir / "gt.nii.gz")
+        args = ["evaluate", "--pred", gt, "--gt", gt, "--posterior", gt, "--mask", str(phantom_dir / "brain_mask.nii.gz")]
+        code, out = run_cli(capsys, *args)
+        assert code == 0
+        report = last_json(out)
+        validate_report(report)
+        assert "auc_pr" in report
+        assert set(report["manifest"]["timings_ms"]) == {"parse", "metrics"}
+        code, out = run_cli(capsys, *args, "--out-pr-tsv", str(tmp_path / "pr.tsv"))
+        assert code == 0
+        report = last_json(out)
+        validate_report(report)
+        assert set(report["manifest"]["timings_ms"]) == {"parse", "metrics", "write"}
+
 
 @pytest.fixture
 def cohort_csv(tmp_path):
@@ -459,6 +498,22 @@ class TestAgree:
         assert report["loa_high"] == pytest.approx(6.18567, abs=1e-4)
         rows = tsv.read_text().strip().splitlines()
         assert len(rows) - 1 == report["n"] == 3
+
+    def test_tsv_bytes_match_per_row_format(self, cohort_csv, tmp_path, capsys):
+        from wmhkit.cohort import parse_numeric_columns
+        from wmhkit.stats import bland_altman_points
+
+        tsv = tmp_path / "points.tsv"
+        code, _ = run_cli(
+            capsys, "agree", "--csv", str(cohort_csv),
+            "--col-a", "wmh_stackgen_ml", "--col-b", "wmh_adni_ml", "--out-tsv", str(tsv),
+        )
+        assert code == 0
+        rows = parse_numeric_columns(cohort_csv.read_bytes(), ["wmh_stackgen_ml", "wmh_adni_ml"])
+        points = bland_altman_points([r[0] for r in rows], [r[1] for r in rows])
+        assert any(d < 0 for _, d in points) and any(d > 0 for _, d in points)
+        expected = "\n".join(["mean\tdifference"] + [f"{m:.9g}\t{d:.9g}" for m, d in points]) + "\n"
+        assert tsv.read_bytes() == expected.encode()
 
     def test_missing_cells_dropped_from_pairs(self, tmp_path, capsys):
         csv_path = tmp_path / "pairs.csv"
