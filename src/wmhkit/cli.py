@@ -26,8 +26,8 @@ from .cohort import parse_cohort_csv, parse_numeric_columns, summarize, summary_
 from .ensemble import EnsembleSpec, binarize, predict_ensemble, wmh_volume_ml
 from .errors import ContractError, DegenerateError, FormatError
 from .histo import HistParams, histogram_segment, modal_threshold
-from .lesions import label_components
-from .metrics import metric_report, pr_curve_tsv
+from .lesions import count_components, label_components  # noqa: F401  (perfbench/tracing.py wraps label_components here)
+from .metrics import metric_report, write_pr_curve_tsv
 from .nifti import parse_nifti, write_nifti
 from .phantom import make_phantom
 from .stats import (
@@ -38,7 +38,7 @@ from .stats import (
     ols_regress,
     paired_ttest,
 )
-from .tsv import tsv_rows
+from .tsv import write_tsv
 from .volume import normalize_intensity
 from .weights_io import ENSEMBLE_ROLES, load_ensemble, load_network, save_ensemble
 
@@ -125,7 +125,7 @@ def _segment_one(
     with timer.stage("postprocess"):
         lesion_mask = binarize(posterior, spec.threshold)
         volume_ml = wmh_volume_ml(lesion_mask)
-        lesion_count = label_components(lesion_mask).count
+        lesion_count = count_components(lesion_mask)
     stem = _stem(flair_path)
     with timer.stage("write"):
         (out_dir / f"{stem}.posterior.nii.gz").write_bytes(write_nifti(posterior, compress=True))
@@ -242,7 +242,7 @@ def cmd_baseline(args) -> int:
         cutoff = modal_threshold(flair, mask, params)
         lesion_mask = histogram_segment(flair, mask, params)
         volume_ml = wmh_volume_ml(lesion_mask)
-        lesion_count = label_components(lesion_mask).count
+        lesion_count = count_components(lesion_mask)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = _stem(args.flair)
@@ -295,7 +295,7 @@ def cmd_evaluate(args) -> int:
         report_obj = metric_report(pred, gt, posterior, mask, connectivity=args.connectivity)
     if args.out_pr_tsv:
         with timer.stage("write"):
-            Path(args.out_pr_tsv).write_text(pr_curve_tsv(report_obj.pr_curve))
+            write_pr_curve_tsv(report_obj.pr_curve, args.out_pr_tsv)
     params = {
         "pred": args.pred,
         "gt": args.gt,
@@ -323,7 +323,7 @@ def cmd_agree(args) -> int:
         result = bland_altman(a, b)
         points = bland_altman_points(a, b)
     if args.out_tsv:
-        Path(args.out_tsv).write_text("mean\tdifference\n" + tsv_rows(tuple(zip(*points))))
+        write_tsv(args.out_tsv, ("mean", "difference"), tuple(zip(*points)))
     report = {
         "manifest": _manifest(
             "agree",

@@ -94,6 +94,10 @@ class TileTooSmall(ContractError):
     pass
 
 
+class NonFiniteInput(ContractError):
+    pass
+
+
 class DegenerateError(Exception):
     """The computation is undefined for this input."""
 

@@ -59,30 +59,59 @@ class LesionMatching:
         return len(self.unmatched_gt)
 
 
-def label_components(mask: Volume3D, connectivity: int = DEFAULT_CONNECTIVITY) -> LesionSet:
-    """Label connected foreground components under 6/18/26-connectivity.
+def _foreground(mask: Volume3D, connectivity: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mask's foreground with its axes reversed, C-contiguous, and the
+    structuring element of ``connectivity``.
 
-    Lesion ids are 1..K, assigned by descending voxel count with ties broken
-    by the lowest x-fastest linear index. The cost is O(N + K log K) for N
-    voxels and K components: labelling, sizes, bounding boxes and first
-    indices are whole-volume passes, and only the id order is a sort.
+    The reversed array walks the voxels x-fastest in C order. For
+    ``parse_nifti``'s F-ordered data it is a view, not a copy. The 6/18/26
+    structuring elements are symmetric under any axis permutation, so it has
+    the same components as the mask.
     """
     require_binary(mask, "lesion mask")
     if connectivity not in CONNECTIVITY_RANK:
         raise ValueError(f"connectivity must be 6, 18, or 26, got {connectivity}")
     structure = ndimage.generate_binary_structure(3, CONNECTIVITY_RANK[connectivity])
-    raw_labels, n = ndimage.label(mask.data > 0, structure=structure)
+    return np.ascontiguousarray((mask.data > 0).T), structure
 
-    counts = np.bincount(raw_labels.ravel())[1:]
-    flat = raw_labels.ravel(order="F")
+
+def count_components(mask: Volume3D, connectivity: int = DEFAULT_CONNECTIVITY) -> int:
+    """The number of connected foreground components, which is
+    ``label_components(mask, connectivity).count`` without the label map,
+    sizes and boxes."""
+    fg, structure = _foreground(mask, connectivity)
+    return int(ndimage.label(fg, structure=structure)[1])
+
+
+def label_components(mask: Volume3D, connectivity: int = DEFAULT_CONNECTIVITY) -> LesionSet:
+    """Label connected foreground components under 6/18/26-connectivity.
+
+    Lesion ids are 1..K, assigned by descending voxel count with ties broken
+    by the lowest x-fastest linear index. The cost is O(N + K log K) for N
+    voxels and K components: labelling and bounding boxes are whole-volume
+    passes, sizes and first indices are passes over the foreground, and only
+    the id order is a sort.
+
+    Labelling runs on the mask with its axes reversed, so its storage order
+    is x-fastest: for ``parse_nifti``'s F-ordered data nothing is copied to
+    walk it. The boxes are reversed back, and the map is built in that order
+    and returned transposed, F-contiguous, in the mask's axes.
+    """
+    fg, structure = _foreground(mask, connectivity)
+    raw, n = ndimage.label(fg, structure=structure)
+    flat = raw.reshape(-1)  # x-fastest linear index
     fg_idx = np.flatnonzero(flat)
+    fg_raw = flat[fg_idx]
+    counts = np.bincount(fg_raw, minlength=n + 1)[1:]
     first_idx = np.full(n, flat.size, dtype=fg_idx.dtype)
-    np.minimum.at(first_idx, flat[fg_idx] - 1, fg_idx)
+    np.minimum.at(first_idx, fg_raw - 1, fg_idx)
     order = np.lexsort((first_idx, -counts))  # raw label - 1, in new-id order
 
     remap = np.zeros(n + 1, dtype=np.float32)
     remap[order + 1] = np.arange(1, n + 1, dtype=np.float32)
-    boxes = ndimage.find_objects(raw_labels)
+    label_map = np.zeros(raw.shape, dtype=np.float32)
+    label_map.reshape(-1)[fg_idx] = remap[fg_raw]
+    boxes = [box[::-1] for box in ndimage.find_objects(raw)]
     voxel_ml = mask.voxel_volume_mm3 / 1000.0
     lesions = tuple(
         Lesion(
@@ -93,7 +122,7 @@ def label_components(mask: Volume3D, connectivity: int = DEFAULT_CONNECTIVITY) -
         )
         for new_id, old in enumerate(order.tolist(), start=1)
     )
-    return LesionSet(labels=mask.with_data(remap[raw_labels]), lesions=lesions, connectivity=connectivity)
+    return LesionSet(labels=mask.with_data(label_map.T), lesions=lesions, connectivity=connectivity)
 
 
 def match_lesions(pred: LesionSet, gt: LesionSet) -> LesionMatching:
@@ -107,11 +136,15 @@ def match_lesions(pred: LesionSet, gt: LesionSet) -> LesionMatching:
     neither paired nor counted as false positives.
     """
     require_same_dims(pred.labels, gt.labels, "label maps")
-    both = (pred.labels.data > 0) & (gt.labels.data > 0)
+    # voxels are visited in storage order; the overlap counts do not depend on it
+    order = "F" if pred.labels.data.flags.f_contiguous else "C"
+    pred_ids = pred.labels.data.ravel(order)
+    gt_ids = gt.labels.data.ravel(order)
+    both = (pred_ids > 0) & (gt_ids > 0)
     overlaps: dict[tuple[int, int], int] = {}
     if both.any():
-        p = pred.labels.data[both].astype(np.int64)
-        g = gt.labels.data[both].astype(np.int64)
+        p = pred_ids[both].astype(np.int64)
+        g = gt_ids[both].astype(np.int64)
         base = int(g.max()) + 1
         uniq, cnt = np.unique(p * base + g, return_counts=True)
         pids, gids = np.divmod(uniq, base)

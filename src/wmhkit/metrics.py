@@ -3,14 +3,15 @@ and the precision-recall curve with its trapezoidal area."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ensemble import wmh_volume_ml
-from .errors import NoPositives, ZeroReference
+from .errors import NonFiniteInput, NoPositives, ZeroReference
 from .lesions import LesionMatching, label_components, match_lesions
-from .tsv import TSV_CHUNK_ROWS, tsv_rows  # noqa: F401  (the chunk pr_curve_tsv renders by)
+from .tsv import TSV_CHUNK_ROWS, tsv_rows, write_tsv  # noqa: F401  (the chunk pr_curve_tsv renders by)
 from .volume import Volume3D, require_binary, require_same_dims
 
 
@@ -77,28 +78,44 @@ def pr_curve_auc(post: Volume3D, gt: Volume3D, mask: Volume3D) -> PRCurve:
     One operating point per distinct in-mask posterior value v (descending),
     predicting positive where posterior >= v. The area is the trapezoid over
     recall, anchored at (recall 0, precision of the first operating point).
+
+    The points come from two value sorts of the float32 scores, not from an
+    ordering of the voxels: all in-mask scores, and the scores of the
+    positives. If v first occurs at index j of the ascending scores, n - j
+    voxels score >= v, and the positives scoring >= v are npos less those
+    below v, found by ``searchsorted(..., side="left")``. Neither count
+    depends on how voxels that tie at v are ordered, so voxels are gathered
+    in storage order. -0.0 counts as +0.0, and a zero threshold is always
+    0. A NaN or infinite in-mask posterior raises NonFiniteInput; values
+    outside the mask are never read.
     """
     require_same_dims(post, gt, "posterior and gt")
     require_same_dims(post, mask, "posterior and mask")
     require_binary(gt, "gt mask")
     require_binary(mask, "brain mask")
-    inside = mask.data > 0
-    scores = post.data[inside].astype(np.float64)
-    labels = gt.data[inside] > 0
-    npos = int(labels.sum())
+    order = "F" if post.data.flags.f_contiguous else "C"
+    inside = (mask.data > 0).ravel(order)
+    scores = post.data.ravel(order)[inside]
+    finite = np.isfinite(scores)
+    if not finite.all():
+        bad = finite.size - int(np.count_nonzero(finite))
+        raise NonFiniteInput(f"posterior holds {bad} NaN or infinite in-mask voxel(s)")
+    positive = gt.data.ravel(order)[inside] > 0
+    npos = int(np.count_nonzero(positive))
     if npos == 0:
         raise NoPositives("reference mask holds no in-mask positive voxel")
 
-    order = np.argsort(-scores, kind="stable")
-    scores_sorted = scores[order]
-    labels_sorted = labels[order]
-
-    tp_cum = np.cumsum(labels_sorted)
-    # last index of each distinct value in the sorted order
-    distinct_last = np.nonzero(np.diff(scores_sorted, append=-np.inf))[0]
-    thresholds = scores_sorted[distinct_last]
-    tp = tp_cum[distinct_last].astype(np.float64)
-    npred = (distinct_last + 1).astype(np.float64)
+    scores += 0.0  # -0.0 + 0.0 is +0.0
+    ascending = np.sort(scores)
+    positives = np.sort(scores[positive])
+    starts = np.empty(ascending.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(ascending[1:], ascending[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)[::-1]  # first index of each distinct value, descending
+    values = ascending[first]
+    thresholds = values.astype(np.float64)
+    tp = (npos - np.searchsorted(positives, values, side="left")).astype(np.float64)
+    npred = (ascending.size - first).astype(np.float64)
 
     precision = tp / npred
     recall = tp / npos
@@ -107,6 +124,9 @@ def pr_curve_auc(post: Volume3D, gt: Volume3D, mask: Volume3D) -> PRCurve:
     p = np.concatenate(([precision[0]], precision))
     auc = float(np.sum((r[1:] - r[:-1]) * (p[1:] + p[:-1]) / 2.0))
     return PRCurve(thresholds=thresholds, precision=precision, recall=recall, auc=auc)
+
+
+PR_TSV_HEADER = ("threshold", "precision", "recall")
 
 
 def pr_curve_tsv(curve: PRCurve) -> str:
@@ -120,9 +140,13 @@ def pr_curve_tsv(curve: PRCurve) -> str:
     negative or a non-finite value is formatted by Python's own ``format``.
     The text is byte-identical to per-row ``str.format``.
     """
-    return "threshold\tprecision\trecall\n" + tsv_rows(
-        (curve.thresholds, curve.precision, curve.recall)
-    )
+    return "\t".join(PR_TSV_HEADER) + "\n" + tsv_rows((curve.thresholds, curve.precision, curve.recall))
+
+
+def write_pr_curve_tsv(curve: PRCurve, path: str | os.PathLike) -> None:
+    """Write ``pr_curve_tsv(curve)`` to ``path`` as ASCII, one rendered
+    chunk at a time, without holding the whole text."""
+    write_tsv(path, PR_TSV_HEADER, (curve.thresholds, curve.precision, curve.recall))
 
 
 def metric_report(

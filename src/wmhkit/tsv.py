@@ -14,7 +14,8 @@ For the decimal exponent e of a value in fixed notation (-4 <= e <= 8):
 
 from __future__ import annotations
 
-from typing import Sequence
+import os
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -137,25 +138,37 @@ def _fields(x: np.ndarray, out: np.ndarray) -> bool:
     return True
 
 
-def tsv_rows(columns: Sequence[np.ndarray]) -> str:
-    """One line per row: the columns' '.9g' values, tab-separated.
+def tsv_chunks(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
+    """The rows of ``tsv_rows`` as ASCII bytes, one ``bytes`` per
+    TSV_CHUNK_ROWS rows, so that nothing larger than a chunk is held.
 
-    Rows are rendered TSV_CHUNK_ROWS at a time, so the byte matrix stays
-    chunk-sized however long the columns are. A chunk holding a value of
-    16 characters is formatted value by value instead.
+    A chunk holding a value of 16 characters is formatted value by value
+    instead.
     """
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     n = len(columns[0])
     seps = np.array([_TAB] * (len(columns) - 1) + [_NEWLINE], np.uint64)[:, None]
-    parts = []
     for start in range(0, n, TSV_CHUNK_ROWS):
         chunk = [c[start : start + TSV_CHUNK_ROWS] for c in columns]
         # word-major, so each column writes whole rows; .T gives the byte order
         words = np.empty((2 * len(chunk), len(chunk[0])), np.uint64)
         if all(_fields(c, words[2 * i : 2 * i + 2]) for i, c in enumerate(chunk)):
             words[1::2] |= seps
-            parts.append(words.T.tobytes().translate(None, b"\0").decode("ascii"))
+            yield words.T.tobytes().translate(None, b"\0")
         else:
             rows = zip(*(c.tolist() for c in chunk))
-            parts.append("".join("\t".join(format(v, ".9g") for v in row) + "\n" for row in rows))
-    return "".join(parts)
+            yield "".join("\t".join(format(v, ".9g") for v in row) + "\n" for row in rows).encode("ascii")
+
+
+def tsv_rows(columns: Sequence[np.ndarray]) -> str:
+    """One line per row: the columns' '.9g' values, tab-separated."""
+    return b"".join(tsv_chunks(columns)).decode("ascii")
+
+
+def write_tsv(path: str | os.PathLike, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write a tab-separated header line, then ``tsv_chunks(columns)``,
+    chunk by chunk, to the file at ``path``."""
+    with open(path, "wb") as out:
+        out.write(("\t".join(header) + "\n").encode("ascii"))
+        for chunk in tsv_chunks(columns):
+            out.write(chunk)

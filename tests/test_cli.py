@@ -461,6 +461,31 @@ class TestEvaluate:
         validate_report(report)
         assert set(report["manifest"]["timings_ms"]) == {"parse", "metrics", "write"}
 
+    def test_non_finite_posterior_exits_3_without_tsv(self, phantom_dir, tmp_path, capsys):
+        gt_path = phantom_dir / "gt.nii.gz"
+        mask_path = phantom_dir / "brain_mask.nii.gz"
+        gt = parse_nifti(gt_path.read_bytes())
+        inside = np.argwhere(parse_nifti(mask_path.read_bytes()).data > 0)
+        post = 0.5 * gt.data
+        post[tuple(inside[:3].T)] = np.nan
+        post_path = tmp_path / "post.nii.gz"
+        post_path.write_bytes(write_nifti(gt.with_data(post)))
+        tsv = tmp_path / "pr.tsv"
+        code = main(
+            [
+                "evaluate",
+                "--pred", str(gt_path),
+                "--gt", str(gt_path),
+                "--posterior", str(post_path),
+                "--mask", str(mask_path),
+                "--out-pr-tsv", str(tsv),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "error [shape]" in err and "3 NaN or infinite" in err
+        assert not tsv.exists()
+
 
 @pytest.fixture
 def cohort_csv(tmp_path):

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from oracles import flood_fill_label, partitions_equal
+from oracles import copying_label_components, flood_fill_label, partitions_equal
 from wmhkit.errors import NonBinaryInput, ShapeMismatch
-from wmhkit.lesions import label_components, lesion_table_csv, match_lesions
+from wmhkit.lesions import count_components, label_components, lesion_table_csv, match_lesions
 from wmhkit.volume import Volume3D
 
 
@@ -207,6 +209,44 @@ class TestManyComponents:
             assert got.labels.data.dtype == np.float32
 
 
+# non-cubic shapes, singleton axes among them
+SHAPES = [(9, 13, 7), (1, 11, 6), (8, 1, 10), (7, 9, 1), (1, 1, 23), (14, 5, 3)]
+
+
+class TestStorageOrder:
+    """Labelling the axis-reversed foreground against the copying labeller,
+    which labels in the mask's own axes."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_copying_labeller(self, rng, shape, connectivity, order):
+        for p in (0.1, 0.35, 0.6):
+            data = (rng.random(shape) < p).astype(np.float32)
+            data = np.asfortranarray(data) if order == "F" else np.ascontiguousarray(data)
+            got = label_components(_mask(data, spacing=(0.5, 1.0, 2.0)), connectivity)
+            want_map, want = copying_label_components(data, connectivity, voxel_ml=0.001)
+            assert got.labels.data.dtype == np.float32
+            assert np.array_equal(got.labels.data, want_map)
+            assert [(l.id, l.voxel_count, l.volume_ml, l.bbox) for l in got.lesions] == want
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_count_components_is_the_label_count(self, rng, connectivity, order):
+        for shape in SHAPES:
+            for p in (0.0, 0.2, 0.5, 0.8):
+                data = (rng.random(shape) < p).astype(np.float32)
+                mask = _mask(np.asfortranarray(data) if order == "F" else data)
+                assert count_components(mask, connectivity) == label_components(mask, connectivity).count
+
+    def test_count_components_validates_like_label_components(self):
+        with pytest.raises(NonBinaryInput):
+            count_components(_mask(np.full((2, 2, 2), 0.5)))
+        with pytest.raises(ValueError):
+            count_components(_corner_pair(), connectivity=10)
+        assert [count_components(_corner_pair(), c) for c in (6, 18, 26)] == [2, 2, 1]
+
+
 def _reference_matching(pred: np.ndarray, gt: np.ndarray):
     overlaps: dict[tuple[int, int], int] = {}
     for pid, gid in zip(pred.ravel().tolist(), gt.ravel().tolist()):
@@ -235,3 +275,11 @@ class TestMatchDense:
         assert m.unmatched_pred == tuple(i for i in range(1, pred.count + 1) if i not in pred_hit)
         assert m.unmatched_gt == tuple(i for i in range(1, gt.count + 1) if i not in gt_hit)
         assert (m.n_pred, m.n_gt) == (pred.count, gt.count)
+
+    def test_label_map_layout_does_not_change_the_matching(self, rng):
+        pred = label_components(_mask((rng.random((9, 14, 11)) < 0.3).astype(np.float32)), 6)
+        gt = label_components(_mask((rng.random((9, 14, 11)) < 0.3).astype(np.float32)), 6)
+        want = match_lesions(pred, gt)
+        c_pred, c_gt = (replace(s, labels=s.labels.with_data(np.ascontiguousarray(s.labels.data))) for s in (pred, gt))
+        assert not c_pred.labels.data.flags.f_contiguous
+        assert match_lesions(c_pred, gt) == match_lesions(pred, c_gt) == match_lesions(c_pred, c_gt) == want

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import pr_enumeration
-from wmhkit.errors import NoPositives, ShapeMismatch, ZeroReference
+from oracles import argsort_pr_curve, pr_enumeration
+from wmhkit.errors import NonFiniteInput, NoPositives, ShapeMismatch, ZeroReference
 from wmhkit.lesions import label_components, match_lesions
 from wmhkit.metrics import (
     TSV_CHUNK_ROWS,
@@ -13,7 +13,9 @@ from wmhkit.metrics import (
     metric_report,
     pr_curve_auc,
     pr_curve_tsv,
+    write_pr_curve_tsv,
 )
+from wmhkit.tsv import tsv_chunks
 from wmhkit.volume import Volume3D
 
 
@@ -204,6 +206,117 @@ class TestPRCurve:
         assert lines[1].startswith("1\t") and lines[-1].startswith("0\t")
         assert lines[TSV_CHUNK_ROWS].startswith("0.333333333\t")  # last row of chunk 1
         assert lines[TSV_CHUNK_ROWS + 1].startswith("2e-10\t1\t")  # first row of chunk 2
+
+
+# non-cubic shapes, singleton axes among them
+SHAPES = [(6, 7, 5), (1, 9, 8), (7, 1, 6), (5, 8, 1), (1, 1, 17), (12, 3, 4)]
+
+
+def _layout(a, order):
+    return np.asfortranarray(a) if order == "F" else np.ascontiguousarray(a)
+
+
+def _assert_matches_argsort(post, gt, mask):
+    curve = pr_curve_auc(Volume3D(post), _vol(gt), _vol(mask))
+    thresholds, precision, recall, auc = argsort_pr_curve(post, gt, mask)
+    assert np.array_equal(curve.thresholds, thresholds)
+    assert np.array_equal(curve.precision, precision)
+    assert np.array_equal(curve.recall, recall)
+    assert curve.auc == auc
+    return curve
+
+
+class TestPRCurveValueSort:
+    """The value-sort curve against the voxel-ordering (argsort) oracle."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_argsort_oracle(self, rng, shape, order):
+        for levels in (2, 3, 9, 1000, None):  # heavy ties down to none
+            if levels is None:
+                post = rng.random(shape, dtype=np.float32)
+            else:
+                post = (rng.integers(0, levels, size=shape) / (levels - 1)).astype(np.float32)
+            gt = (rng.random(shape) < 0.3).astype(np.float32)
+            mask = (rng.random(shape) < 0.8).astype(np.float32)
+            gt.flat[0] = mask.flat[0] = 1.0
+            _assert_matches_argsort(*(_layout(a, order) for a in (post, gt, mask)))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_all_equal_posterior(self, rng, order):
+        shape = (4, 6, 5)
+        gt = (rng.random(shape) < 0.4).astype(np.float32)
+        gt[0, 0, 0] = 1.0
+        post = np.full(shape, 0.25, dtype=np.float32)
+        curve = _assert_matches_argsort(*(_layout(a, order) for a in (post, gt, np.ones(shape, np.float32))))
+        assert curve.thresholds.tolist() == [0.25]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_single_positive(self, rng, order):
+        shape = (5, 3, 7)
+        post = (rng.integers(0, 6, size=shape) / 5.0).astype(np.float32)
+        gt = np.zeros(shape, dtype=np.float32)
+        gt[4, 1, 2] = 1.0
+        mask = (rng.random(shape) < 0.7).astype(np.float32)
+        mask[4, 1, 2] = 1.0
+        curve = _assert_matches_argsort(*(_layout(a, order) for a in (post, gt, mask)))
+        assert set(curve.recall.tolist()) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_signed_zeros_are_one_point_written_as_0(self, rng, order):
+        shape = (6, 5, 4)
+        post = (rng.integers(0, 4, size=shape) / 3.0).astype(np.float32)
+        post[post == 0] = -0.0
+        post[::2][post[::2] == 0] = 0.0  # +0.0 and -0.0 both present
+        gt = (rng.random(shape) < 0.4).astype(np.float32)
+        gt[0, 0, 0] = 1.0
+        mask = np.ones(shape, np.float32)
+        curve = _assert_matches_argsort(*(_layout(a, order) for a in (post, gt, mask)))
+        assert curve.thresholds[-1] == 0.0 and not np.signbit(curve.thresholds).any()
+        assert pr_curve_tsv(curve).splitlines()[-1].startswith("0\t")
+
+    def test_only_negative_zeros_still_write_0(self):
+        post = np.array([0.5, -0.0, -0.0, 0.5], dtype=np.float32).reshape(2, 2, 1)
+        gt = np.array([1, 0, 1, 0], dtype=np.float32).reshape(2, 2, 1)
+        curve = pr_curve_auc(Volume3D(post), _vol(gt), _ones((2, 2, 1)))
+        assert pr_curve_tsv(curve).splitlines()[1:] == ["0.5\t0.5\t0.5", "0\t0.5\t1"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_in_mask_is_rejected(self, rng, bad):
+        post = rng.random((6, 5, 4)).astype(np.float32)
+        post[2, 3, 1] = bad
+        gt = (rng.random((6, 5, 4)) < 0.4).astype(np.float32)
+        gt[0, 0, 0] = 1.0
+        with pytest.raises(NonFiniteInput, match="1 NaN or infinite"):
+            pr_curve_auc(Volume3D(post), _vol(gt), _ones((6, 5, 4)))
+
+    def test_non_finite_outside_mask_is_ignored(self, rng):
+        shape = (6, 5, 4)
+        post = rng.random(shape).astype(np.float32)
+        gt = (rng.random(shape) < 0.4).astype(np.float32)
+        gt[0, 0, 0] = 1.0
+        mask = np.ones(shape, np.float32)
+        mask[5] = 0.0
+        clean = pr_curve_auc(Volume3D(post), _vol(gt), _vol(mask))
+        post[5, :, :2] = (np.nan, np.inf)
+        post[5, :, 2:] = -np.inf
+        dirty = pr_curve_auc(Volume3D(post), _vol(gt), _vol(mask))
+        assert np.array_equal(dirty.thresholds, clean.thresholds) and dirty.auc == clean.auc
+
+    def test_written_file_is_the_text_across_chunks(self, rng, tmp_path):
+        n = 2 * TSV_CHUNK_ROWS + 7
+        thresholds = np.sort(rng.random(n))[::-1]
+        precision = rng.random(n)
+        recall = np.linspace(0.0, 1.0, n)
+        # a 16-character value: its chunk (the second) is formatted value by value
+        precision[TSV_CHUNK_ROWS + 3] = -3.194756905e140
+        curve = PRCurve(thresholds=thresholds, precision=precision, recall=recall, auc=0.5)
+        path = tmp_path / "pr.tsv"
+        write_pr_curve_tsv(curve, path)
+        assert path.read_bytes() == pr_curve_tsv(curve).encode()
+        chunks = list(tsv_chunks((thresholds, precision, recall)))
+        assert [c.count(b"\n") for c in chunks] == [TSV_CHUNK_ROWS, TSV_CHUNK_ROWS, 7]
+        assert f"\t{precision[TSV_CHUNK_ROWS + 3]:.9g}\t".encode() in chunks[1]
 
 
 class TestMetricReport:
