@@ -28,7 +28,7 @@ from .errors import ContractError, DegenerateError, FormatError
 from .histo import HistParams, histogram_segment, modal_threshold
 from .lesions import count_components, label_components  # noqa: F401  (perfbench/tracing.py wraps label_components here)
 from .metrics import metric_report, write_pr_curve_tsv
-from .nifti import parse_nifti, write_nifti
+from .nifti import parse_nifti, write_nifti, write_nifti_mask
 from .phantom import make_phantom
 from .stats import (
     DEFAULT_COVARIATES,
@@ -129,7 +129,7 @@ def _segment_one(
     stem = _stem(flair_path)
     with timer.stage("write"):
         (out_dir / f"{stem}.posterior.nii.gz").write_bytes(write_nifti(posterior, compress=True))
-        (out_dir / f"{stem}.mask.nii.gz").write_bytes(write_nifti(lesion_mask, compress=True))
+        (out_dir / f"{stem}.mask.nii.gz").write_bytes(write_nifti_mask(lesion_mask, compress=True))
     params = {
         "flair": flair_path,
         "mask": mask_path,
@@ -171,7 +171,14 @@ def _load_networks(weights_path: str) -> dict:
     return nets
 
 
+def _input_error(message: str) -> int:
+    print(f"error [input]: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_segment(args) -> int:
+    if args.jobs < 1:
+        return _input_error(f"--jobs must be at least 1, got {args.jobs}")
     weights_path = _resolve_weights(args.weights)
     args.weights = weights_path
     nets = _load_networks(weights_path)
@@ -186,15 +193,13 @@ def cmd_segment(args) -> int:
             overlap=args.overlap,
         )
     except ValueError as exc:
-        print(f"error [input]: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(str(exc))
     weights_digests = (
         {weights_path: _digest(Path(weights_path).read_bytes())}
         if Path(weights_path).is_file()
         else {}
     )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     flair_path = Path(args.flair)
     if flair_path.is_dir():
@@ -204,15 +209,23 @@ def cmd_segment(args) -> int:
         flairs = sorted(p for p in flair_path.iterdir() if p.name.endswith((".nii", ".nii.gz")))
         if not flairs:
             raise FileNotFoundError(f"no NIfTI volumes found in {flair_path}")
-        pairs = []
+        # outputs and the mask are found by stem, so two volumes with one stem
+        # would share a mask and overwrite each other's outputs
+        by_stem: dict[str, Path] = {}
         for f in flairs:
             stem = _stem(str(f))
+            if stem in by_stem:
+                return _input_error(f"{by_stem[stem]} and {f} share the subject stem {stem!r}")
+            by_stem[stem] = f
+        pairs = []
+        for stem, f in by_stem.items():
             candidates = [mask_dir / f"{stem}.nii.gz", mask_dir / f"{stem}.nii"]
             match = next((c for c in candidates if c.exists()), None)
             if match is None:
                 raise FileNotFoundError(f"no mask for {f.name} in {mask_dir}")
             pairs.append((str(f), str(match)))
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             futures = [
                 pool.submit(_segment_one, f, m, spec, args, out_dir, weights_digests)
                 for f, m in pairs
@@ -221,6 +234,7 @@ def cmd_segment(args) -> int:
         print(json.dumps({"subjects": len(reports), "out_dir": str(out_dir)}, indent=2))
         return 0
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     report = _segment_one(args.flair, args.mask, spec, args, out_dir, weights_digests)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
@@ -248,7 +262,7 @@ def cmd_baseline(args) -> int:
     stem = _stem(args.flair)
     with timer.stage("write"):
         mask_path = out_dir / f"{stem}.baseline_mask.nii.gz"
-        mask_path.write_bytes(write_nifti(lesion_mask, compress=True))
+        mask_path.write_bytes(write_nifti_mask(lesion_mask, compress=True))
     report = {
         "manifest": _manifest(
             "baseline",
@@ -422,8 +436,8 @@ def cmd_phantom(args) -> int:
         phantom = make_phantom(seed=args.seed, shape=shape)
     with timer.stage("write"):
         (out_dir / "flair.nii.gz").write_bytes(write_nifti(phantom.flair, compress=True))
-        (out_dir / "brain_mask.nii.gz").write_bytes(write_nifti(phantom.brain_mask, compress=True))
-        (out_dir / "gt.nii.gz").write_bytes(write_nifti(phantom.gt_mask, compress=True))
+        (out_dir / "brain_mask.nii.gz").write_bytes(write_nifti_mask(phantom.brain_mask, compress=True))
+        (out_dir / "gt.nii.gz").write_bytes(write_nifti_mask(phantom.gt_mask, compress=True))
         (out_dir / DEFAULT_WEIGHTS_NAME).write_bytes(save_ensemble(phantom.networks))
         # deterministic metadata only: no timings, no absolute paths
         meta = {

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,12 +171,3 @@ def match_lesions(pred: LesionSet, gt: LesionSet) -> LesionMatching:
         n_pred=pred.count,
         n_gt=gt.count,
     )
-
-
-def lesion_table_csv(lesions: LesionSet) -> str:
-    """Per-lesion table as CSV text: id, voxels, ml, bbox bounds."""
-    buf = io.StringIO()
-    buf.write("id,voxels,ml,x0,y0,z0,x1,y1,z1\n")
-    for l in lesions.lesions:
-        buf.write(f"{l.id},{l.voxel_count},{l.volume_ml:.6f},{','.join(str(b) for b in l.bbox)}\n")
-    return buf.getvalue()

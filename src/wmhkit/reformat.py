@@ -39,15 +39,6 @@ def plane_permutation(plane: PlaneOrientation) -> tuple[int, int, int]:
     return _PLANE_PERM[plane]
 
 
-def plane_permutation_matrix(plane: PlaneOrientation) -> np.ndarray:
-    """The signed-permutation matrix form of the plane mapping (all signs +1)."""
-    perm = _PLANE_PERM[plane]
-    mat = np.zeros((3, 3), dtype=int)
-    for out_axis, in_axis in enumerate(perm):
-        mat[out_axis, in_axis] = 1
-    return mat
-
-
 def _permute(v: Volume3D, perm: tuple[int, int, int]) -> Volume3D:
     data = np.ascontiguousarray(v.data.transpose(perm))
     spacing = tuple(v.spacing[p] for p in perm)

@@ -1,3 +1,4 @@
+import gzip
 import json
 import struct
 from pathlib import Path
@@ -7,8 +8,12 @@ import pytest
 
 from wmhkit.cli import main
 from wmhkit.cohort import synthetic_cohort, write_cohort_csv
-from wmhkit.nifti import parse_nifti, write_nifti
-from wmhkit.volume import Volume3D
+from wmhkit.ensemble import EnsembleSpec, predict_ensemble
+from wmhkit.histo import HistParams, histogram_segment
+from wmhkit.nifti import DATA_OFFSET, parse_nifti, write_nifti
+from wmhkit.phantom import make_phantom
+from wmhkit.volume import Volume3D, normalize_intensity
+from wmhkit.weights_io import load_ensemble
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "report_schema.json").read_text())
 
@@ -72,6 +77,55 @@ def _segment(phantom_dir, tmp_path, weights) -> int:
     )
 
 
+def _datatype(path) -> tuple[int, int]:
+    """(datatype, bitpix) from the header of a .nii.gz file."""
+    return struct.unpack_from("<2h", gzip.decompress(Path(path).read_bytes()), 70)
+
+
+def _expected_posterior_payload(phantom_dir, flair_path, mask_path) -> bytes:
+    """The posterior's NIfTI payload as a float32 writer lays it out: the
+    ensemble posterior cast to little-endian float32, x fastest."""
+    nets = load_ensemble((phantom_dir / "weights.sgwt").read_bytes())
+    flair = parse_nifti(Path(flair_path).read_bytes())
+    mask = parse_nifti(Path(mask_path).read_bytes())
+    spec = EnsembleSpec(axial_net=nets["axial"], sagittal_net=nets["sagittal"],
+                        coronal_net=nets["coronal"], meta_net=nets["meta"])
+    post = predict_ensemble(spec, normalize_intensity(flair, mask), mask)
+    return post.data.astype("<f4").ravel(order="F").tobytes()
+
+
+def _assert_segment_outputs(phantom_dir, flair_path, mask_path, out_dir, stem) -> None:
+    """The posterior is float32 with the ensemble's bits; the mask is uint8 and
+    equals posterior > 0.5."""
+    post_path = out_dir / f"{stem}.posterior.nii.gz"
+    mask_out = out_dir / f"{stem}.mask.nii.gz"
+    assert _datatype(post_path) == (16, 32)
+    assert gzip.decompress(post_path.read_bytes())[DATA_OFFSET:] == _expected_posterior_payload(
+        phantom_dir, flair_path, mask_path
+    )
+    assert _datatype(mask_out) == (2, 8)
+    post = parse_nifti(post_path.read_bytes())
+    mask = parse_nifti(mask_out.read_bytes())
+    assert np.array_equal(mask.data, (post.data > 0.5).astype(np.float32))
+    assert mask.orientation == post.orientation
+
+
+def _batch_dirs(tmp_path, capsys, names) -> tuple[Path, Path, Path]:
+    """Flair and mask directories holding one 16^3 phantom per file name (the
+    mask under the name's stem, as .nii.gz), and the weights of the last."""
+    flair_dir, mask_dir = tmp_path / "flairs", tmp_path / "masks"
+    flair_dir.mkdir()
+    mask_dir.mkdir()
+    for seed, name in enumerate(names):
+        pdir = tmp_path / f"p{seed}"
+        assert main(["phantom", "--out-dir", str(pdir), "--seed", str(seed), "--shape", "16,16,16"]) == 0
+        (flair_dir / name).write_bytes((pdir / "flair.nii.gz").read_bytes())
+        stem = name.split(".")[0]
+        (mask_dir / f"{stem}.nii.gz").write_bytes((pdir / "brain_mask.nii.gz").read_bytes())
+    capsys.readouterr()
+    return flair_dir, mask_dir, pdir / "weights.sgwt"
+
+
 @pytest.fixture
 def phantom_dir(tmp_path, capsys):
     out = tmp_path / "phantom"
@@ -112,6 +166,13 @@ class TestPhantom:
         assert code == 0
         validate_report(last_json(out))
 
+    def test_masks_are_uint8_and_flair_float32(self, phantom_dir):
+        phantom = make_phantom(seed=0, shape=(24, 24, 24))
+        assert _datatype(phantom_dir / "flair.nii.gz") == (16, 32)
+        for name, want in (("brain_mask.nii.gz", phantom.brain_mask), ("gt.nii.gz", phantom.gt_mask)):
+            assert _datatype(phantom_dir / name) == (2, 8)
+            assert np.array_equal(parse_nifti((phantom_dir / name).read_bytes()).data, want.data)
+
 
 class TestSegment:
     def test_phantom_segmentation_reproduces_gt(self, phantom_dir, tmp_path, capsys):
@@ -133,6 +194,9 @@ class TestSegment:
         assert report["wmh_ml"] == pytest.approx(float(gt.data.sum()) / 1000.0)
         assert report["lesion_count"] >= 1
         assert (out_dir / "flair.report.json").exists()
+        _assert_segment_outputs(
+            phantom_dir, phantom_dir / "flair.nii.gz", phantom_dir / "brain_mask.nii.gz", out_dir, "flair"
+        )
 
     def test_missing_weights_is_io_error(self, phantom_dir, tmp_path, capsys):
         code = main(
@@ -249,7 +313,10 @@ class TestSegment:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--threshold", "1.5"), ("--threshold", "0"), ("--overlap", "64"), ("--overlap", "-1"), ("--tile", "0")],
+        [
+            ("--threshold", "1.5"), ("--threshold", "0"), ("--overlap", "64"), ("--overlap", "-1"),
+            ("--tile", "0"), ("--jobs", "0"), ("--jobs", "-1"),
+        ],
     )
     def test_bad_ensemble_arguments_are_input_errors(self, phantom_dir, tmp_path, capsys, flag, value):
         code = main(
@@ -284,18 +351,7 @@ class TestSegment:
         assert code == 1
 
     def test_batch_mode_with_jobs(self, tmp_path, capsys):
-        flair_dir = tmp_path / "flairs"
-        mask_dir = tmp_path / "masks"
-        flair_dir.mkdir()
-        mask_dir.mkdir()
-        weights = None
-        for seed in (0, 1, 2):
-            pdir = tmp_path / f"p{seed}"
-            main(["phantom", "--out-dir", str(pdir), "--seed", str(seed), "--shape", "16,16,16"])
-            (flair_dir / f"s{seed}.nii.gz").write_bytes((pdir / "flair.nii.gz").read_bytes())
-            (mask_dir / f"s{seed}.nii.gz").write_bytes((pdir / "brain_mask.nii.gz").read_bytes())
-            weights = pdir / "weights.sgwt"
-        capsys.readouterr()
+        flair_dir, mask_dir, weights = _batch_dirs(tmp_path, capsys, [f"s{seed}.nii.gz" for seed in (0, 1, 2)])
         out_dir = tmp_path / "batch"
         code, out = run_cli(
             capsys,
@@ -310,22 +366,60 @@ class TestSegment:
         assert json.loads(out)["subjects"] == 3
         for seed in (0, 1, 2):
             assert (out_dir / f"s{seed}.report.json").exists()
+            _assert_segment_outputs(weights.parent, flair_dir / f"s{seed}.nii.gz",
+                                    mask_dir / f"s{seed}.nii.gz", out_dir, f"s{seed}")
+
+    def test_batch_rejects_two_volumes_with_one_stem(self, tmp_path, capsys):
+        flair_dir, mask_dir, weights = _batch_dirs(tmp_path, capsys, ["sub.nii.gz", "other.nii.gz"])
+        plain = gzip.decompress((flair_dir / "sub.nii.gz").read_bytes())
+        (flair_dir / "sub.nii").write_bytes(plain)
+        out_dir = tmp_path / "batch"
+        code = main(["segment", "--flair", str(flair_dir), "--mask", str(mask_dir),
+                     "--weights", str(weights), "--out-dir", str(out_dir), "--jobs", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error [input]:") and len(captured.err.splitlines()) == 1
+        assert str(flair_dir / "sub.nii") in captured.err and str(flair_dir / "sub.nii.gz") in captured.err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_batch_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        flair_dir, mask_dir, weights = _batch_dirs(tmp_path, capsys, ["a.nii.gz"])
+        out_dir = tmp_path / "batch"
+        code = main(["segment", "--flair", str(flair_dir), "--mask", str(mask_dir),
+                     "--weights", str(weights), "--out-dir", str(out_dir), "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error [input]:") and len(captured.err.splitlines()) == 1
+        assert not out_dir.exists()
 
 
 class TestBaseline:
     def test_runs_on_phantom(self, phantom_dir, tmp_path, capsys):
+        out_dir = tmp_path / "base"
         code, out = run_cli(
             capsys,
             "baseline",
             "--flair", str(phantom_dir / "flair.nii.gz"),
             "--mask", str(phantom_dir / "brain_mask.nii.gz"),
             "--alpha", "3.0",
-            "--out-dir", str(tmp_path / "base"),
+            "--out-dir", str(out_dir),
         )
         assert code == 0
         report = last_json(out)
         validate_report(report)
         assert report["wmh_ml"] >= 0.0
+        # the mask is written as uint8 and holds the histogram segmentation
+        out = out_dir / "flair.baseline_mask.nii.gz"
+        assert _datatype(out) == (2, 8)
+        flair = parse_nifti((phantom_dir / "flair.nii.gz").read_bytes())
+        mask = parse_nifti((phantom_dir / "brain_mask.nii.gz").read_bytes())
+        want = histogram_segment(flair, mask, HistParams(alpha=3.0, bins=256))
+        got = parse_nifti(out.read_bytes())
+        assert np.count_nonzero(want.data) > 0
+        assert np.array_equal(got.data, want.data)
 
 
 class TestEvaluate:

@@ -210,6 +210,7 @@ class TestTilePlan:
     def test_pointwise_ensemble_passes_each_voxel_once(self, rng, monkeypatch):
         nets = _nets("pointwise", rng)
         flair, mask = _inputs(rng, (20, 17, 13))
+        monkeypatch.setattr(ensemble, "_RUN_BYTES", 8 * 1000)
         passes, shapes, reformats = _spy_plan(monkeypatch)
         predict_ensemble(_spec(nets, (8, 8, 8), 4), Volume3D(flair), Volume3D(mask))
         assert reformats == []
@@ -217,10 +218,32 @@ class TestTilePlan:
         for net in nets:
             counts = passes[id(net)]
             assert counts.shape == (20, 17, 13) and np.all(counts == 1)
-            # disjoint blocks of the tile, clipped (not shifted) at the far edge
-            assert sorted(shapes[id(net)]) == sorted(
-                (d, h, w) for d in (8, 8, 4) for h in (8, 8, 1) for w in (8, 5)
-            )
+            # runs of 1000 consecutive voxels in storage order, whatever the
+            # tile; the last of the 4420 voxels form a shorter run
+            assert shapes[id(net)] == [(1000, 1, 1)] * 4 + [(420, 1, 1)]
+
+    @pytest.mark.parametrize("kind", ["phantom", "pointwise"])
+    @pytest.mark.parametrize(
+        "shape, run",
+        [
+            ((20, 17, 13), 1000),  # 4420 voxels: four full runs and one of 420
+            ((10, 10, 10), 250),  # a whole number of runs
+            ((5, 7, 3), None),  # 105 voxels: less than one run at the module budget
+            ((3, 1, 2), 1),  # one voxel per run
+        ],
+    )
+    def test_run_plan_matches_overlap_tile_reference(self, rng, monkeypatch, kind, shape, run):
+        if run is not None:
+            monkeypatch.setattr(ensemble, "_RUN_BYTES", 8 * run)
+        nets = _nets(kind, rng)
+        flair, mask = _inputs(rng, shape)
+        _, shapes, _ = _spy_plan(monkeypatch)
+        got = predict_ensemble(_spec(nets, (4, 3, 2), 1), Volume3D(flair), Volume3D(mask))
+        assert np.array_equal(got.data, overlap_tile_ensemble(forward, nets, flair, mask, (4, 3, 2), 1))
+        size = int(np.prod(shape))
+        n = ensemble._RUN_BYTES // 8
+        want = [(min(n, size - s), 1, 1) for s in range(0, size, n)]
+        assert all(shapes[id(net)] == want for net in nets)
 
     @pytest.mark.parametrize("kind", ["receptive", "pool"])
     def test_other_nets_overlap_tiles_in_their_planes(self, rng, monkeypatch, kind):
@@ -238,8 +261,10 @@ def _spy_plan(monkeypatch):
 
     Returns ``passes`` (id(net) -> how often forward saw each voxel of the
     net's input array), ``shapes`` (id(net) -> spatial shape of each forward
-    call) and the list of planes passed to ``reformat_to``. A tile's position
-    is read from its offset in the contiguous array it is a view of.
+    call) and the list of planes passed to ``reformat_to``. A tile's or run's
+    position is read from its offset in the contiguous array it is a view of;
+    a (C, n, 1, 1) view whose voxels are adjacent in memory is a run of n
+    consecutive voxels in storage order.
     """
     passes, shapes, reformats = {}, {}, []
     real_forward, real_reformat_to = ensemble.forward, ensemble.reformat_to
@@ -250,9 +275,14 @@ def _spy_plan(monkeypatch):
             root = root.base
         assert root.flags.c_contiguous
         offset = x.__array_interface__["data"][0] - root.__array_interface__["data"][0]
-        start = np.unravel_index(offset // root.itemsize, root.shape)[-3:]
-        counts = passes.setdefault(id(net), np.zeros(root.shape[-3:], np.int64))
-        counts[tuple(slice(s, s + n) for s, n in zip(start, x.shape[1:]))] += 1
+        spatial = root.shape[-3:]
+        first = offset // root.itemsize % int(np.prod(spatial))
+        counts = passes.setdefault(id(net), np.zeros(spatial, np.int64))
+        if x.shape[2:] == (1, 1) and x.strides[1] == x.itemsize:
+            counts.reshape(-1)[first : first + x.shape[1]] += 1
+        else:
+            start = np.unravel_index(first, spatial)
+            counts[tuple(slice(s, s + n) for s, n in zip(start, x.shape[1:]))] += 1
         shapes.setdefault(id(net), []).append(x.shape[1:])
         return real_forward(net, x)
 

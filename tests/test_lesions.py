@@ -5,7 +5,7 @@ import pytest
 
 from oracles import copying_label_components, flood_fill_label, partitions_equal
 from wmhkit.errors import NonBinaryInput, ShapeMismatch
-from wmhkit.lesions import count_components, label_components, lesion_table_csv, match_lesions
+from wmhkit.lesions import count_components, label_components, match_lesions
 from wmhkit.volume import Volume3D
 
 
@@ -80,13 +80,6 @@ class TestLabelComponents:
         assert lesion.voxel_count == 6
         assert lesion.volume_ml == pytest.approx(6 * 2.0 / 1000.0)
         assert lesion.bbox == (1, 1, 2, 2, 3, 2)
-
-    def test_csv_export(self):
-        out = label_components(_corner_pair())
-        text = lesion_table_csv(out)
-        lines = text.strip().splitlines()
-        assert lines[0] == "id,voxels,ml,x0,y0,z0,x1,y1,z1"
-        assert len(lines) == out.count + 1
 
 
 class TestMatchLesions:

@@ -1,3 +1,4 @@
+import gzip
 import struct
 
 import numpy as np
@@ -8,16 +9,18 @@ from wmhkit.errors import (
     BadGzip,
     BadMagic,
     FormatError,
+    NonBinaryInput,
     TruncatedData,
     UnsupportedDatatype,
     UnsupportedDim,
 )
 from wmhkit.nifti import (
     DATA_OFFSET,
+    GZIP_LEVEL,
     HEADER_SIZE,
     parse_nifti,
     write_nifti,
-    write_nifti_int16,
+    write_nifti_mask,
 )
 from wmhkit.volume import Volume3D
 
@@ -52,16 +55,62 @@ class TestRoundTrip:
             v = _volume(rng, shape=(2, 3, 4), orientation=orientation)
             assert parse_nifti(write_nifti(v)).orientation == orientation
 
-    def test_int16_writer_roundtrip(self, rng):
-        labels = rng.integers(0, 12, size=(4, 4, 4)).astype(np.float32)
-        v = Volume3D(labels)
-        out = parse_nifti(write_nifti_int16(v, compress=True))
-        assert np.array_equal(out.data, labels)
+    def test_int16_file_reads(self, rng):
+        # no writer emits int16; build the file from a float32 header
+        labels = rng.integers(-300, 300, size=(4, 5, 3)).astype(np.int16)
+        raw = bytearray(write_nifti(Volume3D(np.zeros((4, 5, 3), dtype=np.float32)))[:DATA_OFFSET])
+        struct.pack_into("<2h", raw, 70, 4, 16)  # datatype int16, bitpix 16
+        raw = bytes(raw) + labels.astype("<i2").ravel(order="F").tobytes()
+        for compress in (False, True):
+            out = parse_nifti(gzip.compress(raw) if compress else raw)
+            assert out.data.dtype == np.float32
+            assert np.array_equal(out.data, labels)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_float32_payload_is_the_x_fastest_little_endian_values(self, rng, order):
+        data = np.asarray(rng.normal(size=(4, 5, 6)).astype(np.float32), order=order)
+        data[0, 0, :3] = (-0.0, np.nan, np.inf)
+        raw = write_nifti(Volume3D(data))
+        assert struct.unpack_from("<2h", raw, 70) == (16, 32)
+        assert raw[DATA_OFFSET:] == data.astype("<f4").ravel(order="F").tobytes()
 
     def test_minimal_file_size(self):
         v = Volume3D(np.zeros((1, 1, 1), dtype=np.float32))
         raw = write_nifti(v)
         assert len(raw) == DATA_OFFSET + 4  # 352 header+extension bytes, 4 data bytes
+
+
+class TestMaskWriter:
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_round_trip_as_uint8(self, rng, compress):
+        data = (rng.random((5, 4, 3)) < 0.3).astype(np.float32)
+        v = Volume3D(data, (1.0, 1.2, 0.8), ("L", "P", "S"))
+        raw = write_nifti_mask(v, compress=compress)
+        plain = gzip.decompress(raw) if compress else raw
+        assert struct.unpack_from("<2h", plain, 70) == (2, 8)  # datatype uint8, bitpix 8
+        assert plain[DATA_OFFSET:] == data.astype(np.uint8).ravel(order="F").tobytes()
+        assert plain[:70] == write_nifti(v)[:70]
+        out = parse_nifti(raw)
+        assert out.orientation == v.orientation
+        assert np.allclose(out.spacing, v.spacing, atol=1e-5)
+        assert np.array_equal(out.data, data)
+
+    def test_negative_zero_is_background(self):
+        v = Volume3D(np.array([[[-0.0, 1.0]]], dtype=np.float32))
+        assert write_nifti_mask(v)[DATA_OFFSET:] == b"\x00\x01"
+
+    @pytest.mark.parametrize("value", [0.5, np.nan, 2.0, -1.0, np.inf])
+    def test_rejects_non_binary(self, value):
+        data = np.zeros((2, 2, 2), dtype=np.float32)
+        data[1, 0, 1] = value
+        with pytest.raises(NonBinaryInput):
+            write_nifti_mask(Volume3D(data), compress=True)
+
+    def test_gzip_is_deflate_level_1(self, rng):
+        v = Volume3D((rng.random((6, 6, 6)) < 0.5).astype(np.float32))
+        assert GZIP_LEVEL == 1
+        assert write_nifti_mask(v, compress=True) == gzip.compress(write_nifti_mask(v), compresslevel=1, mtime=0)
+        assert write_nifti(v, compress=True) == gzip.compress(write_nifti(v), compresslevel=1, mtime=0)
 
 
 class TestHeaderFields:

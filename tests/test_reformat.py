@@ -7,7 +7,6 @@ from oracles import all_signed_orientations, remap_plane, remap_to_ras
 from wmhkit.reformat import (
     PlaneOrientation,
     plane_permutation,
-    plane_permutation_matrix,
     reformat_from,
     reformat_to,
     to_canonical,
@@ -94,13 +93,6 @@ class TestPlaneReformat:
         v = Volume3D(rng.normal(size=(2, 2, 2)).astype(np.float32), orientation=("L", "A", "S"))
         with pytest.raises(ValueError):
             reformat_to(v, PlaneOrientation.AXIAL)
-
-    @pytest.mark.parametrize("plane", PLANES)
-    def test_permutation_matrices_compose_to_identity(self, plane):
-        fwd = plane_permutation_matrix(plane)
-        inv = fwd.T  # permutation matrices are orthogonal
-        assert np.array_equal(fwd @ inv, np.eye(3, dtype=int))
-        assert sorted(np.abs(fwd).sum(axis=0)) == [1, 1, 1]
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(PLANES))
