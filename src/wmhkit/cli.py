@@ -136,7 +136,6 @@ def _segment_one(
         "weights": args.weights,
         "threshold": args.threshold,
         "tile": args.tile,
-        "overlap": args.overlap,
     }
     report = {
         "manifest": _manifest("segment", params, digests, timer),
@@ -190,7 +189,6 @@ def cmd_segment(args) -> int:
             meta_net=nets["meta"],
             threshold=args.threshold,
             tile=(args.tile,) * 3,
-            overlap=args.overlap,
         )
     except ValueError as exc:
         return _input_error(str(exc))
@@ -477,8 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", required=True, help="brain mask NIfTI file (or directory)")
     p.add_argument("--weights", default=None, help=f"SGWT bundle; defaults to ${WEIGHTS_DIR_ENV}/{DEFAULT_WEIGHTS_NAME}")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--tile", type=int, default=64, help="cubic tile edge for tiled inference")
-    p.add_argument("--overlap", type=int, default=16, help="tile overlap in voxels per axis")
+    p.add_argument("--tile", type=int, default=64, help="largest input tile edge of a net, halo included")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--jobs", type=int, default=1, help="parallel subjects in batch mode")
     p.set_defaults(func=cmd_segment)

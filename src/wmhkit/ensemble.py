@@ -10,14 +10,15 @@ The tile plan follows from each network's receptive field. A pointwise net
 it runs on the canonical volume directly, over runs of consecutive voxels in
 storage order, each sized by ``_RUN_BYTES`` and viewed as a (C, n, 1, 1)
 tensor: each voxel is computed once, and the tile geometry is unused. Any other
-net runs on the volume reformatted into its plane, over overlapping tiles whose
-predictions are averaged per voxel, and its posterior is mapped back to the
-canonical frame.
+net runs on the volume reformatted into its plane, by U-Net's overlap-tile
+strategy (arXiv:1505.04597, Fig. 2): disjoint core blocks, each computed with
+the net's halo and cropped to its core, give one whole-volume pass bit for bit.
+Its posterior is mapped back to the canonical frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -28,7 +29,6 @@ from .reformat import PlaneOrientation, reformat_from, reformat_to, to_canonical
 from .volume import Volume3D, require_binary, require_same_grid
 
 DEFAULT_TILE = (64, 64, 64)
-DEFAULT_OVERLAP = 16
 DEFAULT_THRESHOLD = 0.5
 
 _PLANES = (PlaneOrientation.AXIAL, PlaneOrientation.SAGITTAL, PlaneOrientation.CORONAL)
@@ -46,7 +46,8 @@ _RUN_BYTES = 256 * 2**10
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Configured ensemble: three plane networks (1-in/2-out), one meta
-    network (3-in/2-out), binarization threshold, and tile geometry."""
+    network (3-in/2-out), binarization threshold, and the largest input tile.
+    ``cores`` holds each net's block core (see ``_core``), in field order."""
 
     axial_net: NetworkSpec
     sagittal_net: NetworkSpec
@@ -54,51 +55,53 @@ class EnsembleSpec:
     meta_net: NetworkSpec
     threshold: float = DEFAULT_THRESHOLD
     tile: tuple[int, int, int] = DEFAULT_TILE
-    overlap: int = DEFAULT_OVERLAP
+    cores: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if min(self.tile) < 1 or self.overlap < 0 or self.overlap >= min(self.tile):
-            raise ValueError(f"overlap {self.overlap} must be < tile dims {self.tile}")
-        for net, cin in ((self.axial_net, 1), (self.sagittal_net, 1), (self.coronal_net, 1), (self.meta_net, 3)):
+        if min(self.tile) < 1:
+            raise ValueError(f"tile dims must be at least 1, got {self.tile}")
+        nets = (self.axial_net, self.sagittal_net, self.coronal_net, self.meta_net)
+        for net, cin in zip(nets, (1, 1, 1, 3)):
             if net.in_channels != cin or net.out_channels != 2:
                 raise ShapeCheckFailed(
                     f"expected a {cin}-in/2-out network, got "
                     f"{net.in_channels}-in/{net.out_channels}-out"
                 )
-
-    def plane_net(self, plane: PlaneOrientation) -> NetworkSpec:
-        return {
-            PlaneOrientation.AXIAL: self.axial_net,
-            PlaneOrientation.SAGITTAL: self.sagittal_net,
-            PlaneOrientation.CORONAL: self.coronal_net,
-        }[plane]
+        object.__setattr__(self, "cores", tuple(_core(net, self.tile) for net in nets))
 
 
-def _tile_starts(n: int, tile: int, overlap: int) -> list[int]:
-    if tile >= n:
-        return [0]
-    step = tile - overlap
-    starts = list(range(0, n - tile + 1, step))
-    if starts[-1] + tile < n:
-        starts.append(n - tile)  # edge tile shifted inward, never padded
-    return starts
+def _core(net: NetworkSpec, tile: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Per axis, the largest multiple of ``net.align`` whose input tile, the
+    core plus the halo on both sides rounded out to the pool grid, fits in
+    ``tile``. Raises TileTooSmall when that leaves less than one grid step."""
+    core = tuple((t // a + 2 * (-h // a)) * a for t, h, a in zip(tile, net.halo, net.align))
+    if any(c < a for c, a in zip(core, net.align)):
+        raise TileTooSmall(f"tile {tuple(tile)} leaves no core for a net with halo {net.halo} on pool grid {net.align}")
+    return core
 
 
-def _coverage(n: int, tile: int, starts: list[int]) -> np.ndarray:
-    """How many of the tiles starting at ``starts`` cover each index of one axis."""
-    cnt = np.zeros(n, dtype=np.int64)
-    for s in starts:
-        cnt[s : s + tile] += 1
-    return cnt
+def _blocks(n: int, tile: int, core: int, halo: int, align: int) -> list[tuple[slice, slice, slice]]:
+    """(core, input, core within input) slices of each block along one axis.
+    An axis no longer than the tile is one block. Otherwise a block's input
+    reaches the margin past its core on each side, clipped at the volume edge,
+    where zero padding is also what one whole-volume pass sees."""
+    if n <= tile:
+        return [(slice(0, n), slice(0, n), slice(0, n))]
+    m = -(-halo // align) * align  # the halo rounded up to the pool grid
+    out = []
+    for s in range(0, n, core):
+        e, a = min(s + core, n), max(s - m, 0)
+        out.append((slice(s, e), slice(a, min(e + m, n)), slice(s - a, e - a)))
+    return out
 
 
 def _tiled_posterior(
     net: NetworkSpec,
     x: np.ndarray,
     tile: tuple[int, int, int],
-    overlap: int,
+    core: tuple[int, int, int],
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Channel-1 posterior for a (C, D, H, W) input array, as float32 (D, H, W),
@@ -106,9 +109,9 @@ def _tiled_posterior(
 
     A pointwise net runs on consecutive runs of ``_RUN_BYTES // 8`` voxels in
     C order (the last run shorter), each a (C, n, 1, 1) view of the input, so
-    each voxel is computed once and ``tile`` and ``overlap`` are unused. Any
-    other net runs on overlapping tiles of ``tile`` (edge tiles shifted inward)
-    and each voxel gets the mean over the tiles covering it.
+    each voxel is computed once and ``tile`` and ``core`` are unused. Any other
+    net, which must map the volume's dims to themselves, runs on a view of each
+    block's input of ``_blocks`` and keeps the block's core.
     """
     if net.out_channels < 2:
         raise ShapeMismatch(
@@ -128,48 +131,24 @@ def _tiled_posterior(
             out_flat[s : s + run.shape[1]] = pred[1, :, 0, 0]
         return out
 
-    actual = tuple(min(t, n) for t, n in zip(tile, spatial))
-    try:
-        shapes = infer_shapes(net, actual)
-    except Exception as exc:
-        raise TileTooSmall(f"tile {actual} is not viable for this network: {exc}") from exc
-    if shapes and shapes[-1][1:] != actual:
-        raise ShapeMismatch(
-            f"tiled inference needs a size-preserving network; {actual} -> {shapes[-1][1:]}"
-        )
-
-    acc = np.zeros(spatial, dtype=np.float64)
-    starts = [_tile_starts(n, t, overlap) for n, t in zip(spatial, actual)]
-    for sl in product(*([slice(s, s + t) for s in axis] for axis, t in zip(starts, actual))):
-        pred = forward(net, x[(slice(None), *sl)])
-        acc[sl] += pred[1].astype(np.float64)
-    # the tiles are the product of per-axis starts, so a voxel's tile count is
-    # the product of its per-axis coverage counts
-    cnt_d, cnt_h, cnt_w = (_coverage(n, t, s) for n, t, s in zip(spatial, actual, starts))
-    cnt_hw = np.multiply.outer(cnt_h, cnt_w)
-    for d, c in enumerate(cnt_d):
-        acc[d] /= c * cnt_hw
-    out[...] = acc
+    produced = infer_shapes(net, spatial)[-1][1:]
+    if produced != spatial:
+        raise ShapeMismatch(f"tiled inference needs a size-preserving network; {spatial} -> {produced}")
+    for blocks in product(*map(_blocks, spatial, tile, core, net.halo, net.align)):
+        kept, inputs, crop = zip(*blocks)
+        out[kept] = forward(net, x[(slice(None), *inputs)])[(1, *crop)]
     return out
 
 
-def tiled_forward(
-    net: NetworkSpec,
-    v: Volume3D,
-    tile: tuple[int, int, int] = DEFAULT_TILE,
-    overlap: int = DEFAULT_OVERLAP,
-) -> Volume3D:
-    """Channel-1 posterior of ``net`` over the volume, computed tile by tile.
-
-    A pointwise net (receptive field of one voxel) runs over cache-sized runs
-    of consecutive voxels in storage order and ignores ``tile`` and
-    ``overlap``; every partition gives the same result. Any other net is run
-    on tiles of ``tile`` that overlap by ``overlap``, and each voxel's
-    posterior is the arithmetic mean over all tiles containing it; edge tiles
-    are shifted inward to stay inside the volume. A volume smaller than one
-    tile degenerates to a single forward pass.
+def tiled_forward(net: NetworkSpec, v: Volume3D, tile: tuple[int, int, int] = DEFAULT_TILE) -> Volume3D:
+    """Channel-1 posterior of ``net`` over the volume, bit for bit its output
+    on the whole volume. A pointwise net runs over cache-sized runs of voxels
+    and ignores ``tile``. Any other net runs on disjoint core blocks, each
+    computed with its halo and no input tile larger than ``tile``; an axis no
+    longer than the tile is one block. Raises TileTooSmall when ``tile``
+    leaves no core.
     """
-    post = _tiled_posterior(net, v.data[np.newaxis], tile, overlap)
+    post = _tiled_posterior(net, v.data[np.newaxis], tile, _core(net, tile))
     return v.with_data(post)
 
 
@@ -185,16 +164,17 @@ def predict_ensemble(spec: EnsembleSpec, flair: Volume3D, mask: Volume3D) -> Vol
     mask_c = to_canonical(mask)
 
     stacked = np.empty((len(_PLANES), *flair_c.dims), dtype=np.float32)
-    for post, plane in zip(stacked, _PLANES):
-        net = spec.plane_net(plane)
+    plane_nets = (spec.axial_net, spec.sagittal_net, spec.coronal_net)
+    for post, plane, net, core in zip(stacked, _PLANES, plane_nets, spec.cores):
         if net.pointwise:
             # a per-voxel net commutes with the plane's axis permutation
-            _tiled_posterior(net, flair_c.data[np.newaxis], spec.tile, spec.overlap, out=post)
+            _tiled_posterior(net, flair_c.data[np.newaxis], spec.tile, core, out=post)
         else:
             vp = reformat_to(flair_c, plane)
-            post[...] = reformat_from(tiled_forward(net, vp, spec.tile, spec.overlap), plane).data
+            vp = vp.with_data(_tiled_posterior(net, vp.data[np.newaxis], spec.tile, core))
+            post[...] = reformat_from(vp, plane).data
 
-    fused = _tiled_posterior(spec.meta_net, stacked, spec.tile, spec.overlap)
+    fused = _tiled_posterior(spec.meta_net, stacked, spec.tile, spec.cores[3])
     fused[mask_c.data == 0] = 0.0
     return flair_c.with_data(fused)
 

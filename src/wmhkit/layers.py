@@ -10,14 +10,16 @@ runs are therefore bit-identical, and so are runs at different BLAS thread
 counts, since OpenBLAS splits a GEMM over its output, not its reduction.
 
 Each layer type is one frozen dataclass that owns its SGWT manifest tag
-(``TYPE``), its shape rule (``out_shape``) and its kernel (``forward``); its
-fields are its manifest entry. A new layer type is one class plus its entry in
+(``TYPE``), its shape rule (``out_shape``), its receptive field
+(``receptive_field``) and its kernel (``forward``); its fields are its
+manifest entry. A new layer type is one class plus its entry in
 ``LAYER_TYPES``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -53,9 +55,10 @@ class Layer:
         ``forward`` cannot run on such an input."""
         return shape
 
-    # receptive field of one voxel: each output voxel depends on the input (and
-    # on the earlier outputs read) at that voxel alone, on the same grid
-    pointwise = True
+    def receptive_field(self) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+        """Per axis, the reach (input voxels to either side of its own position
+        an output voxel reads) and the step (input voxels per output voxel)."""
+        return (0, 0, 0), (Fraction(1),) * 3
 
     def sources(self) -> tuple[str, ...]:
         """Names of the earlier outputs that ``forward`` reads from its bindings."""
@@ -93,9 +96,9 @@ class Conv3D(Layer):
             )
         return (cout, *((n + 2 * p - k) // s + 1 for n, k, s, p in dims))
 
-    @property
-    def pointwise(self):
-        return self.weights.shape[2:] == (1, 1, 1) and self.stride == (1, 1, 1) and self.padding == (0, 0, 0)
+    def receptive_field(self):
+        kernel = self.weights.shape[2:]
+        return tuple(max(p, k - 1 - p) for k, p in zip(kernel, self.padding)), tuple(map(Fraction, self.stride))
 
     def forward(self, x, bindings):
         return conv3d(x, self)
@@ -170,9 +173,8 @@ class MaxPool(Layer):
             raise ShapeMismatch(f"pool kernel {self.kernel} exceeds input {tuple(spatial)}")
         return (c, *((n - k) // s + 1 for n, k, s in zip(spatial, self.kernel, self.stride)))
 
-    @property
-    def pointwise(self):
-        return self.kernel == self.stride == (1, 1, 1)
+    def receptive_field(self):
+        return tuple(k - 1 for k in self.kernel), tuple(map(Fraction, self.stride))
 
     def forward(self, x, bindings):
         _, do, ho, wo = self.out_shape(x.shape, {})
@@ -197,9 +199,8 @@ class UpsampleNearest(Layer):
         c, *spatial = shape
         return (c, *(n * self.factor for n in spatial))
 
-    @property
-    def pointwise(self):
-        return self.factor == 1
+    def receptive_field(self):
+        return (0, 0, 0), (Fraction(1, self.factor),) * 3
 
     def forward(self, x, bindings):
         out = x

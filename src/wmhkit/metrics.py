@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import wmh_volume_ml
 from .errors import NonFiniteInput, NoPositives, ZeroReference
 from .lesions import LesionMatching, label_components, match_lesions
 from .tsv import TSV_CHUNK_ROWS, tsv_rows, write_tsv  # noqa: F401  (the chunk pr_curve_tsv renders by)
@@ -167,10 +166,11 @@ def metric_report(
 
     p = pred.data > 0
     g = gt.data > 0
+    tp, fp, fn = int((p & g).sum()), int((p & ~g).sum()), int((~p & g).sum())
     counts = {
-        "tp_voxels": int((p & g).sum()),
-        "fp_voxels": int((p & ~g).sum()),
-        "fn_voxels": int((~p & g).sum()),
+        "tp_voxels": tp,
+        "fp_voxels": fp,
+        "fn_voxels": fn,
         "tp_lesions": matching.tp_lesions,
         "fp_lesions": matching.fp_lesions,
         "fn_lesions": matching.fn_lesions,
@@ -182,10 +182,12 @@ def metric_report(
             raise ValueError("PR metrics need a brain mask alongside the posterior")
         curve = pr_curve_auc(posterior, gt, mask)
 
+    # label_components and match_lesions have checked both masks for binary values and dims
     return MetricReport(
-        dice_pixel=dice_pixel(pred, gt),
+        dice_pixel=1.0 if tp + fp + fn == 0 else 2.0 * tp / (2 * tp + fp + fn),
         dice_lesion=dice_lesion(matching),
-        avd_percent=abs_volume_diff_pct(wmh_volume_ml(pred), wmh_volume_ml(gt)),
+        avd_percent=abs_volume_diff_pct(float(tp + fp) * pred.voxel_volume_mm3 / 1000.0,
+                                        float(tp + fn) * gt.voxel_volume_mm3 / 1000.0),
         auc_pr=None if curve is None else curve.auc,
         counts=counts,
         pr_curve=curve,

@@ -7,7 +7,9 @@ connections and the posterior-fusing meta network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from math import ceil, lcm
 
 import numpy as np
 
@@ -22,19 +24,36 @@ class NetworkSpec:
     layers: tuple[tuple[str, Layer], ...]
     in_channels: int
     out_channels: int
+    # per axis: the input voxels a block needs past each side of its core so
+    # that the core's output is exact, and the pool grid its input must start
+    # on (the lcm of the integer jumps)
+    halo: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    align: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple((str(n), l) for n, l in self.layers))
         names = [n for n, _ in self.layers]
         if len(set(names)) != len(names):
             raise ShapeCheckFailed(f"duplicate layer names in {names}")
+        # as in Araujo et al., "Computing Receptive Fields of CNNs" (Distill,
+        # 2019), with jump the input voxels per voxel of the current tensor. A
+        # Concat reads an earlier output of the same chain, whose halo cannot
+        # exceed the current one, so the larger of the two is the current one
+        halo, jump, align = [Fraction(0)] * 3, [Fraction(1)] * 3, [1] * 3
+        for _, layer in self.layers:
+            reach, step = layer.receptive_field()
+            halo = [h + r * j for h, r, j in zip(halo, reach, jump)]
+            jump = [j * s for j, s in zip(jump, step)]
+            align = [lcm(a, j.numerator) if j.denominator == 1 else a for a, j in zip(align, jump)]
+        object.__setattr__(self, "halo", tuple(ceil(h) for h in halo))
+        object.__setattr__(self, "align", tuple(align))
 
     @property
     def pointwise(self) -> bool:
         """True when the receptive field is one voxel: each output voxel is a
         function of the input at that voxel alone, so any partition of the
         volume into blocks gives the same output as one pass."""
-        return all(layer.pointwise for _, layer in self.layers)
+        return self.halo == (0, 0, 0) and self.align == (1, 1, 1)
 
     def validate(self, spatial: tuple[int, int, int] = DEFAULT_PROBE_SPATIAL) -> None:
         """Dry-run shape inference; raises ShapeCheckFailed on any violation."""

@@ -121,52 +121,22 @@ def loop_maxpool(x, kernel, stride):
     return out
 
 
-def _overlap_tile_starts(n, tile, overlap):
-    if tile >= n:
-        return [0]
-    starts, s = [], 0
-    while s + tile < n:
-        starts.append(s)
-        s += tile - overlap
-    return starts + [n - tile]
-
-
-def overlap_tile_posterior(forward, net, x, tile, overlap):
-    """Mean-of-tiles channel-1 posterior of a (C, D, H, W) input: every tile of
-    ``tile`` (clamped to the volume) on a grid of step tile - overlap, the last
-    one on each axis shifted inward, summed in a float64 volume and divided by
-    an explicit per-voxel tile count. ``forward(net, x)`` runs one tile."""
-    spatial = x.shape[1:]
-    size = [min(t, n) for t, n in zip(tile, spatial)]
-    acc = np.zeros(spatial, dtype=np.float64)
-    cnt = np.zeros(spatial, dtype=np.int64)
-    for d0 in _overlap_tile_starts(spatial[0], size[0], overlap):
-        for h0 in _overlap_tile_starts(spatial[1], size[1], overlap):
-            for w0 in _overlap_tile_starts(spatial[2], size[2], overlap):
-                sl = (slice(d0, d0 + size[0]), slice(h0, h0 + size[1]), slice(w0, w0 + size[2]))
-                pred = forward(net, x[(slice(None),) + sl])
-                acc[sl] += pred[1].astype(np.float64)
-                cnt[sl] += 1
-    return (acc / cnt).astype(np.float32)
-
-
 # canonical axes of each plane's frame (out axis i <- canonical axis perm[i]),
 # in the ensemble's order: axial, sagittal, coronal
 PLANE_AXES = ((0, 1, 2), (1, 2, 0), (0, 2, 1))
 
 
-def overlap_tile_ensemble(forward, nets, flair, mask, tile, overlap):
-    """Ensemble posterior of canonical (D, H, W) arrays by reformatting: each
-    plane net runs on the volume transposed into its plane, by overlapping
-    tiles, and its posterior is transposed back; the three are stacked for the
-    meta net, run the same way, and voxels outside ``mask`` are set to 0.
-    ``nets`` is (axial, sagittal, coronal, meta)."""
+def whole_volume_ensemble(forward, nets, flair, mask):
+    """Ensemble posterior of canonical (D, H, W) arrays in one pass per net:
+    each plane net runs on the whole volume transposed into its plane, and its
+    channel-1 posterior is transposed back; the three are stacked for the meta
+    net, and voxels outside ``mask`` are set to 0. ``nets`` is (axial,
+    sagittal, coronal, meta); ``forward(net, x)`` runs one net."""
     planes = []
     for net, perm in zip(nets[:3], PLANE_AXES):
         xp = np.ascontiguousarray(flair.transpose(perm))
-        post = overlap_tile_posterior(forward, net, xp[np.newaxis], tile, overlap)
-        planes.append(post.transpose(np.argsort(perm)))
-    fused = overlap_tile_posterior(forward, nets[3], np.stack(planes), tile, overlap)
+        planes.append(forward(net, xp[np.newaxis])[1].transpose(np.argsort(perm)))
+    fused = forward(nets[3], np.stack(planes))[1].copy()
     fused[mask == 0] = 0.0
     return fused
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nets import unet_net
 from wmhkit.cli import main
 from wmhkit.cohort import synthetic_cohort, write_cohort_csv
 from wmhkit.ensemble import EnsembleSpec, predict_ensemble
@@ -13,7 +14,7 @@ from wmhkit.histo import HistParams, histogram_segment
 from wmhkit.nifti import DATA_OFFSET, parse_nifti, write_nifti
 from wmhkit.phantom import make_phantom
 from wmhkit.volume import Volume3D, normalize_intensity
-from wmhkit.weights_io import load_ensemble
+from wmhkit.weights_io import load_ensemble, save_ensemble
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "report_schema.json").read_text())
 
@@ -154,7 +155,7 @@ class TestPhantom:
         assert (a / "flair.nii.gz").read_bytes() != (b / "flair.nii.gz").read_bytes()
 
     def test_emitted_weights_load(self, phantom_dir):
-        from wmhkit.weights_io import load_ensemble
+        from wmhkit.weights_io import load_ensemble, save_ensemble
 
         nets = load_ensemble((phantom_dir / "weights.sgwt").read_bytes())
         assert set(nets) == {"axial", "sagittal", "coronal", "meta"}
@@ -314,8 +315,7 @@ class TestSegment:
     @pytest.mark.parametrize(
         "flag, value",
         [
-            ("--threshold", "1.5"), ("--threshold", "0"), ("--overlap", "64"), ("--overlap", "-1"),
-            ("--tile", "0"), ("--jobs", "0"), ("--jobs", "-1"),
+            ("--threshold", "1.5"), ("--threshold", "0"), ("--tile", "0"), ("--jobs", "0"), ("--jobs", "-1"),
         ],
     )
     def test_bad_ensemble_arguments_are_input_errors(self, phantom_dir, tmp_path, capsys, flag, value):
@@ -382,6 +382,25 @@ class TestSegment:
         assert captured.err.startswith("error [input]:") and len(captured.err.splitlines()) == 1
         assert str(flair_dir / "sub.nii") in captured.err and str(flair_dir / "sub.nii.gz") in captured.err
         assert not out_dir.exists()
+
+    def test_tile_below_the_nets_minimum_is_shape_error(self, tmp_path, capsys, rng):
+        # 3^3 U-Nets have halo 5 on pool grid 2: an input tile needs 6 + 2 + 6
+        # voxels per axis, so --tile 13 leaves no core
+        weights = tmp_path / "unet.sgwt"
+        weights.write_bytes(save_ensemble({role: unet_net(rng, 3 if role == "meta" else 1, 2)
+                                           for role in ("axial", "sagittal", "coronal", "meta")}))
+        flair_dir, mask_dir, _ = _batch_dirs(tmp_path, capsys, ["a.nii.gz", "b.nii.gz"])
+        for flair, mask in ((flair_dir / "a.nii.gz", mask_dir / "a.nii.gz"), (flair_dir, mask_dir)):
+            out_dir = tmp_path / "seg"
+            code = main(["segment", "--flair", str(flair), "--mask", str(mask), "--weights", str(weights),
+                         "--out-dir", str(out_dir), "--tile", "13"])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert captured.err.startswith("error [shape]:") and len(captured.err.splitlines()) == 1
+            assert not out_dir.exists()
+        assert main(["segment", "--flair", str(flair_dir), "--mask", str(mask_dir), "--weights", str(weights),
+                     "--out-dir", str(tmp_path / "seg"), "--tile", "16"]) == 0
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_batch_rejects_jobs_below_one(self, tmp_path, capsys, jobs):

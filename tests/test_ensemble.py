@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import all_signed_orientations, overlap_tile_ensemble, overlap_tile_posterior
+from nets import unet_net
+from oracles import all_signed_orientations, whole_volume_ensemble
 from wmhkit import ensemble
 from wmhkit.ensemble import (
     EnsembleSpec,
@@ -10,7 +11,7 @@ from wmhkit.ensemble import (
     tiled_forward,
     wmh_volume_ml,
 )
-from wmhkit.errors import NonBinaryInput, TileTooSmall
+from wmhkit.errors import NonBinaryInput, ShapeMismatch, TileTooSmall
 from wmhkit.layers import BatchNorm, Concat, Conv3D, MaxPool, ReLU, Softmax, UpsampleNearest
 from wmhkit.network import NetworkSpec, forward
 from wmhkit.phantom import (
@@ -44,54 +45,43 @@ def _receptive_net(rng, cin=1):
 
 
 class TestTiledForward:
-    def test_volume_smaller_than_tile(self, rng):
+    def test_volume_smaller_than_tile(self, rng, monkeypatch):
         net = _receptive_net(rng)
         v = Volume3D(rng.normal(size=(6, 7, 8)).astype(np.float32))
-        out = tiled_forward(net, v, tile=(16, 16, 16), overlap=4)
         direct = forward(net, v.data[None])[1]
-        assert np.array_equal(out.data, direct)
+        passes, shapes, _ = _spy_plan(monkeypatch)
+        for tile in [(16, 16, 16), (6, 7, 8)]:
+            assert np.array_equal(tiled_forward(net, v, tile=tile).data, direct)
+        # one pass over the whole volume each time, with no halo
+        assert shapes[id(net)] == [(6, 7, 8)] * 2 and np.all(passes[id(net)] == 2)
 
     def test_per_voxel_net_is_tiling_invariant(self, rng):
         net = threshold_detector_net(0.3)
         v = Volume3D(rng.normal(size=(20, 17, 13)).astype(np.float32))
-        full = tiled_forward(net, v, tile=(32, 32, 32), overlap=0)
-        for tile, overlap in [((8, 8, 8), 4), ((5, 7, 6), 2), ((20, 4, 9), 3)]:
-            tiled = tiled_forward(net, v, tile=tile, overlap=overlap)
-            assert np.array_equal(tiled.data, full.data), (tile, overlap)
+        full = tiled_forward(net, v, tile=(32, 32, 32))
+        for tile in [(8, 8, 8), (5, 7, 6), (20, 4, 9)]:
+            tiled = tiled_forward(net, v, tile=tile)
+            assert np.array_equal(tiled.data, full.data), tile
 
-    def test_matches_tile_accounting_oracle(self, rng):
-        net = _receptive_net(rng)
-        v = Volume3D(rng.normal(size=(16, 16, 16)).astype(np.float32))
-        got = tiled_forward(net, v, tile=(8, 8, 8), overlap=4)
+    @pytest.mark.parametrize("kind", ["receptive", "pool", "unet"])
+    def test_matches_whole_volume_forward(self, rng, kind):
+        # halo 1 on grid 1, halo 1 on grid 2, halo 5 on grid 2: tiles from the
+        # smallest the net allows up to the volume, with ragged last cores
+        net = _nets(kind, rng)[0]
+        v = Volume3D(rng.normal(size=(26, 16, 34)).astype(np.float32))
+        whole = forward(net, v.data[None])[1]
+        for tile in [(14, 16, 14), (16, 20, 24), (25, 16, 33), (26, 16, 34)]:
+            assert np.array_equal(tiled_forward(net, v, tile=tile).data, whole), tile
 
-        # oracle: materialize every tile explicitly, average per voxel
-        acc = np.zeros((16, 16, 16), dtype=np.float64)
-        cnt = np.zeros((16, 16, 16), dtype=np.float64)
-        starts = [0, 4, 8]
-        for d in starts:
-            for h in starts:
-                for w in starts:
-                    sl = (slice(d, d + 8), slice(h, h + 8), slice(w, w + 8))
-                    pred = forward(net, v.data[None][(slice(None),) + sl])
-                    acc[sl] += pred[1].astype(np.float64)
-                    cnt[sl] += 1.0
-        oracle = (acc / cnt).astype(np.float32)
-        np.testing.assert_allclose(got.data, oracle, atol=1e-7)
-
-        # uneven per-axis starts (0,5,10,11 / 0,5,8 / 0,5,10,15): 1 to 12 tiles
-        # per voxel, divided with the same bits as a count volume
-        v = Volume3D(rng.normal(size=(19, 16, 23)).astype(np.float32))
-        got = tiled_forward(net, v, tile=(8, 8, 8), overlap=3)
-        assert np.array_equal(got.data, overlap_tile_posterior(forward, net, v.data[None], (8, 8, 8), 3))
-
-    def test_edge_tiles_shift_inward(self, rng):
-        # 10 voxels, tile 8, overlap 4 -> starts 0, 2 (clamped from 4)
-        net = _receptive_net(rng)
-        v = Volume3D(rng.normal(size=(10, 8, 8)).astype(np.float32))
-        out = tiled_forward(net, v, tile=(8, 8, 8), overlap=4)
-        assert out.dims == (10, 8, 8)
-        assert float(out.data.min()) >= 0.0 and float(out.data.max()) <= 1.0
-        assert np.array_equal(out.data, overlap_tile_posterior(forward, net, v.data[None], (8, 8, 8), 4))
+    def test_dims_off_the_pool_grid_are_a_shape_mismatch(self, rng):
+        v = Volume3D(rng.normal(size=(17, 16, 16)).astype(np.float32))
+        unet = unet_net(rng, 1, 2)
+        with pytest.raises(ShapeMismatch):
+            forward(unet, v.data[None])
+        for net in (unet, _pool_net(rng, 1)):
+            for tile in [(14, 14, 14), (64, 64, 64)]:
+                with pytest.raises(ShapeMismatch):
+                    tiled_forward(net, v, tile=tile)
 
     def test_tile_too_small_for_pooling_net(self, rng):
         net = NetworkSpec(
@@ -111,7 +101,16 @@ class TestTiledForward:
         )
         v = Volume3D(rng.normal(size=(16, 16, 16)).astype(np.float32))
         with pytest.raises(TileTooSmall):
-            tiled_forward(net, v, tile=(4, 4, 4), overlap=1)
+            tiled_forward(net, v, tile=(4, 4, 4))
+
+    def test_spec_rejects_a_tile_below_the_nets_minimum(self, rng):
+        # halo 5 rounds up to 6 on grid 2: a tile needs 6 + 2 + 6 voxels
+        nets = _nets("unet", rng)
+        for tile in [(13, 13, 13), (14, 13, 14)]:
+            with pytest.raises(TileTooSmall):
+                _spec(nets, tile)
+        assert _spec(nets, (14, 15, 17)).cores == ((2, 2, 4),) * 4
+        assert _spec(_nets("pointwise", rng), (1, 2, 3)).cores == ((1, 2, 3),) * 4
 
 
 def _pointwise_net(rng, cin):
@@ -147,18 +146,21 @@ def _pool_net(rng, cin):
     )
 
 
+def _small_unet(rng, cin):
+    return unet_net(rng, cin, 4)
+
+
 def _nets(kind, rng):
     """(axial, sagittal, coronal, meta), four distinct network objects."""
     if kind == "phantom":
         return (*(threshold_detector_net(t) for t in (-0.2, 0.1, 0.4)), mean_threshold_meta_net())
-    make = {"pointwise": _pointwise_net, "receptive": _receptive_net, "pool": _pool_net}[kind]
+    make = {"pointwise": _pointwise_net, "receptive": _receptive_net, "pool": _pool_net, "unet": _small_unet}[kind]
     return (*(make(rng, 1) for _ in range(3)), make(rng, 3))
 
 
-def _spec(nets, tile, overlap):
+def _spec(nets, tile):
     axial, sagittal, coronal, meta = nets
-    return EnsembleSpec(axial_net=axial, sagittal_net=sagittal, coronal_net=coronal,
-                        meta_net=meta, tile=tile, overlap=overlap)
+    return EnsembleSpec(axial_net=axial, sagittal_net=sagittal, coronal_net=coronal, meta_net=meta, tile=tile)
 
 
 def _inputs(rng, shape):
@@ -170,49 +172,50 @@ def _inputs(rng, shape):
 class TestTilePlan:
     @pytest.mark.parametrize("kind", ["phantom", "pointwise"])
     @pytest.mark.parametrize(
-        "shape, tile, overlap",
+        "shape, tile",
         [
-            ((70, 33, 129), (24, 16, 40), 5),
-            ((70, 33, 129), (96, 16, 64), 8),
-            ((70, 33, 129), (80, 64, 160), 16),
-            ((5, 7, 3), (2, 3, 2), 1),
-            ((5, 7, 3), (8, 8, 8), 2),
+            ((70, 33, 129), (24, 16, 40)),
+            ((70, 33, 129), (96, 16, 64)),
+            ((70, 33, 129), (80, 64, 160)),
+            ((5, 7, 3), (2, 3, 2)),
+            ((5, 7, 3), (8, 8, 8)),
         ],
     )
-    def test_pointwise_ensemble_matches_overlap_tile_reference(self, rng, kind, shape, tile, overlap):
+    def test_pointwise_ensemble_matches_overlap_tile_reference(self, rng, kind, shape, tile):
         nets = _nets(kind, rng)
         assert all(net.pointwise for net in nets)
         flair, mask = _inputs(rng, shape)
-        got = predict_ensemble(_spec(nets, tile, overlap), Volume3D(flair), Volume3D(mask))
-        want = overlap_tile_ensemble(forward, nets, flair, mask, tile, overlap)
-        assert np.array_equal(got.data, want)
+        got = predict_ensemble(_spec(nets, tile), Volume3D(flair), Volume3D(mask))
+        assert np.array_equal(got.data, whole_volume_ensemble(forward, nets, flair, mask))
 
     @pytest.mark.parametrize("kind", ["phantom", "pointwise"])
     def test_pointwise_ensemble_matches_reference_in_every_orientation(self, rng, kind):
         nets = _nets(kind, rng)
-        tile, overlap = (4, 3, 2), 1
         flair, mask = _inputs(rng, (5, 7, 3))
-        spec = _spec(nets, tile, overlap)
-        want = overlap_tile_ensemble(forward, nets, flair, mask, tile, overlap)
+        spec = _spec(nets, (4, 3, 2))
+        want = whole_volume_ensemble(forward, nets, flair, mask)
         for orientation in all_signed_orientations():
             v = Volume3D(_inverse_remap(flair, orientation), orientation=orientation)
             m = Volume3D(_inverse_remap(mask, orientation), orientation=orientation)
             assert np.array_equal(predict_ensemble(spec, v, m).data, want), orientation
 
-    @pytest.mark.parametrize("kind", ["receptive", "pool"])
+    @pytest.mark.parametrize("kind", ["receptive", "pool", "unet"])
     def test_other_nets_match_overlap_tile_reference(self, rng, kind):
+        # the overlap-tile strategy computes each block with its halo and keeps
+        # its core, so it equals one pass over the whole volume bit for bit
         nets = _nets(kind, rng)
         assert not any(net.pointwise for net in nets)
-        flair, mask = _inputs(rng, (20, 18, 22))
-        got = predict_ensemble(_spec(nets, (8, 8, 8), 3), Volume3D(flair), Volume3D(mask))
-        assert np.array_equal(got.data, overlap_tile_ensemble(forward, nets, flair, mask, (8, 8, 8), 3))
+        for shape, tile in [((48, 40, 56), (24, 16, 32)), ((26, 34, 18), (20, 20, 20))]:
+            flair, mask = _inputs(rng, shape)
+            got = predict_ensemble(_spec(nets, tile), Volume3D(flair), Volume3D(mask))
+            assert np.array_equal(got.data, whole_volume_ensemble(forward, nets, flair, mask)), shape
 
     def test_pointwise_ensemble_passes_each_voxel_once(self, rng, monkeypatch):
         nets = _nets("pointwise", rng)
         flair, mask = _inputs(rng, (20, 17, 13))
         monkeypatch.setattr(ensemble, "_RUN_BYTES", 8 * 1000)
         passes, shapes, reformats = _spy_plan(monkeypatch)
-        predict_ensemble(_spec(nets, (8, 8, 8), 4), Volume3D(flair), Volume3D(mask))
+        predict_ensemble(_spec(nets, (8, 8, 8)), Volume3D(flair), Volume3D(mask))
         assert reformats == []
         assert sorted(passes) == sorted(id(net) for net in nets)
         for net in nets:
@@ -238,8 +241,8 @@ class TestTilePlan:
         nets = _nets(kind, rng)
         flair, mask = _inputs(rng, shape)
         _, shapes, _ = _spy_plan(monkeypatch)
-        got = predict_ensemble(_spec(nets, (4, 3, 2), 1), Volume3D(flair), Volume3D(mask))
-        assert np.array_equal(got.data, overlap_tile_ensemble(forward, nets, flair, mask, (4, 3, 2), 1))
+        got = predict_ensemble(_spec(nets, (4, 3, 2)), Volume3D(flair), Volume3D(mask))
+        assert np.array_equal(got.data, whole_volume_ensemble(forward, nets, flair, mask))
         size = int(np.prod(shape))
         n = ensemble._RUN_BYTES // 8
         want = [(min(n, size - s), 1, 1) for s in range(0, size, n)]
@@ -249,11 +252,58 @@ class TestTilePlan:
     def test_other_nets_overlap_tiles_in_their_planes(self, rng, monkeypatch, kind):
         nets = _nets(kind, rng)
         flair, mask = _inputs(rng, (20, 18, 22))
-        passes, _, reformats = _spy_plan(monkeypatch)
-        predict_ensemble(_spec(nets, (8, 8, 8), 3), Volume3D(flair), Volume3D(mask))
+        passes, shapes, reformats = _spy_plan(monkeypatch)
+        predict_ensemble(_spec(nets, (8, 8, 8)), Volume3D(flair), Volume3D(mask))
         assert reformats == [PlaneOrientation.AXIAL, PlaneOrientation.SAGITTAL, PlaneOrientation.CORONAL]
         for net in nets:
+            # input tiles overlap by the halo and none exceeds the tile
             assert passes[id(net)].min() == 1 and passes[id(net)].max() > 1
+            assert max(max(s) for s in shapes[id(net)]) <= 8
+
+    @pytest.mark.parametrize("kind", ["receptive", "pool", "unet"])
+    def test_other_nets_compute_each_voxel_once(self, rng, monkeypatch, kind):
+        # forward answers each call with its index as the posterior, so each
+        # voxel of a net's posterior names the one block that computed it
+        nets = _nets(kind, rng)
+        flair, mask = _inputs(rng, (20, 18, 22))
+        tiles, posteriors = {}, {}
+        real = ensemble._tiled_posterior
+
+        def spy_forward(net, x):
+            first, spatial = _origin(x)
+            start = np.unravel_index(first, spatial)
+            tiles.setdefault(id(net), []).append(tuple(slice(s, s + n) for s, n in zip(start, x.shape[1:])))
+            return np.full((2, *x.shape[1:]), len(tiles[id(net)]), np.float32)
+
+        def spy_posterior(net, *args, **kwargs):
+            post = real(net, *args, **kwargs)
+            posteriors[id(net)] = post.copy()
+            return post
+
+        monkeypatch.setattr(ensemble, "forward", spy_forward)
+        monkeypatch.setattr(ensemble, "_tiled_posterior", spy_posterior)
+        predict_ensemble(_spec(nets, (16, 14, 16)), Volume3D(flair), Volume3D(mask))
+        for net in nets:
+            post, boxes = posteriors[id(net)], tiles[id(net)]
+            assert len(boxes) > 1 and all(b.stop - b.start <= 16 for box in boxes for b in box)
+            assert set(np.unique(post).tolist()) == set(range(1, len(boxes) + 1))
+            for k, box in enumerate(boxes, 1):
+                kept = np.argwhere(post == k)
+                core = tuple(slice(lo, hi + 1) for lo, hi in zip(kept.min(axis=0), kept.max(axis=0)))
+                assert np.all(post[core] == k)  # a box, inside its input tile
+                assert all(box[i].start <= core[i].start and core[i].stop <= box[i].stop for i in range(3))
+
+
+def _origin(x):
+    """Flat index of ``x``'s first voxel in the spatial grid of the
+    C-contiguous array it is a view of, and that grid."""
+    root = x
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    assert root.flags.c_contiguous
+    offset = x.__array_interface__["data"][0] - root.__array_interface__["data"][0]
+    spatial = root.shape[-3:]
+    return offset // root.itemsize % int(np.prod(spatial)), spatial
 
 
 def _spy_plan(monkeypatch):
@@ -270,13 +320,7 @@ def _spy_plan(monkeypatch):
     real_forward, real_reformat_to = ensemble.forward, ensemble.reformat_to
 
     def spy_forward(net, x):
-        root = x
-        while isinstance(root.base, np.ndarray):
-            root = root.base
-        assert root.flags.c_contiguous
-        offset = x.__array_interface__["data"][0] - root.__array_interface__["data"][0]
-        spatial = root.shape[-3:]
-        first = offset // root.itemsize % int(np.prod(spatial))
+        first, spatial = _origin(x)
         counts = passes.setdefault(id(net), np.zeros(spatial, np.int64))
         if x.shape[2:] == (1, 1) and x.strides[1] == x.itemsize:
             counts.reshape(-1)[first : first + x.shape[1]] += 1
@@ -310,7 +354,6 @@ class TestPredictEnsemble:
             coronal_net=plane,
             meta_net=mean_threshold_meta_net(),
             tile=(16, 16, 16),
-            overlap=4,
         )
         v = Volume3D(rng.normal(size=(12, 12, 12)).astype(np.float32))
         mask = Volume3D(np.ones((12, 12, 12), dtype=np.float32))

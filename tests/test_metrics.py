@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import argsort_pr_curve, pr_enumeration
-from wmhkit.errors import NonFiniteInput, NoPositives, ShapeMismatch, ZeroReference
+from wmhkit.ensemble import wmh_volume_ml
+from wmhkit.errors import NonBinaryInput, NonFiniteInput, NoPositives, ShapeMismatch, ZeroReference
 from wmhkit.lesions import label_components, match_lesions
 from wmhkit.metrics import (
     TSV_CHUNK_ROWS,
@@ -357,3 +358,18 @@ class TestMetricReport:
         c = report.counts
         assert c["tp_voxels"] + c["fp_voxels"] == int(pred.sum())
         assert c["tp_voxels"] + c["fn_voxels"] == int(gt.sum())
+
+    @pytest.mark.parametrize("spacings", [((1.0, 1.0, 1.0),) * 2, ((1.2, 1.0, 1.25), (0.9, 2.0, 1.0))])
+    def test_dice_and_volumes_match_the_standalone_metrics(self, rng, spacings):
+        # the report takes them from its voxel counts, with each mask's own
+        # voxel volume: the same bits as dice_pixel and wmh_volume_ml
+        pred = (rng.random((9, 8, 7)) < 0.3).astype(np.float32)
+        gt = (rng.random((9, 8, 7)) < 0.2).astype(np.float32)
+        p, g = (Volume3D(a, s) for a, s in zip((pred, gt), spacings))
+        report = metric_report(p, g)
+        assert report.dice_pixel == dice_pixel(p, g)
+        assert report.avd_percent == abs_volume_diff_pct(wmh_volume_ml(p), wmh_volume_ml(g))
+        with pytest.raises(NonBinaryInput):
+            metric_report(Volume3D(pred * 0.5), g)
+        with pytest.raises(ShapeMismatch):
+            metric_report(p, Volume3D(gt[:-1]))

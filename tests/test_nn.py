@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nets import unet_net
 from oracles import loop_maxpool, naive_conv3d, tapwise_conv3d
 from wmhkit.errors import ShapeMismatch, UnknownConcatSource
 from wmhkit import layers, network
@@ -22,7 +24,9 @@ from wmhkit.layers import (
     apply_layer,
     conv3d,
 )
+from wmhkit.ensemble import tiled_forward
 from wmhkit.network import NetworkSpec, forward, infer_shapes
+from wmhkit.volume import Volume3D
 
 
 def _conv(cout, cin, k, stride=(1, 1, 1), padding=(0, 0, 0), rng=None, weight=None, bias=None):
@@ -384,35 +388,100 @@ class TestForward:
 
 class TestPointwise:
     def test_rule_per_layer(self, rng):
-        assert all(layer.pointwise for layer in (
-            _conv(3, 2, 1, rng=rng),
-            BatchNorm(gamma=np.ones(2), beta=np.zeros(2), mean=np.zeros(2), var=np.ones(2)),
-            ReLU(),
-            Concat(source="a"),
-            Softmax(),
-            MaxPool(kernel=(1, 1, 1), stride=(1, 1, 1)),
-            UpsampleNearest(factor=1),
-        ))
-        assert not any(layer.pointwise for layer in (
-            _conv(3, 2, 3, rng=rng),
-            _conv(3, 2, 1, stride=(1, 2, 1), rng=rng),
-            _conv(3, 2, 1, padding=(0, 0, 1), rng=rng),
-            Conv3D(weights=np.ones((1, 1, 1, 1, 3)), bias=np.zeros(1)),
-            MaxPool(),
-            MaxPool(kernel=(1, 1, 1), stride=(2, 1, 1)),
-            MaxPool(kernel=(1, 2, 1), stride=(1, 1, 1)),
-            UpsampleNearest(factor=2),
-        ))
+        # (layer, reach, step) per axis: a conv reaches max(p, k-1-p) and steps
+        # by its stride, a pool reaches k-1 and steps by its stride, an
+        # upsample reaches 0 and steps by 1/factor, any other layer is 0 and 1
+        half, one = Fraction(1, 2), Fraction(1)
+        bn = BatchNorm(gamma=np.ones(2), beta=np.zeros(2), mean=np.zeros(2), var=np.ones(2))
+        table = [
+            (_conv(3, 2, 1, rng=rng), (0, 0, 0), (1, 1, 1)),
+            (_conv(3, 2, 3, padding=(1, 1, 1), rng=rng), (1, 1, 1), (1, 1, 1)),
+            (_conv(3, 2, 3, rng=rng), (2, 2, 2), (1, 1, 1)),
+            (_conv(3, 2, 5, padding=(1, 2, 4), rng=rng), (3, 2, 4), (1, 1, 1)),
+            (_conv(3, 2, 1, stride=(1, 2, 1), rng=rng), (0, 0, 0), (1, 2, 1)),
+            (_conv(3, 2, 1, padding=(0, 0, 1), rng=rng), (0, 0, 1), (1, 1, 1)),
+            (Conv3D(weights=np.ones((1, 1, 1, 1, 3)), bias=np.zeros(1)), (0, 0, 2), (1, 1, 1)),
+            (bn, (0, 0, 0), (1, 1, 1)),
+            (ReLU(), (0, 0, 0), (1, 1, 1)),
+            (Concat(source="a"), (0, 0, 0), (1, 1, 1)),
+            (Softmax(), (0, 0, 0), (1, 1, 1)),
+            (MaxPool(), (1, 1, 1), (2, 2, 2)),
+            (MaxPool(kernel=(1, 1, 1), stride=(1, 1, 1)), (0, 0, 0), (1, 1, 1)),
+            (MaxPool(kernel=(1, 1, 1), stride=(2, 1, 1)), (0, 0, 0), (2, 1, 1)),
+            (MaxPool(kernel=(3, 2, 1), stride=(1, 1, 1)), (2, 1, 0), (1, 1, 1)),
+            (UpsampleNearest(factor=2), (0, 0, 0), (half, half, half)),
+            (UpsampleNearest(factor=1), (0, 0, 0), (one, one, one)),
+        ]
+        for layer, reach, step in table:
+            assert layer.receptive_field() == (reach, step), layer.TYPE
 
     def test_network_rule(self, rng):
-        assert NetworkSpec(layers=(), in_channels=1, out_channels=1).pointwise
-        assert not _unet(rng).pointwise
+        empty = NetworkSpec(layers=(), in_channels=1, out_channels=1)
+        assert (empty.halo, empty.align, empty.pointwise) == ((0, 0, 0), (1, 1, 1), True)
+        # 1 (enc) + 1 (pool) + 2 * 1 (mid, at half resolution); the skip's 1 is smaller
+        unet = _unet(rng)
+        assert (unet.halo, unet.align, unet.pointwise) == ((4, 4, 4), (2, 2, 2), False)
+        # a conv after the skip adds its 1: the 5 of the benchmark's U-Net
+        assert (unet_net(rng, 1, 2).halo, unet_net(rng, 1, 2).align) == ((5, 5, 5), (2, 2, 2))
         head = NetworkSpec(
             layers=(("c", _conv(2, 1, 1, rng=rng)), ("skip", Concat(source="c")), ("post", Softmax())),
             in_channels=1,
             out_channels=4,
         )
-        assert head.pointwise
+        assert (head.halo, head.align, head.pointwise) == ((0, 0, 0), (1, 1, 1), True)
+        # a strided 1^3 pool reads one voxel but not on the input's grid
+        subsample = NetworkSpec(
+            layers=(("pool", MaxPool(kernel=(1, 1, 1), stride=(1, 2, 1))),), in_channels=1, out_channels=1
+        )
+        assert (subsample.halo, subsample.align, subsample.pointwise) == ((0, 0, 0), (1, 2, 1), False)
+        # two levels: 1 + 1 + 2 + 2 + 4 * 1, and a skip around them
+        deep = NetworkSpec(
+            layers=(
+                ("a", _conv(1, 1, 3, padding=(1, 1, 1), rng=rng)),
+                ("p1", MaxPool()),
+                ("b", _conv(1, 1, 3, padding=(1, 1, 1), rng=rng)),
+                ("p2", MaxPool()),
+                ("c", _conv(1, 1, 3, padding=(1, 1, 1), rng=rng)),
+                ("u2", UpsampleNearest(factor=2)),
+                ("u1", UpsampleNearest(factor=2)),
+                ("skip", Concat(source="a")),
+            ),
+            in_channels=1,
+            out_channels=2,
+        )
+        assert (deep.halo, deep.align) == ((10, 10, 10), (4, 4, 4))
+
+    def test_halo_bounds_a_one_voxel_probe_and_tiles_are_exact(self, rng):
+        # random size-preserving nets: every output voxel that moves when one
+        # input voxel moves lies within the halo of it, and the block plan
+        # gives the bits of one pass over the whole volume
+        reached, grids = np.zeros(3, dtype=np.int64), set()
+        for _ in range(30):
+            net = _random_size_preserving_net(rng)
+            grids.add(max(net.align))
+            halo, align = np.array(net.halo), np.array(net.align)
+            margin = -(-halo // align) * align
+            core = margin + align * rng.integers(1, 4, size=3)
+            tile = tuple(int(t) for t in 2 * margin + core)
+            # some axes longer than the tile (several blocks), the rest one block
+            extra = rng.integers(-2, 3, size=3)
+            extra[rng.integers(0, 3)] = rng.integers(1, 3)
+            dims = tuple(int(d) for d in np.array(tile) + align * extra)
+            x = rng.normal(size=(1, *dims)).astype(np.float32)
+            whole = forward(net, x)
+            for _ in range(2):
+                voxel = tuple(int(rng.integers(0, d)) for d in dims)
+                probe = x.copy()
+                probe[(0, *voxel)] += 10.0
+                moved = np.argwhere(np.any(forward(net, probe) != whole, axis=0))
+                assert moved.size > 0
+                offsets = np.abs(moved - np.array(voxel))
+                assert np.all(offsets <= halo), (net.halo, offsets.max(axis=0))
+                reached = np.maximum(reached, offsets.max(axis=0))
+            assert np.array_equal(tiled_forward(net, Volume3D(x[0]), tile=tile).data, whole[1])
+        assert reached.min() >= 4  # the probe saw more than the 3^3 neighbourhood
+        assert grids == {1, 2, 4}  # no pool, one level, two levels
+
 
     def test_pointwise_nets_commute_with_any_partition(self, rng):
         # random stacks of the pointwise layer kinds: forward over blocks of
@@ -446,6 +515,44 @@ class TestPointwise:
                         sl = (slice(None), slice(d, d + b[0]), slice(h, h + b[1]), slice(w, w + b[2]))
                         parts[sl] = forward(net, x[sl])
             assert np.array_equal(parts, whole)
+
+
+def _random_size_preserving_net(rng) -> NetworkSpec:
+    """A random 2-output net that maps any dims on its pool grid to themselves:
+    centred 3^3 and 5^3 convs, or (first, at full resolution) a pair of 3^3
+    convs whose per-axis paddings shrink and then regrow the volume, 2^3 pools each
+    undone by a 2x upsample, and a Concat skip around each pooled level."""
+    layers = []
+
+    def add(layer):
+        layers.append((f"l{len(layers)}", layer))
+
+    def conv(cin, depth, pair):
+        cout = int(rng.integers(1, 3)) if depth == 0 else 1
+        k = int(rng.choice([3, 5] if depth == 0 and not pair else [3]))
+        if pair:
+            p1 = tuple(int(p) for p in rng.integers(0, k, size=3))
+            add(_conv(cout, cin, k, padding=p1, rng=rng))
+            add(_conv(cout, cout, k, padding=tuple(k - 1 - p for p in p1), rng=rng))
+        else:
+            add(_conv(cout, cin, k, padding=((k - 1) // 2,) * 3, rng=rng))
+        if rng.random() < 0.3:
+            add(ReLU())
+        return cout
+
+    def level(cin, depth):
+        c = conv(cin, depth, pair=depth == 0 and rng.random() < 0.6)
+        if depth < 2 and rng.random() < (0.7 if depth == 0 else 0.1):
+            skip = layers[-1][0]
+            add(MaxPool())
+            inner = level(c, depth + 1)
+            add(UpsampleNearest(factor=2))
+            add(Concat(source=skip))
+            c = conv(inner + c, depth, pair=False)
+        return c
+
+    add(_conv(2, level(1, 0), 1, rng=rng))
+    return NetworkSpec(layers=tuple(layers), in_channels=1, out_channels=2)
 
 
 class TestShapeCheck:
