@@ -1,9 +1,10 @@
 """Command-line front end: segment, baseline, evaluate, agree, ttest,
 regress, cohort-summary, phantom.
 
-Every subcommand emits JSON reports that embed a run manifest (tool version,
-resolved parameters, input digests, per-stage timings). Exit codes: 0
-success, 1 computation degeneracy, 2 input/IO error, 3 format or shape error.
+Every subcommand prints one JSON report: a run manifest (tool version,
+resolved parameters, input digests, per-stage timings) plus its payload.
+Exit codes (``FAILURES``): 0 success, 1 computation degeneracy, 2 input/IO
+error, 3 format or shape error.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cohort import parse_cohort_csv, parse_numeric_columns, summarize, summary_table
+from .cohort import parse_cohort_csv, parse_numeric_columns, summarize
 from .ensemble import EnsembleSpec, binarize, predict_ensemble, wmh_volume_ml
-from .errors import ContractError, DegenerateError, FormatError
+from .errors import ContractError, DegenerateError, FormatError, InputError
 from .histo import HistParams, histogram_segment, modal_threshold
 from .lesions import count_components, label_components  # noqa: F401  (perfbench/tracing.py wraps label_components here)
 from .metrics import metric_report, write_pr_curve_tsv
@@ -45,42 +46,70 @@ from .weights_io import ENSEMBLE_ROLES, load_ensemble, load_network, save_ensemb
 WEIGHTS_DIR_ENV = "WMHKIT_WEIGHTS_DIR"
 DEFAULT_WEIGHTS_NAME = "weights.sgwt"
 
+# Exception family -> error category and exit code; the first match wins.
+FAILURES = (
+    (DegenerateError, "degenerate", 1),
+    (InputError, "input", 2),
+    (FormatError, "format", 3),
+    (ContractError, "shape", 3),
+    (OSError, "io", 2),
+)
+FAILURE_TYPES = tuple(family for family, _, _ in FAILURES)
 
-class StageTimer:
-    def __init__(self):
-        self.timings_ms: dict[str, float] = {}
+
+def _failure(exc: Exception) -> tuple[str, int]:
+    return next((category, code) for family, category, code in FAILURES if isinstance(exc, family))
+
+
+class Run:
+    """One run of a subcommand: the parameters, input digests and stage
+    timings of its manifest, and its exit code.
+
+    ``parameters`` is the argparse namespace as the command leaves it, so a
+    command records what it resolved (the weights path, the shape triple) by
+    assigning it there. A stage's time excludes the stages nested in it."""
+
+    def __init__(self, args: argparse.Namespace, input_digests: dict | None = None):
+        self.args = args
+        self.input_digests = dict(input_digests or {})
+        self.exit_code = 0
+        self._seconds: dict[str, float] = {}
+        self._nested = 0.0
 
     @contextmanager
     def stage(self, name: str):
-        t0 = time.perf_counter()
+        t0, outer = time.perf_counter(), self._nested
+        self._nested = 0.0
         yield
-        self.timings_ms[name] = round((time.perf_counter() - t0) * 1000.0, 3)
+        spent = time.perf_counter() - t0
+        self._seconds[name] = self._seconds.get(name, 0.0) + spent - self._nested
+        self._nested = outer + spent
+
+    def read(self, path) -> bytes:
+        raw = Path(path).read_bytes()
+        with self.stage("digest"):
+            self.input_digests[str(path)] = hashlib.sha256(raw).hexdigest()
+        return raw
+
+    def envelope(self, payload: dict) -> dict:
+        parameters = {k: v for k, v in vars(self.args).items() if k not in ("func", "subcommand")}
+        manifest = {
+            "tool": "wmhkit",
+            "version": __version__,
+            "subcommand": self.args.subcommand,
+            "parameters": parameters,
+            "input_digests": self.input_digests,
+            "timings_ms": {name: round(s * 1000.0, 3) for name, s in self._seconds.items()},
+        }
+        return {"manifest": manifest, **payload}
 
 
-def _digest(raw: bytes) -> str:
-    return hashlib.sha256(raw).hexdigest()
-
-
-def _manifest(subcommand: str, parameters: dict, digests: dict, timer: StageTimer) -> dict:
-    return {
-        "tool": "wmhkit",
-        "version": __version__,
-        "subcommand": subcommand,
-        "parameters": parameters,
-        "input_digests": digests,
-        "timings_ms": timer.timings_ms,
-    }
-
-
-def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if out_path:
-        Path(out_path).write_text(text + "\n")
-
-
-def _read(path: str) -> bytes:
-    return Path(path).read_bytes()
+def _dump(report: dict, path=None) -> str:
+    """The report as JSON text, also written to ``path`` when one is given."""
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if path:
+        Path(path).write_text(text)
+    return text
 
 
 def _stem(path: str) -> str:
@@ -106,53 +135,7 @@ def _resolve_weights(arg: str | None) -> str:
     )
 
 
-def _segment_one(
-    flair_path: str, mask_path: str, spec: EnsembleSpec, args, out_dir: Path, extra_digests: dict
-) -> dict:
-    timer = StageTimer()
-    digests = dict(extra_digests)
-    with timer.stage("parse"):
-        flair_raw = _read(flair_path)
-        mask_raw = _read(mask_path)
-        digests[flair_path] = _digest(flair_raw)
-        digests[mask_path] = _digest(mask_raw)
-        flair = parse_nifti(flair_raw)
-        mask = parse_nifti(mask_raw)
-    with timer.stage("normalize"):
-        normalized = normalize_intensity(flair, mask)
-    with timer.stage("inference"):
-        posterior = predict_ensemble(spec, normalized, mask)
-    with timer.stage("postprocess"):
-        lesion_mask = binarize(posterior, spec.threshold)
-        volume_ml = wmh_volume_ml(lesion_mask)
-        lesion_count = count_components(lesion_mask)
-    stem = _stem(flair_path)
-    with timer.stage("write"):
-        (out_dir / f"{stem}.posterior.nii.gz").write_bytes(write_nifti(posterior, compress=True))
-        (out_dir / f"{stem}.mask.nii.gz").write_bytes(write_nifti_mask(lesion_mask, compress=True))
-    params = {
-        "flair": flair_path,
-        "mask": mask_path,
-        "weights": args.weights,
-        "threshold": args.threshold,
-        "tile": args.tile,
-    }
-    report = {
-        "manifest": _manifest("segment", params, digests, timer),
-        "wmh_ml": volume_ml,
-        "lesion_count": lesion_count,
-        "threshold": args.threshold,
-        "outputs": {
-            "posterior": str(out_dir / f"{stem}.posterior.nii.gz"),
-            "mask": str(out_dir / f"{stem}.mask.nii.gz"),
-        },
-    }
-    report_path = out_dir / f"{stem}.report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
-
-
-def _load_networks(weights_path: str) -> dict:
+def _load_networks(run: Run, weights_path: str) -> dict:
     """Role -> network map from one bundle or a directory of <role>.sgwt files."""
     path = Path(weights_path)
     if path.is_dir():
@@ -161,96 +144,117 @@ def _load_networks(weights_path: str) -> dict:
             candidate = path / f"{role}.sgwt"
             if not candidate.exists():
                 raise FileNotFoundError(f"weights directory lacks {candidate.name}")
-            nets[role] = load_network(candidate.read_bytes())
+            nets[role] = load_network(run.read(candidate))
         return nets
-    nets = load_ensemble(path.read_bytes())
+    nets = load_ensemble(run.read(path))
     for role in ENSEMBLE_ROLES:
         if role not in nets:
             raise FormatError(f"weights container is missing the {role!r} network")
     return nets
 
 
-def _input_error(message: str) -> int:
-    print(f"error [input]: {message}", file=sys.stderr)
-    return 2
+def _segment_one(run: Run, flair_path: str, mask_path: str, spec: EnsembleSpec, out_dir: Path) -> dict:
+    with run.stage("parse"):
+        flair = parse_nifti(run.read(flair_path))
+        mask = parse_nifti(run.read(mask_path))
+    with run.stage("normalize"):
+        normalized = normalize_intensity(flair, mask)
+    with run.stage("inference"):
+        posterior = predict_ensemble(spec, normalized, mask)
+    with run.stage("postprocess"):
+        lesion_mask = binarize(posterior, spec.threshold)
+        volume_ml = wmh_volume_ml(lesion_mask)
+        lesion_count = count_components(lesion_mask)
+    stem = _stem(flair_path)
+    outputs = {"posterior": str(out_dir / f"{stem}.posterior.nii.gz"), "mask": str(out_dir / f"{stem}.mask.nii.gz")}
+    with run.stage("write"):
+        Path(outputs["posterior"]).write_bytes(write_nifti(posterior, compress=True))
+        Path(outputs["mask"]).write_bytes(write_nifti_mask(lesion_mask, compress=True))
+    return {"wmh_ml": volume_ml, "lesion_count": lesion_count, "threshold": spec.threshold, "outputs": outputs}
 
 
-def cmd_segment(args) -> int:
-    if args.jobs < 1:
-        return _input_error(f"--jobs must be at least 1, got {args.jobs}")
-    weights_path = _resolve_weights(args.weights)
-    args.weights = weights_path
-    nets = _load_networks(weights_path)
+def _batch_pairs(flair_dir: Path, mask_dir: Path) -> list[tuple[str, str]]:
+    """(flair, mask) paths of each subject of a batch, in stem order."""
+    if not mask_dir.is_dir():
+        raise NotADirectoryError(f"--flair is a directory, so --mask must be one: {mask_dir}")
+    flairs = sorted(p for p in flair_dir.iterdir() if p.name.endswith((".nii", ".nii.gz")))
+    if not flairs:
+        raise FileNotFoundError(f"no NIfTI volumes found in {flair_dir}")
+    # outputs and the mask are found by stem, so two volumes with one stem
+    # would share a mask and overwrite each other's outputs
+    by_stem: dict[str, Path] = {}
+    for f in flairs:
+        stem = _stem(str(f))
+        if stem in by_stem:
+            raise InputError(f"{by_stem[stem]} and {f} share the subject stem {stem!r}")
+        by_stem[stem] = f
+    pairs = []
+    for stem, f in sorted(by_stem.items()):
+        candidates = [mask_dir / f"{stem}.nii.gz", mask_dir / f"{stem}.nii"]
+        match = next((c for c in candidates if c.exists()), None)
+        if match is None:
+            raise FileNotFoundError(f"no mask for {f.name} in {mask_dir}")
+        pairs.append((str(f), str(match)))
+    return pairs
+
+
+def _batch_subject(flair: str, mask: str, batch: Run, spec: EnsembleSpec, out_dir: Path) -> tuple[dict, int]:
+    """Segment one subject of a batch and write its report. A failure that
+    ``FAILURES`` maps becomes the subject's record and exit code, so the rest
+    of the batch still runs."""
+    run = Run(argparse.Namespace(**{**vars(batch.args), "flair": flair, "mask": mask}), batch.input_digests)
     try:
-        spec = EnsembleSpec(
-            axial_net=nets["axial"],
-            sagittal_net=nets["sagittal"],
-            coronal_net=nets["coronal"],
-            meta_net=nets["meta"],
-            threshold=args.threshold,
-            tile=(args.tile,) * 3,
-        )
-    except ValueError as exc:
-        return _input_error(str(exc))
-    weights_digests = (
-        {weights_path: _digest(Path(weights_path).read_bytes())}
-        if Path(weights_path).is_file()
-        else {}
+        payload = _segment_one(run, flair, mask, spec, out_dir)
+        report = out_dir / f"{_stem(flair)}.report.json"
+        _dump(run.envelope(payload), report)
+    except FAILURE_TYPES as exc:
+        category, code = _failure(exc)
+        return {"flair": flair, "status": "error", "category": category, "message": str(exc)}, code
+    return {"flair": flair, "status": "ok", "report": str(report),
+            "wmh_ml": payload["wmh_ml"], "lesion_count": payload["lesion_count"]}, 0
+
+
+def cmd_segment(run: Run, args):
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    args.weights = _resolve_weights(args.weights)
+    nets = _load_networks(run, args.weights)
+    spec = EnsembleSpec(
+        axial_net=nets["axial"],
+        sagittal_net=nets["sagittal"],
+        coronal_net=nets["coronal"],
+        meta_net=nets["meta"],
+        threshold=args.threshold,
+        tile=(args.tile,) * 3,
     )
     out_dir = Path(args.out_dir)
-
-    flair_path = Path(args.flair)
-    if flair_path.is_dir():
-        mask_dir = Path(args.mask)
-        if not mask_dir.is_dir():
-            raise NotADirectoryError(f"--flair is a directory, so --mask must be one: {args.mask}")
-        flairs = sorted(p for p in flair_path.iterdir() if p.name.endswith((".nii", ".nii.gz")))
-        if not flairs:
-            raise FileNotFoundError(f"no NIfTI volumes found in {flair_path}")
-        # outputs and the mask are found by stem, so two volumes with one stem
-        # would share a mask and overwrite each other's outputs
-        by_stem: dict[str, Path] = {}
-        for f in flairs:
-            stem = _stem(str(f))
-            if stem in by_stem:
-                return _input_error(f"{by_stem[stem]} and {f} share the subject stem {stem!r}")
-            by_stem[stem] = f
-        pairs = []
-        for stem, f in by_stem.items():
-            candidates = [mask_dir / f"{stem}.nii.gz", mask_dir / f"{stem}.nii"]
-            match = next((c for c in candidates if c.exists()), None)
-            if match is None:
-                raise FileNotFoundError(f"no mask for {f.name} in {mask_dir}")
-            pairs.append((str(f), str(match)))
+    if not Path(args.flair).is_dir():
         out_dir.mkdir(parents=True, exist_ok=True)
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(_segment_one, f, m, spec, args, out_dir, weights_digests)
-                for f, m in pairs
-            ]
-            reports = [fut.result() for fut in futures]
-        print(json.dumps({"subjects": len(reports), "out_dir": str(out_dir)}, indent=2))
-        return 0
+        payload = _segment_one(run, args.flair, args.mask, spec, out_dir)
+        return payload, out_dir / f"{_stem(args.flair)}.report.json"
 
+    pairs = _batch_pairs(Path(args.flair), Path(args.mask))
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = _segment_one(args.flair, args.mask, spec, args, out_dir, weights_digests)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
+    with run.stage("subjects"), ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        futures = [pool.submit(_batch_subject, f, m, run, spec, out_dir) for f, m in pairs]
+        results = [fut.result() for fut in futures]
+    for record, code in results:
+        if code:
+            print(f"error [{record['category']}]: {record['flair']}: {record['message']}", file=sys.stderr)
+    run.exit_code = next((code for _, code in results if code), 0)
+    return {"subjects": [record for record, _ in results], "failed": sum(1 for _, code in results if code)}, None
 
 
 # ---------------------------------------------------------------------------
 # baseline
 
 
-def cmd_baseline(args) -> int:
-    timer = StageTimer()
-    with timer.stage("parse"):
-        flair_raw = _read(args.flair)
-        mask_raw = _read(args.mask)
-        flair = parse_nifti(flair_raw)
-        mask = parse_nifti(mask_raw)
+def cmd_baseline(run: Run, args):
+    with run.stage("parse"):
+        flair = parse_nifti(run.read(args.flair))
+        mask = parse_nifti(run.read(args.mask))
     params = HistParams(alpha=args.alpha, bins=args.bins)
-    with timer.stage("segment"):
+    with run.stage("segment"):
         cutoff = modal_threshold(flair, mask, params)
         lesion_mask = histogram_segment(flair, mask, params)
         volume_ml = wmh_volume_ml(lesion_mask)
@@ -258,123 +262,69 @@ def cmd_baseline(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = _stem(args.flair)
-    with timer.stage("write"):
+    with run.stage("write"):
         mask_path = out_dir / f"{stem}.baseline_mask.nii.gz"
         mask_path.write_bytes(write_nifti_mask(lesion_mask, compress=True))
-    report = {
-        "manifest": _manifest(
-            "baseline",
-            {"flair": args.flair, "mask": args.mask, "alpha": args.alpha, "bins": args.bins},
-            {args.flair: _digest(flair_raw), args.mask: _digest(mask_raw)},
-            timer,
-        ),
+    payload = {
         "wmh_ml": volume_ml,
         "lesion_count": lesion_count,
         "intensity_cutoff": cutoff,
         "outputs": {"mask": str(mask_path)},
     }
-    _emit(report, str(out_dir / f"{stem}.baseline_report.json"))
-    return 0
+    return payload, out_dir / f"{stem}.baseline_report.json"
 
 
 # ---------------------------------------------------------------------------
 # evaluate
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(run: Run, args):
     if args.posterior and not args.mask:
         raise ContractError("--posterior needs --mask for in-mask PR evaluation")
     if args.out_pr_tsv and not args.posterior:
         raise ContractError("--out-pr-tsv needs --posterior (and --mask): there is no PR curve without one")
-    timer = StageTimer()
-    digests = {}
-    with timer.stage("parse"):
-        pred_raw = _read(args.pred)
-        gt_raw = _read(args.gt)
-        digests[args.pred] = _digest(pred_raw)
-        digests[args.gt] = _digest(gt_raw)
-        pred = parse_nifti(pred_raw)
-        gt = parse_nifti(gt_raw)
+    with run.stage("parse"):
+        pred = parse_nifti(run.read(args.pred))
+        gt = parse_nifti(run.read(args.gt))
         posterior = mask = None
         if args.posterior:
-            post_raw = _read(args.posterior)
-            mask_raw = _read(args.mask)
-            digests[args.posterior] = _digest(post_raw)
-            digests[args.mask] = _digest(mask_raw)
-            posterior = parse_nifti(post_raw)
-            mask = parse_nifti(mask_raw)
-    with timer.stage("metrics"):
+            posterior = parse_nifti(run.read(args.posterior))
+            mask = parse_nifti(run.read(args.mask))
+    with run.stage("metrics"):
         report_obj = metric_report(pred, gt, posterior, mask, connectivity=args.connectivity)
     if args.out_pr_tsv:
-        with timer.stage("write"):
+        with run.stage("write"):
             write_pr_curve_tsv(report_obj.pr_curve, args.out_pr_tsv)
-    params = {
-        "pred": args.pred,
-        "gt": args.gt,
-        "posterior": args.posterior,
-        "mask": args.mask,
-        "connectivity": args.connectivity,
-    }
-    report = {"manifest": _manifest("evaluate", params, digests, timer)}
-    report.update(report_obj.to_dict())
-    _emit(report, args.out_report)
-    return 0
+    return report_obj.to_dict(), args.out_report
 
 
 # ---------------------------------------------------------------------------
 # agreement / t-test / regression / summary
 
 
-def cmd_agree(args) -> int:
-    timer = StageTimer()
-    raw = _read(args.csv)
-    with timer.stage("analyze"):
-        rows = parse_numeric_columns(raw, [args.col_a, args.col_b])
+def cmd_agree(run: Run, args):
+    with run.stage("analyze"):
+        rows = parse_numeric_columns(run.read(args.csv), [args.col_a, args.col_b])
         a = [r[0] for r in rows]
         b = [r[1] for r in rows]
         result = bland_altman(a, b)
         points = bland_altman_points(a, b)
     if args.out_tsv:
         write_tsv(args.out_tsv, ("mean", "difference"), tuple(zip(*points)))
-    report = {
-        "manifest": _manifest(
-            "agree",
-            {"csv": args.csv, "col_a": args.col_a, "col_b": args.col_b},
-            {args.csv: _digest(raw)},
-            timer,
-        ),
-        **result.to_dict(),
-    }
-    _emit(report, args.out_json)
-    return 0
+    return result.to_dict(), args.out_json
 
 
-def cmd_ttest(args) -> int:
-    timer = StageTimer()
-    raw = _read(args.csv)
-    with timer.stage("analyze"):
-        rows = parse_numeric_columns(raw, [args.col_a, args.col_b])
+def cmd_ttest(run: Run, args):
+    with run.stage("analyze"):
+        rows = parse_numeric_columns(run.read(args.csv), [args.col_a, args.col_b])
         result = paired_ttest([r[0] for r in rows], [r[1] for r in rows])
-    report = {
-        "manifest": _manifest(
-            "ttest",
-            {"csv": args.csv, "col_a": args.col_a, "col_b": args.col_b},
-            {args.csv: _digest(raw)},
-            timer,
-        ),
-        "n": len(rows),
-        **result.to_dict(),
-    }
-    _emit(report, args.out_json)
-    return 0
+    return {"n": len(rows), **result.to_dict()}, args.out_json
 
 
-def cmd_regress(args) -> int:
-    timer = StageTimer()
-    raw = _read(args.csv)
-    covariates = tuple(c.strip() for c in args.covariates.split(",") if c.strip())
-    with timer.stage("analyze"):
-        records = parse_cohort_csv(raw)
+def cmd_regress(run: Run, args):
+    args.covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
+    with run.stage("analyze"):
+        records = parse_cohort_csv(run.read(args.csv))
         if args.log10:
             from .cohort import resolve_field
 
@@ -382,57 +332,38 @@ def cmd_regress(args) -> int:
             for rec in records:
                 value = getattr(rec, attr)
                 setattr(rec, attr, math.log10(value) if value is not None and value > 0 else None)
-        dm = build_design_matrix(records, args.outcome, args.exposure, covariates)
+        dm = build_design_matrix(records, args.outcome, args.exposure, args.covariates)
         result = ols_regress(dm.X, dm.y, names=dm.names, n_dropped=dm.n_dropped)
-    report = {
-        "manifest": _manifest(
-            "regress",
-            {
-                "csv": args.csv,
-                "outcome": args.outcome,
-                "exposure": args.exposure,
-                "covariates": list(covariates),
-                "log10": args.log10,
-            },
-            {args.csv: _digest(raw)},
-            timer,
-        ),
-        **result.to_dict(),
-    }
-    _emit(report, args.out_json)
-    return 0
+    return result.to_dict(), args.out_json
 
 
-def cmd_cohort_summary(args) -> int:
-    timer = StageTimer()
-    raw = _read(args.csv)
-    with timer.stage("analyze"):
-        records = parse_cohort_csv(raw)
-        summary = summarize(records)
-    print(summary_table(summary), end="")
-    report = {
-        "manifest": _manifest("cohort-summary", {"csv": args.csv}, {args.csv: _digest(raw)}, timer),
-        **summary.to_dict(),
-    }
-    if args.out_json:
-        Path(args.out_json).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return 0
+def cmd_cohort_summary(run: Run, args):
+    with run.stage("analyze"):
+        summary = summarize(parse_cohort_csv(run.read(args.csv)))
+    return summary.to_dict(), args.out_json
 
 
 # ---------------------------------------------------------------------------
 # phantom
 
 
-def cmd_phantom(args) -> int:
-    timer = StageTimer()
-    shape = tuple(int(s) for s in args.shape.split(","))
-    if len(shape) != 3:
-        raise ContractError(f"--shape must be three comma-separated sizes, got {args.shape}")
+def _shape(text: str) -> tuple[int, int, int]:
+    try:
+        shape = tuple(int(s) for s in text.split(","))
+    except ValueError:
+        shape = ()
+    if len(shape) != 3 or min(shape) < 1:
+        raise InputError(f"--shape must be three positive comma-separated sizes, got {text!r}")
+    return shape
+
+
+def cmd_phantom(run: Run, args):
+    args.shape = shape = _shape(args.shape)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with timer.stage("generate"):
+    with run.stage("generate"):
         phantom = make_phantom(seed=args.seed, shape=shape)
-    with timer.stage("write"):
+    with run.stage("write"):
         (out_dir / "flair.nii.gz").write_bytes(write_nifti(phantom.flair, compress=True))
         (out_dir / "brain_mask.nii.gz").write_bytes(write_nifti_mask(phantom.brain_mask, compress=True))
         (out_dir / "gt.nii.gz").write_bytes(write_nifti_mask(phantom.gt_mask, compress=True))
@@ -445,8 +376,7 @@ def cmd_phantom(args) -> int:
             "gt_voxels": int(np.count_nonzero(phantom.gt_mask.data)),
         }
         (out_dir / "phantom.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    report = {
-        "manifest": _manifest("phantom", {"out_dir": args.out_dir, "seed": args.seed, "shape": list(shape)}, {}, timer),
+    payload = {
         "outputs": {
             "flair": str(out_dir / "flair.nii.gz"),
             "brain_mask": str(out_dir / "brain_mask.nii.gz"),
@@ -455,8 +385,7 @@ def cmd_phantom(args) -> int:
         },
         "z_cutoff": phantom.z_cutoff,
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
+    return payload, None
 
 
 # ---------------------------------------------------------------------------
@@ -537,24 +466,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Each ``cmd_*`` returns its payload and the path its
+    report is also written to (or None); only here is the payload wrapped in
+    the envelope, written and printed."""
     args = build_parser().parse_args(argv)
+    run = Run(args)
     try:
-        return args.func(args)
-    except DegenerateError as exc:
-        print(f"error [degenerate]: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, NotADirectoryError, IsADirectoryError, PermissionError) as exc:
-        print(f"error [io]: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error [format]: {exc}", file=sys.stderr)
-        return 3
-    except ContractError as exc:
-        print(f"error [shape]: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error [io]: {exc}", file=sys.stderr)
-        return 2
+        payload, report_path = args.func(run, args)
+        text = _dump(run.envelope(payload), report_path)
+    except FAILURE_TYPES as exc:
+        category, code = _failure(exc)
+        print(f"error [{category}]: {exc}", file=sys.stderr)
+        return code
+    print(text, end="")
+    return run.exit_code
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DuplicateId, EmptyCohort, MissingHeader, UnknownDiagnosis
+from .errors import DuplicateId, EmptyCohort, InputError, MissingHeader, UnknownDiagnosis
 
 DIAGNOSES = ("CN", "MCI", "AD")
 
@@ -66,7 +66,7 @@ def resolve_field(name: str) -> str:
     """Map a CLI-facing field name (or alias) to a SubjectRecord attribute."""
     attr = _FIELD_ALIASES.get(name.lower(), name.lower())
     if attr not in {f.name for f in fields(SubjectRecord)}:
-        raise ValueError(f"unknown cohort field {name!r}")
+        raise InputError(f"unknown cohort field {name!r}")
     return attr
 
 
@@ -286,32 +286,6 @@ def summarize(records) -> CohortSummary:
             education_max=edu_max,
         )
     return CohortSummary(groups=groups, overall_n=len(records))
-
-
-def summary_table(summary: CohortSummary) -> str:
-    """Aligned text table of a cohort summary."""
-    headers = ["", *summary.groups.keys()]
-    rows = [
-        ["N"] + [str(g.n) for g in summary.groups.values()],
-        ["Age (years)"]
-        + [
-            f"{g.age_mean:.1f} ({g.age_min:.0f}-{g.age_max:.0f})" if g.age_mean is not None else "-"
-            for g in summary.groups.values()
-        ],
-        ["Sex"] + [f"{g.sex_f}F, {g.sex_m}M" for g in summary.groups.values()],
-        ["Education"]
-        + [
-            f"{g.education_mean:.1f} ({g.education_min:.0f}-{g.education_max:.0f})"
-            if g.education_mean is not None
-            else "-"
-            for g in summary.groups.values()
-        ],
-    ]
-    widths = [max(len(r[i]) for r in [headers, *rows]) for i in range(len(headers))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ShapeCheckFailed, ShapeMismatch, TileTooSmall
+from .errors import InputError, ShapeCheckFailed, ShapeMismatch, TileTooSmall
 from .network import NetworkSpec, forward, infer_shapes
 from .reformat import PlaneOrientation, reformat_from, reformat_to, to_canonical
 from .volume import Volume3D, require_binary, require_same_grid
@@ -59,9 +59,9 @@ class EnsembleSpec:
 
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
+            raise InputError(f"threshold must lie in (0, 1), got {self.threshold}")
         if min(self.tile) < 1:
-            raise ValueError(f"tile dims must be at least 1, got {self.tile}")
+            raise InputError(f"tile dims must be at least 1, got {self.tile}")
         nets = (self.axial_net, self.sagittal_net, self.coronal_net, self.meta_net)
         for net, cin in zip(nets, (1, 1, 1, 3)):
             if net.in_channels != cin or net.out_channels != 2:

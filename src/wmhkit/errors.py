@@ -1,13 +1,20 @@
 """Exception taxonomy shared across the toolkit.
 
-Three families, matching the CLI exit-code contract:
+Four families, matching the CLI exit-code contract:
 
+* ``InputError``      -- argument values out of range (a threshold outside
+  (0, 1), too few histogram bins, a non-finite alpha, an unknown cohort
+  field); a ``ValueError``
 * ``FormatError``     -- malformed bytes on disk (NIfTI, weight containers, CSV)
 * ``ContractError``   -- in-memory inputs that violate an operation's contract
   (shape/orientation mismatches, non-binary masks, bad tile geometry)
 * ``DegenerateError`` -- inputs that are structurally fine but make the
   computation undefined (zero variance, empty cohorts, rank deficiency)
 """
+
+
+class InputError(ValueError):
+    """An argument value lies outside what the operation accepts."""
 
 
 class FormatError(Exception):

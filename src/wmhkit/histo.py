@@ -9,11 +9,12 @@ style baseline the agreement statistics are exercised against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMask, FlatHistogram
+from .errors import DegenerateMask, FlatHistogram, InputError
 from .volume import Volume3D, require_binary, require_same_dims
 
 
@@ -23,10 +24,10 @@ class HistParams:
     bins: int = 256
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise InputError(f"alpha must be positive and finite, got {self.alpha}")
         if self.bins < 16:
-            raise ValueError(f"need at least 16 bins, got {self.bins}")
+            raise InputError(f"need at least 16 bins, got {self.bins}")
 
 
 def modal_threshold(flair: Volume3D, mask: Volume3D, p: HistParams = HistParams()) -> float:

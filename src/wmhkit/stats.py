@@ -16,6 +16,7 @@ import numpy as np
 
 from .cohort import SubjectRecord, resolve_field
 from .errors import (
+    InputError,
     LengthMismatch,
     NoCompleteRows,
     RankDeficient,
@@ -305,7 +306,7 @@ def build_design_matrix(
     ordered = sorted(set(covariates), key=lambda c: _COVARIATE_ORDER.get(c, 99))
     for c in ordered:
         if c not in _COVARIATE_ORDER:
-            raise ValueError(f"unknown covariate {c!r}; expected one of {DEFAULT_COVARIATES}")
+            raise InputError(f"unknown covariate {c!r}; expected one of {DEFAULT_COVARIATES}")
 
     rows: list[list[float]] = []
     ys: list[float] = []

@@ -1,12 +1,16 @@
+import argparse
 import gzip
+import hashlib
 import json
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from nets import unet_net
+from wmhkit import cli
 from wmhkit.cli import main
 from wmhkit.cohort import synthetic_cohort, write_cohort_csv
 from wmhkit.ensemble import EnsembleSpec, predict_ensemble
@@ -19,21 +23,40 @@ from wmhkit.weights_io import load_ensemble, save_ensemble
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "report_schema.json").read_text())
 
 
+def _schema_errors(value, schema: dict, where: str) -> list[str]:
+    """What ``value`` breaks of ``schema``, in the subset of JSON Schema that
+    the shipped schema uses: $ref, oneOf, type, const, enum, required,
+    properties and items."""
+    if "$ref" in schema:
+        schema = SCHEMA["definitions"][schema["$ref"].rsplit("/", 1)[1]]
+    if "oneOf" in schema:
+        matches = sum(not _schema_errors(value, alt, where) for alt in schema["oneOf"])
+        if matches != 1:
+            return [f"{where} matches {matches} of its oneOf alternatives"]
+    kinds = {"object": dict, "array": list, "string": str, "integer": int}
+    if "type" in schema and not isinstance(value, kinds[schema["type"]]):
+        return [f"{where} is not of type {schema['type']}"]
+    if value != schema.get("const", value) or value not in schema.get("enum", [value]):
+        return [f"{where} has the disallowed value {value!r}"]
+    errors = [f"{where} lacks {key}" for key in schema.get("required", ()) if key not in value]
+    for key, sub in schema.get("properties", {}).items():
+        if key in value:
+            errors += _schema_errors(value[key], sub, f"{where}.{key}")
+    for i, item in enumerate(value if "items" in schema else ()):
+        errors += _schema_errors(item, schema["items"], f"{where}[{i}]")
+    return errors
+
+
 def validate_report(report: dict) -> None:
-    """Check a report against the shipped schema (manifest + payload keys)."""
-    assert isinstance(report, dict)
-    manifest_schema = SCHEMA["properties"]["manifest"]
-    assert "manifest" in report
+    """Check a report against the shipped schema (manifest + payload), and
+    each input digest against the file it names."""
+    errors = _schema_errors(report, SCHEMA, "report")
+    assert not errors, errors
     manifest = report["manifest"]
-    for key in manifest_schema["required"]:
-        assert key in manifest, f"manifest missing {key}"
-    for key, sub in manifest_schema["properties"].items():
-        want = sub["type"]
-        got = manifest[key]
-        assert isinstance(got, str if want == "string" else dict), key
-    payload = SCHEMA["payloads"][manifest["subcommand"]]
-    for key in payload["required"]:
-        assert key in report, f"payload missing {key}"
+    errors = _schema_errors(report, SCHEMA["payloads"][manifest["subcommand"]], "payload")
+    assert not errors, errors
+    for path, digest in manifest["input_digests"].items():
+        assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest, path
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -42,10 +65,11 @@ def run_cli(capsys, *argv) -> tuple[int, str]:
     return code, out
 
 
-def last_json(out: str) -> dict:
-    # reports are the only stdout content that starts a line with '{'
-    start = out.index("{")
-    return json.loads(out[start:])
+def envelope(out: str) -> dict:
+    """The one JSON report that makes up a run's stdout, validated."""
+    report = json.loads(out)
+    validate_report(report)
+    return report
 
 
 def _network(manifest: dict, role: str) -> dict:
@@ -136,6 +160,20 @@ def phantom_dir(tmp_path, capsys):
     return out
 
 
+def test_stage_times_exclude_nested_stages_and_add_up(monkeypatch):
+    clock = iter([0.0, 1.0, 1.25, 2.0, 2.5, 4.0])
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    run = cli.Run(argparse.Namespace(subcommand="evaluate", func=None, pred="p.nii"))
+    with run.stage("parse"):
+        with run.stage("digest"):
+            pass
+        with run.stage("digest"):
+            pass
+    manifest = run.envelope({})["manifest"]
+    assert manifest["timings_ms"] == {"parse": 3250.0, "digest": 750.0}
+    assert manifest["parameters"] == {"pred": "p.nii"}
+
+
 class TestPhantom:
     def test_outputs_deterministic(self, tmp_path, capsys):
         a = tmp_path / "a"
@@ -165,7 +203,9 @@ class TestPhantom:
             capsys, "phantom", "--out-dir", str(tmp_path / "p"), "--seed", "0", "--shape", "16,16,16"
         )
         assert code == 0
-        validate_report(last_json(out))
+        assert envelope(out)["manifest"]["parameters"] == {
+            "out_dir": str(tmp_path / "p"), "seed": 0, "shape": [16, 16, 16]
+        }
 
     def test_masks_are_uint8_and_flair_float32(self, phantom_dir):
         phantom = make_phantom(seed=0, shape=(24, 24, 24))
@@ -187,8 +227,7 @@ class TestSegment:
             "--out-dir", str(out_dir),
         )
         assert code == 0
-        report = last_json(out)
-        validate_report(report)
+        report = envelope(out)
         pred = parse_nifti((out_dir / "flair.mask.nii.gz").read_bytes())
         gt = parse_nifti((phantom_dir / "gt.nii.gz").read_bytes())
         assert np.array_equal(pred.data, gt.data)
@@ -227,16 +266,18 @@ class TestSegment:
 
     def test_env_weights_dir(self, phantom_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("WMHKIT_WEIGHTS_DIR", str(phantom_dir))
-        code = main(
-            [
-                "segment",
-                "--flair", str(phantom_dir / "flair.nii.gz"),
-                "--mask", str(phantom_dir / "brain_mask.nii.gz"),
-                "--out-dir", str(tmp_path / "seg"),
-            ]
+        code, out = run_cli(
+            capsys,
+            "segment",
+            "--flair", str(phantom_dir / "flair.nii.gz"),
+            "--mask", str(phantom_dir / "brain_mask.nii.gz"),
+            "--out-dir", str(tmp_path / "seg"),
         )
-        capsys.readouterr()
         assert code == 0
+        manifest = envelope(out)["manifest"]
+        weights = str(phantom_dir / "weights.sgwt")
+        assert manifest["parameters"]["weights"] == weights and weights in manifest["input_digests"]
+        assert set(manifest["timings_ms"]) == {"digest", "parse", "normalize", "inference", "postprocess", "write"}
 
     def test_weights_directory_with_one_container_per_network(
         self, phantom_dir, tmp_path, capsys
@@ -363,9 +404,19 @@ class TestSegment:
             "--jobs", "2",
         )
         assert code == 0
-        assert json.loads(out)["subjects"] == 3
-        for seed in (0, 1, 2):
-            assert (out_dir / f"s{seed}.report.json").exists()
+        report = envelope(out)
+        assert report["failed"] == 0
+        assert set(report["manifest"]["timings_ms"]) == {"digest", "subjects"}
+        assert [s["flair"] for s in report["subjects"]] == [str(flair_dir / f"s{seed}.nii.gz") for seed in (0, 1, 2)]
+        for seed, subject in enumerate(report["subjects"]):
+            assert subject["status"] == "ok" and subject["report"] == str(out_dir / f"s{seed}.report.json")
+            subject_report = json.loads((out_dir / f"s{seed}.report.json").read_text())
+            validate_report(subject_report)
+            assert subject_report["wmh_ml"] == subject["wmh_ml"]
+            mask = str(mask_dir / f"s{seed}.nii.gz")
+            assert subject_report["manifest"]["parameters"]["flair"] == subject["flair"]
+            assert subject_report["manifest"]["parameters"]["mask"] == mask
+            assert set(subject_report["manifest"]["input_digests"]) == {subject["flair"], mask, str(weights)}
             _assert_segment_outputs(weights.parent, flair_dir / f"s{seed}.nii.gz",
                                     mask_dir / f"s{seed}.nii.gz", out_dir, f"s{seed}")
 
@@ -402,6 +453,57 @@ class TestSegment:
         assert main(["segment", "--flair", str(flair_dir), "--mask", str(mask_dir), "--weights", str(weights),
                      "--out-dir", str(tmp_path / "seg"), "--tile", "16"]) == 0
 
+    def test_failing_subject_keeps_the_rest_of_the_batch(self, tmp_path, capsys):
+        names = [f"s{seed}.nii.gz" for seed in (0, 1, 2)]
+        flair_dir, mask_dir, weights = _batch_dirs(tmp_path, capsys, names)
+        argv = ["segment", "--mask", str(mask_dir), "--weights", str(weights), "--jobs", "2"]
+        good_dir = tmp_path / "good"
+        good_dir.mkdir()
+        for name in ("s0.nii.gz", "s2.nii.gz"):
+            (good_dir / name).write_bytes((flair_dir / name).read_bytes())
+        assert main(argv + ["--flair", str(good_dir), "--out-dir", str(tmp_path / "clean")]) == 0
+        capsys.readouterr()
+        bad = flair_dir / "s1.nii.gz"
+        bad.write_bytes(b"garbage!")
+        out_dir = tmp_path / "batch"
+        code = main(argv + ["--flair", str(flair_dir), "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 3
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"error [format]: {bad}: ")
+        report = envelope(captured.out)
+        assert report["failed"] == 1
+        assert [(s["flair"], s["status"]) for s in report["subjects"]] == [
+            (str(flair_dir / "s0.nii.gz"), "ok"), (str(bad), "error"), (str(flair_dir / "s2.nii.gz"), "ok")
+        ]
+        assert report["subjects"][1]["category"] == "format"
+        assert not (out_dir / "s1.report.json").exists()
+        for stem in ("s0", "s2"):
+            assert (out_dir / f"{stem}.report.json").exists()
+            for kind in ("posterior", "mask"):
+                name = f"{stem}.{kind}.nii.gz"
+                assert (out_dir / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+    @pytest.mark.parametrize("first, want", [("degenerate", 1), ("format", 3)])
+    def test_batch_exits_with_the_first_failing_subject(self, tmp_path, capsys, first, want):
+        flair_dir, mask_dir, weights = _batch_dirs(tmp_path, capsys, ["a.nii.gz", "b.nii.gz", "c.nii.gz"])
+        flat = write_nifti(Volume3D(np.full((16, 16, 16), 5.0, dtype=np.float32)))
+        degenerate, garbage = ("a", "c") if first == "degenerate" else ("c", "a")
+        (flair_dir / f"{degenerate}.nii.gz").write_bytes(flat)
+        (flair_dir / f"{garbage}.nii.gz").write_bytes(b"garbage!")
+        code = main(["segment", "--flair", str(flair_dir), "--mask", str(mask_dir), "--weights", str(weights),
+                     "--out-dir", str(tmp_path / "batch"), "--jobs", "2"])
+        captured = capsys.readouterr()
+        assert code == want
+        report = envelope(captured.out)
+        assert report["failed"] == 2
+        assert [s.get("category") for s in report["subjects"]] == (
+            ["degenerate", None, "format"] if first == "degenerate" else ["format", None, "degenerate"]
+        )
+        assert [line.split("]")[0] for line in captured.err.splitlines()] == [
+            f"error [{s['category']}" for s in report["subjects"] if s["status"] == "error"
+        ]
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_batch_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
         flair_dir, mask_dir, weights = _batch_dirs(tmp_path, capsys, ["a.nii.gz"])
@@ -413,6 +515,25 @@ class TestSegment:
         assert captured.out == ""
         assert captured.err.startswith("error [input]:") and len(captured.err.splitlines()) == 1
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag, value",
+    [
+        ("baseline", "--bins", "0"), ("baseline", "--alpha", "-1"), ("baseline", "--alpha", "nan"),
+        ("baseline", "--alpha", "inf"), ("phantom", "--shape", "4,x,4"), ("phantom", "--shape", "0,4,4"),
+        ("phantom", "--shape", "4,4"),
+    ],
+)
+def test_bad_arguments_are_input_errors(phantom_dir, tmp_path, capsys, subcommand, flag, value):
+    out_dir = tmp_path / "out"
+    inputs = ["--flair", str(phantom_dir / "flair.nii.gz"), "--mask", str(phantom_dir / "brain_mask.nii.gz")]
+    code = main([subcommand, *(inputs if subcommand == "baseline" else []), "--out-dir", str(out_dir), flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error [input]:") and len(captured.err.splitlines()) == 1
+    assert not out_dir.exists()
 
 
 class TestBaseline:
@@ -427,8 +548,7 @@ class TestBaseline:
             "--out-dir", str(out_dir),
         )
         assert code == 0
-        report = last_json(out)
-        validate_report(report)
+        report = envelope(out)
         assert report["wmh_ml"] >= 0.0
         # the mask is written as uint8 and holds the histogram segmentation
         out = out_dir / "flair.baseline_mask.nii.gz"
@@ -449,8 +569,7 @@ class TestEvaluate:
             capsys, "evaluate", "--pred", gt, "--gt", gt, "--out-report", str(report_path)
         )
         assert code == 0
-        report = last_json(out)
-        validate_report(report)
+        report = envelope(out)
         assert report["dice_pixel"] == 1.0
         assert report["dice_lesion"] == 1.0
         assert report["avd_percent"] == 0.0
@@ -480,7 +599,7 @@ class TestEvaluate:
             "--out-pr-tsv", str(tsv),
         )
         assert code == 0
-        report = last_json(out)
+        report = envelope(out)
         assert report["auc_pr"] == pytest.approx(1.0)
         lines = tsv.read_text().strip().splitlines()
         assert lines[0] == "threshold\tprecision\trecall"
@@ -521,7 +640,7 @@ class TestEvaluate:
         curve = original(parse_nifti(post_path.read_bytes()), gt, mask)
         assert tsv.read_text() == metrics.pr_curve_tsv(curve)
         assert curve.thresholds.size > 1000
-        assert last_json(out)["auc_pr"] == curve.auc
+        assert envelope(out)["auc_pr"] == curve.auc
 
     def test_posterior_without_mask_is_shape_error(self, phantom_dir, capsys):
         code = main(
@@ -564,15 +683,13 @@ class TestEvaluate:
         args = ["evaluate", "--pred", gt, "--gt", gt, "--posterior", gt, "--mask", str(phantom_dir / "brain_mask.nii.gz")]
         code, out = run_cli(capsys, *args)
         assert code == 0
-        report = last_json(out)
-        validate_report(report)
+        report = envelope(out)
         assert "auc_pr" in report
-        assert set(report["manifest"]["timings_ms"]) == {"parse", "metrics"}
+        assert set(report["manifest"]["timings_ms"]) == {"digest", "parse", "metrics"}
         code, out = run_cli(capsys, *args, "--out-pr-tsv", str(tmp_path / "pr.tsv"))
         assert code == 0
-        report = last_json(out)
-        validate_report(report)
-        assert set(report["manifest"]["timings_ms"]) == {"parse", "metrics", "write"}
+        report = envelope(out)
+        assert set(report["manifest"]["timings_ms"]) == {"digest", "parse", "metrics", "write"}
 
     def test_non_finite_posterior_exits_3_without_tsv(self, phantom_dir, tmp_path, capsys):
         gt_path = phantom_dir / "gt.nii.gz"
@@ -615,8 +732,7 @@ class TestAgree:
             "--col-a", "wmh_stackgen_ml", "--col-b", "wmh_stackgen_ml",
         )
         assert code == 0
-        report = last_json(out)
-        validate_report(report)
+        report = envelope(out)
         assert report["bias"] == 0.0
         assert report["r_squared"] == 1.0
 
@@ -629,7 +745,7 @@ class TestAgree:
             "--col-a", "manual", "--col-b", "auto", "--out-tsv", str(tsv),
         )
         assert code == 0
-        report = last_json(out)
+        report = envelope(out)
         assert report["bias"] == pytest.approx(1.0)
         assert report["sd_diff"] == pytest.approx(2.6457513, abs=1e-6)
         assert report["loa_low"] == pytest.approx(-4.18567, abs=1e-4)
@@ -662,7 +778,7 @@ class TestAgree:
             "--out-tsv", str(tsv),
         )
         assert code == 0
-        assert last_json(out)["n"] == 3
+        assert envelope(out)["n"] == 3
         assert len(tsv.read_text().strip().splitlines()) - 1 == 3
 
 
@@ -673,8 +789,7 @@ class TestTTest:
             "--col-a", "wmh_stackgen_ml", "--col-b", "wmh_adni_ml",
         )
         assert code == 0
-        report = last_json(out)
-        validate_report(report)
+        report = envelope(out)
         assert 0.0 <= report["p"] <= 1.0
         assert report["df"] == report["n"] - 1
 
@@ -686,8 +801,7 @@ class TestRegress:
             "--outcome", "adni_ef", "--exposure", "wmh_stackgen",
         )
         assert code == 0
-        report = last_json(out)
-        validate_report(report)
+        report = envelope(out)
         names = [c["name"] for c in report["coefficients"]]
         assert names == [
             "intercept", "wmh_stackgen", "age", "icv", "sex",
@@ -704,7 +818,18 @@ class TestRegress:
             "--outcome", "adni_mem", "--exposure", "wmh_stackgen", "--log10",
         )
         assert code == 0
-        assert last_json(out)["manifest"]["parameters"]["log10"] is True
+        parameters = envelope(out)["manifest"]["parameters"]
+        assert parameters["log10"] is True
+        assert parameters["covariates"] == ["age", "icv", "sex", "education", "apoe4", "diagnosis"]
+
+    @pytest.mark.parametrize("flag, value", [("--exposure", "nope"), ("--outcome", "nope"), ("--covariates", "age,bogus")])
+    def test_unknown_fields_are_input_errors(self, cohort_csv, capsys, flag, value):
+        options = {"--outcome": "adni_ef", "--exposure": "wmh_stackgen", flag: value}
+        code = main(["regress", "--csv", str(cohort_csv)] + [x for option in options.items() for x in option])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error [input]:") and len(captured.err.splitlines()) == 1
 
     def test_rank_deficient_exits_degenerate(self, tmp_path, capsys):
         records = synthetic_cohort(n_per_group=(20, 0, 0), f_per_group=(10, 0, 0), seed=1)
@@ -727,7 +852,8 @@ class TestCohortSummary:
             capsys, "cohort-summary", "--csv", str(cohort_csv), "--out-json", str(out_json)
         )
         assert code == 0
-        assert out.splitlines()[0].split() == ["CN", "MCI", "AD"]
-        report = json.loads(out_json.read_text())
-        validate_report(report)
+        report = envelope(out)
+        assert json.loads(out_json.read_text()) == report
         assert report["overall_n"] == 290
+        assert set(report["groups"]) == {"CN", "MCI", "AD"}
+        assert sum(g["n"] for g in report["groups"].values()) == 290

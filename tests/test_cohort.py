@@ -7,7 +7,6 @@ from wmhkit.cohort import (
     parse_numeric_columns,
     resolve_field,
     summarize,
-    summary_table,
     synthetic_cohort,
     write_cohort_csv,
 )
@@ -134,13 +133,6 @@ class TestSummarize:
         direct = summarize(records)
         via_csv = summarize(parse_cohort_csv(write_cohort_csv(records)))
         assert direct == via_csv
-
-    def test_table_renders(self):
-        records = synthetic_cohort(n_per_group=(10, 4, 2), f_per_group=(5, 2, 1), seed=5)
-        text = summary_table(summarize(records))
-        lines = text.strip().splitlines()
-        assert lines[0].split() == ["CN", "MCI", "AD"]
-        assert lines[1].startswith("N")
 
 
 class TestSyntheticCohort:

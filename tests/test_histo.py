@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wmhkit.errors import DegenerateMask
+from wmhkit.errors import DegenerateMask, InputError
 from wmhkit.histo import HistParams, histogram_segment, modal_threshold
 from wmhkit.volume import Volume3D
 
@@ -38,6 +38,11 @@ class TestHistParams:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             HistParams(alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(InputError):
+            HistParams(alpha=alpha)
 
     def test_rejects_too_few_bins(self):
         with pytest.raises(ValueError):
