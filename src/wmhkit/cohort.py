@@ -209,7 +209,7 @@ def parse_numeric_columns(data: bytes | str, columns: list[str]) -> list[tuple[f
         try:
             idx.append(header.index(col.strip().lower()))
         except ValueError:
-            raise MissingHeader(f"CSV has no column named {col!r}") from None
+            raise InputError(f"CSV has no column named {col!r}") from None
     out = []
     for row in reader:
         try:

@@ -2,12 +2,24 @@
 
 Activations are float32 arrays of shape (C, D, H, W). Convolution is
 cross-correlation (no kernel flip) with zero padding, lowered to float64 GEMM
-(im2col, as in cuDNN). The reduction order is fixed: each output voxel is one
-float64 dot product over (Cin, kd, kh, kw) taken by the BLAS GEMM, whose
-operand shapes follow from the layer and the input shape alone (the slab
-height comes from ``_COL_BYTES``), and the bias is added after it. Repeated
-runs are therefore bit-identical, and so are runs at different BLAS thread
-counts, since OpenBLAS splits a GEMM over its output, not its reduction.
+and streamed over depth: each zero-padded input plane is lowered once to its
+im2col (Cin, kh, kw, Ho, Wo) in a ring of kd + sd such plane-columns, and
+each output plane is one GEMM over the kd adjacent plane-columns it reads,
+taken as one view (lowering over some kernel axes only, as in MEC, arXiv
+1706.06873). Each output voxel is one float64 dot product over the taps in
+the order (kd, Cin, kh, kw), and the bias is added after it. Beyond its
+float32 output, such a conv holds the ring (8 (kd + sd) Cin kh kw Ho Wo
+bytes), one padded float64 input plane and a (Cout, Ho Wo) float64
+accumulator. A 1x1x1 stride-1 unpadded kernel skips the ring: it is one GEMM
+over the whole input, converted to float64.
+
+The GEMM shapes follow from the layer and the input shape alone, so repeated
+runs are bit-identical. They are not free of the GEMM's column count N = Ho
+Wo: in OpenBLAS 0.3.31 the float64 bits of a (16, 864) DGEMM differ between
+N <= 64 and N >= 100, and those of a (16, 432) one up to N = 128. That a
+tiled forward equals the whole-volume one, and that outputs do not depend on
+the BLAS thread count, is therefore pinned by tests on float32 outputs, not
+guaranteed by construction.
 
 Each layer type is one frozen dataclass that owns its SGWT manifest tag
 (``TYPE``), its shape rule (``out_shape``), its receptive field
@@ -27,10 +39,6 @@ import numpy as np
 from .errors import ShapeMismatch, UnknownConcatSource
 
 Shape = tuple[int, int, int, int]
-
-# bound on the float64 im2col buffer that conv3d fills per slab; a slab is
-# never less than one output plane, whatever that plane needs
-_COL_BYTES = 32 * 2**20
 
 
 def _is_int(value) -> bool:
@@ -135,18 +143,23 @@ class BatchNorm(Layer):
         return shape
 
     def forward(self, x, bindings):
-        shape = (x.shape[0], 1, 1, 1)
-        g = self.gamma.astype(np.float64).reshape(shape)
-        b = self.beta.astype(np.float64).reshape(shape)
-        m = self.mean.astype(np.float64).reshape(shape)
-        v = self.var.astype(np.float64).reshape(shape)
+        self.out_shape(x.shape, {})
+        g = self.gamma.astype(np.float64)
+        b = self.beta.astype(np.float64)
+        m = self.mean.astype(np.float64)
+        s = np.sqrt(self.var.astype(np.float64) + self.eps)
         # the operations of g * (x - m) / sqrt(v + eps) + b in its order, so the bits
-        # match, but in one float64 buffer instead of four temporaries
-        z = x - m
-        z *= g
-        z /= np.sqrt(v + self.eps)
-        z += b
-        return z.astype(np.float32)
+        # match, channel by channel in one reused float64 buffer
+        z = np.empty(x.shape[1:], dtype=np.float64)
+        out = np.empty(x.shape, dtype=np.float32)
+        for c in range(x.shape[0]):
+            z[...] = x[c]
+            z -= m[c]
+            z *= g[c]
+            z /= s[c]
+            z += b[c]
+            out[c] = z
+        return out
 
 
 @dataclass(frozen=True)
@@ -256,44 +269,52 @@ LAYER_TYPES: dict[str, type[Layer]] = {
 def conv3d(x: np.ndarray, p: Conv3D) -> np.ndarray:
     """Strided zero-padded cross-correlation over a (C, D, H, W) tensor.
 
-    Lowered to float64 GEMM: a 1x1x1 stride-1 kernel is one matmul over the
-    padded input; any other kernel fills a reused im2col buffer for a slab of
-    output planes at a time and multiplies it by the (Cout, Cin*kd*kh*kw)
-    weight matrix. A slab holds as many planes as fit in ``_COL_BYTES``, and
-    at least one.
+    Lowered to float64 GEMM: a 1x1x1 stride-1 unpadded kernel is one matmul
+    over the input; any other kernel streams over depth. Each padded input
+    plane's im2col, of shape (Cin, kh, kw, Ho, Wo), is built once into a ring
+    of kd + sd plane-columns, and each output plane is one GEMM of the
+    (Cout, kd*Cin*kh*kw) weight matrix by the kd consecutive plane-columns it
+    reads, taken as one contiguous view.
     """
     cout, cin, kd, kh, kw = p.weights.shape
     _, do, ho, wo = p.out_shape(x.shape, {})
     sd, sh, sw = p.stride
     pd, ph, pw = p.padding
-
-    d, h, w = x.shape[1:]
-    xpad = np.zeros((cin, d + 2 * pd, h + 2 * ph, w + 2 * pw), dtype=np.float64)
-    xpad[:, pd : pd + d, ph : ph + h, pw : pw + w] = x
-
-    wt = p.weights.reshape(cout, -1).astype(np.float64)
     bias = p.bias.astype(np.float64)[:, None]
-    if (kd, kh, kw) == (1, 1, 1) and p.stride == (1, 1, 1):
-        acc = wt @ xpad.reshape(cin, -1)
+
+    if (kd, kh, kw) == (1, 1, 1) and p.stride == (1, 1, 1) and p.padding == (0, 0, 0):
+        wt = p.weights.reshape(cout, cin).astype(np.float64)
+        acc = wt @ np.ascontiguousarray(x, dtype=np.float64).reshape(cin, -1)
         acc += bias
         return acc.reshape(cout, do, ho, wo).astype(np.float32)
 
-    # windows[c, i, j, k, a, b, e] = xpad[c, i*sd + a, j*sh + b, k*sw + e]
-    windows = np.lib.stride_tricks.sliding_window_view(xpad, (kd, kh, kw), axis=(1, 2, 3))
-    windows = windows[:, ::sd, ::sh, ::sw].transpose(0, 4, 5, 6, 1, 2, 3)
-    taps = cin * kd * kh * kw
-    plane = ho * wo
-    rows = max(1, min(do, _COL_BYTES // (8 * taps * plane)))
-    col_buf = np.empty(taps * rows * plane, dtype=np.float64)
-    acc_buf = np.empty(cout * rows * plane, dtype=np.float64)
+    d, h, w = x.shape[1:]
+    # taps in depth-major order, so the kd planes an output reads are adjacent rows
+    wt = p.weights.transpose(0, 2, 1, 3, 4).reshape(cout, -1).astype(np.float64)
+    ring = np.empty((kd + sd, cin, kh, kw, ho, wo), dtype=np.float64)
+    plane = np.zeros((cin, h + 2 * ph, w + 2 * pw), dtype=np.float64)
+    # windows[c, j, k, b, e] = plane[c, j*sh + b, k*sw + e]
+    windows = np.lib.stride_tricks.sliding_window_view(plane, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::sh, ::sw].transpose(0, 3, 4, 1, 2)
+    acc = np.empty((cout, ho * wo), dtype=np.float64)
     out = np.empty((cout, do, ho, wo), dtype=np.float32)
-    for r0 in range(0, do, rows):
-        n = min(rows, do - r0)
-        col = col_buf[: taps * n * plane].reshape(taps, n * plane)
-        col.reshape(cin, kd, kh, kw, n, ho, wo)[...] = windows[..., r0 : r0 + n, :, :]
-        acc = np.matmul(wt, col, out=acc_buf[: cout * n * plane].reshape(cout, n * plane))
+    base = filled = 0  # ring slot 0 holds padded plane ``base``; planes below ``filled`` are built
+    for z in range(do):
+        lo = z * sd
+        if lo + kd - base > len(ring):
+            kept = ring[lo - base : filled - base]  # empty when the stride skips planes
+            ring[: len(kept)] = kept
+            base = lo
+        for i in range(max(filled, lo), lo + kd):
+            if pd <= i < pd + d:
+                plane[:, ph : ph + h, pw : pw + w] = x[:, i - pd]
+                ring[i - base] = windows
+            else:
+                ring[i - base] = 0.0
+        filled = lo + kd
+        np.matmul(wt, ring[lo - base : lo - base + kd].reshape(-1, ho * wo), out=acc)
         acc += bias
-        out[:, r0 : r0 + n] = acc.reshape(cout, n, ho, wo)
+        out[:, z] = acc.reshape(cout, ho, wo)
     return out
 
 

@@ -18,12 +18,10 @@ pipeline's binarized output equals the analytic mask voxel for voxel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleSpec
 from .layers import Conv3D, Softmax
 from .network import NetworkSpec
 from .volume import Volume3D
@@ -47,26 +45,6 @@ def mean_threshold_meta_net(cutoff: float = 0.5, w: float = SHARPNESS) -> Networ
     bias = np.zeros(2, dtype=np.float32)
     weights[1, :, 0, 0, 0] = w / 3.0
     bias[1] = -w * cutoff
-    layers = (("logits", Conv3D(weights=weights, bias=bias)), ("posterior", Softmax()))
-    return NetworkSpec(layers=layers, in_channels=3, out_channels=2)
-
-
-def averaging_meta_net(level_a: float, level_b: float) -> NetworkSpec:
-    """Meta network that reproduces the common posterior of its inputs.
-
-    Valid for inputs whose three channels are identical and two-valued
-    {level_a, level_b}: the conv maps the mean p back to logit(p) at both
-    levels, so softmax returns p exactly there.
-    """
-    if not (0.0 < level_a < 1.0 and 0.0 < level_b < 1.0) or level_a == level_b:
-        raise ValueError("levels must be distinct probabilities in (0, 1)")
-    logit = lambda p: math.log(p / (1.0 - p))
-    w = (logit(level_b) - logit(level_a)) / (level_b - level_a)
-    b = logit(level_a) - w * level_a
-    weights = np.zeros((2, 3, 1, 1, 1), dtype=np.float32)
-    bias = np.zeros(2, dtype=np.float32)
-    weights[1, :, 0, 0, 0] = w / 3.0
-    bias[1] = b
     layers = (("logits", Conv3D(weights=weights, bias=bias)), ("posterior", Softmax()))
     return NetworkSpec(layers=layers, in_channels=3, out_channels=2)
 
@@ -154,14 +132,4 @@ def make_phantom(
         gt_mask=gt_mask,
         networks=networks,
         z_cutoff=z_cutoff,
-    )
-
-
-def phantom_ensemble(p: Phantom, threshold: float = 0.5) -> EnsembleSpec:
-    return EnsembleSpec(
-        axial_net=p.networks["axial"],
-        sagittal_net=p.networks["sagittal"],
-        coronal_net=p.networks["coronal"],
-        meta_net=p.networks["meta"],
-        threshold=threshold,
     )

@@ -34,11 +34,6 @@ _PLANE_PERM = {
 }
 
 
-def plane_permutation(plane: PlaneOrientation) -> tuple[int, int, int]:
-    """Axis permutation applied by ``reformat_to`` for this plane."""
-    return _PLANE_PERM[plane]
-
-
 def _permute(v: Volume3D, perm: tuple[int, int, int]) -> Volume3D:
     data = np.ascontiguousarray(v.data.transpose(perm))
     spacing = tuple(v.spacing[p] for p in perm)

@@ -75,12 +75,6 @@ def _assemble(manifest: dict, blob: _BlobWriter) -> bytes:
     return header + body + b"".join(blob.chunks)
 
 
-def save_network(net: NetworkSpec, role: str | None = None) -> bytes:
-    blob = _BlobWriter()
-    manifest = {"networks": [_network_to_manifest(net, role, blob)]}
-    return _assemble(manifest, blob)
-
-
 def save_ensemble(networks: dict[str, NetworkSpec]) -> bytes:
     """Bundle role-tagged networks (axial/sagittal/coronal/meta) in one container."""
     blob = _BlobWriter()

@@ -122,8 +122,8 @@ def loop_maxpool(x, kernel, stride):
 
 
 # canonical axes of each plane's frame (out axis i <- canonical axis perm[i]),
-# in the ensemble's order: axial, sagittal, coronal
-PLANE_AXES = ((0, 1, 2), (1, 2, 0), (0, 2, 1))
+# by plane name, in the ensemble's order: axial, sagittal, coronal
+PLANE_AXES = {"axial": (0, 1, 2), "sagittal": (1, 2, 0), "coronal": (0, 2, 1)}
 
 
 def whole_volume_ensemble(forward, nets, flair, mask):
@@ -133,7 +133,7 @@ def whole_volume_ensemble(forward, nets, flair, mask):
     net, and voxels outside ``mask`` are set to 0. ``nets`` is (axial,
     sagittal, coronal, meta); ``forward(net, x)`` runs one net."""
     planes = []
-    for net, perm in zip(nets[:3], PLANE_AXES):
+    for net, perm in zip(nets[:3], PLANE_AXES.values()):
         xp = np.ascontiguousarray(flair.transpose(perm))
         planes.append(forward(net, xp[np.newaxis])[1].transpose(np.argsort(perm)))
     fused = forward(nets[3], np.stack(planes))[1].copy()

@@ -11,6 +11,7 @@ import numpy as np
 import scipy.stats
 
 from oracles import (
+    PLANE_AXES,
     all_signed_orientations,
     flood_fill_label,
     naive_conv3d,
@@ -29,7 +30,6 @@ from wmhkit.metrics import metric_report
 from wmhkit.nifti import DATA_OFFSET, parse_nifti, write_nifti
 from wmhkit.reformat import (
     PlaneOrientation,
-    plane_permutation,
     reformat_from,
     reformat_to,
     to_canonical,
@@ -101,7 +101,7 @@ def test_criterion_2_reformat_round_trips():
             for plane in planes:
                 fwd = reformat_to(canonical, plane)
                 assert np.array_equal(
-                    fwd.data, remap_plane(canonical.data, plane_permutation(plane))
+                    fwd.data, remap_plane(canonical.data, PLANE_AXES[plane.value])
                 )
                 back = reformat_from(fwd, plane)
                 assert np.array_equal(back.data, canonical.data)

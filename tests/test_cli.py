@@ -282,13 +282,11 @@ class TestSegment:
     def test_weights_directory_with_one_container_per_network(
         self, phantom_dir, tmp_path, capsys
     ):
-        from wmhkit.weights_io import load_ensemble, save_network
-
         nets = load_ensemble((phantom_dir / "weights.sgwt").read_bytes())
         wdir = tmp_path / "weights"
         wdir.mkdir()
         for role, net in nets.items():
-            (wdir / f"{role}.sgwt").write_bytes(save_network(net, role=role))
+            (wdir / f"{role}.sgwt").write_bytes(save_ensemble({role: net}))
         out_dir = tmp_path / "seg"
         code = main(
             [
@@ -792,6 +790,30 @@ class TestTTest:
         report = envelope(out)
         assert 0.0 <= report["p"] <= 1.0
         assert report["df"] == report["n"] - 1
+
+
+@pytest.mark.parametrize("subcommand", ["agree", "ttest"])
+@pytest.mark.parametrize("flag", ["--col-a", "--col-b"])
+def test_unknown_columns_are_input_errors(cohort_csv, capsys, subcommand, flag):
+    # a column the CSV lacks is named on the command line, as an unknown regress field is
+    options = {"--col-a": "wmh_stackgen_ml", "--col-b": "wmh_adni_ml", flag: "nope"}
+    code = main([subcommand, "--csv", str(cohort_csv)] + [x for option in options.items() for x in option])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error [input]: CSV has no column named 'nope'\n"
+
+
+@pytest.mark.parametrize("argv", [["agree", "--col-a", "a", "--col-b", "b"], ["cohort-summary"]])
+def test_csv_header_defects_stay_format_errors(tmp_path, capsys, argv):
+    # an empty CSV, and a cohort CSV without its id and diagnosis columns, are defects of the file
+    path = tmp_path / "bad.csv"
+    path.write_text("" if argv[0] == "agree" else "age,sex\n70,F\n")
+    code = main([argv[0], "--csv", str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error [format]:") and len(captured.err.splitlines()) == 1
 
 
 class TestRegress:

@@ -10,7 +10,7 @@ from wmhkit.cohort import (
     synthetic_cohort,
     write_cohort_csv,
 )
-from wmhkit.errors import DuplicateId, EmptyCohort, MissingHeader, UnknownDiagnosis
+from wmhkit.errors import DuplicateId, EmptyCohort, InputError, MissingHeader, UnknownDiagnosis
 
 HEADER = (
     "id,age,sex,education,apoe4,diagnosis,icv_ml,"
@@ -76,8 +76,10 @@ class TestParse:
     def test_numeric_columns_reader(self):
         text = "x,y\n1.5,2\n,3\n4,5\n"
         assert parse_numeric_columns(text, ["x", "y"]) == [(1.5, 2.0), (4.0, 5.0)]
-        with pytest.raises(MissingHeader):
+        with pytest.raises(InputError):
             parse_numeric_columns(text, ["z"])
+        with pytest.raises(MissingHeader):
+            parse_numeric_columns("", ["x"])
 
 
 class TestResolveField:

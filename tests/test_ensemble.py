@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,15 +16,30 @@ from wmhkit.ensemble import (
 from wmhkit.errors import NonBinaryInput, ShapeMismatch, TileTooSmall
 from wmhkit.layers import BatchNorm, Concat, Conv3D, MaxPool, ReLU, Softmax, UpsampleNearest
 from wmhkit.network import NetworkSpec, forward
-from wmhkit.phantom import (
-    averaging_meta_net,
-    make_phantom,
-    mean_threshold_meta_net,
-    phantom_ensemble,
-    threshold_detector_net,
-)
+from wmhkit.phantom import make_phantom, mean_threshold_meta_net, threshold_detector_net
 from wmhkit.reformat import PlaneOrientation
 from wmhkit.volume import Volume3D, normalize_intensity
+
+
+def _averaging_meta_net(level_a, level_b):
+    """Meta network that reproduces the common posterior of its inputs.
+
+    Valid for inputs whose three channels are identical and two-valued
+    {level_a, level_b}: the conv maps the mean p back to logit(p) at both
+    levels, so softmax returns p exactly there.
+    """
+    logit = lambda p: math.log(p / (1.0 - p))
+    w = (logit(level_b) - logit(level_a)) / (level_b - level_a)
+    weights = np.zeros((2, 3, 1, 1, 1), dtype=np.float32)
+    bias = np.zeros(2, dtype=np.float32)
+    weights[1, :, 0, 0, 0] = w / 3.0
+    bias[1] = logit(level_a) - w * level_a
+    layers = (("logits", Conv3D(weights=weights, bias=bias)), ("posterior", Softmax()))
+    return NetworkSpec(layers=layers, in_channels=3, out_channels=2)
+
+
+def _phantom_ensemble(p):
+    return EnsembleSpec(**{f"{role}_net": net for role, net in p.networks.items()})
 
 
 def _receptive_net(rng, cin=1):
@@ -376,31 +393,31 @@ class TestPredictEnsemble:
             axial_net=plane,
             sagittal_net=plane,
             coronal_net=plane,
-            meta_net=averaging_meta_net(lo, hi),
+            meta_net=_averaging_meta_net(lo, hi),
         )
         fused = predict_ensemble(spec, v, mask)
         np.testing.assert_allclose(fused.data, single.data, atol=1e-5)
 
     def test_phantom_threshold_detection_exact(self):
         p, norm = _normalized_phantom(seed=0)
-        post = predict_ensemble(phantom_ensemble(p), norm, p.brain_mask)
+        post = predict_ensemble(_phantom_ensemble(p), norm, p.brain_mask)
         got = binarize(post, 0.5)
         assert np.array_equal(got.data, p.gt_mask.data)
 
     def test_out_of_mask_forced_to_zero(self):
         p, norm = _normalized_phantom(seed=1)
-        post = predict_ensemble(phantom_ensemble(p), norm, p.brain_mask)
+        post = predict_ensemble(_phantom_ensemble(p), norm, p.brain_mask)
         assert np.all(post.data[p.brain_mask.data == 0] == 0.0)
 
     def test_posterior_in_unit_range(self):
         p, norm = _normalized_phantom(seed=2)
-        post = predict_ensemble(phantom_ensemble(p), norm, p.brain_mask)
+        post = predict_ensemble(_phantom_ensemble(p), norm, p.brain_mask)
         assert float(post.data.min()) >= 0.0
         assert float(post.data.max()) <= 1.0 + 1e-6
 
     def test_invariant_to_on_disk_orientation(self):
         p, norm = _normalized_phantom(seed=4, shape=(10, 12, 14))
-        spec = phantom_ensemble(p)
+        spec = _phantom_ensemble(p)
         reference = predict_ensemble(spec, norm, p.brain_mask)
         for orientation in all_signed_orientations()[::7]:
             # express the same physical volume with a different axis labeling:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from nets import unet_net
 from oracles import loop_maxpool, naive_conv3d, tapwise_conv3d
 from wmhkit.errors import ShapeMismatch, UnknownConcatSource
-from wmhkit import layers, network
+from wmhkit import network
 from wmhkit.layers import (
     BatchNorm,
     Concat,
@@ -102,10 +103,10 @@ class TestConvAtScale:
     @pytest.mark.parametrize(
         "cin, cout, k, stride, padding, spatial",
         [
-            (32, 16, 3, (1, 1, 1), (1, 1, 1), (49, 48, 48)),  # many slabs, ragged last one
+            (32, 16, 3, (1, 1, 1), (1, 1, 1), (49, 48, 48)),
             (16, 16, 3, (2, 2, 2), (1, 1, 1), (33, 32, 32)),
             (16, 2, 1, (1, 1, 1), (0, 0, 0), (32, 32, 32)),  # pointwise path
-            (16, 4, 1, (2, 2, 2), (0, 0, 0), (32, 32, 32)),  # 1^3 kernel, strided: slab path
+            (16, 4, 1, (2, 2, 2), (0, 0, 0), (32, 32, 32)),  # 1^3 kernel, strided: plane path
         ],
     )
     def test_matches_tapwise_kernel(self, rng, cin, cout, k, stride, padding, spatial):
@@ -118,10 +119,37 @@ class TestConvAtScale:
         print(f"conv {cin}->{cout} k{k} stride {stride} on {spatial}: "
               f"bit-identical to the per-tap kernel: {np.array_equal(got, want)}")
 
-    def test_slab_plan_of_the_large_case(self):
-        # the 49x48x48 case above spans several slabs with a partial last one
-        rows = layers._COL_BYTES // (8 * 32 * 27 * 48 * 48)
-        assert 1 <= rows < 49 and 49 % rows != 0
+    @pytest.mark.parametrize(
+        "cin, cout, kernel, stride, padding, spatial",
+        [
+            (3, 4, (3, 3, 3), (2, 1, 1), (1, 1, 1), (13, 7, 9)),  # sd = 2: ring of 5 planes, 7 outputs
+            (2, 3, (3, 3, 3), (1, 2, 2), (2, 0, 1), (9, 8, 7)),  # two padding planes at each end
+            (2, 3, (5, 3, 1), (1, 1, 1), (2, 1, 0), (11, 6, 5)),  # kd > 3 sd: kept planes overlap their target
+            (3, 2, (2, 2, 3), (3, 2, 1), (1, 0, 1), (20, 5, 6)),  # sd > kd: planes no output reads
+            (2, 2, (1, 1, 1), (1, 1, 1), (1, 0, 1), (4, 3, 5)),  # padded 1^3 kernel
+        ],
+    )
+    def test_plane_ring_cycles(self, rng, cin, cout, kernel, stride, padding, spatial):
+        # every case has more output planes than the ring of kd + sd plane-columns holds
+        kd, sd = kernel[0], stride[0]
+        x = rng.normal(size=(cin, *spatial)).astype(np.float32)
+        p = Conv3D(weights=rng.normal(size=(cout, cin, *kernel)), bias=rng.normal(size=cout),
+                   stride=stride, padding=padding)
+        got = conv3d(x, p)
+        assert got.shape[1] > kd + sd
+        assert _rel_err(got, tapwise_conv3d(x, p.weights, p.bias, stride, padding)) < 1e-6
+
+    def test_no_whole_volume_copy(self, rng):
+        # a float64 copy of the padded input would alone exceed the float64 size of the input
+        x = rng.normal(size=(32, 48, 48, 48)).astype(np.float32)
+        p = _conv(8, 32, 3, padding=(1, 1, 1), rng=rng)
+        tracemalloc.start()
+        try:
+            conv3d(x, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.size * 8
 
     @pytest.mark.parametrize("k, stride, padding", [(3, (1, 1, 1), (1, 1, 1)), (1, (1, 1, 1), (0, 0, 0))])
     def test_non_contiguous_input(self, rng, k, stride, padding):

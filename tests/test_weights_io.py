@@ -14,7 +14,7 @@ from wmhkit.errors import (
 from wmhkit.layers import BatchNorm, Concat, Conv3D, MaxPool, ReLU, Softmax, UpsampleNearest
 from wmhkit.network import NetworkSpec, forward
 from wmhkit.phantom import mean_threshold_meta_net, threshold_detector_net
-from wmhkit.weights_io import load_ensemble, load_network, save_ensemble, save_network
+from wmhkit.weights_io import load_ensemble, load_network, save_ensemble
 
 
 def _rich_net(rng):
@@ -72,20 +72,20 @@ def _edit_layer(raw: bytes, layer_name: str, **changes) -> bytes:
 class TestRoundTrip:
     def test_single_network(self, rng):
         net = _rich_net(rng)
-        raw = save_network(net, role=None)
+        raw = save_ensemble({None: net})
         loaded = load_network(raw)
         x = rng.normal(size=(1, 8, 8, 8)).astype(np.float32)
         assert np.array_equal(forward(net, x), forward(loaded, x))
 
     def test_canonical_bytes_stable(self, rng):
         net = _rich_net(rng)
-        raw = save_network(net)
-        assert save_network(load_network(raw)) == raw
+        raw = save_ensemble({None: net})
+        assert save_ensemble({None: load_network(raw)}) == raw
 
     def test_wire_format_pinned(self, rng):
         # every manifest key of all seven layer types, and the blob order
         net = _rich_net(rng)
-        raw = save_network(net)
+        raw = save_ensemble({None: net})
         (mlen,) = struct.unpack_from("<I", raw, 8)
         manifest = json.loads(raw[12 : 12 + mlen])
         assert raw[12 : 12 + mlen] == json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
@@ -121,11 +121,11 @@ class TestRoundTrip:
         assert raw[12 + mlen :] == b"".join(np.asarray(a, "<f4").tobytes() for a in tensors)
 
     def test_optional_fields_take_their_defaults(self, rng):
-        raw = save_network(_rich_net(rng))
+        raw = save_ensemble({None: _rich_net(rng)})
         trimmed = _edit_layer(raw, "pool", kernel=DROP, stride=DROP)
         trimmed = _edit_layer(trimmed, "head", stride=DROP, padding=DROP)
         trimmed = _edit_layer(trimmed, "bn", eps=DROP)
-        assert save_network(load_network(trimmed)) == raw
+        assert save_ensemble({None: load_network(trimmed)}) == raw
 
     def test_ensemble_roles(self):
         nets = {
@@ -150,7 +150,7 @@ class TestRoundTrip:
             load_network(raw)
 
     def test_ensemble_requires_roles(self):
-        raw = save_network(threshold_detector_net(0.5), role=None)
+        raw = save_ensemble({None: threshold_detector_net(0.5)})
         with pytest.raises(BadManifest):
             load_ensemble(raw)
 
@@ -161,26 +161,26 @@ class TestContainerErrors:
             load_network(b"XXXX" + b"\x00" * 20)
 
     def test_bad_version(self):
-        raw = bytearray(save_network(threshold_detector_net(0.5)))
+        raw = bytearray(save_ensemble({None: threshold_detector_net(0.5)}))
         struct.pack_into("<I", raw, 4, 99)
         with pytest.raises(BadVersion):
             load_network(bytes(raw))
 
     def test_manifest_length_beyond_file(self):
-        raw = bytearray(save_network(threshold_detector_net(0.5)))
+        raw = bytearray(save_ensemble({None: threshold_detector_net(0.5)}))
         struct.pack_into("<I", raw, 8, 10**6)
         with pytest.raises(BadManifest):
             load_network(bytes(raw))
 
     def test_manifest_not_json(self):
-        raw = bytearray(save_network(threshold_detector_net(0.5)))
+        raw = bytearray(save_ensemble({None: threshold_detector_net(0.5)}))
         mlen = struct.unpack_from("<I", raw, 8)[0]
         raw[12 : 12 + 4] = b"!!!!"
         with pytest.raises(BadManifest):
             load_network(bytes(raw))
 
     def test_truncated_tensor(self):
-        raw = save_network(threshold_detector_net(0.5))
+        raw = save_ensemble({None: threshold_detector_net(0.5)})
         with pytest.raises(TruncatedTensor):
             load_network(raw[:-4])
 
@@ -206,7 +206,7 @@ class TestContainerErrors:
             in_channels=1,
             out_channels=2,
         )
-        raw = save_network(net)
+        raw = save_ensemble({None: net})
         with pytest.raises(ShapeCheckFailed):
             load_network(raw)
 
@@ -230,13 +230,13 @@ class TestContainerErrors:
         ],
     )
     def test_malformed_layer_entry(self, rng, layer, changes):
-        raw = _edit_layer(save_network(_rich_net(rng)), layer, **changes)
+        raw = _edit_layer(save_ensemble({None: _rich_net(rng)}), layer, **changes)
         with pytest.raises(BadManifest):
             load_network(raw)
 
     @pytest.mark.parametrize("eps", [-1.0, -1e-12, float("nan"), float("inf")])
     def test_bad_batchnorm_eps(self, rng, eps):
         # json writes NaN and Infinity as bare tokens, which the reader accepts
-        raw = _edit_layer(save_network(_rich_net(rng)), "bn", eps=eps)
+        raw = _edit_layer(save_ensemble({None: _rich_net(rng)}), "bn", eps=eps)
         with pytest.raises(BadManifest, match="eps"):
             load_network(raw)
