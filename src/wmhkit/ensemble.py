@@ -24,6 +24,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InputError, ShapeCheckFailed, ShapeMismatch, TileTooSmall
+from .layers import _RUN_BYTES
 from .network import NetworkSpec, forward, infer_shapes
 from .reformat import PlaneOrientation, reformat_from, reformat_to, to_canonical
 from .volume import Volume3D, require_binary, require_same_grid
@@ -32,15 +33,6 @@ DEFAULT_TILE = (64, 64, 64)
 DEFAULT_THRESHOLD = 0.5
 
 _PLANES = (PlaneOrientation.AXIAL, PlaneOrientation.SAGITTAL, PlaneOrientation.CORONAL)
-
-# float64 bytes of one channel over a run of a pointwise net, so the few 2- or
-# 3-channel float64 temporaries a conv or Softmax holds over a run stay in L2
-# (64^3 blocks made each of them 4 MB). On a 160x192x160 grid, one thread ran
-# a threshold net in 47-49 ms at 16384-65536 voxels per run, 72 ms on 64^3
-# blocks and 87 ms at 2048; two batch threads, which share the GIL for each
-# run's Python overhead, took 304/275/267 ms of inference per subject at
-# 16384/32768/65536 voxels per run.
-_RUN_BYTES = 256 * 2**10
 
 
 @dataclass(frozen=True)

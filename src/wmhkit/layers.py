@@ -2,24 +2,35 @@
 
 Activations are float32 arrays of shape (C, D, H, W). Convolution is
 cross-correlation (no kernel flip) with zero padding, lowered to float64 GEMM
-and streamed over depth: each zero-padded input plane is lowered once to its
-im2col (Cin, kh, kw, Ho, Wo) in a ring of kd + sd such plane-columns, and
-each output plane is one GEMM over the kd adjacent plane-columns it reads,
-taken as one view (lowering over some kernel axes only, as in MEC, arXiv
-1706.06873). Each output voxel is one float64 dot product over the taps in
-the order (kd, Cin, kh, kw), and the bias is added after it. Beyond its
-float32 output, such a conv holds the ring (8 (kd + sd) Cin kh kw Ho Wo
-bytes), one padded float64 input plane and a (Cout, Ho Wo) float64
-accumulator. A 1x1x1 stride-1 unpadded kernel skips the ring: it is one GEMM
-over the whole input, converted to float64.
+and streamed over the input's depth planes, input-stationary: each real input
+plane i is lowered once to its im2col (Cin, kh, kw, Ho, Wo), a plane-column
+(lowering over some kernel axes only, as in MEC, arXiv 1706.06873), and
+multiplied once by the weight rows of the depth taps a that read it: all kd
+at depth stride 1, those with a = i (mod sd) at stride sd. That one GEMM gives
+a (Cout, Ho Wo) partial sum per tap; at stride 1 its kd Cout rows do kd times
+the flops per column byte streamed that one output plane's Cout rows would (a
+taller weight panel, as in Goto and van de Geijn, ACM TOMS 2008). Each partial
+is added into the float64 accumulator of the output plane that reads plane i
+through tap a; ceil(kd / sd) accumulators serve the output planes in turn. So
+each output voxel is, per depth tap a in increasing order, one float64 dot
+product over the taps (Cin, kh, kw), summed, then the bias, and it is rounded
+to float32 once. Zero-padding planes add exact zeros and are skipped, so an
+output plane that reads only padding is its bias. Beyond its float32 output,
+such a conv holds one plane-column (8 Cin kh kw Ho Wo bytes), the partial sums
+and the accumulators (8 ceil(kd / sd) Cout Ho Wo bytes each) and one padded
+float64 input plane. A 1x1x1 stride-1 unpadded kernel is one GEMM over the
+whole input, converted to float64.
 
 The GEMM shapes follow from the layer and the input shape alone, so repeated
 runs are bit-identical. They are not free of the GEMM's column count N = Ho
-Wo: in OpenBLAS 0.3.31 the float64 bits of a (16, 864) DGEMM differ between
-N <= 64 and N >= 100, and those of a (16, 432) one up to N = 128. That a
-tiled forward equals the whole-volume one, and that outputs do not depend on
-the BLAS thread count, is therefore pinned by tests on float32 outputs, not
-guaranteed by construction.
+Wo: in OpenBLAS 0.3.31 the float64 bits of a (48, 288), (48, 144) or (48, 27)
+DGEMM (the 32-, 16- and 3-channel 3x3x3 convs to 16 channels) differ from a
+wider product's in some of the last 8 columns for about half of all N up to
+300, while those of a (48, 9) one differ only at N = 1. At N = 160, 576 and
+4096 these four did not depend on the thread count (1 or 2), but a (48, 432)
+one did. That a tiled forward equals the whole-volume one, and that outputs do
+not depend on the BLAS thread count, is therefore pinned by tests on float32
+outputs, not guaranteed by construction.
 
 Each layer type is one frozen dataclass that owns its SGWT manifest tag
 (``TYPE``), its shape rule (``out_shape``), its receptive field
@@ -39,6 +50,17 @@ import numpy as np
 from .errors import ShapeMismatch, UnknownConcatSource
 
 Shape = tuple[int, int, int, int]
+
+# float64 bytes of one channel over a run of voxels that a pointwise layer (or a
+# pointwise net, see ``ensemble``) works on at a time, so its few float64
+# temporaries stay in L2 (64^3 blocks made each of them 4 MB). On a
+# 160x192x160 grid, one thread ran a threshold net in 47-49 ms at 16384-65536
+# voxels per run, 72 ms on 64^3 blocks and 87 ms at 2048; two batch threads,
+# which share the GIL for each run's Python overhead, took 304/275/267 ms of
+# inference per subject at 16384/32768/65536 voxels per run. BatchNorm over a
+# 16x64^3 activation took a median 13.5-14.1 ms in runs of this size and
+# 14.3-14.7 ms a 2 MB channel at a time (2 MiB of L2 per core).
+_RUN_BYTES = 256 * 2**10
 
 
 def _is_int(value) -> bool:
@@ -149,16 +171,20 @@ class BatchNorm(Layer):
         m = self.mean.astype(np.float64)
         s = np.sqrt(self.var.astype(np.float64) + self.eps)
         # the operations of g * (x - m) / sqrt(v + eps) + b in its order, so the bits
-        # match, channel by channel in one reused float64 buffer
-        z = np.empty(x.shape[1:], dtype=np.float64)
+        # match, over cache-sized runs of each channel in one reused float64 buffer
+        src = x.reshape(x.shape[0], -1)
         out = np.empty(x.shape, dtype=np.float32)
-        for c in range(x.shape[0]):
-            z[...] = x[c]
+        dst = out.reshape(src.shape)
+        n = _RUN_BYTES // 8
+        buf = np.empty(min(n, src.shape[1]), dtype=np.float64)
+        for c, lo in product(range(src.shape[0]), range(0, src.shape[1], n)):
+            z = buf[: min(n, src.shape[1] - lo)]
+            z[...] = src[c, lo : lo + n]
             z -= m[c]
             z *= g[c]
             z /= s[c]
             z += b[c]
-            out[c] = z
+            dst[c, lo : lo + n] = z
         return out
 
 
@@ -270,11 +296,14 @@ def conv3d(x: np.ndarray, p: Conv3D) -> np.ndarray:
     """Strided zero-padded cross-correlation over a (C, D, H, W) tensor.
 
     Lowered to float64 GEMM: a 1x1x1 stride-1 unpadded kernel is one matmul
-    over the input; any other kernel streams over depth. Each padded input
-    plane's im2col, of shape (Cin, kh, kw, Ho, Wo), is built once into a ring
-    of kd + sd plane-columns, and each output plane is one GEMM of the
-    (Cout, kd*Cin*kh*kw) weight matrix by the kd consecutive plane-columns it
-    reads, taken as one contiguous view.
+    over the input; any other kernel streams over the input's depth planes.
+    Each real input plane is lowered once to its im2col (Cin, kh, kw, Ho, Wo)
+    and multiplied once by the weight rows of the depth taps that read it,
+    giving one (Cout, Ho Wo) partial sum per tap. Each partial is added into
+    the float64 accumulator of the output plane that reads the input plane
+    through that tap. An output plane takes its bias and is rounded to float32
+    once its last real input plane is in; one that reads only zero padding is
+    its bias.
     """
     cout, cin, kd, kh, kw = p.weights.shape
     _, do, ho, wo = p.out_shape(x.shape, {})
@@ -289,32 +318,42 @@ def conv3d(x: np.ndarray, p: Conv3D) -> np.ndarray:
         return acc.reshape(cout, do, ho, wo).astype(np.float32)
 
     d, h, w = x.shape[1:]
-    # taps in depth-major order, so the kd planes an output reads are adjacent rows
-    wt = p.weights.transpose(0, 2, 1, 3, 4).reshape(cout, -1).astype(np.float64)
-    ring = np.empty((kd + sd, cin, kh, kw, ho, wo), dtype=np.float64)
+    # padded plane i reaches output plane z through depth tap a = i - z*sd, so the
+    # taps a = i (mod sd) read it: one weight matrix per residue, rows in the
+    # order (a, cout), taps in the order (cin, kh, kw)
+    by_tap = p.weights.transpose(2, 0, 1, 3, 4).astype(np.float64)
+    wts = [by_tap[r::sd].reshape(-1, cin * kh * kw) for r in range(min(sd, kd))]
     plane = np.zeros((cin, h + 2 * ph, w + 2 * pw), dtype=np.float64)
     # windows[c, j, k, b, e] = plane[c, j*sh + b, k*sw + e]
     windows = np.lib.stride_tricks.sliding_window_view(plane, (kh, kw), axis=(1, 2))
     windows = windows[:, ::sh, ::sw].transpose(0, 3, 4, 1, 2)
-    acc = np.empty((cout, ho * wo), dtype=np.float64)
+    col = np.empty((cin, kh, kw, ho, wo), dtype=np.float64)
+    # at most ceil(kd / sd) output planes read one input plane, so as many
+    # accumulators serve them in turn: output plane z uses slot z mod len(accs)
+    part = np.empty((len(wts[0]) // cout, cout, ho * wo), dtype=np.float64)
+    accs = np.empty_like(part)
     out = np.empty((cout, do, ho, wo), dtype=np.float32)
-    base = filled = 0  # ring slot 0 holds padded plane ``base``; planes below ``filled`` are built
+    flat = out.reshape(cout, do, -1)
     for z in range(do):
-        lo = z * sd
-        if lo + kd - base > len(ring):
-            kept = ring[lo - base : filled - base]  # empty when the stride skips planes
-            ring[: len(kept)] = kept
-            base = lo
-        for i in range(max(filled, lo), lo + kd):
-            if pd <= i < pd + d:
-                plane[:, ph : ph + h, pw : pw + w] = x[:, i - pd]
-                ring[i - base] = windows
+        if not (pd < z * sd + kd and z * sd < pd + d):  # reads only padding
+            flat[:, z] = bias
+    for i in range(pd, min(pd + d, (do - 1) * sd + kd)):
+        zs = range(max(0, -(-(i - kd + 1) // sd)), min(do - 1, i // sd) + 1)
+        if not zs:  # between the windows of a depth stride above kd
+            continue
+        plane[:, ph : ph + h, pw : pw + w] = x[:, i - pd]
+        col[...] = windows
+        wt = wts[i % sd]
+        np.matmul(wt, col.reshape(-1, ho * wo), out=part[: len(wt) // cout].reshape(len(wt), -1))
+        for z in zs:
+            a, acc = i - z * sd, accs[z % len(accs)]
+            if i == max(z * sd, pd):  # the first real plane z reads
+                acc[...] = part[a // sd]
             else:
-                ring[i - base] = 0.0
-        filled = lo + kd
-        np.matmul(wt, ring[lo - base : lo - base + kd].reshape(-1, ho * wo), out=acc)
-        acc += bias
-        out[:, z] = acc.reshape(cout, ho, wo)
+                acc += part[a // sd]
+            if i == min(z * sd + kd, pd + d) - 1:  # the last one
+                acc += bias
+                flat[:, z] = acc
     return out
 
 

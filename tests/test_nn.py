@@ -13,7 +13,7 @@ import pytest
 from nets import unet_net
 from oracles import loop_maxpool, naive_conv3d, tapwise_conv3d
 from wmhkit.errors import ShapeMismatch, UnknownConcatSource
-from wmhkit import network
+from wmhkit import layers, network
 from wmhkit.layers import (
     BatchNorm,
     Concat,
@@ -122,15 +122,19 @@ class TestConvAtScale:
     @pytest.mark.parametrize(
         "cin, cout, kernel, stride, padding, spatial",
         [
-            (3, 4, (3, 3, 3), (2, 1, 1), (1, 1, 1), (13, 7, 9)),  # sd = 2: ring of 5 planes, 7 outputs
+            (3, 4, (3, 3, 3), (2, 1, 1), (1, 1, 1), (13, 7, 9)),  # sd = 2: two accumulators, 7 outputs
             (2, 3, (3, 3, 3), (1, 2, 2), (2, 0, 1), (9, 8, 7)),  # two padding planes at each end
-            (2, 3, (5, 3, 1), (1, 1, 1), (2, 1, 0), (11, 6, 5)),  # kd > 3 sd: kept planes overlap their target
+            (2, 3, (5, 3, 1), (1, 1, 1), (2, 1, 0), (11, 6, 5)),  # kd = 5: five accumulators, 11 outputs
             (3, 2, (2, 2, 3), (3, 2, 1), (1, 0, 1), (20, 5, 6)),  # sd > kd: planes no output reads
             (2, 2, (1, 1, 1), (1, 1, 1), (1, 0, 1), (4, 3, 5)),  # padded 1^3 kernel
+            (3, 4, (3, 3, 3), (2, 2, 1), (0, 1, 1), (13, 6, 5)),  # sd = 2, no depth padding
+            (3, 4, (2, 3, 3), (3, 1, 1), (1, 1, 1), (16, 5, 6)),  # sd > kd: one accumulator
+            (3, 4, (1, 3, 3), (4, 1, 1), (2, 1, 1), (20, 5, 6)),  # sd > kd, padding planes some outputs read
         ],
     )
     def test_plane_ring_cycles(self, rng, cin, cout, kernel, stride, padding, spatial):
-        # every case has more output planes than the ring of kd + sd plane-columns holds
+        # every case has more output planes than kd + sd, so each of the ceil(kd / sd)
+        # accumulators of the cycle serves several output planes
         kd, sd = kernel[0], stride[0]
         x = rng.normal(size=(cin, *spatial)).astype(np.float32)
         p = Conv3D(weights=rng.normal(size=(cout, cin, *kernel)), bias=rng.normal(size=cout),
@@ -150,6 +154,32 @@ class TestConvAtScale:
         finally:
             tracemalloc.stop()
         assert peak < x.size * 8
+
+    def test_transient_memory_is_a_plane_column(self, rng):
+        # beyond its float32 output, a conv holds one plane-column and a few
+        # plane-sized buffers: below two plane-columns, where a ring of them is not
+        x = rng.normal(size=(32, 48, 48, 48)).astype(np.float32)
+        p = _conv(8, 32, 3, padding=(1, 1, 1), rng=rng)
+        tracemalloc.start()
+        try:
+            out = conv3d(x, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cout, cin, kd, kh, kw = p.weights.shape
+        _, _, ho, wo = out.shape
+        assert peak < out.nbytes + 8 * 2 * cin * kh * kw * ho * wo
+
+    def test_output_plane_of_padding_only_is_its_bias(self, rng):
+        # kd = 2, pd = 3 over 2 planes: output planes 0, 1, 5 and 6 read only zero padding
+        x = rng.normal(size=(3, 2, 5, 6)).astype(np.float32)
+        p = Conv3D(weights=rng.normal(size=(4, 3, 2, 3, 3)), bias=rng.normal(size=4),
+                   padding=(3, 1, 1))
+        got = conv3d(x, p)
+        assert got.shape[1] == 7
+        for z in (0, 1, 5, 6):
+            assert (got[:, z] == p.bias[:, None, None]).all()
+        assert _rel_err(got, tapwise_conv3d(x, p.weights, p.bias, p.stride, p.padding)) < 1e-6
 
     @pytest.mark.parametrize("k, stride, padding", [(3, (1, 1, 1), (1, 1, 1)), (1, (1, 1, 1), (0, 0, 0))])
     def test_non_contiguous_input(self, rng, k, stride, padding):
@@ -239,15 +269,18 @@ class TestLayers:
             BatchNorm(gamma=np.ones(2), beta=np.zeros(2), mean=np.zeros(2), var=np.array(var), eps=eps)
 
     def test_batchnorm_matches_formula_bitwise(self, rng):
-        c = 6
-        x = rng.normal(scale=3.0, size=(c, 9, 10, 11)).astype(np.float32)
-        g, b, m = (rng.normal(size=c).astype(np.float32) for _ in range(3))
-        v = rng.uniform(0.0, 3.0, size=c).astype(np.float32)
-        layer = BatchNorm(gamma=g, beta=b, mean=m, var=v, eps=1e-3)
-        shape = (c, 1, 1, 1)
-        g, b, m, v = (a.astype(np.float64).reshape(shape) for a in (g, b, m, v))
-        want = (g * (x - m) / np.sqrt(v + 1e-3) + b).astype(np.float32)
-        assert np.array_equal(apply_layer(x, layer), want)
+        c, run = 6, layers._RUN_BYTES // 8
+        # fewer voxels than one run, and more voxels than one run but not a whole number of runs
+        for spatial in [(9, 10, 11), (33, 32, 35)]:
+            assert np.prod(spatial) < run or np.prod(spatial) % run
+            x = rng.normal(scale=3.0, size=(c, *spatial)).astype(np.float32)
+            g, b, m = (rng.normal(size=c).astype(np.float32) for _ in range(3))
+            v = rng.uniform(0.0, 3.0, size=c).astype(np.float32)
+            layer = BatchNorm(gamma=g, beta=b, mean=m, var=v, eps=1e-3)
+            shape = (c, 1, 1, 1)
+            g, b, m, v = (a.astype(np.float64).reshape(shape) for a in (g, b, m, v))
+            want = (g * (x - m) / np.sqrt(v + 1e-3) + b).astype(np.float32)
+            assert np.array_equal(apply_layer(x, layer), want)
 
     def test_relu(self):
         x = np.array([[-1.0, 2.0]], dtype=np.float32).reshape(1, 1, 1, 2)
