@@ -27,6 +27,7 @@ from .cohort import parse_cohort_csv, parse_numeric_columns, summarize
 from .ensemble import EnsembleSpec, binarize, predict_ensemble, wmh_volume_ml
 from .errors import ContractError, DegenerateError, FormatError, InputError
 from .histo import HistParams, histogram_segment, modal_threshold
+from .layers import one_blas_thread
 from .lesions import count_components, label_components  # noqa: F401  (perfbench/tracing.py wraps label_components here)
 from .metrics import metric_report, write_pr_curve_tsv
 from .nifti import parse_nifti, write_nifti, write_nifti_mask
@@ -472,7 +473,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     run = Run(args)
     try:
-        payload, report_path = args.func(run, args)
+        with one_blas_thread():
+            payload, report_path = args.func(run, args)
         text = _dump(run.envelope(payload), report_path)
     except FAILURE_TYPES as exc:
         category, code = _failure(exc)

@@ -15,22 +15,38 @@ through tap a; ceil(kd / sd) accumulators serve the output planes in turn. So
 each output voxel is, per depth tap a in increasing order, one float64 dot
 product over the taps (Cin, kh, kw), summed, then the bias, and it is rounded
 to float32 once. Zero-padding planes add exact zeros and are skipped, so an
-output plane that reads only padding is its bias. Beyond its float32 output,
-such a conv holds one plane-column (8 Cin kh kw Ho Wo bytes), the partial sums
-and the accumulators (8 ceil(kd / sd) Cout Ho Wo bytes each) and one padded
-float64 input plane. A 1x1x1 stride-1 unpadded kernel is one GEMM over the
-whole input, converted to float64.
+output plane that reads only padding is its bias. A 1x1x1 stride-1 unpadded
+kernel is one GEMM over the whole input, converted to float64.
 
-The GEMM shapes follow from the layer and the input shape alone, so repeated
-runs are bit-identical. They are not free of the GEMM's column count N = Ho
-Wo: in OpenBLAS 0.3.31 the float64 bits of a (48, 288), (48, 144) or (48, 27)
-DGEMM (the 32-, 16- and 3-channel 3x3x3 convs to 16 channels) differ from a
-wider product's in some of the last 8 columns for about half of all N up to
-300, while those of a (48, 9) one differ only at N = 1. At N = 160, 576 and
-4096 these four did not depend on the thread count (1 or 2), but a (48, 432)
-one did. That a tiled forward equals the whole-volume one, and that outputs do
-not depend on the BLAS thread count, is therefore pinned by tests on float32
-outputs, not guaranteed by construction.
+That loop runs in bands of output rows, each over every depth plane on its
+own rows: it fills its padded input rows (its rows and a halo of kh - sh
+rows), lowers its rows of the plane-column and adds its GEMM's (Cout, rows
+Wo) partials into its rows of the accumulators. The bands, at least two, of at
+most ``_BAND_COLS`` output columns each, follow from the output plane's shape
+alone. They run on one pool of as many threads as the process may use cores,
+``_workers()`` bands at once: the cores over the BLAS thread count, or one
+where that count is unknown. ``cli.main`` sets numpy's OpenBLAS to one thread
+while a command runs (``one_blas_thread``) and restores the count it found,
+so a conv's bands use every core and the im2col copies, plane fills and
+accumulations run in parallel too, not only the GEMM. Beyond its float32
+output, such a conv holds one allocation shared by its bands: one
+plane-column (8 Cin kh kw Ho Wo bytes), the partial sums and the
+accumulators (8 ceil(kd / sd) Cout Ho Wo bytes each), and each band's padded
+float64 input rows.
+
+The GEMM shapes follow from the layer and the input shape alone, never from
+the core or BLAS thread count, so repeated runs are bit-identical, and so are
+runs on any number of workers. They are not free of the GEMM's column count
+N, a band's rows times Wo: in OpenBLAS 0.3.31 the float64 bits of a (48, 288),
+(48, 144) or (48, 27) DGEMM (the 32-, 16- and 3-channel 3x3x3 convs to 16
+channels) differ from a wider product's in some of the last 8 columns for
+about half of all N up to 300, while those of a (48, 9) one differ only at N =
+1. At N = 160, 576 and 4096 these four did not depend on the thread count (1
+or 2), but a (48, 432) one did. That a tiled forward equals the whole-volume
+one, and that outputs do not depend on the BLAS thread count, is therefore
+pinned by tests on float32 outputs, not guaranteed by construction. The CLI
+runs every GEMM on one thread, so its outputs depend on neither
+``OPENBLAS_NUM_THREADS`` nor the core count.
 
 Each layer type is one frozen dataclass that owns its SGWT manifest tag
 (``TYPE``), its shape rule (``out_shape``), its receptive field
@@ -41,8 +57,14 @@ manifest entry. A new layer type is one class plus its entry in
 
 from __future__ import annotations
 
+import ctypes
+import importlib
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -61,6 +83,97 @@ Shape = tuple[int, int, int, int]
 # 16x64^3 activation took a median 13.5-14.1 ms in runs of this size and
 # 14.3-14.7 ms a 2 MB channel at a time (2 MiB of L2 per core).
 _RUN_BYTES = 256 * 2**10
+
+# most output columns (rows x Wo) in one band of a non-pointwise conv; the bands,
+# and so the GEMM shapes, follow from the layer and the input shape alone. On 2
+# vCPUs, two workers ran the 32->16 3^3 conv at 64^3 in 109-134 ms in bands of
+# 2048 columns, 121-147 ms of 1024 and 125-164 ms of 512 (more bands, more
+# Python steps per plane)
+_BAND_COLS = 2048
+
+_NPROC = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# the bands of every conv run on these threads; they start on first use
+_POOL = ThreadPoolExecutor(max_workers=_NPROC, thread_name_prefix="wmhkit-conv")
+
+
+@cache
+def _openblas():
+    """(get, set) of the thread count of numpy's OpenBLAS, or None without one."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            lib = ctypes.CDLL(importlib.import_module(name).__file__)
+        except (ImportError, OSError):
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    put.restype, put.argtypes = None, [ctypes.c_int]
+                    return get, put
+    return None
+
+
+def blas_threads() -> int | None:
+    """Threads numpy's OpenBLAS runs one GEMM on, or None if it is not found."""
+    fns = _openblas()
+    return None if fns is None else int(fns[0]())
+
+
+def set_blas_threads(n: int) -> None:
+    """Set the thread count of numpy's OpenBLAS, for the whole process (a no-op
+    if it is not found)."""
+    fns = _openblas()
+    if fns is not None:
+        fns[1](n)
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, so that conv bands run
+    on every core (see ``_workers``), and restore the count found on exit."""
+    found = blas_threads()
+    set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if found is not None:
+            set_blas_threads(found)
+
+
+def _workers() -> int:
+    """Bands of one conv run at once: the cores each GEMM's BLAS threads leave
+    free, or one where the BLAS thread count is unknown."""
+    threads = blas_threads()
+    return 1 if threads is None else max(1, _NPROC // threads)
+
+
+def _bands(ho: int, wo: int) -> list[tuple[int, int]]:
+    """Output rows [r0, r1) of each band: at least two bands (unless there is
+    one row), each of at most _BAND_COLS output columns (or one row), their
+    sizes as even as can be."""
+    count = min(ho, max(2, -(-ho // max(1, _BAND_COLS // wo))))
+    return [(ho * k // count, ho * (k + 1) // count) for k in range(count)]
+
+
+def _run(task, count: int) -> None:
+    """task(0), ..., task(count - 1), on ``_workers()`` pool threads at once,
+    worker j taking j, j + workers, ..."""
+    workers = min(_workers(), count)
+    if workers == 1:
+        for k in range(count):
+            task(k)
+        return
+
+    def share(j):
+        for k in range(j, count, workers):
+            task(k)
+
+    futures = [_POOL.submit(share, j) for j in range(workers)]
+    wait(futures)
+    for f in futures:
+        f.result()
 
 
 def _is_int(value) -> bool:
@@ -296,14 +409,15 @@ def conv3d(x: np.ndarray, p: Conv3D) -> np.ndarray:
     """Strided zero-padded cross-correlation over a (C, D, H, W) tensor.
 
     Lowered to float64 GEMM: a 1x1x1 stride-1 unpadded kernel is one matmul
-    over the input; any other kernel streams over the input's depth planes.
-    Each real input plane is lowered once to its im2col (Cin, kh, kw, Ho, Wo)
-    and multiplied once by the weight rows of the depth taps that read it,
-    giving one (Cout, Ho Wo) partial sum per tap. Each partial is added into
-    the float64 accumulator of the output plane that reads the input plane
-    through that tap. An output plane takes its bias and is rounded to float32
-    once its last real input plane is in; one that reads only zero padding is
-    its bias.
+    over the input; any other kernel streams over the input's depth planes,
+    in bands of output rows that the pool's workers run at once. Within a
+    band, each real input plane is lowered once to the band's rows of its
+    im2col (Cin, kh, kw, rows, Wo) and multiplied once by the weight rows of
+    the depth taps that read it, giving one (Cout, rows Wo) partial sum per
+    tap. Each partial is added into the band's rows of the float64 accumulator
+    of the output plane that reads the input plane through that tap. An output
+    plane takes its bias and is rounded to float32 once its last real input
+    plane is in; one that reads only zero padding is its bias.
     """
     cout, cin, kd, kh, kw = p.weights.shape
     _, do, ho, wo = p.out_shape(x.shape, {})
@@ -323,37 +437,55 @@ def conv3d(x: np.ndarray, p: Conv3D) -> np.ndarray:
     # order (a, cout), taps in the order (cin, kh, kw)
     by_tap = p.weights.transpose(2, 0, 1, 3, 4).astype(np.float64)
     wts = [by_tap[r::sd].reshape(-1, cin * kh * kw) for r in range(min(sd, kd))]
-    plane = np.zeros((cin, h + 2 * ph, w + 2 * pw), dtype=np.float64)
-    # windows[c, j, k, b, e] = plane[c, j*sh + b, k*sw + e]
-    windows = np.lib.stride_tricks.sliding_window_view(plane, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::sh, ::sw].transpose(0, 3, 4, 1, 2)
-    col = np.empty((cin, kh, kw, ho, wo), dtype=np.float64)
     # at most ceil(kd / sd) output planes read one input plane, so as many
-    # accumulators serve them in turn: output plane z uses slot z mod len(accs)
-    part = np.empty((len(wts[0]) // cout, cout, ho * wo), dtype=np.float64)
-    accs = np.empty_like(part)
+    # accumulators serve them in turn: output plane z uses slot z mod nacc
+    nacc = len(wts[0]) // cout
     out = np.empty((cout, do, ho, wo), dtype=np.float32)
     flat = out.reshape(cout, do, -1)
     for z in range(do):
         if not (pd < z * sd + kd and z * sd < pd + d):  # reads only padding
             flat[:, z] = bias
-    for i in range(pd, min(pd + d, (do - 1) * sd + kd)):
-        zs = range(max(0, -(-(i - kd + 1) // sd)), min(do - 1, i // sd) + 1)
-        if not zs:  # between the windows of a depth stride above kd
-            continue
-        plane[:, ph : ph + h, pw : pw + w] = x[:, i - pd]
-        col[...] = windows
-        wt = wts[i % sd]
-        np.matmul(wt, col.reshape(-1, ho * wo), out=part[: len(wt) // cout].reshape(len(wt), -1))
-        for z in zs:
-            a, acc = i - z * sd, accs[z % len(accs)]
-            if i == max(z * sd, pd):  # the first real plane z reads
-                acc[...] = part[a // sd]
-            else:
-                acc += part[a // sd]
-            if i == min(z * sd + kd, pd + d) - 1:  # the last one
-                acc += bias
-                flat[:, z] = acc
+    # each real padded plane i that some output plane reads, with those planes
+    planes = [(i, zs) for i in range(pd, min(pd + d, (do - 1) * sd + kd))
+              if (zs := range(max(0, -(-(i - kd + 1) // sd)), min(do - 1, i // sd) + 1))]
+    bands = _bands(ho, wo)
+    # every band's plane-column rows, partial sums and accumulators are carved
+    # out of one allocation made here: a plane-column and 2 nacc Cout Ho Wo more
+    per_col = cin * kh * kw + 2 * nacc * cout
+    buf = np.empty(per_col * ho * wo, dtype=np.float64)
+    # and each band's padded input rows, its kh - sh halo included, zeroed once
+    pads = [np.zeros((cin, (r1 - r0 - 1) * sh + kh, w + 2 * pw), dtype=np.float64) for r0, r1 in bands]
+
+    def run_band(k):
+        (r0, r1), plane = bands[k], pads[k]
+        n = (r1 - r0) * wo
+        col, part, accs = np.split(buf[per_col * r0 * wo : per_col * r1 * wo],
+                                   [cin * kh * kw * n, (cin * kh * kw + nacc * cout) * n])
+        col = col.reshape(cin, kh, kw, r1 - r0, wo)
+        part, accs = part.reshape(nacc, cout, n), accs.reshape(nacc, cout, n)
+        # the band's padded rows start at padded row r0*sh, input row top
+        top = r0 * sh - ph
+        lo = max(0, top)
+        hi = max(lo, min(h, top + plane.shape[1]))  # lo = hi: the band reads only padding rows
+        # windows[c, j, k, b, e] = plane[c, j*sh + b, k*sw + e]
+        windows = np.lib.stride_tricks.sliding_window_view(plane, (kh, kw), axis=(1, 2))
+        windows = windows[:, ::sh, ::sw].transpose(0, 3, 4, 1, 2)
+        for i, zs in planes:
+            plane[:, lo - top : hi - top, pw : pw + w] = x[:, i - pd, lo:hi]
+            col[...] = windows
+            wt = wts[i % sd]
+            np.matmul(wt, col.reshape(-1, n), out=part[: len(wt) // cout].reshape(len(wt), n))
+            for z in zs:
+                a, acc = i - z * sd, accs[z % nacc]
+                if i == max(z * sd, pd):  # the first real plane z reads
+                    acc[...] = part[a // sd]
+                else:
+                    acc += part[a // sd]
+                if i == min(z * sd + kd, pd + d) - 1:  # the last one
+                    acc += bias
+                    flat[:, z, r0 * wo : r1 * wo] = acc
+
+    _run(run_band, len(bands))
     return out
 
 

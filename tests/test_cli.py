@@ -15,6 +15,7 @@ from wmhkit.cli import main
 from wmhkit.cohort import synthetic_cohort, write_cohort_csv
 from wmhkit.ensemble import EnsembleSpec, predict_ensemble
 from wmhkit.histo import HistParams, histogram_segment
+from wmhkit.layers import blas_threads, set_blas_threads
 from wmhkit.nifti import DATA_OFFSET, parse_nifti, write_nifti
 from wmhkit.phantom import make_phantom
 from wmhkit.volume import Volume3D, normalize_intensity
@@ -513,6 +514,36 @@ class TestSegment:
         assert captured.out == ""
         assert captured.err.startswith("error [input]:") and len(captured.err.splitlines()) == 1
         assert not out_dir.exists()
+
+    @pytest.mark.skipif(blas_threads() is None, reason="numpy's OpenBLAS thread count cannot be read or set")
+    def test_posterior_independent_of_the_blas_threads_found(self, phantom_dir, tmp_path, capsys, rng,
+                                                            monkeypatch):
+        # segment runs every GEMM on one BLAS thread, whatever count it finds, and puts that count back
+        weights = tmp_path / "unet.sgwt"
+        weights.write_bytes(save_ensemble({role: unet_net(rng, 3 if role == "meta" else 1, 4)
+                                           for role in ("axial", "sagittal", "coronal", "meta")}))
+        during = []
+
+        def predict(*args, **kwargs):
+            during.append(blas_threads())
+            return predict_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "predict_ensemble", predict)
+        found, payloads = blas_threads(), []
+        try:
+            for preset in (1, 2):
+                set_blas_threads(preset)
+                out_dir = tmp_path / f"seg{preset}"
+                code, _ = run_cli(capsys, "segment", "--flair", str(phantom_dir / "flair.nii.gz"),
+                                  "--mask", str(phantom_dir / "brain_mask.nii.gz"),
+                                  "--weights", str(weights), "--out-dir", str(out_dir))
+                assert code == 0
+                assert blas_threads() == preset
+                payloads.append(gzip.decompress((out_dir / "flair.posterior.nii.gz").read_bytes()))
+        finally:
+            set_blas_threads(found)
+        assert during == [1, 1]
+        assert payloads[0] == payloads[1]
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +39,20 @@ def _conv(cout, cin, k, stride=(1, 1, 1), padding=(0, 0, 0), rng=None, weight=No
         w = np.full((cout, cin, k, k, k), weight, dtype=np.float32)
         b = np.full(cout, bias, dtype=np.float32)
     return Conv3D(weights=w, bias=b, stride=stride, padding=padding)
+
+
+# (cin, cout, kernel, stride, padding, spatial) of convs whose depth planes cycle
+# through the accumulators, strides 1 to 4
+_PLANE_CASES = [
+    (3, 4, (3, 3, 3), (2, 1, 1), (1, 1, 1), (13, 7, 9)),  # sd = 2: two accumulators, 7 outputs
+    (2, 3, (3, 3, 3), (1, 2, 2), (2, 0, 1), (9, 8, 7)),  # two padding planes at each end
+    (2, 3, (5, 3, 1), (1, 1, 1), (2, 1, 0), (11, 6, 5)),  # kd = 5: five accumulators, 11 outputs
+    (3, 2, (2, 2, 3), (3, 2, 1), (1, 0, 1), (20, 5, 6)),  # sd > kd: planes no output reads
+    (2, 2, (1, 1, 1), (1, 1, 1), (1, 0, 1), (4, 3, 5)),  # padded 1^3 kernel
+    (3, 4, (3, 3, 3), (2, 2, 1), (0, 1, 1), (13, 6, 5)),  # sd = 2, no depth padding
+    (3, 4, (2, 3, 3), (3, 1, 1), (1, 1, 1), (16, 5, 6)),  # sd > kd: one accumulator
+    (3, 4, (1, 3, 3), (4, 1, 1), (2, 1, 1), (20, 5, 6)),  # sd > kd, padding planes some outputs read
+]
 
 
 class TestConv3D:
@@ -119,19 +134,7 @@ class TestConvAtScale:
         print(f"conv {cin}->{cout} k{k} stride {stride} on {spatial}: "
               f"bit-identical to the per-tap kernel: {np.array_equal(got, want)}")
 
-    @pytest.mark.parametrize(
-        "cin, cout, kernel, stride, padding, spatial",
-        [
-            (3, 4, (3, 3, 3), (2, 1, 1), (1, 1, 1), (13, 7, 9)),  # sd = 2: two accumulators, 7 outputs
-            (2, 3, (3, 3, 3), (1, 2, 2), (2, 0, 1), (9, 8, 7)),  # two padding planes at each end
-            (2, 3, (5, 3, 1), (1, 1, 1), (2, 1, 0), (11, 6, 5)),  # kd = 5: five accumulators, 11 outputs
-            (3, 2, (2, 2, 3), (3, 2, 1), (1, 0, 1), (20, 5, 6)),  # sd > kd: planes no output reads
-            (2, 2, (1, 1, 1), (1, 1, 1), (1, 0, 1), (4, 3, 5)),  # padded 1^3 kernel
-            (3, 4, (3, 3, 3), (2, 2, 1), (0, 1, 1), (13, 6, 5)),  # sd = 2, no depth padding
-            (3, 4, (2, 3, 3), (3, 1, 1), (1, 1, 1), (16, 5, 6)),  # sd > kd: one accumulator
-            (3, 4, (1, 3, 3), (4, 1, 1), (2, 1, 1), (20, 5, 6)),  # sd > kd, padding planes some outputs read
-        ],
-    )
+    @pytest.mark.parametrize("cin, cout, kernel, stride, padding, spatial", _PLANE_CASES)
     def test_plane_ring_cycles(self, rng, cin, cout, kernel, stride, padding, spatial):
         # every case has more output planes than kd + sd, so each of the ceil(kd / sd)
         # accumulators of the cycle serves several output planes
@@ -192,6 +195,87 @@ class TestConvAtScale:
         assert _rel_err(got, tapwise_conv3d(x, p.weights, p.bias, stride, padding)) < 1e-6
 
 
+class _CountingPool:
+    """Stands in for the conv pool: three threads, whatever the core count,
+    and a count of the tasks it was given."""
+
+    def __init__(self):
+        self.pool = ThreadPoolExecutor(max_workers=3)
+        self.tasks = 0
+
+    def submit(self, fn, *args):
+        self.tasks += 1
+        return self.pool.submit(fn, *args)
+
+
+class TestBands:
+    """The bands of output rows give the same bits on 1, 2 or 3 workers, with
+    the shipped band size and with one-row bands."""
+
+    @pytest.fixture(params=[layers._BAND_COLS, 1], ids=["shipped bands", "one-row bands"])
+    def at_workers(self, request, monkeypatch):
+        monkeypatch.setattr(layers, "_BAND_COLS", request.param)
+
+        def run(fn):
+            outs = []
+            for n in (1, 2, 3):
+                pool = _CountingPool()
+                monkeypatch.setattr(layers, "_POOL", pool)
+                monkeypatch.setattr(layers, "_workers", lambda: n)
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)  # workers switch often, so a shared write would show
+                try:
+                    outs.append(fn())
+                finally:
+                    sys.setswitchinterval(interval)
+                    pool.pool.shutdown()
+                assert (pool.tasks > 0) == (n > 1)
+            for out in outs[1:]:
+                assert out.dtype == outs[0].dtype and np.array_equal(out, outs[0])
+            return outs[0]
+
+        return run
+
+    @pytest.mark.parametrize(
+        "cin, cout, kernel, stride, padding, spatial",
+        # the last case pads beyond its kernel, so some bands read only padding rows
+        [*_PLANE_CASES, (2, 3, (1, 2, 2), (1, 1, 2), (0, 4, 5), (3, 3, 4))],
+    )
+    def test_plane_cases(self, rng, at_workers, cin, cout, kernel, stride, padding, spatial):
+        x = rng.normal(size=(cin, *spatial)).astype(np.float32)
+        p = Conv3D(weights=rng.normal(size=(cout, cin, *kernel)), bias=rng.normal(size=cout),
+                   stride=stride, padding=padding)
+        got = at_workers(lambda: conv3d(x, p))
+        assert _rel_err(got, tapwise_conv3d(x, p.weights, p.bias, stride, padding)) < 1e-6
+
+    def test_output_plane_of_padding_only(self, rng, at_workers):
+        x = rng.normal(size=(3, 2, 5, 6)).astype(np.float32)
+        p = Conv3D(weights=rng.normal(size=(4, 3, 2, 3, 3)), bias=rng.normal(size=4), padding=(3, 1, 1))
+        got = at_workers(lambda: conv3d(x, p))
+        for z in (0, 1, 5, 6):
+            assert (got[:, z] == p.bias[:, None, None]).all()
+
+    def test_non_contiguous_input(self, rng, at_workers):
+        base = rng.normal(size=(20, 8, 24, 12)).astype(np.float32)
+        x = base[2:18:2, :, ::2].transpose(0, 3, 2, 1)
+        p = _conv(5, 8, 3, padding=(1, 1, 1), rng=rng)
+        got = at_workers(lambda: conv3d(x, p))
+        assert _rel_err(got, tapwise_conv3d(x, p.weights, p.bias, p.stride, p.padding)) < 1e-6
+
+    def test_unet_forward(self, rng, at_workers):
+        net = unet_net(rng, 1, 4)
+        x = rng.normal(size=(1, 16, 16, 16)).astype(np.float32)
+        at_workers(lambda: forward(net, x))
+
+    @pytest.mark.parametrize("ho, wo", [(1, 5), (2, 3000), (7, 9), (64, 64), (192, 160), (5, 10**4)])
+    def test_bands_split_the_rows(self, ho, wo):
+        bands = layers._bands(ho, wo)
+        assert [r0 for r0, _ in bands] == [0] + [r1 for _, r1 in bands[:-1]] and bands[-1][1] == ho
+        sizes = [r1 - r0 for r0, r1 in bands]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        assert len(bands) == min(ho, 2) or max(sizes) * wo <= max(wo, layers._BAND_COLS)
+
+
 _SEEDED_FORWARDS = textwrap.dedent(
     """
     import hashlib
@@ -228,7 +312,8 @@ _SEEDED_FORWARDS = textwrap.dedent(
 
 
 def test_output_independent_of_blas_threads():
-    # batch mode pins BLAS to nproc/jobs threads; a subject's bytes must not depend on it
+    # a library caller's BLAS thread count, and with it the number of band workers, must not
+    # change a subject's bytes
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
     for threads in ("1", "2"):
@@ -281,6 +366,20 @@ class TestLayers:
             g, b, m, v = (a.astype(np.float64).reshape(shape) for a in (g, b, m, v))
             want = (g * (x - m) / np.sqrt(v + 1e-3) + b).astype(np.float32)
             assert np.array_equal(apply_layer(x, layer), want)
+        # one voxel per channel, from a seeded search with beta near -gamma (x - mean) / s,
+        # where the sum cancels: the float32 bits of (x, gamma, beta, mean, var) whose output
+        # tells the order g * (x - m) / s from (x - m) / s * g
+        x, g, b, m, v = np.array([
+            [0x40710F1D, 0xBD4EB8AA, 0x3DEA7810, 0x3E2D696B, 0x4020DED4],
+            [0xBEFA2874, 0x3E06C0AF, 0x3E75327F, 0x3FF1C16F, 0x3FDA5BA4],
+            [0xC05E6007, 0x4047F171, 0x415A8A0A, 0x3FB61B83, 0x3FA07A68],
+            [0x3FD2EFD0, 0xBF90C4DF, 0x3F74C9FA, 0x3F86558E, 0x3F000448],
+        ], dtype=np.uint32).view(np.float32).T
+        layer = BatchNorm(gamma=g, beta=b, mean=m, var=v, eps=1e-3)
+        z, s = x.astype(np.float64) - m, np.sqrt(v.astype(np.float64) + 1e-3)
+        want = (g * z / s + b).astype(np.float32)
+        assert not np.any(want == (z / s * g + b).astype(np.float32))
+        assert np.array_equal(apply_layer(x.reshape(-1, 1, 1, 1), layer).ravel(), want)
 
     def test_relu(self):
         x = np.array([[-1.0, 2.0]], dtype=np.float32).reshape(1, 1, 1, 2)
