@@ -360,10 +360,10 @@ def _shape(text: str) -> tuple[int, int, int]:
 
 def cmd_phantom(run: Run, args):
     args.shape = shape = _shape(args.shape)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with run.stage("generate"):
         phantom = make_phantom(seed=args.seed, shape=shape)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with run.stage("write"):
         (out_dir / "flair.nii.gz").write_bytes(write_nifti(phantom.flair, compress=True))
         (out_dir / "brain_mask.nii.gz").write_bytes(write_nifti_mask(phantom.brain_mask, compress=True))

@@ -10,10 +10,11 @@ The tile plan follows from each network's receptive field. A pointwise net
 it runs on the canonical volume directly, over runs of consecutive voxels in
 storage order, each sized by ``_RUN_BYTES`` and viewed as a (C, n, 1, 1)
 tensor: each voxel is computed once, and the tile geometry is unused. Any other
-net runs on the volume reformatted into its plane, by U-Net's overlap-tile
-strategy (arXiv:1505.04597, Fig. 2): disjoint core blocks, each computed with
-the net's halo and cropped to its core, give one whole-volume pass bit for bit.
-Its posterior is mapped back to the canonical frame.
+net runs in its plane's frame on an axis-permuted view of the canonical volume,
+by U-Net's overlap-tile strategy (arXiv:1505.04597, Fig. 2): disjoint core
+blocks, each computed with the net's halo and cropped to its core, give one
+whole-volume pass bit for bit. Each core is written through the same permuted
+view of the canonical posterior, so no plane makes a copy of either.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import InputError, ShapeCheckFailed, ShapeMismatch, TileTooSmall
 from .layers import _RUN_BYTES
 from .network import NetworkSpec, forward, infer_shapes
-from .reformat import PlaneOrientation, reformat_from, reformat_to, to_canonical
+from .reformat import PLANE_AXES, PlaneOrientation, to_canonical
 from .volume import Volume3D, require_binary, require_same_grid
 
 DEFAULT_TILE = (64, 64, 64)
@@ -95,23 +96,25 @@ def _tiled_posterior(
     tile: tuple[int, int, int],
     core: tuple[int, int, int],
     out: np.ndarray | None = None,
+    axes: tuple[int, int, int] = (0, 1, 2),
 ) -> np.ndarray:
     """Channel-1 posterior for a (C, D, H, W) input array, as float32 (D, H, W),
     written into ``out`` (C-contiguous) when given.
 
     A pointwise net runs on consecutive runs of ``_RUN_BYTES // 8`` voxels in
     C order (the last run shorter), each a (C, n, 1, 1) view of the input, so
-    each voxel is computed once and ``tile`` and ``core`` are unused. Any other
-    net, which must map the volume's dims to themselves, runs on a view of each
-    block's input of ``_blocks`` and keeps the block's core.
+    each voxel is computed once and ``tile``, ``core`` and ``axes`` are unused.
+    Any other net runs in the frame whose axis i is the input's spatial axis
+    ``axes[i]``, and must map that frame's dims to themselves. It runs on a
+    view of each block's input of ``_blocks`` in that frame and writes the
+    block's core through the same permuted view of ``out``.
     """
     if net.out_channels < 2:
         raise ShapeMismatch(
             f"posterior extraction needs a >=2-channel network, got {net.out_channels}"
         )
-    spatial = x.shape[1:]
     if out is None:
-        out = np.empty(spatial, dtype=np.float32)
+        out = np.empty(x.shape[1:], dtype=np.float32)
 
     if net.pointwise:
         flat = x.reshape(x.shape[0], -1)
@@ -123,12 +126,15 @@ def _tiled_posterior(
             out_flat[s : s + run.shape[1]] = pred[1, :, 0, 0]
         return out
 
+    x = x.transpose(0, *(a + 1 for a in axes))
+    frame = out.transpose(axes)
+    spatial = x.shape[1:]
     produced = infer_shapes(net, spatial)[-1][1:]
     if produced != spatial:
         raise ShapeMismatch(f"tiled inference needs a size-preserving network; {spatial} -> {produced}")
     for blocks in product(*map(_blocks, spatial, tile, core, net.halo, net.align)):
         kept, inputs, crop = zip(*blocks)
-        out[kept] = forward(net, x[(slice(None), *inputs)])[(1, *crop)]
+        frame[kept] = forward(net, x[(slice(None), *inputs)])[(1, *crop)]
     return out
 
 
@@ -158,13 +164,7 @@ def predict_ensemble(spec: EnsembleSpec, flair: Volume3D, mask: Volume3D) -> Vol
     stacked = np.empty((len(_PLANES), *flair_c.dims), dtype=np.float32)
     plane_nets = (spec.axial_net, spec.sagittal_net, spec.coronal_net)
     for post, plane, net, core in zip(stacked, _PLANES, plane_nets, spec.cores):
-        if net.pointwise:
-            # a per-voxel net commutes with the plane's axis permutation
-            _tiled_posterior(net, flair_c.data[np.newaxis], spec.tile, core, out=post)
-        else:
-            vp = reformat_to(flair_c, plane)
-            vp = vp.with_data(_tiled_posterior(net, vp.data[np.newaxis], spec.tile, core))
-            post[...] = reformat_from(vp, plane).data
+        _tiled_posterior(net, flair_c.data[np.newaxis], spec.tile, core, post, PLANE_AXES[plane])
 
     fused = _tiled_posterior(spec.meta_net, stacked, spec.tile, spec.cores[3])
     fused[mask_c.data == 0] = 0.0

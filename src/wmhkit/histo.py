@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMask, FlatHistogram, InputError
+from .errors import DegenerateMask, FlatHistogram, InputError, NonFiniteInput
 from .volume import Volume3D, require_binary, require_same_dims
 
 
@@ -31,13 +31,16 @@ class HistParams:
 
 
 def modal_threshold(flair: Volume3D, mask: Volume3D, p: HistParams = HistParams()) -> float:
-    """The intensity cutoff implied by the modal-Gaussian fit."""
+    """The intensity cutoff implied by the modal-Gaussian fit. Raises
+    NonFiniteInput when an in-mask intensity is NaN or infinite."""
     require_same_dims(flair, mask, "volume and mask")
     require_binary(mask, "brain mask")
     vals = flair.data[mask.data > 0].astype(np.float64)
     if vals.size < 2:
         raise DegenerateMask(f"mask selects {vals.size} voxels; need at least 2")
     lo, hi = float(vals.min()), float(vals.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NonFiniteInput("in-mask intensities hold a NaN or infinite voxel")
     if lo == hi:
         raise DegenerateMask("constant in-mask intensity; no mode to fit")
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .layers import Conv3D, Softmax
 from .network import NetworkSpec
 from .volume import Volume3D
@@ -84,7 +85,8 @@ def make_phantom(
     Background intensities are jittered uniformly within ±background_jitter
     of the base level; lesion blobs sit at lesion_level ± jitter. The
     detection cutoff is placed midway across the (wide) gap between the two
-    populations, expressed in normalized z-units.
+    populations, expressed in normalized z-units. A blob is a whole cube of
+    edge 2 to 5 inside the brain; raises InputError when none fits.
     """
     rng = np.random.default_rng(seed)
     inside = _ellipsoid_mask(shape)
@@ -100,13 +102,14 @@ def make_phantom(
         size = int(rng.integers(2, 6))
         lo = [int(rng.integers(0, max(n - size, 1))) for n in shape]
         block = tuple(slice(l, l + size) for l in lo)
-        if not inside[block].all():
+        # a blob clipped by the volume edge is rejected like one outside the brain
+        if inside[block].shape != (size,) * 3 or not inside[block].all():
             continue
         data[block] = lesion_level + rng.uniform(-background_jitter, background_jitter, (size,) * 3)
         gt[block] = True
         placed += 1
     if placed == 0:
-        raise RuntimeError("phantom generator failed to place any lesion blob")
+        raise InputError(f"no lesion blob fits inside the brain of a {tuple(shape)} phantom")
 
     flair = Volume3D(data.astype(np.float32), spacing)
     brain_mask = Volume3D(inside.astype(np.float32), spacing)

@@ -1,8 +1,9 @@
 """Deterministic axis reorientation between canonical RAS and processing planes.
 
 Every operation here is a pure signed index permutation: no interpolation,
-no resampling. Per-plane posteriors computed on reformatted volumes can
-therefore be mapped back voxel-aligned into the canonical frame and fused.
+no resampling. ``PLANE_AXES`` is the one table of plane frames: the
+ensemble reads each plane's frame through it as an axis-permuted view of the
+canonical volume, and ``reformat_to``/``reformat_from`` copy into and out of it.
 
 Plane permutation table (canonical axes -> output axes, slice axis last):
 
@@ -26,8 +27,8 @@ class PlaneOrientation(Enum):
     SAGITTAL = "sagittal"
 
 
-# out axis i takes canonical axis PERM[plane][i]
-_PLANE_PERM = {
+# a plane frame's axis i is canonical axis PLANE_AXES[plane][i]
+PLANE_AXES = {
     PlaneOrientation.AXIAL: (0, 1, 2),
     PlaneOrientation.CORONAL: (0, 2, 1),
     PlaneOrientation.SAGITTAL: (1, 2, 0),
@@ -60,11 +61,11 @@ def reformat_to(v: Volume3D, plane: PlaneOrientation) -> Volume3D:
     """Reformat a canonical RAS volume so the plane's slice axis comes last."""
     if v.orientation != CANONICAL_ORIENTATION:
         raise ValueError(f"reformat_to expects a canonical RAS volume, got {v.orientation}")
-    return _permute(v, _PLANE_PERM[plane])
+    return _permute(v, PLANE_AXES[plane])
 
 
 def reformat_from(v: Volume3D, plane: PlaneOrientation) -> Volume3D:
     """Exact inverse of ``reformat_to`` for the same plane."""
-    perm = _PLANE_PERM[plane]
+    perm = PLANE_AXES[plane]
     inverse = tuple(int(i) for i in np.argsort(perm))
     return _permute(v, inverse)

@@ -4,7 +4,7 @@ Bland-Altman agreement (bias, limits of agreement, CV/RPC as percentages of
 the grand mean, R² as squared Pearson correlation), two-sided paired t-tests,
 and covariate-adjusted multiple linear regression with per-coefficient
 p-values. Tail probabilities come from the regularized incomplete beta
-function, evaluated by continued fraction.
+function, ``scipy.special.betainc``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc
 
 from .cohort import SubjectRecord, resolve_field
 from .errors import (
@@ -36,58 +37,11 @@ _COVARIATE_ORDER = {name: i for i, name in enumerate(DEFAULT_COVARIATES)}
 # t-distribution machinery
 
 
-def _betacf(a: float, b: float, x: float, max_iter: int = 400, eps: float = 3e-16) -> float:
-    """Continued-fraction evaluation for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        update = d * c
-        h *= update
-        if abs(update - 1.0) < eps:
-            return h
-    raise RuntimeError(f"incomplete beta continued fraction did not converge ({a}, {b}, {x})")
-
-
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
+    """I_x(a, b) for a, b > 0, with x clipped to [0, 1]."""
     if a <= 0 or b <= 0:
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    return float(betainc(a, b, min(max(x, 0.0), 1.0)))
 
 
 def t_two_sided_p(t: float, df: float) -> float:

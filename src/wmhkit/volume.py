@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMask, NonBinaryInput, OrientationMismatch, ShapeMismatch
+from .errors import DegenerateMask, NonBinaryInput, NonFiniteInput, OrientationMismatch, ShapeMismatch
 
 CANONICAL_ORIENTATION = ("R", "A", "S")
 
@@ -98,7 +98,8 @@ def normalize_intensity(v: Volume3D, mask: Volume3D) -> Volume3D:
     networks see a stable intensity scale regardless of scanner units.
 
     Raises DegenerateMask when the mask selects fewer than two voxels or the
-    in-mask intensities have zero variance.
+    in-mask intensities have zero variance, and NonFiniteInput when one of
+    them is NaN or infinite.
     """
     require_same_dims(v, mask, "volume and mask")
     require_binary(mask, "brain mask")
@@ -108,6 +109,8 @@ def normalize_intensity(v: Volume3D, mask: Volume3D) -> Volume3D:
         raise DegenerateMask(f"mask selects {n} voxels; need at least 2")
     vals = v.data[inside].astype(np.float64)
     mu = vals.mean()
+    if not np.isfinite(mu):  # a float64 mean of float32 values is finite iff they all are
+        raise NonFiniteInput("in-mask intensities hold a NaN or infinite voxel")
     sigma = vals.std()  # population SD
     if sigma == 0.0:
         raise DegenerateMask("in-mask intensity variance is zero")

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from nets import unet_net
 from wmhkit import cli
@@ -152,6 +153,16 @@ def _batch_dirs(tmp_path, capsys, names) -> tuple[Path, Path, Path]:
     return flair_dir, mask_dir, pdir / "weights.sgwt"
 
 
+def _with_nan(flair_path, mask_path, out_path) -> Path:
+    """Write to ``out_path`` a FLAIR volume with its first in-mask voxel set to NaN."""
+    flair = parse_nifti(Path(flair_path).read_bytes())
+    mask = parse_nifti(Path(mask_path).read_bytes())
+    data = flair.data.copy()
+    data[tuple(np.argwhere(mask.data > 0)[0])] = np.nan
+    Path(out_path).write_bytes(write_nifti(flair.with_data(data), compress=True))
+    return Path(out_path)
+
+
 @pytest.fixture
 def phantom_dir(tmp_path, capsys):
     out = tmp_path / "phantom"
@@ -207,6 +218,18 @@ class TestPhantom:
         assert envelope(out)["manifest"]["parameters"] == {
             "out_dir": str(tmp_path / "p"), "seed": 0, "shape": [16, 16, 16]
         }
+
+    def test_thin_axis_places_whole_blobs(self, tmp_path, capsys):
+        # a blob the volume edge would clip is rejected, so each one is a whole cube
+        out_dir = tmp_path / "thin"
+        assert main(["phantom", "--out-dir", str(out_dir), "--seed", "0", "--shape", "64,64,3"]) == 0
+        capsys.readouterr()
+        gt = parse_nifti((out_dir / "gt.nii.gz").read_bytes()).data
+        labels, n = ndimage.label(gt)
+        boxes = ndimage.find_objects(labels)
+        assert n == 4 and int(gt.sum()) == 70
+        assert sorted(tuple(b.stop - b.start for b in box) for box in boxes) == [(2, 2, 2)] * 2 + [(3, 3, 3)] * 2
+        assert all(np.all(gt[box]) for box in boxes)
 
     def test_masks_are_uint8_and_flair_float32(self, phantom_dir):
         phantom = make_phantom(seed=0, shape=(24, 24, 24))
@@ -390,6 +413,19 @@ class TestSegment:
         capsys.readouterr()
         assert code == 1
 
+    def test_non_finite_in_mask_flair_fails_only_its_subject(self, tmp_path, capsys):
+        flair_dir, mask_dir, weights = _batch_dirs(tmp_path, capsys, ["a.nii.gz", "b.nii.gz", "c.nii.gz"])
+        _with_nan(flair_dir / "b.nii.gz", mask_dir / "b.nii.gz", flair_dir / "b.nii.gz")
+        code = main(["segment", "--flair", str(flair_dir), "--mask", str(mask_dir), "--weights", str(weights),
+                     "--out-dir", str(tmp_path / "batch"), "--jobs", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        report = envelope(captured.out)
+        assert report["failed"] == 1
+        assert [(s["status"], s.get("category")) for s in report["subjects"]] == [
+            ("ok", None), ("error", "shape"), ("ok", None)
+        ]
+
     def test_batch_mode_with_jobs(self, tmp_path, capsys):
         flair_dir, mask_dir, weights = _batch_dirs(tmp_path, capsys, [f"s{seed}.nii.gz" for seed in (0, 1, 2)])
         out_dir = tmp_path / "batch"
@@ -551,7 +587,7 @@ class TestSegment:
     [
         ("baseline", "--bins", "0"), ("baseline", "--alpha", "-1"), ("baseline", "--alpha", "nan"),
         ("baseline", "--alpha", "inf"), ("phantom", "--shape", "4,x,4"), ("phantom", "--shape", "0,4,4"),
-        ("phantom", "--shape", "4,4"),
+        ("phantom", "--shape", "4,4"), ("phantom", "--shape", "3,3,3"), ("phantom", "--shape", "1,1,1"),
     ],
 )
 def test_bad_arguments_are_input_errors(phantom_dir, tmp_path, capsys, subcommand, flag, value):
@@ -563,6 +599,19 @@ def test_bad_arguments_are_input_errors(phantom_dir, tmp_path, capsys, subcomman
     assert captured.out == ""
     assert captured.err.startswith("error [input]:") and len(captured.err.splitlines()) == 1
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["segment", "baseline"])
+def test_non_finite_in_mask_flair_is_shape_error(phantom_dir, tmp_path, capsys, subcommand):
+    mask, out_dir = phantom_dir / "brain_mask.nii.gz", tmp_path / "out"
+    flair = _with_nan(phantom_dir / "flair.nii.gz", mask, tmp_path / "nan.nii.gz")
+    weights = ["--weights", str(phantom_dir / "weights.sgwt")] if subcommand == "segment" else []
+    code = main([subcommand, "--flair", str(flair), "--mask", str(mask), *weights, "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error [shape]:") and len(captured.err.splitlines()) == 1
+    assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 class TestBaseline:

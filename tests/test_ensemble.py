@@ -17,7 +17,6 @@ from wmhkit.errors import NonBinaryInput, ShapeMismatch, TileTooSmall
 from wmhkit.layers import BatchNorm, Concat, Conv3D, MaxPool, ReLU, Softmax, UpsampleNearest
 from wmhkit.network import NetworkSpec, forward
 from wmhkit.phantom import make_phantom, mean_threshold_meta_net, threshold_detector_net
-from wmhkit.reformat import PlaneOrientation
 from wmhkit.volume import Volume3D, normalize_intensity
 
 
@@ -231,9 +230,8 @@ class TestTilePlan:
         nets = _nets("pointwise", rng)
         flair, mask = _inputs(rng, (20, 17, 13))
         monkeypatch.setattr(ensemble, "_RUN_BYTES", 8 * 1000)
-        passes, shapes, reformats = _spy_plan(monkeypatch)
+        passes, shapes, _ = _spy_plan(monkeypatch)
         predict_ensemble(_spec(nets, (8, 8, 8)), Volume3D(flair), Volume3D(mask))
-        assert reformats == []
         assert sorted(passes) == sorted(id(net) for net in nets)
         for net in nets:
             counts = passes[id(net)]
@@ -269,13 +267,26 @@ class TestTilePlan:
     def test_other_nets_overlap_tiles_in_their_planes(self, rng, monkeypatch, kind):
         nets = _nets(kind, rng)
         flair, mask = _inputs(rng, (20, 18, 22))
-        passes, shapes, reformats = _spy_plan(monkeypatch)
+        passes, shapes, _ = _spy_plan(monkeypatch)
         predict_ensemble(_spec(nets, (8, 8, 8)), Volume3D(flair), Volume3D(mask))
-        assert reformats == [PlaneOrientation.AXIAL, PlaneOrientation.SAGITTAL, PlaneOrientation.CORONAL]
         for net in nets:
             # input tiles overlap by the halo and none exceeds the tile
             assert passes[id(net)].min() == 1 and passes[id(net)].max() > 1
             assert max(max(s) for s in shapes[id(net)]) <= 8
+
+    @pytest.mark.parametrize("kind", ["receptive", "pool", "unet"])
+    def test_plane_nets_read_views_of_the_canonical_input(self, rng, monkeypatch, kind):
+        # every block of a plane net is a view of the canonical input itself,
+        # stepping along the canonical axes in its plane's order: no plane
+        # reformats a copy of the volume
+        nets = _nets(kind, rng)
+        flair, mask = _inputs(rng, (20, 18, 22))
+        _, _, frames = _spy_plan(monkeypatch)
+        predict_ensemble(_spec(nets, (16, 14, 16)), Volume3D(flair), Volume3D(mask))
+        # axial (x, y, z), sagittal (y, z, x), coronal (x, z, y)
+        for net, axes in zip(nets, [(0, 1, 2), (1, 2, 0), (0, 2, 1)]):
+            assert len(frames[id(net)]) > 1
+            assert all(root is flair and got == axes for root, got in frames[id(net)])
 
     @pytest.mark.parametrize("kind", ["receptive", "pool", "unet"])
     def test_other_nets_compute_each_voxel_once(self, rng, monkeypatch, kind):
@@ -287,9 +298,7 @@ class TestTilePlan:
         real = ensemble._tiled_posterior
 
         def spy_forward(net, x):
-            first, spatial = _origin(x)
-            start = np.unravel_index(first, spatial)
-            tiles.setdefault(id(net), []).append(tuple(slice(s, s + n) for s, n in zip(start, x.shape[1:])))
+            tiles.setdefault(id(net), []).append(_view(x)[2])
             return np.full((2, *x.shape[1:]), len(tiles[id(net)]), np.float32)
 
         def spy_posterior(net, *args, **kwargs):
@@ -312,48 +321,57 @@ class TestTilePlan:
 
 
 def _origin(x):
-    """Flat index of ``x``'s first voxel in the spatial grid of the
-    C-contiguous array it is a view of, and that grid."""
+    """The C-contiguous array ``x`` is a view of, and the flat index of
+    ``x``'s first voxel in that array's spatial grid."""
     root = x
     while isinstance(root.base, np.ndarray):
         root = root.base
     assert root.flags.c_contiguous
     offset = x.__array_interface__["data"][0] - root.__array_interface__["data"][0]
-    spatial = root.shape[-3:]
-    return offset // root.itemsize % int(np.prod(spatial)), spatial
+    return root, offset // root.itemsize % int(np.prod(root.shape[-3:]))
+
+
+def _view(x):
+    """The C-contiguous array a (C, D, H, W) block ``x`` is a view of, the
+    grid axis of that array each spatial axis of ``x`` steps along, and the
+    box of its spatial grid that ``x`` covers."""
+    root, first = _origin(x)
+    start = np.unravel_index(first, root.shape[-3:])
+    axes = tuple(root.strides[-3:].index(s) for s in x.strides[1:])
+    box = [None] * 3
+    for a, n in zip(axes, x.shape[1:]):
+        box[a] = slice(start[a], start[a] + n)
+    return root, axes, tuple(box)
 
 
 def _spy_plan(monkeypatch):
-    """Spy on the ensemble's forward and reformat_to calls.
+    """Spy on the ensemble's forward calls.
 
     Returns ``passes`` (id(net) -> how often forward saw each voxel of the
     net's input array), ``shapes`` (id(net) -> spatial shape of each forward
-    call) and the list of planes passed to ``reformat_to``. A tile's or run's
-    position is read from its offset in the contiguous array it is a view of;
+    call) and ``frames`` (id(net) -> the array each block is a view of and the
+    axis order of the view, one pair per block). A tile's or run's position is
+    read from its offset and strides in the contiguous array it is a view of;
     a (C, n, 1, 1) view whose voxels are adjacent in memory is a run of n
     consecutive voxels in storage order.
     """
-    passes, shapes, reformats = {}, {}, []
-    real_forward, real_reformat_to = ensemble.forward, ensemble.reformat_to
+    passes, shapes, frames = {}, {}, {}
+    real_forward = ensemble.forward
 
     def spy_forward(net, x):
-        first, spatial = _origin(x)
-        counts = passes.setdefault(id(net), np.zeros(spatial, np.int64))
+        root, first = _origin(x)
+        counts = passes.setdefault(id(net), np.zeros(root.shape[-3:], np.int64))
         if x.shape[2:] == (1, 1) and x.strides[1] == x.itemsize:
             counts.reshape(-1)[first : first + x.shape[1]] += 1
         else:
-            start = np.unravel_index(first, spatial)
-            counts[tuple(slice(s, s + n) for s, n in zip(start, x.shape[1:]))] += 1
+            root, axes, box = _view(x)
+            counts[box] += 1
+            frames.setdefault(id(net), []).append((root, axes))
         shapes.setdefault(id(net), []).append(x.shape[1:])
         return real_forward(net, x)
 
-    def spy_reformat_to(v, plane):
-        reformats.append(plane)
-        return real_reformat_to(v, plane)
-
     monkeypatch.setattr(ensemble, "forward", spy_forward)
-    monkeypatch.setattr(ensemble, "reformat_to", spy_reformat_to)
-    return passes, shapes, reformats
+    return passes, shapes, frames
 
 
 def _normalized_phantom(seed=0, shape=(24, 24, 24)):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wmhkit.errors import DegenerateMask, InputError
+from wmhkit.errors import DegenerateMask, InputError, NonFiniteInput
 from wmhkit.histo import HistParams, histogram_segment, modal_threshold
 from wmhkit.volume import Volume3D
 
@@ -55,6 +55,13 @@ class TestHistogramSegment:
         mask = Volume3D(np.ones((4, 4, 4), dtype=np.float32))
         with pytest.raises(DegenerateMask):
             histogram_segment(v, mask)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_mask_voxel(self, bad):
+        data = np.arange(64.0, dtype=np.float32).reshape(4, 4, 4)
+        data[2, 1, 3] = bad
+        with pytest.raises(NonFiniteInput):
+            histogram_segment(Volume3D(data), Volume3D(np.ones((4, 4, 4), dtype=np.float32)))
 
     def test_synthetic_mixture_exact_separation(self):
         flair, mask, background = _mixture_phantom()

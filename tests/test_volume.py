@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wmhkit.errors import DegenerateMask, NonBinaryInput, ShapeMismatch
+from wmhkit.errors import DegenerateMask, NonBinaryInput, NonFiniteInput, ShapeMismatch
 from wmhkit.volume import Volume3D, is_binary, normalize_intensity, require_binary
 
 
@@ -70,6 +70,16 @@ class TestNormalizeIntensity:
         v = _vol(np.full((3, 3, 3), 7.0))
         with pytest.raises(DegenerateMask):
             normalize_intensity(v, _full_mask((3, 3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_mask_voxel(self, bad):
+        data = np.arange(27.0).reshape(3, 3, 3)
+        data[1, 2, 0] = bad
+        with pytest.raises(NonFiniteInput):
+            normalize_intensity(_vol(data), _full_mask((3, 3, 3)))
+        mask = np.ones((3, 3, 3), dtype=np.float32)
+        mask[1, 2, 0] = 0.0  # out of the mask it is never read
+        assert np.isfinite(normalize_intensity(_vol(data), _vol(mask)).data).all()
 
     def test_single_voxel_mask_degenerate(self):
         v = _vol(np.arange(8.0).reshape(2, 2, 2))
