@@ -15,8 +15,7 @@ through tap a; ceil(kd / sd) accumulators serve the output planes in turn. So
 each output voxel is, per depth tap a in increasing order, one float64 dot
 product over the taps (Cin, kh, kw), summed, then the bias, and it is rounded
 to float32 once. Zero-padding planes add exact zeros and are skipped, so an
-output plane that reads only padding is its bias. A 1x1x1 stride-1 unpadded
-kernel is one GEMM over the whole input, converted to float64.
+output plane that reads only padding is its bias.
 
 That loop runs in bands of output rows, each over every depth plane on its
 own rows: it fills its padded input rows (its rows and a halo of kh - sh
@@ -47,6 +46,25 @@ one, and that outputs do not depend on the BLAS thread count, is therefore
 pinned by tests on float32 outputs, not guaranteed by construction. The CLI
 runs every GEMM on one thread, so its outputs depend on neither
 ``OPENBLAS_NUM_THREADS`` nor the core count.
+
+Every other kernel, and a 1x1x1 stride-1 unpadded conv, writes one
+preallocated float32 output on the same pool, ``_workers()`` pieces at once
+(``_run``): BatchNorm, ReLU and Concat over runs of ``_RUN_BYTES // 8`` voxels
+of one channel; Softmax and that conv over runs of every channel, the conv as
+one GEMM per run (with one input channel, a broadcast product); MaxPool and
+UpsampleNearest over channels. A worker's float64 temporaries are one run,
+made once per call and reused: the float32 input is copied into it (the cast
+on load), the formula's operations run on it in place and in their order, and
+it is copied out (the cast on store, which rounds to float32). A cast inside
+the first or last ufunc (``np.subtract(src, m, out=z, dtype=np.float64)``)
+saves a pass but ran slower, 24 against 17 us per run of 32768 voxels (numpy
+2.4, AVX-512). So each voxel goes through the IEEE operations of the
+whole-tensor formula, in its order, on any number of workers; that the 1x1x1
+conv's GEMMs over runs give the bits of one over the whole tensor is pinned by
+tests, as for the bands. A tensor of at most one run per channel stays on the
+calling thread: a pointwise net runs one run at a time on each batch thread
+(see ``ensemble``), and splitting such runs would hand tiny tasks to the
+shared pool from every batch thread.
 
 Each layer type is one frozen dataclass that owns its SGWT manifest tag
 (``TYPE``), its shape rule (``out_shape``), its receptive field
@@ -92,7 +110,7 @@ _RUN_BYTES = 256 * 2**10
 _BAND_COLS = 2048
 
 _NPROC = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# the bands of every conv run on these threads; they start on first use
+# the pieces of every layer kernel run on these threads; they start on first use
 _POOL = ThreadPoolExecutor(max_workers=_NPROC, thread_name_prefix="wmhkit-conv")
 
 
@@ -143,8 +161,9 @@ def one_blas_thread():
 
 
 def _workers() -> int:
-    """Bands of one conv run at once: the cores each GEMM's BLAS threads leave
-    free, or one where the BLAS thread count is unknown."""
+    """Pieces of one kernel (a conv's bands, runs or channels) run at once: the
+    cores each GEMM's BLAS threads leave free, or one where the BLAS thread
+    count is unknown."""
     threads = blas_threads()
     return 1 if threads is None else max(1, _NPROC // threads)
 
@@ -157,23 +176,40 @@ def _bands(ho: int, wo: int) -> list[tuple[int, int]]:
     return [(ho * k // count, ho * (k + 1) // count) for k in range(count)]
 
 
-def _run(task, count: int) -> None:
-    """task(0), ..., task(count - 1), on ``_workers()`` pool threads at once,
-    worker j taking j, j + workers, ..."""
-    workers = min(_workers(), count)
-    if workers == 1:
-        for k in range(count):
-            task(k)
-        return
+def _run(task, count: int, scratch=None, inline: bool = False) -> None:
+    """task(k, s) for k in range(count), on ``_workers()`` pool threads at once,
+    worker j taking k = j, j + workers, ... with s = scratch(), made once per
+    worker (None without ``scratch``). All run on the calling thread when
+    ``inline`` or when there is one worker."""
+    workers = 1 if inline else min(_workers(), count)
 
     def share(j):
+        s = None if scratch is None else scratch()
         for k in range(j, count, workers):
-            task(k)
+            task(k, s)
 
+    if workers == 1:
+        share(0)
+        return
     futures = [_POOL.submit(share, j) for j in range(workers)]
     wait(futures)
     for f in futures:
         f.result()
+
+
+def _over_runs(task, channels: int, voxels: int, scratch=None) -> None:
+    """task(c, lo, hi, s) for each channel c < ``channels`` and each run [lo, hi)
+    of ``_RUN_BYTES // 8`` voxels out of ``voxels`` (the last one shorter),
+    through ``_run``; a tensor of one run stays on the calling thread."""
+    n = _RUN_BYTES // 8
+    runs = [(lo, min(lo + n, voxels)) for lo in range(0, voxels, n)]
+    _run(lambda k, s: task(k // len(runs), *runs[k % len(runs)], s), channels * len(runs), scratch,
+         inline=len(runs) <= 1)
+
+
+def _fits_run(*tensors) -> bool:
+    """True when every tensor holds at most one run of voxels per channel."""
+    return all(np.prod(t.shape[1:]) <= _RUN_BYTES // 8 for t in tensors)
 
 
 def _is_int(value) -> bool:
@@ -284,20 +320,21 @@ class BatchNorm(Layer):
         m = self.mean.astype(np.float64)
         s = np.sqrt(self.var.astype(np.float64) + self.eps)
         # the operations of g * (x - m) / sqrt(v + eps) + b in its order, so the bits
-        # match, over cache-sized runs of each channel in one reused float64 buffer
+        # match, over cache-sized runs of each channel in one float64 run per worker
         src = x.reshape(x.shape[0], -1)
         out = np.empty(x.shape, dtype=np.float32)
         dst = out.reshape(src.shape)
-        n = _RUN_BYTES // 8
-        buf = np.empty(min(n, src.shape[1]), dtype=np.float64)
-        for c, lo in product(range(src.shape[0]), range(0, src.shape[1], n)):
-            z = buf[: min(n, src.shape[1] - lo)]
-            z[...] = src[c, lo : lo + n]
+
+        def piece(c, lo, hi, buf):
+            z = buf[: hi - lo]
+            z[...] = src[c, lo:hi]
             z -= m[c]
             z *= g[c]
             z /= s[c]
             z += b[c]
-            dst[c, lo : lo + n] = z
+            dst[c, lo:hi] = z
+
+        _over_runs(piece, *src.shape, lambda: np.empty(min(_RUN_BYTES // 8, src.shape[1])))
         return out
 
 
@@ -306,7 +343,15 @@ class ReLU(Layer):
     TYPE = "relu"
 
     def forward(self, x, bindings):
-        return np.maximum(x, np.float32(0.0))
+        src = x.reshape(x.shape[0], -1)
+        out = np.empty(x.shape, dtype=np.float32)
+        dst = out.reshape(src.shape)
+
+        def piece(c, lo, hi, _):
+            np.maximum(src[c, lo:hi], np.float32(0.0), out=dst[c, lo:hi])
+
+        _over_runs(piece, *src.shape)
+        return out
 
 
 @dataclass(frozen=True)
@@ -329,12 +374,22 @@ class MaxPool(Layer):
         return tuple(k - 1 for k in self.kernel), tuple(map(Fraction, self.stride))
 
     def forward(self, x, bindings):
-        _, do, ho, wo = self.out_shape(x.shape, {})
+        shape = self.out_shape(x.shape, {})
+        _, do, ho, wo = shape
         sd, sh, sw = self.stride
-        out = None
-        for a, b, c in product(*map(range, self.kernel)):
-            tap = x[:, a : a + sd * do : sd, b : b + sh * ho : sh, c : c + sw * wo : sw]
-            out = tap.copy() if out is None else np.maximum(out, tap, out=out)
+        out = np.empty(shape, dtype=np.float32)
+        taps = list(product(*map(range, self.kernel)))
+
+        def piece(c, _):
+            # a running max over the taps in order, one channel of the output at a time
+            for t, (a, b, e) in enumerate(taps):
+                tap = x[c, a : a + sd * do : sd, b : b + sh * ho : sh, e : e + sw * wo : sw]
+                if t == 0:
+                    out[c] = tap
+                else:
+                    np.maximum(out[c], tap, out=out[c])
+
+        _run(piece, len(out), inline=_fits_run(x, out))
         return out
 
 
@@ -355,9 +410,24 @@ class UpsampleNearest(Layer):
         return (0, 0, 0), (Fraction(1, self.factor),) * 3
 
     def forward(self, x, bindings):
-        out = x
-        for axis in (1, 2, 3):
-            out = np.repeat(out, self.factor, axis=axis)
+        f = self.factor
+        c, d, h, w = x.shape
+        out = np.empty(self.out_shape(x.shape, {}), dtype=np.float32)
+        # blocks[k, i, a, j, b, :] is output row (i f + a, j f + b) of channel k
+        blocks = out.reshape(c, d, f, h, f, w * f)
+
+        def piece(k, row):
+            # one channel: f strided copies widen each input row f times into a
+            # float32 buffer per worker, and one broadcast copy writes each wide
+            # row to its f^2 output rows. On 16 x 32^3 at f = 2 this took 1.4-1.8
+            # ms, three np.repeat passes 4.8-7.8, and one broadcast copy from the
+            # input, whose inner loop is f long, 9.7-14
+            wide = row.reshape(d, h, w, f)
+            for e in range(f):
+                wide[..., e] = x[k]
+            blocks[k] = row.reshape(d, 1, h, 1, w * f)
+
+        _run(piece, c, lambda: np.empty(d * h * w * f, dtype=np.float32), inline=_fits_run(x, out))
         return out
 
 
@@ -386,7 +456,16 @@ class Concat(Layer):
         return (self.source,)
 
     def forward(self, x, bindings):
-        return np.concatenate([x, bindings[self.source]], axis=0)
+        skip = bindings[self.source]
+        out = np.empty(self.out_shape(x.shape, {self.source: skip.shape}), dtype=np.float32)
+        rows = [*x.reshape(len(x), -1), *skip.reshape(len(skip), -1)]
+        dst = out.reshape(len(out), -1)
+
+        def piece(c, lo, hi, _):
+            dst[c, lo:hi] = rows[c][lo:hi]
+
+        _over_runs(piece, *dst.shape)
+        return out
 
 
 @dataclass(frozen=True)
@@ -394,10 +473,27 @@ class Softmax(Layer):
     TYPE = "softmax"
 
     def forward(self, x, bindings):
-        z = x.astype(np.float64)
-        z = z - z.max(axis=0, keepdims=True)
-        e = np.exp(z)
-        return (e / e.sum(axis=0, keepdims=True)).astype(np.float32)
+        # exp(z - max z) / sum exp(z - max z) over the channels in float64, one run
+        # of every channel at a time in float64 buffers per worker
+        src = x.reshape(x.shape[0], -1)
+        out = np.empty(x.shape, dtype=np.float32)
+        dst = out.reshape(src.shape)
+        c, v = src.shape
+        n = min(_RUN_BYTES // 8, v)
+
+        def piece(_, lo, hi, bufs):
+            (z, top, total), k = bufs, hi - lo
+            z, top, total = z[: c * k].reshape(c, k), top[:k], total[:k]
+            z[...] = src[:, lo:hi]
+            np.max(z, axis=0, out=top)
+            z -= top
+            np.exp(z, out=z)
+            np.sum(z, axis=0, out=total)
+            z /= total
+            dst[:, lo:hi] = z
+
+        _over_runs(piece, 1, v, lambda: (np.empty(c * n), np.empty(n), np.empty(n)))
+        return out
 
 
 LAYER_TYPES: dict[str, type[Layer]] = {
@@ -409,7 +505,7 @@ def conv3d(x: np.ndarray, p: Conv3D) -> np.ndarray:
     """Strided zero-padded cross-correlation over a (C, D, H, W) tensor.
 
     Lowered to float64 GEMM: a 1x1x1 stride-1 unpadded kernel is one matmul
-    over the input; any other kernel streams over the input's depth planes,
+    per run of voxels; any other kernel streams over the input's depth planes,
     in bands of output rows that the pool's workers run at once. Within a
     band, each real input plane is lowered once to the band's rows of its
     im2col (Cin, kh, kw, rows, Wo) and multiplied once by the weight rows of
@@ -427,9 +523,28 @@ def conv3d(x: np.ndarray, p: Conv3D) -> np.ndarray:
 
     if (kd, kh, kw) == (1, 1, 1) and p.stride == (1, 1, 1) and p.padding == (0, 0, 0):
         wt = p.weights.reshape(cout, cin).astype(np.float64)
-        acc = wt @ np.ascontiguousarray(x, dtype=np.float64).reshape(cin, -1)
-        acc += bias
-        return acc.reshape(cout, do, ho, wo).astype(np.float32)
+        src = x.reshape(cin, -1)
+        out = np.empty((cout, do, ho, wo), dtype=np.float32)
+        dst = out.reshape(cout, -1)
+        n = min(_RUN_BYTES // 8, src.shape[1])
+
+        def piece(_, lo, hi, bufs):
+            # one GEMM per run of voxels in float64 buffers per worker; with one
+            # input channel, a broadcast product, which rounds each output once
+            # as a GEMM with K = 1 does: a (2, 1) @ (1, 32768) matmul took about
+            # 200 us, the product 30
+            (cols, acc), k = bufs, hi - lo
+            cols, acc = cols[: cin * k].reshape(cin, k), acc[: cout * k].reshape(cout, k)
+            cols[...] = src[:, lo:hi]
+            if cin == 1:
+                np.multiply(wt, cols, out=acc)
+            else:
+                np.matmul(wt, cols, out=acc)
+            acc += bias
+            dst[:, lo:hi] = acc
+
+        _over_runs(piece, 1, src.shape[1], lambda: (np.empty(cin * n), np.empty(cout * n)))
+        return out
 
     d, h, w = x.shape[1:]
     # padded plane i reaches output plane z through depth tap a = i - z*sd, so the
@@ -456,7 +571,7 @@ def conv3d(x: np.ndarray, p: Conv3D) -> np.ndarray:
     # and each band's padded input rows, its kh - sh halo included, zeroed once
     pads = [np.zeros((cin, (r1 - r0 - 1) * sh + kh, w + 2 * pw), dtype=np.float64) for r0, r1 in bands]
 
-    def run_band(k):
+    def run_band(k, _):
         (r0, r1), plane = bands[k], pads[k]
         n = (r1 - r0) * wo
         col, part, accs = np.split(buf[per_col * r0 * wo : per_col * r1 * wo],

@@ -6,6 +6,7 @@ import textwrap
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,35 @@ class TestConvAtScale:
         assert _rel_err(got, tapwise_conv3d(x, p.weights, p.bias, stride, padding)) < 1e-6
 
 
+def _several_runs(rng, channels=3, spatial=(40, 41, 42), special=()):
+    """A float32 tensor of normal values, with the ``special`` values at some voxels."""
+    x = rng.normal(scale=3.0, size=(channels, *spatial)).astype(np.float32)
+    if special:
+        flat = x.reshape(-1)
+        at = rng.choice(flat.size, size=40, replace=False)
+        flat[at] = np.resize(np.array(special, dtype=np.float32), at.size)
+    return x
+
+
+# infinities and signed zeros; NaN is pinned apart, as outputs that hold it never compare equal
+_SPECIAL = (np.inf, -np.inf, 0.0, -0.0)
+
+
+def _running_max(x, layer):
+    """MaxPool's former kernel: a running np.maximum over the taps, in order."""
+    _, do, ho, wo = layer.out_shape(x.shape, {})
+    (sd, sh, sw), out = layer.stride, None
+    for a, b, c in product(*map(range, layer.kernel)):
+        tap = x[:, a : a + sd * do : sd, b : b + sh * ho : sh, c : c + sw * wo : sw]
+        out = tap.copy() if out is None else np.maximum(out, tap, out=out)
+    return out
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(
+        got.view(np.uint32), want.view(np.uint32))
+
+
 class _CountingPool:
     """Stands in for the conv pool: three threads, whatever the core count,
     and a count of the tasks it was given."""
@@ -209,8 +239,9 @@ class _CountingPool:
 
 
 class TestBands:
-    """The bands of output rows give the same bits on 1, 2 or 3 workers, with
-    the shipped band size and with one-row bands."""
+    """Work spread over the pool gives the same bits on 1, 2 or 3 workers: the
+    conv's bands of output rows, with the shipped band size and with one-row
+    bands, and the other kernels' runs and channels."""
 
     @pytest.fixture(params=[layers._BAND_COLS, 1], ids=["shipped bands", "one-row bands"])
     def at_workers(self, request, monkeypatch):
@@ -267,6 +298,63 @@ class TestBands:
         x = rng.normal(size=(1, 16, 16, 16)).astype(np.float32)
         at_workers(lambda: forward(net, x))
 
+    # The other kernels run over runs of _RUN_BYTES // 8 voxels or over channels
+    # on the same pool. Each test compares one kernel, bit for bit, with the
+    # whole-tensor formula it replaced, on 3 channels of 40 x 41 x 42 voxels:
+    # two full runs and a short last one.
+
+    def test_batchnorm_kernel(self, rng, at_workers):
+        x = _several_runs(rng)
+        g, b, m = (rng.normal(size=3).astype(np.float32) for _ in range(3))
+        v = rng.uniform(0.1, 3.0, size=3).astype(np.float32)
+        layer = BatchNorm(gamma=g, beta=b, mean=m, var=v, eps=1e-3)
+        g, b, m, v = (a.astype(np.float64).reshape(3, 1, 1, 1) for a in (g, b, m, v))
+        want = (g * (x - m) / np.sqrt(v + 1e-3) + b).astype(np.float32)
+        assert _same_bits(at_workers(lambda: layer.forward(x, {})), want)
+
+    def test_relu_kernel(self, rng, at_workers):
+        x = _several_runs(rng, special=_SPECIAL)
+        assert _same_bits(at_workers(lambda: ReLU().forward(x, {})), np.maximum(x, np.float32(0.0)))
+
+    @pytest.mark.parametrize("kernel, stride", [((2, 2, 2), (2, 2, 2)), ((3, 2, 1), (1, 2, 3))])
+    def test_maxpool_kernel(self, rng, at_workers, kernel, stride):
+        x = _several_runs(rng, special=_SPECIAL)
+        layer = MaxPool(kernel=kernel, stride=stride)
+        assert _same_bits(at_workers(lambda: layer.forward(x, {})), _running_max(x, layer))
+
+    @pytest.mark.parametrize("factor, spatial", [(2, (20, 21, 22)), (3, (9, 13, 11)), (1, (40, 41, 42))])
+    def test_upsample_kernel(self, rng, at_workers, factor, spatial):
+        # each output holds more than one run per channel
+        x = _several_runs(rng, special=_SPECIAL, spatial=spatial)
+        want = x
+        for axis in (1, 2, 3):
+            want = np.repeat(want, factor, axis=axis)
+        assert _same_bits(at_workers(lambda: UpsampleNearest(factor=factor).forward(x, {})), want)
+
+    def test_concat_kernel(self, rng, at_workers):
+        x, skip = _several_runs(rng, special=_SPECIAL), _several_runs(rng, channels=2)[:, ::-1]
+        got = at_workers(lambda: Concat(source="skip").forward(x, {"skip": skip}))
+        assert _same_bits(got, np.concatenate([x, skip], axis=0))
+
+    @pytest.mark.parametrize("channels", [2, 5])
+    def test_softmax_kernel(self, rng, at_workers, channels):
+        x = _several_runs(rng, channels=channels) * np.float32(20.0)
+        z = x.astype(np.float64)
+        z = z - z.max(axis=0, keepdims=True)
+        e = np.exp(z)
+        want = (e / e.sum(axis=0, keepdims=True)).astype(np.float32)
+        assert _same_bits(at_workers(lambda: Softmax().forward(x, {})), want)
+
+    @pytest.mark.parametrize("cin, cout", [(1, 2), (1, 5), (3, 2), (16, 2), (2, 16)])
+    def test_pointwise_conv_kernel(self, rng, at_workers, cin, cout):
+        # with one input channel the kernel is a broadcast product, not a K = 1 GEMM
+        x = _several_runs(rng, channels=cin)
+        p = _conv(cout, cin, 1, rng=rng)
+        acc = p.weights.reshape(cout, cin).astype(np.float64) @ x.astype(np.float64).reshape(cin, -1)
+        acc += p.bias.astype(np.float64)[:, None]
+        want = acc.reshape(cout, *x.shape[1:]).astype(np.float32)
+        assert _same_bits(at_workers(lambda: conv3d(x, p)), want)
+
     @pytest.mark.parametrize("ho, wo", [(1, 5), (2, 3000), (7, 9), (64, 64), (192, 160), (5, 10**4)])
     def test_bands_split_the_rows(self, ho, wo):
         bands = layers._bands(ho, wo)
@@ -274,6 +362,76 @@ class TestBands:
         sizes = [r1 - r0 for r0, r1 in bands]
         assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
         assert len(bands) == min(ho, 2) or max(sizes) * wo <= max(wo, layers._BAND_COLS)
+
+
+def test_one_run_stays_on_the_calling_thread(rng, monkeypatch):
+    # batch segment runs a pointwise net one run at a time on each batch thread;
+    # splitting such a run would hand tiny tasks to the shared pool from every one
+    c = 3
+    bn = BatchNorm(gamma=rng.normal(size=c), beta=rng.normal(size=c), mean=rng.normal(size=c),
+                   var=rng.uniform(0.5, 2.0, size=c))
+    net = NetworkSpec(
+        layers=(("expand", _conv(c, 1, 1, rng=rng)), ("bn", bn), ("relu", ReLU()), ("skip", Concat(source="expand")),
+                ("head", _conv(2, 2 * c, 1, rng=rng)), ("post", Softmax())),
+        in_channels=1,
+        out_channels=2,
+    )
+    assert net.pointwise
+    n = layers._RUN_BYTES // 8
+    pool = _CountingPool()
+    monkeypatch.setattr(layers, "_POOL", pool)
+    monkeypatch.setattr(layers, "_workers", lambda: 2)
+    try:
+        forward(net, rng.normal(size=(1, n, 1, 1)).astype(np.float32))
+        assert pool.tasks == 0
+        forward(net, rng.normal(size=(1, n + 1, 1, 1)).astype(np.float32))
+        assert pool.tasks > 0
+    finally:
+        pool.pool.shutdown()
+
+
+def _traced_peak(fn):
+    """fn()'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransientMemory:
+    """Beyond its float32 output, a layer kernel holds at most a few float64 runs
+    per worker, never a whole-tensor temporary. Two workers, on any machine."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(layers, "_workers", lambda: 2)
+
+    def test_pointwise_conv(self, rng):
+        # the 16 -> 2 head of a 16-channel U-Net at 64^3: a float64 copy of the
+        # input alone is 32 MiB
+        x = rng.normal(size=(16, 64, 64, 64)).astype(np.float32)
+        out, peak = _traced_peak(lambda: conv3d(x, _conv(2, 16, 1, rng=rng)))
+        assert peak < out.nbytes + 3 * (16 + 2) * layers._RUN_BYTES
+
+    def test_softmax(self, rng):
+        x = rng.normal(size=(2, 64, 64, 64)).astype(np.float32)
+        out, peak = _traced_peak(lambda: Softmax().forward(x, {}))
+        assert peak < out.nbytes + 3 * (2 + 2) * layers._RUN_BYTES
+
+    def test_upsample(self, rng):
+        # a 16-channel 64^3 output; three np.repeat passes held two intermediates
+        x = rng.normal(size=(16, 32, 32, 32)).astype(np.float32)
+        out, peak = _traced_peak(lambda: UpsampleNearest(factor=2).forward(x, {}))
+        assert peak < out.nbytes + x.nbytes // 2
+
+    def test_batchnorm(self, rng):
+        x = rng.normal(size=(16, 64, 64, 64)).astype(np.float32)
+        layer = BatchNorm(gamma=rng.normal(size=16), beta=rng.normal(size=16), mean=rng.normal(size=16),
+                          var=rng.uniform(0.5, 2.0, size=16))
+        out, peak = _traced_peak(lambda: layer.forward(x, {}))
+        assert peak < out.nbytes + 3 * layers._RUN_BYTES
 
 
 _SEEDED_FORWARDS = textwrap.dedent(
@@ -396,6 +554,18 @@ class TestLayers:
         assert out.min() >= 0.0 and out.max() <= 1.0
         np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-6)
 
+    def test_softmax_divides_by_the_sum(self):
+        # two-channel voxels from a seeded search: the float32 bits of x whose output
+        # tells e / sum(e) from e * (1 / sum(e))
+        x = np.array([[0x3EA0A6B6, 0x3EA0A5CC], [0xBF6766C9, 0xBF676778], [0x3F3E0776, 0x3F3E0709]],
+                     dtype=np.uint32).view(np.float32).T.reshape(2, 3, 1, 1)
+        z = x.astype(np.float64)
+        e = np.exp(z - z.max(axis=0, keepdims=True))
+        total = e.sum(axis=0, keepdims=True)
+        want = (e / total).astype(np.float32)
+        assert (want != (e * (1.0 / total)).astype(np.float32)).any(axis=0).all()
+        assert _same_bits(apply_layer(x, Softmax()), want)
+
     def test_maxpool_enumeration(self):
         x = np.arange(1.0, 9.0, dtype=np.float32).reshape(1, 2, 2, 2)
         out = apply_layer(x, MaxPool(kernel=(2, 2, 2), stride=(2, 2, 2)))
@@ -431,6 +601,17 @@ class TestLayers:
         assert out.shape == (5, 2, 2, 2)
         assert np.array_equal(out[:2], x)
         assert np.array_equal(out[2:], skip)
+
+    def test_nan_bits(self, rng):
+        # a NaN input passes through the copying kernels with its bits, as before
+        x = _several_runs(rng, special=(np.nan, -np.nan, np.inf, -0.0))
+        skip = _several_runs(rng, channels=1, special=(np.nan,))
+        pairs = [(ReLU().forward(x, {}), np.maximum(x, np.float32(0.0))),
+                 (Concat(source="s").forward(x, {"s": skip}), np.concatenate([x, skip])),
+                 (UpsampleNearest(factor=2).forward(x, {}), x.repeat(2, 1).repeat(2, 2).repeat(2, 3)),
+                 (MaxPool().forward(x, {}), _running_max(x, MaxPool()))]
+        for got, want in pairs:
+            assert np.isnan(want).any() and _same_bits(got, want)
 
     def test_concat_unknown_source(self, rng):
         x = rng.normal(size=(1, 2, 2, 2)).astype(np.float32)
