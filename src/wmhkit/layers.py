@@ -47,21 +47,29 @@ pinned by tests on float32 outputs, not guaranteed by construction. The CLI
 runs every GEMM on one thread, so its outputs depend on neither
 ``OPENBLAS_NUM_THREADS`` nor the core count.
 
-Every other kernel, and a 1x1x1 stride-1 unpadded conv, writes one
-preallocated float32 output on the same pool, ``_workers()`` pieces at once
-(``_run``): BatchNorm, ReLU and Concat over runs of ``_RUN_BYTES // 8`` voxels
-of one channel; Softmax and that conv over runs of every channel, the conv as
-one GEMM per run (with one input channel, a broadcast product); MaxPool and
-UpsampleNearest over channels. A worker's float64 temporaries are one run,
-made once per call and reused: the float32 input is copied into it (the cast
-on load), the formula's operations run on it in place and in their order, and
-it is copied out (the cast on store, which rounds to float32). A cast inside
-the first or last ufunc (``np.subtract(src, m, out=z, dtype=np.float64)``)
-saves a pass but ran slower, 24 against 17 us per run of 32768 voxels (numpy
-2.4, AVX-512). So each voxel goes through the IEEE operations of the
-whole-tensor formula, in its order, on any number of workers; that the 1x1x1
-conv's GEMMs over runs give the bits of one over the whole tensor is pinned by
-tests, as for the bands. A tensor of at most one run per channel stays on the
+A kernel, ``forward(x, out, bindings)``, writes into ``out``: a C-contiguous
+float32 array of the layer's output shape that its caller allocates
+(``network.forward``, or ``apply_layer`` called without one) after checking the
+shape rule. It neither allocates its output nor checks shapes, and it writes
+through ``out.reshape``, which would silently copy a non-contiguous array.
+Concat copies only the parts that are not already in their channels of
+``out``: ``network.forward`` has most producers write there (see its
+docstring for the cases it does not place).
+
+Every other kernel, and a 1x1x1 stride-1 unpadded conv, runs on the same pool,
+``_workers()`` pieces at once (``_run``): BatchNorm, ReLU and Concat over runs
+of ``_RUN_BYTES // 8`` voxels of one channel; Softmax and that conv over runs
+of every channel, the conv as one GEMM per run (with one input channel, a
+broadcast product); MaxPool and UpsampleNearest over channels. A worker's
+float64 temporaries are one run, made once per call and reused: the float32
+input is copied into it (the cast on load), the formula's operations run on it
+in place and in their order, and it is copied out (the cast on store, which
+rounds to float32). A cast inside the first or last ufunc
+(``np.subtract(src, m, out=z, dtype=np.float64)``) saves a pass but ran
+slower, 24 against 17 us per run of 32768 voxels (numpy 2.4, AVX-512). So each
+voxel goes through the IEEE operations of the whole-tensor formula, in its
+order, on any number of workers; that the 1x1x1 conv's GEMMs over runs give
+the bits of one over the whole tensor is pinned by tests, as for the bands. A tensor of at most one run per channel stays on the
 calling thread: a pointwise net runs one run at a time on each batch thread
 (see ``ensemble``), and splitting such runs would hand tiny tasks to the
 shared pool from every batch thread.
@@ -225,8 +233,8 @@ def _int_triple(value, least: int, what: str) -> tuple[int, int, int]:
 
 
 class Layer:
-    """Base of the vocabulary; by default a layer keeps its input's shape, maps
-    each voxel on its own and reads no earlier output."""
+    """Base of the vocabulary; by default a layer keeps its input's shape and
+    maps each voxel on its own. Only Concat reads an earlier output."""
 
     def out_shape(self, shape: Shape, produced: dict[str, Shape]) -> Shape:
         """Output shape for an input of ``shape``, given the shapes of earlier
@@ -238,10 +246,6 @@ class Layer:
         """Per axis, the reach (input voxels to either side of its own position
         an output voxel reads) and the step (input voxels per output voxel)."""
         return (0, 0, 0), (Fraction(1),) * 3
-
-    def sources(self) -> tuple[str, ...]:
-        """Names of the earlier outputs that ``forward`` reads from its bindings."""
-        return ()
 
 
 @dataclass(frozen=True)
@@ -279,8 +283,8 @@ class Conv3D(Layer):
         kernel = self.weights.shape[2:]
         return tuple(max(p, k - 1 - p) for k, p in zip(kernel, self.padding)), tuple(map(Fraction, self.stride))
 
-    def forward(self, x, bindings):
-        return conv3d(x, self)
+    def forward(self, x, out, bindings):
+        conv3d(x, self, out)
 
 
 @dataclass(frozen=True)
@@ -313,8 +317,7 @@ class BatchNorm(Layer):
             raise ShapeMismatch(f"batchnorm sized for {self.gamma.shape[0]} channels, got {shape[0]}")
         return shape
 
-    def forward(self, x, bindings):
-        self.out_shape(x.shape, {})
+    def forward(self, x, out, bindings):
         g = self.gamma.astype(np.float64)
         b = self.beta.astype(np.float64)
         m = self.mean.astype(np.float64)
@@ -322,7 +325,6 @@ class BatchNorm(Layer):
         # the operations of g * (x - m) / sqrt(v + eps) + b in its order, so the bits
         # match, over cache-sized runs of each channel in one float64 run per worker
         src = x.reshape(x.shape[0], -1)
-        out = np.empty(x.shape, dtype=np.float32)
         dst = out.reshape(src.shape)
 
         def piece(c, lo, hi, buf):
@@ -335,23 +337,20 @@ class BatchNorm(Layer):
             dst[c, lo:hi] = z
 
         _over_runs(piece, *src.shape, lambda: np.empty(min(_RUN_BYTES // 8, src.shape[1])))
-        return out
 
 
 @dataclass(frozen=True)
 class ReLU(Layer):
     TYPE = "relu"
 
-    def forward(self, x, bindings):
+    def forward(self, x, out, bindings):
         src = x.reshape(x.shape[0], -1)
-        out = np.empty(x.shape, dtype=np.float32)
         dst = out.reshape(src.shape)
 
         def piece(c, lo, hi, _):
             np.maximum(src[c, lo:hi], np.float32(0.0), out=dst[c, lo:hi])
 
         _over_runs(piece, *src.shape)
-        return out
 
 
 @dataclass(frozen=True)
@@ -373,11 +372,9 @@ class MaxPool(Layer):
     def receptive_field(self):
         return tuple(k - 1 for k in self.kernel), tuple(map(Fraction, self.stride))
 
-    def forward(self, x, bindings):
-        shape = self.out_shape(x.shape, {})
-        _, do, ho, wo = shape
+    def forward(self, x, out, bindings):
+        _, do, ho, wo = out.shape
         sd, sh, sw = self.stride
-        out = np.empty(shape, dtype=np.float32)
         taps = list(product(*map(range, self.kernel)))
 
         def piece(c, _):
@@ -390,7 +387,6 @@ class MaxPool(Layer):
                     np.maximum(out[c], tap, out=out[c])
 
         _run(piece, len(out), inline=_fits_run(x, out))
-        return out
 
 
 @dataclass(frozen=True)
@@ -409,10 +405,9 @@ class UpsampleNearest(Layer):
     def receptive_field(self):
         return (0, 0, 0), (Fraction(1, self.factor),) * 3
 
-    def forward(self, x, bindings):
+    def forward(self, x, out, bindings):
         f = self.factor
         c, d, h, w = x.shape
-        out = np.empty(self.out_shape(x.shape, {}), dtype=np.float32)
         # blocks[k, i, a, j, b, :] is output row (i f + a, j f + b) of channel k
         blocks = out.reshape(c, d, f, h, f, w * f)
 
@@ -428,7 +423,6 @@ class UpsampleNearest(Layer):
             blocks[k] = row.reshape(d, 1, h, 1, w * f)
 
         _run(piece, c, lambda: np.empty(d * h * w * f, dtype=np.float32), inline=_fits_run(x, out))
-        return out
 
 
 @dataclass(frozen=True)
@@ -452,31 +446,28 @@ class Concat(Layer):
             )
         return (shape[0] + src[0], *shape[1:])
 
-    def sources(self):
-        return (self.source,)
-
-    def forward(self, x, bindings):
-        skip = bindings[self.source]
-        out = np.empty(self.out_shape(x.shape, {self.source: skip.shape}), dtype=np.float32)
-        rows = [*x.reshape(len(x), -1), *skip.reshape(len(skip), -1)]
+    def forward(self, x, out, bindings):
+        # a part that ``forward`` had its producer write into its channels of
+        # ``out`` is already in place; the others are copied there
+        parts = ((x, 0), (bindings[self.source], len(x)))
+        rows = [(first + c, row) for part, first in parts if part.ctypes.data != out[first:].ctypes.data
+                for c, row in enumerate(part.reshape(len(part), -1))]
         dst = out.reshape(len(out), -1)
 
-        def piece(c, lo, hi, _):
-            dst[c, lo:hi] = rows[c][lo:hi]
+        def piece(k, lo, hi, _):
+            dst[rows[k][0], lo:hi] = rows[k][1][lo:hi]
 
-        _over_runs(piece, *dst.shape)
-        return out
+        _over_runs(piece, len(rows), dst.shape[1])
 
 
 @dataclass(frozen=True)
 class Softmax(Layer):
     TYPE = "softmax"
 
-    def forward(self, x, bindings):
+    def forward(self, x, out, bindings):
         # exp(z - max z) / sum exp(z - max z) over the channels in float64, one run
         # of every channel at a time in float64 buffers per worker
         src = x.reshape(x.shape[0], -1)
-        out = np.empty(x.shape, dtype=np.float32)
         dst = out.reshape(src.shape)
         c, v = src.shape
         n = min(_RUN_BYTES // 8, v)
@@ -493,7 +484,6 @@ class Softmax(Layer):
             dst[:, lo:hi] = z
 
         _over_runs(piece, 1, v, lambda: (np.empty(c * n), np.empty(n), np.empty(n)))
-        return out
 
 
 LAYER_TYPES: dict[str, type[Layer]] = {
@@ -501,8 +491,9 @@ LAYER_TYPES: dict[str, type[Layer]] = {
 }
 
 
-def conv3d(x: np.ndarray, p: Conv3D) -> np.ndarray:
-    """Strided zero-padded cross-correlation over a (C, D, H, W) tensor.
+def conv3d(x: np.ndarray, p: Conv3D, out: np.ndarray) -> None:
+    """Strided zero-padded cross-correlation over a (C, D, H, W) tensor, written
+    into ``out``.
 
     Lowered to float64 GEMM: a 1x1x1 stride-1 unpadded kernel is one matmul
     per run of voxels; any other kernel streams over the input's depth planes,
@@ -516,7 +507,7 @@ def conv3d(x: np.ndarray, p: Conv3D) -> np.ndarray:
     plane is in; one that reads only zero padding is its bias.
     """
     cout, cin, kd, kh, kw = p.weights.shape
-    _, do, ho, wo = p.out_shape(x.shape, {})
+    _, do, ho, wo = out.shape
     sd, sh, sw = p.stride
     pd, ph, pw = p.padding
     bias = p.bias.astype(np.float64)[:, None]
@@ -524,7 +515,6 @@ def conv3d(x: np.ndarray, p: Conv3D) -> np.ndarray:
     if (kd, kh, kw) == (1, 1, 1) and p.stride == (1, 1, 1) and p.padding == (0, 0, 0):
         wt = p.weights.reshape(cout, cin).astype(np.float64)
         src = x.reshape(cin, -1)
-        out = np.empty((cout, do, ho, wo), dtype=np.float32)
         dst = out.reshape(cout, -1)
         n = min(_RUN_BYTES // 8, src.shape[1])
 
@@ -544,7 +534,7 @@ def conv3d(x: np.ndarray, p: Conv3D) -> np.ndarray:
             dst[:, lo:hi] = acc
 
         _over_runs(piece, 1, src.shape[1], lambda: (np.empty(cin * n), np.empty(cout * n)))
-        return out
+        return
 
     d, h, w = x.shape[1:]
     # padded plane i reaches output plane z through depth tap a = i - z*sd, so the
@@ -555,7 +545,6 @@ def conv3d(x: np.ndarray, p: Conv3D) -> np.ndarray:
     # at most ceil(kd / sd) output planes read one input plane, so as many
     # accumulators serve them in turn: output plane z uses slot z mod nacc
     nacc = len(wts[0]) // cout
-    out = np.empty((cout, do, ho, wo), dtype=np.float32)
     flat = out.reshape(cout, do, -1)
     for z in range(do):
         if not (pd < z * sd + kd and z * sd < pd + d):  # reads only padding
@@ -601,16 +590,20 @@ def conv3d(x: np.ndarray, p: Conv3D) -> np.ndarray:
                     flat[:, z, r0 * wo : r1 * wo] = acc
 
     _run(run_band, len(bands))
-    return out
 
 
 def apply_layer(
-    x: np.ndarray, layer: Layer, bindings: dict[str, np.ndarray] | None = None
+    x: np.ndarray, layer: Layer, bindings: dict[str, np.ndarray] | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Apply one layer to a (C, D, H, W) tensor after checking its shape rule.
+    """Apply one layer to a (C, D, H, W) tensor and return its output.
 
     ``bindings`` maps earlier layer names to their outputs; only Concat reads it.
+    The layer writes into ``out``, a C-contiguous float32 array of its output
+    shape; without one, its shape rule is checked and its output allocated here.
     """
     bindings = bindings or {}
-    layer.out_shape(x.shape, {name: out.shape for name, out in bindings.items()})
-    return layer.forward(x, bindings)
+    if out is None:
+        shape = layer.out_shape(x.shape, {name: b.shape for name, b in bindings.items()})
+        out = np.empty(shape, dtype=np.float32)
+    layer.forward(x, out, bindings)
+    return out

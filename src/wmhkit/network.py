@@ -14,7 +14,7 @@ from math import ceil, lcm
 import numpy as np
 
 from .errors import ShapeCheckFailed, ShapeMismatch, UnknownConcatSource
-from .layers import Layer, apply_layer
+from .layers import Concat, Layer, apply_layer
 
 DEFAULT_PROBE_SPATIAL = (16, 16, 16)
 
@@ -72,8 +72,8 @@ def infer_shapes(
 ) -> list[tuple[int, int, int, int]]:
     """Shapes after each layer for an input of (in_channels, *spatial).
 
-    Runs the same ``out_shape`` rules that ``apply_layer`` checks before each
-    layer, so it succeeds iff forward succeeds on a conforming input of that size.
+    Runs every layer's ``out_shape`` rule, as ``forward`` does once before a
+    pass, so it succeeds iff forward succeeds on a conforming input of that size.
     """
     shape = (net.in_channels, *spatial)
     produced: dict[str, tuple[int, int, int, int]] = {}
@@ -85,26 +85,54 @@ def infer_shapes(
 def forward(net: NetworkSpec, x: np.ndarray) -> np.ndarray:
     """Run the network on a (C, D, H, W) float32 tensor.
 
-    A named output stays bound only while a later layer (a Concat) still reads
-    it, and is dropped after its last reader. Deterministic: identical inputs
-    and weights give bit-identical outputs.
+    Every shape is inferred, and the declared output channels checked, before
+    any layer runs. Layer outputs are allocated here and nowhere else: a
+    Concat's output when its first part is made, and its parts' producers
+    write straight into their channels of it. The current tensor goes to the
+    first channels unless some Concat also reads it as a source; the source
+    goes after it if no other Concat reads it and it is not also the current
+    tensor. Every other output lives on its own and is copied by the Concats
+    that read it: a source two Concats read, and a tensor that is a source and
+    also a current tensor (both halves of a Concat of a tensor with itself).
+    The network input is never a part, as no Concat is the first layer. A
+    named output stays bound only while a later Concat still reads it.
+    Deterministic: identical inputs and weights give bit-identical outputs.
     """
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 4 or x.shape[0] != net.in_channels:
         raise ShapeMismatch(
             f"network declares {net.in_channels} input channels, got tensor shape {x.shape}"
         )
-    last_read = {src: i for i, (_, layer) in enumerate(net.layers) for src in layer.sources()}
+    shapes = infer_shapes(net, x.shape[1:])
+    channels = shapes[-1][0] if shapes else x.shape[0]
+    if channels != net.out_channels:
+        raise ShapeMismatch(f"network produces {channels} channels, declared {net.out_channels}")
+    names = [name for name, _ in net.layers]
+    readers: dict[str, list[int]] = {}  # output name -> the Concats that read it, in order
+    for k, (_, layer) in enumerate(net.layers):
+        if isinstance(layer, Concat):
+            readers.setdefault(layer.source, []).append(k)
+    # layer -> (the Concat whose output it writes into, its first channel
+    # there); a Concat placed in a later one hands its parts that one's output,
+    # so the Concats are walked from the last
+    home: dict[int, tuple[int, int]] = {}
+    for k, (_, layer) in reversed(list(enumerate(net.layers))):
+        if isinstance(layer, Concat):  # never the first layer: its source is an earlier output
+            root, first = home.get(k, (k, 0))
+            cur, src = k - 1, names.index(layer.source)
+            if names[cur] not in readers:
+                home[cur] = (root, first)
+            if readers[layer.source] == [k] and src != cur:
+                home[src] = (root, first + shapes[cur][0])
+    bufs: dict[int, np.ndarray] = {}  # outputs of Concats yet to run, made with their first part
     bindings: dict[str, np.ndarray] = {}
     for i, (name, layer) in enumerate(net.layers):
-        x = apply_layer(x, layer, bindings)
-        for src in layer.sources():
-            if last_read[src] == i:
-                del bindings[src]
-        if last_read.get(name, -1) > i:
+        k, lo = home.get(i, (i, 0))
+        if k not in bufs:
+            bufs[k] = np.empty(shapes[k], dtype=np.float32)
+        out = bufs.pop(i) if k == i else bufs[k][lo : lo + shapes[i][0]]
+        x = apply_layer(x, layer, bindings, out)
+        bindings = {src: y for src, y in bindings.items() if readers[src][-1] > i}
+        if name in readers:
             bindings[name] = x
-    if x.shape[0] != net.out_channels:
-        raise ShapeMismatch(
-            f"network produced {x.shape[0]} channels, declared {net.out_channels}"
-        )
     return x

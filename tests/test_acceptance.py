@@ -25,7 +25,7 @@ from wmhkit.cohort import synthetic_cohort
 from wmhkit.ensemble import binarize, wmh_volume_ml
 from wmhkit.errors import FormatError
 from wmhkit.histo import HistParams, histogram_segment
-from wmhkit.layers import Conv3D, conv3d
+from wmhkit.layers import Conv3D, apply_layer
 from wmhkit.metrics import metric_report
 from wmhkit.nifti import DATA_OFFSET, parse_nifti, write_nifti
 from wmhkit.reformat import (
@@ -78,7 +78,7 @@ def test_criterion_1_convolution_oracle():
                 stride=stride,
                 padding=padding,
             )
-            got = conv3d(x, layer)
+            got = apply_layer(x, layer)
             want = naive_conv3d(x, layer.weights, layer.bias, stride, padding)
             denom = np.maximum(np.abs(want), 1e-3)
             rel = float(np.max(np.abs(got - want) / denom))

@@ -3,6 +3,7 @@ import gzip
 import hashlib
 import json
 import struct
+from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -487,6 +488,22 @@ class TestSegment:
             assert not out_dir.exists()
         assert main(["segment", "--flair", str(flair_dir), "--mask", str(mask_dir), "--weights", str(weights),
                      "--out-dir", str(tmp_path / "seg"), "--tile", "16"]) == 0
+
+    def test_concat_net_batch_is_the_same_on_two_jobs(self, tmp_path, capsys, rng):
+        # batch threads share one ensemble of U-Nets whose Concat parts forward
+        # places in each call's own output buffers
+        weights = tmp_path / "unet.sgwt"
+        weights.write_bytes(save_ensemble({role: unet_net(rng, 3 if role == "meta" else 1, 4)
+                                           for role in ("axial", "sagittal", "coronal", "meta")}))
+        flair_dir, mask_dir, _ = _batch_dirs(tmp_path, capsys, ["a.nii.gz", "b.nii.gz"])
+        for jobs in ("1", "2"):
+            assert main(["segment", "--flair", str(flair_dir), "--mask", str(mask_dir), "--weights", str(weights),
+                         "--out-dir", str(tmp_path / f"jobs{jobs}"), "--jobs", jobs]) == 0
+        capsys.readouterr()
+        for stem, kind in product("ab", ("posterior", "mask")):
+            name = f"{stem}.{kind}.nii.gz"
+            one, two = (gzip.decompress((tmp_path / f"jobs{jobs}" / name).read_bytes()) for jobs in "12")
+            assert one == two
 
     def test_failing_subject_keeps_the_rest_of_the_batch(self, tmp_path, capsys):
         names = [f"s{seed}.nii.gz" for seed in (0, 1, 2)]

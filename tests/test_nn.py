@@ -6,7 +6,7 @@ import textwrap
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ from wmhkit.layers import (
     Softmax,
     UpsampleNearest,
     apply_layer,
-    conv3d,
 )
 from wmhkit.ensemble import tiled_forward
 from wmhkit.network import NetworkSpec, forward, infer_shapes
@@ -59,37 +58,37 @@ _PLANE_CASES = [
 class TestConv3D:
     def test_identity_kernel(self, rng):
         x = rng.normal(size=(1, 4, 4, 4)).astype(np.float32)
-        out = conv3d(x, _conv(1, 1, 1, weight=1.0, bias=0.0))
+        out = apply_layer(x, _conv(1, 1, 1, weight=1.0, bias=0.0))
         assert np.array_equal(out, x)
 
     def test_constant_field_sum(self):
         x = np.full((1, 5, 5, 5), 7.0, dtype=np.float32)
-        out = conv3d(x, _conv(1, 1, 3, padding=(1, 1, 1), weight=1.0, bias=0.0))
+        out = apply_layer(x, _conv(1, 1, 3, padding=(1, 1, 1), weight=1.0, bias=0.0))
         assert out.shape == (1, 5, 5, 5)
         assert out[0, 2, 2, 2] == pytest.approx(189.0)  # 27 * 7
 
     def test_matches_naive_oracle_strided(self, rng):
         x = rng.normal(size=(2, 6, 6, 6)).astype(np.float32)
         p = _conv(3, 2, 3, stride=(2, 2, 2), padding=(1, 1, 1), rng=rng)
-        got = conv3d(x, p)
+        got = apply_layer(x, p)
         want = naive_conv3d(x, p.weights, p.bias, p.stride, p.padding)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
 
     def test_channel_mismatch(self, rng):
         x = rng.normal(size=(3, 4, 4, 4)).astype(np.float32)
         with pytest.raises(ShapeMismatch):
-            conv3d(x, _conv(1, 2, 1, rng=rng))
+            apply_layer(x, _conv(1, 2, 1, rng=rng))
 
     def test_kernel_too_large(self, rng):
         x = rng.normal(size=(1, 2, 2, 2)).astype(np.float32)
         with pytest.raises(ShapeMismatch):
-            conv3d(x, _conv(1, 1, 3, rng=rng))
+            apply_layer(x, _conv(1, 1, 3, rng=rng))
 
     def test_deterministic(self, rng):
         x = rng.normal(size=(2, 5, 5, 5)).astype(np.float32)
         p = _conv(4, 2, 3, padding=(1, 1, 1), rng=rng)
-        a = conv3d(x, p)
-        b = conv3d(x, p)
+        a = apply_layer(x, p)
+        b = apply_layer(x, p)
         assert np.array_equal(a, b)
 
 
@@ -128,7 +127,7 @@ class TestConvAtScale:
     def test_matches_tapwise_kernel(self, rng, cin, cout, k, stride, padding, spatial):
         x = rng.normal(size=(cin, *spatial)).astype(np.float32)
         p = _conv(cout, cin, k, stride=stride, padding=padding, rng=rng)
-        got = conv3d(x, p)
+        got = apply_layer(x, p)
         want = tapwise_conv3d(x, p.weights, p.bias, stride, padding)
         assert got.shape == want.shape and got.dtype == np.float32
         assert _rel_err(got, want) < 1e-6
@@ -143,7 +142,7 @@ class TestConvAtScale:
         x = rng.normal(size=(cin, *spatial)).astype(np.float32)
         p = Conv3D(weights=rng.normal(size=(cout, cin, *kernel)), bias=rng.normal(size=cout),
                    stride=stride, padding=padding)
-        got = conv3d(x, p)
+        got = apply_layer(x, p)
         assert got.shape[1] > kd + sd
         assert _rel_err(got, tapwise_conv3d(x, p.weights, p.bias, stride, padding)) < 1e-6
 
@@ -153,7 +152,7 @@ class TestConvAtScale:
         p = _conv(8, 32, 3, padding=(1, 1, 1), rng=rng)
         tracemalloc.start()
         try:
-            conv3d(x, p)
+            apply_layer(x, p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -166,7 +165,7 @@ class TestConvAtScale:
         p = _conv(8, 32, 3, padding=(1, 1, 1), rng=rng)
         tracemalloc.start()
         try:
-            out = conv3d(x, p)
+            out = apply_layer(x, p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -179,7 +178,7 @@ class TestConvAtScale:
         x = rng.normal(size=(3, 2, 5, 6)).astype(np.float32)
         p = Conv3D(weights=rng.normal(size=(4, 3, 2, 3, 3)), bias=rng.normal(size=4),
                    padding=(3, 1, 1))
-        got = conv3d(x, p)
+        got = apply_layer(x, p)
         assert got.shape[1] == 7
         for z in (0, 1, 5, 6):
             assert (got[:, z] == p.bias[:, None, None]).all()
@@ -191,8 +190,8 @@ class TestConvAtScale:
         x = base[2:18:2, :, ::2].transpose(0, 3, 2, 1)  # (8, 12, 12, 8), no contiguous axis order
         assert not x.flags["C_CONTIGUOUS"] and not x.flags["F_CONTIGUOUS"]
         p = _conv(5, 8, k, stride=stride, padding=padding, rng=rng)
-        got = conv3d(x, p)
-        assert np.array_equal(got, conv3d(np.ascontiguousarray(x), p))
+        got = apply_layer(x, p)
+        assert np.array_equal(got, apply_layer(np.ascontiguousarray(x), p))
         assert _rel_err(got, tapwise_conv3d(x, p.weights, p.bias, stride, padding)) < 1e-6
 
 
@@ -276,13 +275,13 @@ class TestBands:
         x = rng.normal(size=(cin, *spatial)).astype(np.float32)
         p = Conv3D(weights=rng.normal(size=(cout, cin, *kernel)), bias=rng.normal(size=cout),
                    stride=stride, padding=padding)
-        got = at_workers(lambda: conv3d(x, p))
+        got = at_workers(lambda: apply_layer(x, p))
         assert _rel_err(got, tapwise_conv3d(x, p.weights, p.bias, stride, padding)) < 1e-6
 
     def test_output_plane_of_padding_only(self, rng, at_workers):
         x = rng.normal(size=(3, 2, 5, 6)).astype(np.float32)
         p = Conv3D(weights=rng.normal(size=(4, 3, 2, 3, 3)), bias=rng.normal(size=4), padding=(3, 1, 1))
-        got = at_workers(lambda: conv3d(x, p))
+        got = at_workers(lambda: apply_layer(x, p))
         for z in (0, 1, 5, 6):
             assert (got[:, z] == p.bias[:, None, None]).all()
 
@@ -290,7 +289,7 @@ class TestBands:
         base = rng.normal(size=(20, 8, 24, 12)).astype(np.float32)
         x = base[2:18:2, :, ::2].transpose(0, 3, 2, 1)
         p = _conv(5, 8, 3, padding=(1, 1, 1), rng=rng)
-        got = at_workers(lambda: conv3d(x, p))
+        got = at_workers(lambda: apply_layer(x, p))
         assert _rel_err(got, tapwise_conv3d(x, p.weights, p.bias, p.stride, p.padding)) < 1e-6
 
     def test_unet_forward(self, rng, at_workers):
@@ -310,17 +309,17 @@ class TestBands:
         layer = BatchNorm(gamma=g, beta=b, mean=m, var=v, eps=1e-3)
         g, b, m, v = (a.astype(np.float64).reshape(3, 1, 1, 1) for a in (g, b, m, v))
         want = (g * (x - m) / np.sqrt(v + 1e-3) + b).astype(np.float32)
-        assert _same_bits(at_workers(lambda: layer.forward(x, {})), want)
+        assert _same_bits(at_workers(lambda: apply_layer(x, layer)), want)
 
     def test_relu_kernel(self, rng, at_workers):
         x = _several_runs(rng, special=_SPECIAL)
-        assert _same_bits(at_workers(lambda: ReLU().forward(x, {})), np.maximum(x, np.float32(0.0)))
+        assert _same_bits(at_workers(lambda: apply_layer(x, ReLU())), np.maximum(x, np.float32(0.0)))
 
     @pytest.mark.parametrize("kernel, stride", [((2, 2, 2), (2, 2, 2)), ((3, 2, 1), (1, 2, 3))])
     def test_maxpool_kernel(self, rng, at_workers, kernel, stride):
         x = _several_runs(rng, special=_SPECIAL)
         layer = MaxPool(kernel=kernel, stride=stride)
-        assert _same_bits(at_workers(lambda: layer.forward(x, {})), _running_max(x, layer))
+        assert _same_bits(at_workers(lambda: apply_layer(x, layer)), _running_max(x, layer))
 
     @pytest.mark.parametrize("factor, spatial", [(2, (20, 21, 22)), (3, (9, 13, 11)), (1, (40, 41, 42))])
     def test_upsample_kernel(self, rng, at_workers, factor, spatial):
@@ -329,11 +328,11 @@ class TestBands:
         want = x
         for axis in (1, 2, 3):
             want = np.repeat(want, factor, axis=axis)
-        assert _same_bits(at_workers(lambda: UpsampleNearest(factor=factor).forward(x, {})), want)
+        assert _same_bits(at_workers(lambda: apply_layer(x, UpsampleNearest(factor=factor))), want)
 
     def test_concat_kernel(self, rng, at_workers):
         x, skip = _several_runs(rng, special=_SPECIAL), _several_runs(rng, channels=2)[:, ::-1]
-        got = at_workers(lambda: Concat(source="skip").forward(x, {"skip": skip}))
+        got = at_workers(lambda: apply_layer(x, Concat(source="skip"), {"skip": skip}))
         assert _same_bits(got, np.concatenate([x, skip], axis=0))
 
     @pytest.mark.parametrize("channels", [2, 5])
@@ -343,7 +342,7 @@ class TestBands:
         z = z - z.max(axis=0, keepdims=True)
         e = np.exp(z)
         want = (e / e.sum(axis=0, keepdims=True)).astype(np.float32)
-        assert _same_bits(at_workers(lambda: Softmax().forward(x, {})), want)
+        assert _same_bits(at_workers(lambda: apply_layer(x, Softmax())), want)
 
     @pytest.mark.parametrize("cin, cout", [(1, 2), (1, 5), (3, 2), (16, 2), (2, 16)])
     def test_pointwise_conv_kernel(self, rng, at_workers, cin, cout):
@@ -353,7 +352,7 @@ class TestBands:
         acc = p.weights.reshape(cout, cin).astype(np.float64) @ x.astype(np.float64).reshape(cin, -1)
         acc += p.bias.astype(np.float64)[:, None]
         want = acc.reshape(cout, *x.shape[1:]).astype(np.float32)
-        assert _same_bits(at_workers(lambda: conv3d(x, p)), want)
+        assert _same_bits(at_workers(lambda: apply_layer(x, p)), want)
 
     @pytest.mark.parametrize("ho, wo", [(1, 5), (2, 3000), (7, 9), (64, 64), (192, 160), (5, 10**4)])
     def test_bands_split_the_rows(self, ho, wo):
@@ -412,25 +411,25 @@ class TestTransientMemory:
         # the 16 -> 2 head of a 16-channel U-Net at 64^3: a float64 copy of the
         # input alone is 32 MiB
         x = rng.normal(size=(16, 64, 64, 64)).astype(np.float32)
-        out, peak = _traced_peak(lambda: conv3d(x, _conv(2, 16, 1, rng=rng)))
+        out, peak = _traced_peak(lambda: apply_layer(x, _conv(2, 16, 1, rng=rng)))
         assert peak < out.nbytes + 3 * (16 + 2) * layers._RUN_BYTES
 
     def test_softmax(self, rng):
         x = rng.normal(size=(2, 64, 64, 64)).astype(np.float32)
-        out, peak = _traced_peak(lambda: Softmax().forward(x, {}))
+        out, peak = _traced_peak(lambda: apply_layer(x, Softmax()))
         assert peak < out.nbytes + 3 * (2 + 2) * layers._RUN_BYTES
 
     def test_upsample(self, rng):
         # a 16-channel 64^3 output; three np.repeat passes held two intermediates
         x = rng.normal(size=(16, 32, 32, 32)).astype(np.float32)
-        out, peak = _traced_peak(lambda: UpsampleNearest(factor=2).forward(x, {}))
+        out, peak = _traced_peak(lambda: apply_layer(x, UpsampleNearest(factor=2)))
         assert peak < out.nbytes + x.nbytes // 2
 
     def test_batchnorm(self, rng):
         x = rng.normal(size=(16, 64, 64, 64)).astype(np.float32)
         layer = BatchNorm(gamma=rng.normal(size=16), beta=rng.normal(size=16), mean=rng.normal(size=16),
                           var=rng.uniform(0.5, 2.0, size=16))
-        out, peak = _traced_peak(lambda: layer.forward(x, {}))
+        out, peak = _traced_peak(lambda: apply_layer(x, layer))
         assert peak < out.nbytes + 3 * layers._RUN_BYTES
 
 
@@ -438,7 +437,7 @@ _SEEDED_FORWARDS = textwrap.dedent(
     """
     import hashlib
     import numpy as np
-    from wmhkit.layers import BatchNorm, Concat, Conv3D, MaxPool, ReLU, Softmax, UpsampleNearest, conv3d
+    from wmhkit.layers import BatchNorm, Concat, Conv3D, MaxPool, ReLU, Softmax, UpsampleNearest, apply_layer
     from wmhkit.network import NetworkSpec, forward
 
     rng = np.random.default_rng(7)
@@ -452,7 +451,7 @@ _SEEDED_FORWARDS = textwrap.dedent(
                          mean=rng.normal(size=c), var=rng.uniform(0.5, 2.0, size=c))
 
     x = rng.normal(size=(32, 24, 24, 24)).astype(np.float32)
-    print(hashlib.sha256(conv3d(x, conv(16, 32, 3)).tobytes()).hexdigest())
+    print(hashlib.sha256(apply_layer(x, conv(16, 32, 3)).tobytes()).hexdigest())
     net = NetworkSpec(
         layers=(
             ("enc", conv(8, 1, 3)), ("enc_bn", bn(8)), ("enc_relu", ReLU()),
@@ -606,10 +605,10 @@ class TestLayers:
         # a NaN input passes through the copying kernels with its bits, as before
         x = _several_runs(rng, special=(np.nan, -np.nan, np.inf, -0.0))
         skip = _several_runs(rng, channels=1, special=(np.nan,))
-        pairs = [(ReLU().forward(x, {}), np.maximum(x, np.float32(0.0))),
-                 (Concat(source="s").forward(x, {"s": skip}), np.concatenate([x, skip])),
-                 (UpsampleNearest(factor=2).forward(x, {}), x.repeat(2, 1).repeat(2, 2).repeat(2, 3)),
-                 (MaxPool().forward(x, {}), _running_max(x, MaxPool()))]
+        pairs = [(apply_layer(x, ReLU()), np.maximum(x, np.float32(0.0))),
+                 (apply_layer(x, Concat(source="s"), {"s": skip}), np.concatenate([x, skip])),
+                 (apply_layer(x, UpsampleNearest(factor=2)), x.repeat(2, 1).repeat(2, 2).repeat(2, 3)),
+                 (apply_layer(x, MaxPool()), _running_max(x, MaxPool()))]
         for got, want in pairs:
             assert np.isnan(want).any() and _same_bits(got, want)
 
@@ -640,6 +639,50 @@ def _unet(rng):
         in_channels=1,
         out_channels=2,
     )
+
+
+def _twice(rng):
+    """Two readers of one source, and an output read by the very next layer."""
+    return NetworkSpec(
+        layers=(
+            ("a", _conv(2, 1, 1, rng=rng)),
+            ("b", Concat(source="a")),
+            ("c", Concat(source="b")),
+            ("d", Concat(source="a")),
+            ("post", Softmax()),
+        ),
+        in_channels=1,
+        out_channels=10,
+    )
+
+
+def _nested(rng):
+    """Concat c (b then a) is the source of Concat e (d then c), so a and b
+    land in the channels of e that c takes."""
+    return NetworkSpec(
+        layers=(
+            ("a", _conv(2, 1, 3, padding=(1, 1, 1), rng=rng)),
+            ("b", ReLU()),
+            ("c", Concat(source="a")),
+            ("d", _conv(3, 4, 1, rng=rng)),
+            ("e", Concat(source="c")),
+            ("post", Softmax()),
+        ),
+        in_channels=1,
+        out_channels=7,
+    )
+
+
+def _spy_outputs(monkeypatch):
+    """The list of outputs forward hands to network.apply_layer, in call order."""
+    outs, real = [], network.apply_layer
+
+    def spy(x, layer, bindings, out):
+        outs.append(out)
+        return real(x, layer, bindings, out)
+
+    monkeypatch.setattr(network, "apply_layer", spy)
+    return outs
 
 
 class TestForward:
@@ -682,9 +725,9 @@ class TestForward:
         seen = []
         real = network.apply_layer
 
-        def spy(x, layer, bindings):
+        def spy(x, layer, bindings, out):
             seen.append(sorted(bindings))
-            return real(x, layer, bindings)
+            return real(x, layer, bindings, out)
 
         monkeypatch.setattr(network, "apply_layer", spy)
         unet = _unet(rng)
@@ -694,27 +737,58 @@ class TestForward:
 
         # two readers of one source, and an output read by the very next layer
         seen.clear()
-        twice = NetworkSpec(
-            layers=(
-                ("a", _conv(2, 1, 1, rng=rng)),
-                ("b", Concat(source="a")),
-                ("c", Concat(source="b")),
-                ("d", Concat(source="a")),
-                ("post", Softmax()),
-            ),
-            in_channels=1,
-            out_channels=10,
-        )
+        twice = _twice(rng)
         forward(twice, x)
         assert seen == [[], ["a"], ["a", "b"], ["a"], []]
 
-        # the same bits as keeping every output bound
+        # the same bits as keeping every output bound; the nested net's Concats
+        # write into a later Concat's output, so its parts land two levels deep
         monkeypatch.undo()
-        for net in (unet, twice):
+        for net in (unet, twice, _nested(rng)):
             bindings, y = {}, x
             for name, layer in net.layers:
                 y = bindings[name] = apply_layer(y, layer, bindings)
             assert np.array_equal(forward(net, x), y)
+
+    def test_concat_parts_land_in_place(self, rng, monkeypatch):
+        # forward hands each producer of a Concat part a view of the Concat's
+        # output, so the U-Net's Concat has nothing left to copy
+        outs = _spy_outputs(monkeypatch)
+        x = rng.normal(size=(1, 8, 8, 8)).astype(np.float32)
+
+        def shared(net):
+            outs.clear()
+            forward(net, x)
+            # kernels write through out.reshape, which silently copies a
+            # non-contiguous array, so such a write would be lost
+            assert len(outs) == len(net.layers) and all(out.flags["C_CONTIGUOUS"] for out in outs)
+            named = zip((name for name, _ in net.layers), outs)
+            return {(p, q) for (p, a), (q, b) in combinations(named, 2) if np.shares_memory(a, b)}
+
+        net = unet_net(rng, 1, 4)
+        assert shared(net) == {("enc1_relu", "skip"), ("up", "skip")}
+        by_name = dict(zip((name for name, _ in net.layers), outs))
+        assert by_name["up"].ctypes.data == by_name["skip"].ctypes.data
+        assert by_name["enc1_relu"].ctypes.data == by_name["skip"][4:].ctypes.data
+        # c is a part of e, and c's own parts, a and b, land inside it
+        assert shared(_nested(rng)) == {("a", "c"), ("b", "c"), *((p, "e") for p in "abcd")}
+        # a is read by two Concats, and b by the Concat of b with itself (as is a
+        # by b), so both live on their own; only c lands in d's output
+        assert shared(_twice(rng)) == {("c", "d")}
+
+    @pytest.mark.parametrize("error, layers", [
+        # the last layer makes 2 channels, the net declares 3
+        (ShapeMismatch, lambda rng: (("a", _conv(2, 1, 1, rng=rng)), ("b", ReLU()))),
+        # a Concat as the first layer has no earlier output to read, so the
+        # network input is never a Concat part
+        (UnknownConcatSource, lambda rng: (("a", Concat(source="a")), ("b", _conv(3, 2, 1, rng=rng)))),
+    ])
+    def test_shape_errors_raise_before_any_layer_runs(self, rng, monkeypatch, error, layers):
+        outs = _spy_outputs(monkeypatch)
+        net = NetworkSpec(layers=layers(rng), in_channels=1, out_channels=3)
+        with pytest.raises(error):
+            forward(net, rng.normal(size=(1, 4, 4, 4)).astype(np.float32))
+        assert outs == []
 
     def test_input_channel_check(self, rng):
         net = _unet(rng)
@@ -958,8 +1032,8 @@ class TestShapeCheck:
 
     def test_shape_check_agrees_with_forward_on_random_nets(self, rng):
         # networks with random layer stacks of all seven kinds: validate()
-        # accepts iff the layer kernels run, and then forward gives their
-        # output with the inferred shape
+        # accepts iff the layers run one by one through apply_layer, and then
+        # forward gives their output with the inferred shape
         kinds = ["conv", "conv3", "bn", "pool", "up", "relu", "concat", "softmax"]
         seen = {kind: 0 for kind in kinds}
         outcomes = set()
@@ -1008,11 +1082,10 @@ class TestShapeCheck:
             except Exception:
                 ok = False
             try:
-                # the kernels alone, without the shape check apply_layer adds
                 bindings = {}
                 y = x
                 for name, layer in net.layers:
-                    y = bindings[name] = layer.forward(y, bindings)
+                    y = bindings[name] = apply_layer(y, layer, bindings)
                 ran = True
             except Exception:
                 ran = False
