@@ -41,7 +41,7 @@ from .stats import (
     paired_ttest,
 )
 from .tsv import write_tsv
-from .volume import normalize_intensity
+from .volume import Volume3D, binary_mask, normalize_intensity
 from .weights_io import ENSEMBLE_ROLES, load_ensemble, load_network, save_ensemble
 
 WEIGHTS_DIR_ENV = "WMHKIT_WEIGHTS_DIR"
@@ -154,14 +154,23 @@ def _load_networks(run: Run, weights_path: str) -> dict:
     return nets
 
 
-def _segment_one(run: Run, flair_path: str, mask_path: str, spec: EnsembleSpec, out_dir: Path) -> dict:
+def _posterior(run: Run, flair_path: str, mask_path: str, spec: EnsembleSpec) -> Volume3D:
+    """One subject's ensemble posterior. Each volume is dropped once no later
+    stage reads it: the parsed mask when it becomes a bool mask (its one
+    binariness check), the parsed FLAIR when it is normalized, and the rest
+    when this returns."""
     with run.stage("parse"):
         flair = parse_nifti(run.read(flair_path))
         mask = parse_nifti(run.read(mask_path))
     with run.stage("normalize"):
-        normalized = normalize_intensity(flair, mask)
+        mask = binary_mask(mask, "brain mask")
+        flair = normalize_intensity(flair, mask)
     with run.stage("inference"):
-        posterior = predict_ensemble(spec, normalized, mask)
+        return predict_ensemble(spec, flair, mask)
+
+
+def _segment_one(run: Run, flair_path: str, mask_path: str, spec: EnsembleSpec, out_dir: Path) -> dict:
+    posterior = _posterior(run, flair_path, mask_path, spec)
     with run.stage("postprocess"):
         lesion_mask = binarize(posterior, spec.threshold)
         volume_ml = wmh_volume_ml(lesion_mask)

@@ -15,6 +15,12 @@ by U-Net's overlap-tile strategy (arXiv:1505.04597, Fig. 2): disjoint core
 blocks, each computed with the net's halo and cropped to its core, give one
 whole-volume pass bit for bit. Each core is written through the same permuted
 view of the canonical posterior, so no plane makes a copy of either.
+
+The brain mask is read through its canonical view, and a volume stored by
+``volume.canonical_zeros`` (as ``normalize_intensity`` and ``binary_mask``
+store theirs) reaches the canonical frame without a copy. A pointwise meta net
+writes each fused run over the axial posterior once it has read that run, so
+fusion needs no volume of its own.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .errors import InputError, ShapeCheckFailed, ShapeMismatch, TileTooSmall
 from .layers import _RUN_BYTES
 from .network import NetworkSpec, forward, infer_shapes
 from .reformat import PLANE_AXES, PlaneOrientation, to_canonical
-from .volume import Volume3D, require_binary, require_same_grid
+from .volume import Volume3D, canonical_view, require_binary, require_same_grid
 
 DEFAULT_TILE = (64, 64, 64)
 DEFAULT_THRESHOLD = 0.5
@@ -104,6 +110,8 @@ def _tiled_posterior(
     A pointwise net runs on consecutive runs of ``_RUN_BYTES // 8`` voxels in
     C order (the last run shorter), each a (C, n, 1, 1) view of the input, so
     each voxel is computed once and ``tile``, ``core`` and ``axes`` are unused.
+    Each run is written after it is read, so ``out`` may be the input's first
+    channel.
     Any other net runs in the frame whose axis i is the input's spatial axis
     ``axes[i]``, and must map that frame's dims to themselves. It runs on a
     view of each block's input of ``_blocks`` in that frame and writes the
@@ -154,28 +162,30 @@ def predict_ensemble(spec: EnsembleSpec, flair: Volume3D, mask: Volume3D) -> Vol
     """Full ensemble posterior for a normalized volume, in the canonical frame.
 
     Expects ``flair`` already intensity-normalized within ``mask``. Returns a
-    posterior map with out-of-mask voxels forced to 0.
+    posterior map with out-of-mask voxels forced to 0. After a pointwise meta
+    net the posterior is a view of the (3, D, H, W) stack of plane posteriors.
     """
     require_same_grid(flair, mask, "volume and mask")
     require_binary(mask, "brain mask")
     flair_c = to_canonical(flair)
-    mask_c = to_canonical(mask)
 
     stacked = np.empty((len(_PLANES), *flair_c.dims), dtype=np.float32)
     plane_nets = (spec.axial_net, spec.sagittal_net, spec.coronal_net)
     for post, plane, net, core in zip(stacked, _PLANES, plane_nets, spec.cores):
         _tiled_posterior(net, flair_c.data[np.newaxis], spec.tile, core, post, PLANE_AXES[plane])
 
-    fused = _tiled_posterior(spec.meta_net, stacked, spec.tile, spec.cores[3])
-    fused[mask_c.data == 0] = 0.0
+    meta = spec.meta_net
+    fused = _tiled_posterior(meta, stacked, spec.tile, spec.cores[3], stacked[0] if meta.pointwise else None)
+    fused[canonical_view(mask.data, mask.orientation) == 0] = 0.0
     return flair_c.with_data(fused)
 
 
 def binarize(post: Volume3D, threshold: float = DEFAULT_THRESHOLD) -> Volume3D:
-    """Threshold a posterior map; a voxel is lesion iff posterior > threshold."""
+    """Threshold a posterior map into a bool mask; a voxel is lesion iff
+    posterior > threshold."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    return post.with_data((post.data > threshold).astype(np.float32))
+    return post.with_data(post.data > threshold)
 
 
 def wmh_volume_ml(mask: Volume3D) -> float:

@@ -71,11 +71,11 @@ def modal_threshold(flair: Volume3D, mask: Volume3D, p: HistParams = HistParams(
 def histogram_segment(
     flair: Volume3D, mask: Volume3D, p: HistParams = HistParams()
 ) -> Volume3D:
-    """Binary lesion mask from the modal-Gaussian intensity threshold.
+    """Bool lesion mask from the modal-Gaussian intensity threshold.
 
     The output shrinks monotonically (set inclusion) as alpha grows and is
     always a subset of the brain mask.
     """
     cutoff = modal_threshold(flair, mask, p)
-    out = ((mask.data > 0) & (flair.data > cutoff)).astype(np.float32)
+    out = (mask.data > 0) & (flair.data > cutoff)
     return flair.with_data(out)

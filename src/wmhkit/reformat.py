@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .volume import AXIS_OF_CODE, CANONICAL_ORIENTATION, NEGATIVE_CODES, Volume3D
+from .volume import CANONICAL_ORIENTATION, Volume3D, canonical_order, canonical_view
 
 
 class PlaneOrientation(Enum):
@@ -43,17 +43,11 @@ def _permute(v: Volume3D, perm: tuple[int, int, int]) -> Volume3D:
 
 
 def to_canonical(v: Volume3D) -> Volume3D:
-    """Permute/flip axes so the volume is in RAS order, values untouched."""
-    flip = [code in NEGATIVE_CODES for code in v.orientation]
-    perm = [0, 0, 0]
-    for axis, code in enumerate(v.orientation):
-        perm[AXIS_OF_CODE[code]] = axis
-    data = v.data
-    if any(flip):
-        slicer = tuple(slice(None, None, -1) if f else slice(None) for f in flip)
-        data = data[slicer]
-    data = np.ascontiguousarray(data.transpose(perm))
-    spacing = tuple(v.spacing[p] for p in perm)
+    """Permute/flip axes so the volume is in RAS order, values untouched. The
+    data is copied only when its canonical view is not already C-contiguous,
+    as it is for ``canonical_zeros`` storage."""
+    data = np.ascontiguousarray(canonical_view(v.data, v.orientation))
+    spacing = tuple(v.spacing[p] for p in canonical_order(v.orientation))
     return Volume3D(data, spacing, CANONICAL_ORIENTATION)
 
 

@@ -20,10 +20,12 @@ NEGATIVE_CODES = frozenset({"L", "P", "I"})
 class Volume3D:
     """A 3D scalar field with voxel spacing (mm) and anatomical orientation.
 
-    ``data`` is stored as float32 with shape (nx, ny, nz). ``orientation``
-    names the anatomical direction of each *increasing* index axis, e.g.
-    ("R", "A", "S") for a canonical RAS volume. The same container carries
-    intensities, posterior probabilities, binary masks, and label maps.
+    ``data`` has shape (nx, ny, nz) and is stored as float32, except that a
+    bool array is kept as it is: a mask that is binary by its type, which
+    ``require_binary`` need not scan. ``orientation`` names the anatomical
+    direction of each *increasing* index axis, e.g. ("R", "A", "S") for a
+    canonical RAS volume. The same container carries intensities, posterior
+    probabilities, binary masks, and label maps.
     """
 
     data: np.ndarray
@@ -31,7 +33,9 @@ class Volume3D:
     orientation: tuple[str, str, str] = CANONICAL_ORIENTATION
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float32)
+        arr = self.data
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.bool_):
+            arr = np.asarray(arr, dtype=np.float32)
         if arr.ndim != 3:
             raise ValueError(f"volume data must be 3D, got ndim={arr.ndim}")
         if min(arr.shape) < 1:
@@ -70,8 +74,51 @@ def is_binary(v: Volume3D) -> bool:
 
 
 def require_binary(v: Volume3D, name: str = "mask") -> None:
-    if not is_binary(v):
+    """Raise NonBinaryInput unless every voxel is 0 or 1. A bool mask is
+    binary by its type and is not scanned."""
+    if v.data.dtype != np.bool_ and not is_binary(v):
         raise NonBinaryInput(f"{name} must contain only 0/1 values")
+
+
+def _flips(orientation) -> tuple[slice, slice, slice]:
+    return tuple(slice(None, None, -1) if code in NEGATIVE_CODES else slice(None) for code in orientation)
+
+
+def canonical_order(orientation) -> tuple[int, int, int]:
+    """The index axis that runs along each canonical (R, A, S) axis."""
+    order = [0, 0, 0]
+    for axis, code in enumerate(orientation):
+        order[AXIS_OF_CODE[code]] = axis
+    return tuple(order)
+
+
+def canonical_view(data: np.ndarray, orientation) -> np.ndarray:
+    """``data``, indexed in ``orientation``, as a view indexed in RAS order:
+    its axes flipped and permuted, no value moved or copied."""
+    return data[_flips(orientation)].transpose(canonical_order(orientation))
+
+
+def canonical_zeros(dims, orientation, dtype) -> np.ndarray:
+    """A zeroed array of ``dims``, indexed in ``orientation``, stored so that
+    its ``canonical_view`` is C-contiguous. A volume computed into it can be
+    read in the canonical frame without a copy."""
+    axes = tuple(AXIS_OF_CODE[code] for code in orientation)
+    shape = [0, 0, 0]
+    for n, axis in zip(dims, axes):
+        shape[axis] = n
+    return np.zeros(shape, dtype).transpose(axes)[_flips(orientation)]
+
+
+def binary_mask(v: Volume3D, name: str = "mask") -> Volume3D:
+    """``v`` as a bool mask, after its one binariness check, stored as
+    ``canonical_zeros`` stores it. Every later ``require_binary`` on it is free,
+    and it takes a quarter of a float32 volume."""
+    if v.data.dtype == np.bool_:
+        return v
+    require_binary(v, name)
+    out = canonical_zeros(v.dims, v.orientation, np.bool_)
+    np.not_equal(v.data, 0, out=out)
+    return v.with_data(out)
 
 
 def require_same_dims(a: Volume3D, b: Volume3D, what: str = "volumes") -> None:
@@ -95,7 +142,10 @@ def normalize_intensity(v: Volume3D, mask: Volume3D) -> Volume3D:
     """Z-score intensities inside the brain mask; zero everything outside.
 
     Uses the in-mask mean and *population* standard deviation, so downstream
-    networks see a stable intensity scale regardless of scanner units.
+    networks see a stable intensity scale regardless of scanner units. The
+    output is indexed like ``v`` and stored as ``canonical_zeros`` stores it,
+    so ``to_canonical`` reads it without a copy. The in-mask values are
+    gathered in ``v``'s index order and z-scored in place, in float64.
 
     Raises DegenerateMask when the mask selects fewer than two voxels or the
     in-mask intensities have zero variance, and NonFiniteInput when one of
@@ -103,8 +153,8 @@ def normalize_intensity(v: Volume3D, mask: Volume3D) -> Volume3D:
     """
     require_same_dims(v, mask, "volume and mask")
     require_binary(mask, "brain mask")
-    inside = mask.data > 0
-    n = int(inside.sum())
+    inside = mask.data.astype(bool, copy=False)  # a binary mask's nonzero voxels
+    n = int(np.count_nonzero(inside))
     if n < 2:
         raise DegenerateMask(f"mask selects {n} voxels; need at least 2")
     vals = v.data[inside].astype(np.float64)
@@ -114,6 +164,8 @@ def normalize_intensity(v: Volume3D, mask: Volume3D) -> Volume3D:
     sigma = vals.std()  # population SD
     if sigma == 0.0:
         raise DegenerateMask("in-mask intensity variance is zero")
-    out = np.zeros_like(v.data)
-    out[inside] = ((vals - mu) / sigma).astype(np.float32)
+    vals -= mu
+    vals /= sigma
+    out = canonical_zeros(v.dims, v.orientation, np.float32)
+    out[inside] = vals
     return v.with_data(out)

@@ -26,6 +26,16 @@ def all_signed_orientations():
     return out
 
 
+def zscore_in_mask(data: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """In-mask z-score with the population SD, in float64 by temporaries,
+    in ``data``'s own storage order; zero outside the mask."""
+    inside = mask > 0
+    vals = data[inside].astype(np.float64)
+    out = np.zeros_like(data)
+    out[inside] = ((vals - vals.mean()) / vals.std()).astype(np.float32)
+    return out
+
+
 def _target_index(orientation, dims, idx):
     tgt = [0, 0, 0]
     for axis in range(3):

@@ -3,6 +3,7 @@ import gzip
 import hashlib
 import json
 import struct
+import tracemalloc
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ import pytest
 from scipy import ndimage
 
 from nets import unet_net
-from wmhkit import cli
+from wmhkit import cli, volume
 from wmhkit.cli import main
 from wmhkit.cohort import synthetic_cohort, write_cohort_csv
 from wmhkit.ensemble import EnsembleSpec, predict_ensemble
@@ -567,6 +568,51 @@ class TestSegment:
         assert captured.out == ""
         assert captured.err.startswith("error [input]:") and len(captured.err.splitlines()) == 1
         assert not out_dir.exists()
+
+    def test_each_mask_is_checked_for_binariness_once(self, phantom_dir, tmp_path, capsys, monkeypatch):
+        # the brain mask once, when it becomes a bool mask; binarize's output is bool
+        calls = []
+        real = volume.is_binary
+        monkeypatch.setattr(volume, "is_binary", lambda v: calls.append(v.dims) or real(v))
+        assert _segment(phantom_dir, tmp_path, phantom_dir / "weights.sgwt") == 0
+        capsys.readouterr()
+        assert calls == [(24, 24, 24)]
+
+    def test_non_binary_brain_mask_is_shape_error(self, phantom_dir, tmp_path, capsys):
+        mask = parse_nifti((phantom_dir / "brain_mask.nii.gz").read_bytes())
+        data = mask.data.copy()
+        data[tuple(np.argwhere(data > 0)[0])] = 0.5
+        path = tmp_path / "mask.nii.gz"
+        path.write_bytes(write_nifti(mask.with_data(data), compress=True))
+        code = main(["segment", "--flair", str(phantom_dir / "flair.nii.gz"), "--mask", str(path),
+                     "--weights", str(phantom_dir / "weights.sgwt"), "--out-dir", str(tmp_path / "seg")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == "error [shape]: brain mask must contain only 0/1 values\n"
+
+    def test_subject_peak_is_bounded_in_float32_volumes(self, tmp_path, capsys):
+        # 96x112x80 with the 1^3 phantom nets: one float32 volume is 3.3 MiB.
+        # Live at the peak: the normalized FLAIR, the bool mask and the stack
+        # of three plane posteriors, 4.25 volumes. 3 MiB more are allowed for
+        # what does not scale with the grid: the per-run forward buffers, the
+        # weights, the compressed files and the report. One more volume kept
+        # through inference, such as the parsed FLAIR, breaks the bound.
+        shape = (96, 112, 80)
+        pdir = tmp_path / "phantom"
+        assert main(["phantom", "--out-dir", str(pdir), "--seed", "1", "--shape", ",".join(map(str, shape))]) == 0
+        argv = ["segment", "--flair", str(pdir / "flair.nii.gz"), "--mask", str(pdir / "brain_mask.nii.gz"),
+                "--weights", str(pdir / "weights.sgwt"), "--out-dir", str(tmp_path / "seg")]
+        assert main(argv) == 0  # warm: first-call allocations are not the subject's
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        volume_bytes = 4 * int(np.prod(shape))
+        assert peak <= 4.5 * volume_bytes + 3 * 2**20, peak / volume_bytes
 
     @pytest.mark.skipif(blas_threads() is None, reason="numpy's OpenBLAS thread count cannot be read or set")
     def test_posterior_independent_of_the_blas_threads_found(self, phantom_dir, tmp_path, capsys, rng,

@@ -1,10 +1,12 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import all_signed_orientations
+from wmhkit import nifti
 from wmhkit.errors import (
     BadGzip,
     BadMagic,
@@ -111,6 +113,88 @@ class TestMaskWriter:
         assert GZIP_LEVEL == 1
         assert write_nifti_mask(v, compress=True) == gzip.compress(write_nifti_mask(v), compresslevel=1, mtime=0)
         assert write_nifti(v, compress=True) == gzip.compress(write_nifti(v), compresslevel=1, mtime=0)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _sparse_posterior(rng, shape) -> np.ndarray:
+    data = np.zeros(shape, dtype=np.float32)
+    spots = rng.random(shape) < 0.001
+    data[spots] = rng.random(int(spots.sum()), dtype=np.float32)
+    return data
+
+
+class TestParseBuffers:
+    @pytest.mark.parametrize("compress", [False, True])
+    @pytest.mark.parametrize("writer", [write_nifti, write_nifti_mask])
+    def test_returns_a_writable_array(self, rng, compress, writer):
+        v = Volume3D((rng.random((4, 5, 6)) < 0.5).astype(np.float32), orientation=("L", "I", "A"))
+        out = parse_nifti(writer(v, compress=compress))
+        assert out.data.flags.writeable and out.data.dtype == np.float32
+        assert np.array_equal(out.data, v.data)
+
+    def test_gzip_float32_payload_is_not_copied(self, rng):
+        # 4 MiB payload: the inflated buffer is the array, so the peak is one
+        # payload plus the few chunks gzip's read layers hold (about three),
+        # where each copy of the payload would add a whole payload
+        raw = write_nifti(Volume3D(_sparse_posterior(rng, (128, 128, 64))), compress=True)
+        payload = 128 * 128 * 64 * 4
+        assert _traced_peak(lambda: parse_nifti(raw)) < payload + 4 * nifti._CHUNK_BYTES
+
+    def test_multi_member_and_zero_padded_gzip(self, rng):
+        v = _volume(rng)
+        plain = write_nifti(v)
+        cut = len(plain) // 3
+        raw = gzip.compress(plain[:cut], mtime=0) + gzip.compress(plain[cut:], mtime=0) + b"\x00" * 8
+        assert np.array_equal(parse_nifti(raw).data, v.data)
+
+
+class TestStreamedWrite:
+    """The writer feeds z-slabs to one deflate stream; its bytes must be those
+    of the header and the whole payload, gzip-compressed in one shot."""
+
+    @staticmethod
+    def _payload(data, dtype) -> bytes:
+        return np.asarray(data).astype(dtype).ravel(order="F").tobytes()
+
+    @pytest.mark.parametrize("slices", [2, 3])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: rng.normal(size=(5, 4, 11)).astype(np.float32),
+            lambda rng: np.asfortranarray(rng.normal(size=(5, 4, 11)).astype(np.float32)),
+            lambda rng: rng.normal(size=(10, 4, 22)).astype(np.float32)[::-2, :, ::-2],  # flipped, strided
+            lambda rng: np.full((1, 1, 1), 0.25, dtype=np.float32),
+        ],
+        ids=["c-order", "f-order", "flipped-strided", "one-voxel"],
+    )
+    def test_bytes_equal_one_shot_gzip(self, rng, monkeypatch, slices, make):
+        data = make(rng)
+        nx, ny, _ = data.shape
+        monkeypatch.setattr(nifti, "_CHUNK_BYTES", slices * nx * ny * 4)  # float32 slabs of `slices` z-slices
+        v = Volume3D(data, spacing=(1.0, 0.5, 2.0), orientation=("P", "S", "L"))
+        plain = write_nifti(v)
+        assert plain[DATA_OFFSET:] == self._payload(data, "<f4")
+        assert write_nifti(v, compress=True) == gzip.compress(plain, GZIP_LEVEL, mtime=0)
+        mask = Volume3D(data > 0, v.spacing, v.orientation)
+        plain = write_nifti_mask(mask)
+        assert plain[:DATA_OFFSET] == write_nifti_mask(mask.with_data((data > 0).astype(np.float32)))[:DATA_OFFSET]
+        assert plain[DATA_OFFSET:] == self._payload(data > 0, np.uint8)
+        assert write_nifti_mask(mask, compress=True) == gzip.compress(plain, GZIP_LEVEL, mtime=0)
+
+    def test_encode_peak_is_below_one_payload(self, rng):
+        data = _sparse_posterior(rng, (160, 128, 96))
+        post = Volume3D(data, orientation=("L", "P", "S"))
+        assert _traced_peak(lambda: write_nifti(post, compress=True)) < data.nbytes
+        mask = Volume3D(data > 0.5)
+        assert _traced_peak(lambda: write_nifti_mask(mask, compress=True)) < data.size
 
 
 class TestHeaderFields:

@@ -1,10 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import all_signed_orientations, remap_to_ras, zscore_in_mask
+from wmhkit import volume
 from wmhkit.errors import DegenerateMask, NonBinaryInput, NonFiniteInput, ShapeMismatch
-from wmhkit.volume import Volume3D, is_binary, normalize_intensity, require_binary
+from wmhkit.reformat import to_canonical
+from wmhkit.volume import (
+    Volume3D,
+    binary_mask,
+    canonical_view,
+    canonical_zeros,
+    is_binary,
+    normalize_intensity,
+    require_binary,
+)
 
 
 def _vol(data, **kw):
@@ -51,8 +64,68 @@ class TestBinaryHelpers:
         with pytest.raises(NonBinaryInput):
             require_binary(_vol(np.full((2, 2, 2), 0.3)))
 
+    def test_bool_data_is_kept_and_never_scanned(self, monkeypatch):
+        v = Volume3D(np.array([[[True, False]]]))
+        assert v.data.dtype == np.bool_
+        calls = []
+        monkeypatch.setattr(volume, "is_binary", lambda v: calls.append(v) or True)
+        require_binary(v)
+        assert calls == []
+
+    def test_binary_mask_checks_once_and_holds_bool(self, rng, monkeypatch):
+        data = np.asfortranarray((rng.random((4, 5, 6)) < 0.4).astype(np.float32))
+        calls = []
+        real = volume.is_binary
+        monkeypatch.setattr(volume, "is_binary", lambda v: calls.append(v) or real(v))
+        m = binary_mask(Volume3D(data, orientation=("P", "I", "R")), "brain mask")
+        assert len(calls) == 1
+        assert m.data.dtype == np.bool_ and m.orientation == ("P", "I", "R")
+        assert np.array_equal(m.data, data != 0)
+        assert canonical_view(m.data, m.orientation).flags.c_contiguous
+        assert binary_mask(m) is m and len(calls) == 1
+        with pytest.raises(NonBinaryInput, match="brain mask"):
+            binary_mask(_vol(np.full((2, 2, 2), 0.5)), "brain mask")
+
+
+@pytest.mark.parametrize("orientation", all_signed_orientations())
+def test_canonical_zeros_read_canonically_without_a_copy(orientation):
+    dims = (2, 3, 4)
+    data = canonical_zeros(dims, orientation, np.float32)
+    assert data.shape == dims and not data.any()
+    data[...] = np.arange(24, dtype=np.float32).reshape(dims)
+    view = canonical_view(data, orientation)
+    assert view.flags.c_contiguous
+    assert np.array_equal(view, remap_to_ras(data, orientation))
+    assert np.shares_memory(to_canonical(Volume3D(data, orientation=orientation)).data, data)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 class TestNormalizeIntensity:
+    def test_in_place_z_score_keeps_the_bits_and_lowers_the_peak(self, rng):
+        # F-ordered and flipped, as parse_nifti returns a volume; 31% in mask
+        shape = (64, 48, 40)
+        data = np.asfortranarray(rng.normal(100.0, 15.0, shape).astype(np.float32))
+        v = Volume3D(data, orientation=("L", "P", "S"))
+        mask = binary_mask(Volume3D((rng.random(shape) < 0.31).astype(np.float32), orientation=v.orientation))
+        n = int(np.count_nonzero(mask.data))
+        got = normalize_intensity(v, mask)
+        assert got.data.tobytes() == zscore_in_mask(v.data, mask.data).tobytes()
+        assert got.orientation == v.orientation
+        assert canonical_view(got.data, got.orientation).flags.c_contiguous
+        old = _traced_peak(lambda: zscore_in_mask(v.data, mask.data))
+        new = _traced_peak(lambda: normalize_intensity(v, mask))
+        assert new < old
+        # the output, the float64 in-mask values and std's one temporary of them
+        assert new <= data.nbytes + 2 * 8 * n + 2**16, (new, old)
+
     def test_two_point(self):
         v = _vol(np.array([1.0, 3.0, 99.0, 99.0]).reshape(1, 2, 2))
         mask = _vol(np.array([1.0, 1.0, 0.0, 0.0]).reshape(1, 2, 2))
