@@ -29,6 +29,7 @@ from .errors import (
     BadGzip,
     BadHeader,
     BadMagic,
+    FormatError,
     TruncatedData,
     UnsupportedDatatype,
     UnsupportedDim,
@@ -66,16 +67,26 @@ _NEGATIVE_CODE = ("L", "P", "I")
 
 def _gunzip(raw: bytes) -> bytearray:
     """The inflated bytes, in one writable buffer that ``parse_nifti`` can
-    hand to numpy as it is. The buffer is sized from the gzip trailer's length
-    field, capped at deflate's largest expansion of ``raw`` so that a forged
-    field cannot size it, and filled ``_CHUNK_BYTES`` at a time: no second
-    copy of the image is held. Reading to the end checks every member's CRC
-    and length."""
-    size = min(int.from_bytes(raw[-4:], "little"), _MAX_INFLATE * len(raw))
-    out = bytearray(size)
-    n = 0
+    hand to numpy as it is, filled ``_CHUNK_BYTES`` at a time so that no
+    second copy of the image is held. The buffer is sized before the stream
+    is verified, so no single field sizes it: it is the image's extent as the
+    inflated header names it, but no more than the trailer's length field nor
+    deflate's largest expansion of ``raw``. A cut or corrupt file still has a
+    genuine header, so its noise trailer cannot inflate the buffer; a header
+    that names no valid image preallocates nothing. Whatever lies beyond the
+    buffer is read after it. Reading to the end checks every member's CRC and
+    length."""
     try:
         with gzip.GzipFile(fileobj=io.BytesIO(raw)) as fh:
+            head = fh.read(DATA_OFFSET)
+            try:
+                extent = _layout(head)[4]
+            except FormatError:
+                extent = 0
+            size = min(extent, int.from_bytes(raw[-4:], "little"), _MAX_INFLATE * len(raw))
+            out = bytearray(max(size, len(head)))
+            out[: len(head)] = head
+            n = len(head)
             with memoryview(out) as view:
                 while n < size and (got := fh.readinto(view[n : n + _CHUNK_BYTES])):
                     n += got
@@ -133,18 +144,13 @@ def _quaternion_rotation(b: float, c: float, d: float) -> np.ndarray:
     )
 
 
-def parse_nifti(raw: bytes) -> Volume3D:
-    """Parse a .nii or .nii.gz byte stream into a float32 Volume3D.
+def _layout(raw: bytes) -> tuple[str, tuple[int, int, int], int, int, int]:
+    """Byte order, voxel counts, datatype code, and the payload's first and
+    end offsets, as the header at the front of ``raw`` names them.
 
-    scl_slope/scl_inter are applied when scl_slope is nonzero. Orientation
-    comes from the sform when sform_code > 0, else the qform when
-    qform_code > 0, else RAS is assumed.
-
-    Raises BadGzip, BadMagic, UnsupportedDim, UnsupportedDatatype,
-    TruncatedData, or BadHeader.
+    Raises TruncatedData, BadMagic, UnsupportedDim, BadHeader or
+    UnsupportedDatatype.
     """
-    if raw[:2] == GZIP_MAGIC:
-        raw = _gunzip(raw)
     if len(raw) < HEADER_SIZE:
         raise TruncatedData(f"file is {len(raw)} bytes; NIfTI-1 header needs {HEADER_SIZE}")
     if raw[344:348] != MAGIC:
@@ -176,11 +182,26 @@ def parse_nifti(raw: bytes) -> Volume3D:
         raise BadHeader(f"vox_offset {vox_offset} is invalid for a single-file image")
     start = int(vox_offset)
 
-    nvox = nx * ny * nz
-    needed = nvox * itemsize
-    if start + needed > len(raw):
+    return end, (nx, ny, nz), datatype, start, start + nx * ny * nz * itemsize
+
+
+def parse_nifti(raw: bytes) -> Volume3D:
+    """Parse a .nii or .nii.gz byte stream into a float32 Volume3D.
+
+    scl_slope/scl_inter are applied when scl_slope is nonzero. Orientation
+    comes from the sform when sform_code > 0, else the qform when
+    qform_code > 0, else RAS is assumed.
+
+    Raises BadGzip, BadMagic, UnsupportedDim, UnsupportedDatatype,
+    TruncatedData, or BadHeader.
+    """
+    inflated = raw[:2] == GZIP_MAGIC
+    if inflated:
+        raw = _gunzip(raw)
+    end, (nx, ny, nz), datatype, start, stop = _layout(raw)
+    if stop > len(raw):
         raise TruncatedData(
-            f"data extent needs {needed} bytes at offset {start}, file has {len(raw)}"
+            f"data extent needs {stop - start} bytes at offset {start}, file has {len(raw)}"
         )
 
     pixdim = struct.unpack_from(end + "8f", raw, 76)
@@ -213,11 +234,12 @@ def parse_nifti(raw: bytes) -> Volume3D:
         raise BadHeader(f"non-positive voxel spacing {spacing}")
     orientation = _snap_orientation(affine) if affine is not None else ("R", "A", "S")
 
-    # A native float32 payload in a writable buffer (the output of _gunzip)
-    # is used where it lies; any other payload is cast or copied once.
+    # A native float32 payload in the buffer _gunzip made here is used where
+    # it lies; any other payload, the caller's buffer included, is cast or
+    # copied once, so the volume never shares the caller's memory.
     np_dtype = np.dtype(_DTYPE_NUMPY[datatype]).newbyteorder(end)
-    flat = np.frombuffer(raw, dtype=np_dtype, count=nvox, offset=start)
-    in_place = flat.flags.writeable and flat.flags.aligned
+    flat = np.frombuffer(raw, dtype=np_dtype, count=nx * ny * nz, offset=start)
+    in_place = inflated and flat.flags.aligned
     data = flat.reshape((nx, ny, nz), order="F").astype(np.float32, copy=not in_place)
     if scl_slope != 0.0 and not (scl_slope == 1.0 and scl_inter == 0.0):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -148,6 +148,30 @@ class TestParseBuffers:
         payload = 128 * 128 * 64 * 4
         assert _traced_peak(lambda: parse_nifti(raw)) < payload + 4 * nifti._CHUNK_BYTES
 
+    def test_cut_gzip_with_forged_length_allocates_no_more_than_its_image(self, rng):
+        # a noise float32 file, cut to 60% and its last 4 bytes (the trailer's
+        # length field, were the file whole) set near 4 GiB: the buffer is
+        # sized from the inflated header's extent, not from that field or
+        # deflate's largest expansion of the file (about 1000 times its size)
+        payload = 32 * 32 * 32 * 4
+        raw = bytearray(write_nifti(_volume(rng, shape=(32, 32, 32)), compress=True))
+        raw = raw[: len(raw) * 3 // 5]
+        raw[-4:] = (0xFFFFFFF0).to_bytes(4, "little")
+
+        def parse():
+            with pytest.raises(BadGzip):
+                parse_nifti(bytes(raw))
+
+        assert _traced_peak(parse) < DATA_OFFSET + payload + len(raw) + 4 * nifti._CHUNK_BYTES
+
+    @pytest.mark.parametrize("make", [bytearray, lambda b: memoryview(bytearray(b))])
+    def test_caller_buffer_is_not_shared(self, rng, make):
+        buf = make(write_nifti(_volume(rng)))
+        out = parse_nifti(buf)
+        before = out.data.copy()
+        buf[DATA_OFFSET:] = bytes(len(buf) - DATA_OFFSET)
+        assert np.array_equal(out.data, before) and out.data.flags.writeable
+
     def test_multi_member_and_zero_padded_gzip(self, rng):
         v = _volume(rng)
         plain = write_nifti(v)
