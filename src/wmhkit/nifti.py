@@ -69,13 +69,12 @@ def _gunzip(raw: bytes) -> bytearray:
     """The inflated bytes, in one writable buffer that ``parse_nifti`` can
     hand to numpy as it is, filled ``_CHUNK_BYTES`` at a time so that no
     second copy of the image is held. The buffer is sized before the stream
-    is verified, so no single field sizes it: it is the image's extent as the
-    inflated header names it, but no more than the trailer's length field nor
-    deflate's largest expansion of ``raw``. A cut or corrupt file still has a
-    genuine header, so its noise trailer cannot inflate the buffer; a header
-    that names no valid image preallocates nothing. Whatever lies beyond the
-    buffer is read after it. Reading to the end checks every member's CRC and
-    length."""
+    is verified: the image extent the inflated header names, but no more than
+    the trailer's length field or deflate's largest expansion of ``raw``. In
+    a cut file the trailer is deflate noise while the header is genuine; a
+    header that names no valid image preallocates nothing. Whatever lies
+    beyond the buffer is read after it, and reading to the end checks every
+    member's CRC and length."""
     try:
         with gzip.GzipFile(fileobj=io.BytesIO(raw)) as fh:
             head = fh.read(DATA_OFFSET)
