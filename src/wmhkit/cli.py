@@ -15,8 +15,9 @@ import json
 import math
 import os
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -27,9 +28,9 @@ from .cohort import parse_cohort_csv, parse_numeric_columns, summarize
 from .ensemble import EnsembleSpec, binarize, predict_ensemble, wmh_volume_ml
 from .errors import ContractError, DegenerateError, FormatError, InputError
 from .histo import HistParams, histogram_segment, modal_threshold
-from .layers import one_blas_thread
+from .layers import POOL, one_blas_thread
 from .lesions import count_components, label_components  # noqa: F401  (perfbench/tracing.py wraps label_components here)
-from .metrics import metric_report, write_pr_curve_tsv
+from .metrics import metric_report, pr_curve_auc, write_pr_curve_tsv
 from .nifti import parse_nifti, write_nifti, write_nifti_mask
 from .phantom import make_phantom
 from .stats import (
@@ -41,7 +42,7 @@ from .stats import (
     paired_ttest,
 )
 from .tsv import write_tsv
-from .volume import Volume3D, binary_mask, normalize_intensity
+from .volume import Volume3D, binary_mask, normalize_intensity, require_binary, require_same_dims
 from .weights_io import ENSEMBLE_ROLES, load_ensemble, load_network, save_ensemble
 
 WEIGHTS_DIR_ENV = "WMHKIT_WEIGHTS_DIR"
@@ -68,23 +69,27 @@ class Run:
 
     ``parameters`` is the argparse namespace as the command leaves it, so a
     command records what it resolved (the weights path, the shape triple) by
-    assigning it there. A stage's time excludes the stages nested in it."""
+    assigning it there. A stage's time excludes the stages nested in it on
+    its own thread; stages on two threads may overlap."""
 
     def __init__(self, args: argparse.Namespace, input_digests: dict | None = None):
         self.args = args
         self.input_digests = dict(input_digests or {})
         self.exit_code = 0
         self._seconds: dict[str, float] = {}
-        self._nested = 0.0
+        self._lock = threading.Lock()
+        self._local = threading.local()  # .nested: time of the stages nested in this thread's open one
 
     @contextmanager
     def stage(self, name: str):
-        t0, outer = time.perf_counter(), self._nested
-        self._nested = 0.0
+        local = self._local
+        t0, outer = time.perf_counter(), getattr(local, "nested", 0.0)
+        local.nested = 0.0
         yield
         spent = time.perf_counter() - t0
-        self._seconds[name] = self._seconds.get(name, 0.0) + spent - self._nested
-        self._nested = outer + spent
+        with self._lock:
+            self._seconds[name] = self._seconds.get(name, 0.0) + spent - local.nested
+        local.nested = outer + spent
 
     def read(self, path) -> bytes:
         raw = Path(path).read_bytes()
@@ -288,7 +293,25 @@ def cmd_baseline(run: Run, args):
 # evaluate
 
 
+def _bool_mask(v: Volume3D, name: str) -> Volume3D:
+    """``v`` as bool after its one binariness check, in its parsed storage
+    order, which labelling and the PR gather walk without a copy."""
+    require_binary(v, name)
+    return v.with_data(v.data != 0)
+
+
+def _write_stage(run: Run, curve, path) -> None:
+    """The PR-TSV write as the ``write`` stage, timed on the thread that runs
+    it. It runs on a ``POOL`` thread, which on one core is the pool's only
+    one, so it must submit no pool work of its own."""
+    with run.stage("write"):
+        write_pr_curve_tsv(curve, path)
+
+
 def cmd_evaluate(run: Run, args):
+    """Every input check and the PR curve come first, so a bad input writes no
+    TSV. The TSV is then written on a pool thread while this one labels and
+    matches the lesions, so the report's ``write`` stage overlaps ``metrics``."""
     if args.posterior and not args.mask:
         raise ContractError("--posterior needs --mask for in-mask PR evaluation")
     if args.out_pr_tsv and not args.posterior:
@@ -301,10 +324,22 @@ def cmd_evaluate(run: Run, args):
             posterior = parse_nifti(run.read(args.posterior))
             mask = parse_nifti(run.read(args.mask))
     with run.stage("metrics"):
-        report_obj = metric_report(pred, gt, posterior, mask, connectivity=args.connectivity)
-    if args.out_pr_tsv:
-        with run.stage("write"):
-            write_pr_curve_tsv(report_obj.pr_curve, args.out_pr_tsv)
+        pred = _bool_mask(pred, "pred mask")
+        gt = _bool_mask(gt, "gt mask")
+        require_same_dims(pred, gt, "masks")
+        curve = None
+        if posterior is not None:
+            curve = pr_curve_auc(posterior, gt, _bool_mask(mask, "brain mask"))
+            del posterior, mask
+    writer = POOL.submit(_write_stage, run, curve, args.out_pr_tsv) if args.out_pr_tsv else None
+    try:
+        with run.stage("metrics"):
+            report_obj = metric_report(pred, gt, curve, connectivity=args.connectivity)
+    finally:
+        if writer is not None:
+            wait([writer])
+    if writer is not None:
+        writer.result()
     return report_obj.to_dict(), args.out_report
 
 

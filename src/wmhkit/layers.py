@@ -118,8 +118,9 @@ _RUN_BYTES = 256 * 2**10
 _BAND_COLS = 2048
 
 _NPROC = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# the pieces of every layer kernel run on these threads; they start on first use
-_POOL = ThreadPoolExecutor(max_workers=_NPROC, thread_name_prefix="wmhkit-conv")
+# the pieces of every layer kernel run on these threads, and so does `evaluate`'s
+# PR-TSV write; they start on first use
+POOL = ThreadPoolExecutor(max_workers=_NPROC, thread_name_prefix="wmhkit")
 
 
 @cache
@@ -199,7 +200,7 @@ def _run(task, count: int, scratch=None, inline: bool = False) -> None:
     if workers == 1:
         share(0)
         return
-    futures = [_POOL.submit(share, j) for j in range(workers)]
+    futures = [POOL.submit(share, j) for j in range(workers)]
     wait(futures)
     for f in futures:
         f.result()

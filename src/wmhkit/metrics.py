@@ -87,41 +87,62 @@ def pr_curve_auc(post: Volume3D, gt: Volume3D, mask: Volume3D) -> PRCurve:
     in storage order. -0.0 counts as +0.0, and a zero threshold is always
     0. A NaN or infinite in-mask posterior raises NonFiniteInput; values
     outside the mask are never read.
+
+    Each temporary is dropped after its last use, and precision, recall and
+    the trapezoid are computed in place, so the peak stays below twice the
+    returned curve.
     """
     require_same_dims(post, gt, "posterior and gt")
     require_same_dims(post, mask, "posterior and mask")
     require_binary(gt, "gt mask")
     require_binary(mask, "brain mask")
     order = "F" if post.data.flags.f_contiguous else "C"
-    inside = (mask.data > 0).ravel(order)
+    inside = mask.data.astype(bool, copy=False).ravel(order)
     scores = post.data.ravel(order)[inside]
     finite = np.isfinite(scores)
     if not finite.all():
         bad = finite.size - int(np.count_nonzero(finite))
         raise NonFiniteInput(f"posterior holds {bad} NaN or infinite in-mask voxel(s)")
-    positive = gt.data.ravel(order)[inside] > 0
+    del finite
+    positive = gt.data.astype(bool, copy=False).ravel(order)[inside]
+    del inside
     npos = int(np.count_nonzero(positive))
     if npos == 0:
         raise NoPositives("reference mask holds no in-mask positive voxel")
 
     scores += 0.0  # -0.0 + 0.0 is +0.0
-    ascending = np.sort(scores)
     positives = np.sort(scores[positive])
-    starts = np.empty(ascending.size, dtype=bool)
+    del positive
+    scores.sort()  # ascending, in place
+    starts = np.empty(scores.size, dtype=bool)
     starts[0] = True
-    np.not_equal(ascending[1:], ascending[:-1], out=starts[1:])
+    np.not_equal(scores[1:], scores[:-1], out=starts[1:])
     first = np.flatnonzero(starts)[::-1]  # first index of each distinct value, descending
-    values = ascending[first]
+    del starts
+    values = scores[first]
     thresholds = values.astype(np.float64)
-    tp = (npos - np.searchsorted(positives, values, side="left")).astype(np.float64)
-    npred = (ascending.size - first).astype(np.float64)
+    below = np.searchsorted(positives, values, side="left")
+    del values, positives
+    tp = np.subtract(npos, below, dtype=np.float64)
+    del below
+    npred = np.subtract(scores.size, first, dtype=np.float64)
+    del first, scores
 
-    precision = tp / npred
-    recall = tp / npos
+    precision = np.divide(tp, npred, out=npred)
+    recall = np.divide(tp, npos, out=tp)
 
-    r = np.concatenate(([0.0], recall))
-    p = np.concatenate(([precision[0]], precision))
-    auc = float(np.sum((r[1:] - r[:-1]) * (p[1:] + p[:-1]) / 2.0))
+    # the trapezoid over (0, precision[0]), (recall[i], precision[i]), one
+    # interval at a time: width * height / 2, summed by one np.sum
+    width = np.empty_like(recall)
+    width[0] = recall[0] - 0.0
+    np.subtract(recall[1:], recall[:-1], out=width[1:])
+    height = np.empty_like(precision)
+    height[0] = precision[0] + precision[0]
+    np.add(precision[1:], precision[:-1], out=height[1:])
+    width *= height
+    del height
+    width /= 2.0
+    auc = float(np.sum(width))
     return PRCurve(thresholds=thresholds, precision=precision, recall=recall, auc=auc)
 
 
@@ -151,21 +172,20 @@ def write_pr_curve_tsv(curve: PRCurve, path: str | os.PathLike) -> None:
 def metric_report(
     pred: Volume3D,
     gt: Volume3D,
-    posterior: Volume3D | None = None,
-    mask: Volume3D | None = None,
+    curve: PRCurve | None = None,
     connectivity: int = 26,
 ) -> MetricReport:
     """All Results-style metrics for one subject.
 
-    PR-AUC is computed only when a posterior map is supplied (with a brain
-    mask); otherwise it is absent from the report, not zero.
+    ``curve`` is the subject's ``pr_curve_auc``; without one, PR-AUC is
+    absent from the report, not zero.
     """
     pred_set = label_components(pred, connectivity)
     gt_set = label_components(gt, connectivity)
     matching = match_lesions(pred_set, gt_set)
 
-    p = pred.data > 0
-    g = gt.data > 0
+    p = pred.data.astype(bool, copy=False)
+    g = gt.data.astype(bool, copy=False)
     tp, fp, fn = int((p & g).sum()), int((p & ~g).sum()), int((~p & g).sum())
     counts = {
         "tp_voxels": tp,
@@ -175,12 +195,6 @@ def metric_report(
         "fp_lesions": matching.fp_lesions,
         "fn_lesions": matching.fn_lesions,
     }
-
-    curve = None
-    if posterior is not None:
-        if mask is None:
-            raise ValueError("PR metrics need a brain mask alongside the posterior")
-        curve = pr_curve_auc(posterior, gt, mask)
 
     # label_components and match_lesions have checked both masks for binary values and dims
     return MetricReport(

@@ -26,7 +26,7 @@ from wmhkit.ensemble import binarize, wmh_volume_ml
 from wmhkit.errors import FormatError
 from wmhkit.histo import HistParams, histogram_segment
 from wmhkit.layers import Conv3D, apply_layer
-from wmhkit.metrics import metric_report
+from wmhkit.metrics import metric_report, pr_curve_auc
 from wmhkit.nifti import DATA_OFFSET, parse_nifti, write_nifti
 from wmhkit.reformat import (
     PlaneOrientation,
@@ -134,7 +134,7 @@ def test_criterion_3_end_to_end_phantom(tmp_path, capsys):
         mask = parse_nifti((phantom_dir / "brain_mask.nii.gz").read_bytes())
         assert pred.dims == (64, 64, 64)
         assert np.array_equal(pred.data, gt.data)
-        report = metric_report(pred, gt, post, mask)
+        report = metric_report(pred, gt, pr_curve_auc(post, gt, mask))
         assert report.dice_pixel == 1.0
         assert report.dice_lesion == 1.0
         assert report.avd_percent == 0.0
@@ -156,7 +156,7 @@ def test_criterion_4_metric_oracles():
             gt = Volume3D(gt_arr)
             ones = Volume3D(np.ones(shape, dtype=np.float32))
 
-            report = metric_report(pred, gt, Volume3D(posterior), ones)
+            report = metric_report(pred, gt, pr_curve_auc(Volume3D(posterior), gt, ones))
 
             # voxel-level brute force
             tp = fp = fn = 0

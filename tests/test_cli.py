@@ -3,7 +3,11 @@ import gzip
 import hashlib
 import json
 import struct
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,6 +21,7 @@ from wmhkit import cli, volume
 from wmhkit.cli import main
 from wmhkit.cohort import synthetic_cohort, write_cohort_csv
 from wmhkit.ensemble import EnsembleSpec, predict_ensemble
+from wmhkit.errors import DegenerateError
 from wmhkit.histo import HistParams, histogram_segment
 from wmhkit.layers import blas_threads, set_blas_threads
 from wmhkit.nifti import DATA_OFFSET, parse_nifti, write_nifti
@@ -186,6 +191,46 @@ def test_stage_times_exclude_nested_stages_and_add_up(monkeypatch):
     manifest = run.envelope({})["manifest"]
     assert manifest["timings_ms"] == {"parse": 3250.0, "digest": 750.0}
     assert manifest["parameters"] == {"pred": "p.nii"}
+
+
+def test_stages_on_two_threads_do_not_nest_in_each_other():
+    run = cli.Run(argparse.Namespace(subcommand="evaluate", func=None))
+
+    def write():
+        with run.stage("write"):
+            time.sleep(0.2)
+
+    with run.stage("metrics"), ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(write).result(timeout=10)
+    timings = run.envelope({})["manifest"]["timings_ms"]
+    assert timings["write"] >= 200.0
+    assert timings["metrics"] >= timings["write"]
+
+
+def test_stage_totals_lose_no_update_across_threads(monkeypatch):
+    clock = threading.local()  # each thread's clock ticks 1 s per reading
+
+    def tick():
+        clock.now = getattr(clock, "now", 0.0) + 1.0
+        return clock.now
+
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=tick))
+    run = cli.Run(argparse.Namespace(subcommand="evaluate", func=None))
+
+    def stages():
+        for _ in range(2000):
+            with run.stage("write"):
+                pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch often, so a lost update would show
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for future in [pool.submit(stages) for _ in range(8)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert run.envelope({})["manifest"]["timings_ms"] == {"write": 8 * 2000 * 1000.0}
 
 
 class TestPhantom:
@@ -856,6 +901,94 @@ class TestEvaluate:
         assert code == 3
         assert "error [shape]" in err and "3 NaN or infinite" in err
         assert not tsv.exists()
+
+    def _evaluate(self, capsys, phantom_dir, tmp_path, **replaced):
+        """``evaluate --out-pr-tsv`` with the phantom's gt as pred, gt and
+        posterior, but for the volumes given in ``replaced``. Returns the exit
+        code, stdout, stderr and the TSV's path."""
+        paths = {role: phantom_dir / "gt.nii.gz" for role in ("pred", "gt", "posterior")}
+        for role, vol in replaced.items():
+            paths[role] = tmp_path / f"{role}.nii.gz"
+            paths[role].write_bytes(write_nifti(vol))
+        tsv = tmp_path / "pr.tsv"
+        argv = ["evaluate", "--mask", str(phantom_dir / "brain_mask.nii.gz"), "--out-pr-tsv", str(tsv)]
+        for role, path in paths.items():
+            argv += [f"--{role}", str(path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, tsv
+
+    @pytest.mark.parametrize("role", ["pred", "gt"])
+    def test_non_binary_mask_exits_3_without_tsv(self, phantom_dir, tmp_path, capsys, role):
+        gt = parse_nifti((phantom_dir / "gt.nii.gz").read_bytes())
+        code, _, err, tsv = self._evaluate(capsys, phantom_dir, tmp_path, **{role: gt.with_data(0.5 * gt.data)})
+        assert code == 3
+        assert err == f"error [shape]: {role} mask must contain only 0/1 values\n"
+        assert not tsv.exists()
+
+    def test_mis_sized_pred_exits_3_without_tsv(self, phantom_dir, tmp_path, capsys):
+        gt = parse_nifti((phantom_dir / "gt.nii.gz").read_bytes())
+        code, _, err, tsv = self._evaluate(capsys, phantom_dir, tmp_path, pred=gt.with_data(gt.data[:-1]))
+        assert code == 3
+        assert err.startswith("error [shape]: masks have different dims")
+        assert not tsv.exists()
+
+    def test_unwritable_tsv_exits_2(self, phantom_dir, tmp_path, capsys):
+        code, _, err, _ = self._evaluate(capsys, phantom_dir, tmp_path / "missing")
+        assert code == 2
+        assert err.startswith("error [io]:") and "pr.tsv" in err
+
+    @pytest.fixture
+    def slow_writer(self, monkeypatch):
+        """``cli.write_pr_curve_tsv`` made to sleep 0.2 s before it writes.
+        The log has (event, time, thread) for the write's start and end and
+        for each ``label_components`` call."""
+        import wmhkit.metrics as metrics
+
+        log = []
+
+        def slow(curve, path):
+            log.append(("write", time.perf_counter(), threading.current_thread()))
+            time.sleep(0.2)
+            metrics.write_pr_curve_tsv(curve, path)
+            log.append(("written", time.perf_counter(), threading.current_thread()))
+
+        def label(*args, **kwargs):
+            log.append(("label", time.perf_counter(), threading.current_thread()))
+            return label_components(*args, **kwargs)
+
+        label_components = metrics.label_components
+        monkeypatch.setattr(cli, "write_pr_curve_tsv", slow)
+        monkeypatch.setattr(metrics, "label_components", label)
+        return log
+
+    def test_tsv_is_written_on_a_pool_thread_while_lesions_are_labelled(
+        self, phantom_dir, tmp_path, capsys, slow_writer
+    ):
+        import wmhkit.metrics as metrics
+
+        code, out, _, tsv = self._evaluate(capsys, phantom_dir, tmp_path)
+        assert code == 0
+        (_, _, writer), (_, end, _) = [e for e in slow_writer if e[0] != "label"]
+        labels = [(t, thread) for name, t, thread in slow_writer if name == "label"]
+        assert writer is not threading.main_thread()
+        assert [thread for _, thread in labels] == [threading.main_thread()] * 2
+        assert labels[-1][0] < end  # both masks were labelled before the write ended
+        timings = envelope(out)["manifest"]["timings_ms"]
+        assert timings["write"] >= 200.0  # the writer's own time, not the join
+        gt = parse_nifti((phantom_dir / "gt.nii.gz").read_bytes())
+        curve = metrics.pr_curve_auc(gt, gt, parse_nifti((phantom_dir / "brain_mask.nii.gz").read_bytes()))
+        assert tsv.read_text() == metrics.pr_curve_tsv(curve)
+
+    def test_writer_is_joined_when_labelling_fails(self, phantom_dir, tmp_path, capsys, monkeypatch, slow_writer):
+        def failing(*args, **kwargs):
+            raise DegenerateError("no lesions today")
+
+        monkeypatch.setattr(cli, "metric_report", failing)
+        code, _, err, tsv = self._evaluate(capsys, phantom_dir, tmp_path)
+        assert code == 1 and "no lesions today" in err
+        assert [name for name, _, _ in slow_writer] == ["write", "written"]
+        assert tsv.read_text().startswith("threshold\tprecision\trecall\n")
 
 
 @pytest.fixture

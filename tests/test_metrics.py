@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -304,6 +306,27 @@ class TestPRCurveValueSort:
         dirty = pr_curve_auc(Volume3D(post), _vol(gt), _vol(mask))
         assert np.array_equal(dirty.thresholds, clean.thresholds) and dirty.auc == clean.auc
 
+    def test_peak_is_at_most_twice_the_curve_it_returns(self, rng):
+        # a many-valued posterior: about one operating point per in-mask voxel
+        shape = (64, 64, 48)
+        post = rng.random(shape, dtype=np.float32)
+        gt = (rng.random(shape) < 0.1).astype(np.float32)
+        mask = (rng.random(shape) < 0.7).astype(np.float32)
+        gt.flat[0] = mask.flat[0] = 1.0
+        args = (Volume3D(post), _vol(gt), _vol(mask))
+        tracemalloc.start()
+        try:
+            curve = pr_curve_auc(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = curve.thresholds.nbytes + curve.precision.nbytes + curve.recall.nbytes
+        assert curve.thresholds.size > 0.9 * np.count_nonzero(mask)
+        assert peak <= 2 * held, f"peak {peak / held:.2f}x the curve"
+        # the oracle's precision, recall and trapezoid are the formulas the
+        # curve computed before it dropped its temporaries: bit for bit
+        _assert_matches_argsort(post, gt, mask)
+
     def test_written_file_is_the_text_across_chunks(self, rng, tmp_path):
         n = 2 * TSV_CHUNK_ROWS + 7
         thresholds = np.sort(rng.random(n))[::-1]
@@ -335,15 +358,15 @@ class TestMetricReport:
         gt = np.zeros((6, 6, 6), dtype=np.float32)
         gt[2:4, 2:4, 2:4] = 1.0
         post = Volume3D(gt * 0.9 + 0.05)
-        report = metric_report(_vol(gt), _vol(gt), post, _ones((6, 6, 6)))
+        report = metric_report(_vol(gt), _vol(gt), pr_curve_auc(post, _vol(gt), _ones((6, 6, 6))))
         assert report.auc_pr == pytest.approx(1.0)
         assert report.to_dict()["auc_pr"] == pytest.approx(1.0)
 
     def test_report_keeps_its_pr_curve(self, rng):
         gt = (rng.random((6, 6, 6)) < 0.3).astype(np.float32)
         post = Volume3D(rng.random((6, 6, 6)).astype(np.float32))
-        report = metric_report(_vol(gt), _vol(gt), post, _ones((6, 6, 6)))
         curve = pr_curve_auc(post, _vol(gt), _ones((6, 6, 6)))
+        report = metric_report(_vol(gt), _vol(gt), curve)
         assert report.pr_curve.auc == report.auc_pr == curve.auc
         assert np.array_equal(report.pr_curve.thresholds, curve.thresholds)
         assert "pr_curve" not in report.to_dict()

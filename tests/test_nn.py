@@ -250,7 +250,7 @@ class TestBands:
             outs = []
             for n in (1, 2, 3):
                 pool = _CountingPool()
-                monkeypatch.setattr(layers, "_POOL", pool)
+                monkeypatch.setattr(layers, "POOL", pool)
                 monkeypatch.setattr(layers, "_workers", lambda: n)
                 interval = sys.getswitchinterval()
                 sys.setswitchinterval(1e-6)  # workers switch often, so a shared write would show
@@ -378,7 +378,7 @@ def test_one_run_stays_on_the_calling_thread(rng, monkeypatch):
     assert net.pointwise
     n = layers._RUN_BYTES // 8
     pool = _CountingPool()
-    monkeypatch.setattr(layers, "_POOL", pool)
+    monkeypatch.setattr(layers, "POOL", pool)
     monkeypatch.setattr(layers, "_workers", lambda: 2)
     try:
         forward(net, rng.normal(size=(1, n, 1, 1)).astype(np.float32))
