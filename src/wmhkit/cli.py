@@ -329,7 +329,8 @@ def cmd_evaluate(run: Run, args):
         require_same_dims(pred, gt, "masks")
         curve = None
         if posterior is not None:
-            curve = pr_curve_auc(posterior, gt, _bool_mask(mask, "brain mask"))
+            mask = _bool_mask(mask, "brain mask")  # the parsed float32 mask is dropped here
+            curve = pr_curve_auc(posterior, gt, mask)
             del posterior, mask
     writer = POOL.submit(_write_stage, run, curve, args.out_pr_tsv) if args.out_pr_tsv else None
     try:

@@ -58,27 +58,45 @@ class LesionMatching:
         return len(self.unmatched_gt)
 
 
-def _foreground(mask: Volume3D, connectivity: int) -> tuple[np.ndarray, np.ndarray]:
-    """The mask's foreground with its axes reversed, C-contiguous, and the
-    structuring element of ``connectivity``.
+def _box(rev: np.ndarray) -> tuple[slice, slice, slice]:
+    """The bounding box of ``rev``'s nonzero voxels, from one reduction per
+    axis; the first voxel where there are none, which labels to nothing."""
+    box = []
+    for axis in range(3):
+        hits = np.flatnonzero(np.any(rev, axis=tuple(a for a in range(3) if a != axis)))
+        if hits.size == 0:
+            return (slice(0, 1),) * 3
+        box.append(slice(int(hits[0]), int(hits[-1]) + 1))
+    return tuple(box)
 
-    The reversed array walks the voxels x-fastest in C order. For
-    ``parse_nifti``'s F-ordered data it is a view, not a copy. The 6/18/26
-    structuring elements are symmetric under any axis permutation, so it has
-    the same components as the mask.
+
+def _foreground(mask: Volume3D, connectivity: int) -> tuple[np.ndarray, tuple[slice, slice, slice], np.ndarray]:
+    """The mask's foreground with its axes reversed, cropped to its bounding
+    box and C-contiguous; that box in the reversed axes; and the structuring
+    element of ``connectivity``.
+
+    The reversed array walks the voxels x-fastest in C order, and so does its
+    box, so a component's first voxel in the box is its first in the grid.
+    Only the box is copied, once, as bool. The 6/18/26 structuring elements
+    are symmetric under any axis permutation, so it has the same components
+    as the mask.
     """
     require_binary(mask, "lesion mask")
     if connectivity not in CONNECTIVITY_RANK:
         raise ValueError(f"connectivity must be 6, 18, or 26, got {connectivity}")
     structure = ndimage.generate_binary_structure(3, CONNECTIVITY_RANK[connectivity])
-    return np.ascontiguousarray((mask.data > 0).T), structure
+    rev = mask.data.T
+    box = _box(rev)
+    cropped = rev[box]
+    fg = np.ascontiguousarray(cropped) if cropped.dtype == np.bool_ else np.not_equal(cropped, 0, order="C")
+    return fg, box, structure
 
 
 def count_components(mask: Volume3D, connectivity: int = DEFAULT_CONNECTIVITY) -> int:
     """The number of connected foreground components, which is
     ``label_components(mask, connectivity).count`` without the label map,
-    sizes and boxes."""
-    fg, structure = _foreground(mask, connectivity)
+    sizes and boxes. Labelling runs on the foreground's bounding box."""
+    fg, _, structure = _foreground(mask, connectivity)
     return int(ndimage.label(fg, structure=structure)[1])
 
 
@@ -87,18 +105,24 @@ def label_components(mask: Volume3D, connectivity: int = DEFAULT_CONNECTIVITY) -
 
     Lesion ids are 1..K, assigned by descending voxel count with ties broken
     by the lowest x-fastest linear index. The cost is O(N + K log K) for N
-    voxels and K components: labelling and bounding boxes are whole-volume
-    passes, sizes and first indices are passes over the foreground, and only
-    the id order is a sort.
+    voxels and K components: finding the foreground's bounding box and
+    writing the float32 map are whole-volume passes; labelling and the
+    components' boxes are passes over the box, which for sparse lesions is a
+    fraction of the grid; sizes and first indices are passes over the
+    foreground, and only the id order is a sort.
 
     Labelling runs on the mask with its axes reversed, so its storage order
-    is x-fastest: for ``parse_nifti``'s F-ordered data nothing is copied to
-    walk it. The boxes are reversed back, and the map is built in that order
-    and returned transposed, F-contiguous, in the mask's axes.
+    is x-fastest, and only on its foreground's bounding box, of which one
+    bool copy is made. Box coordinates keep the x-fastest order, so ids
+    follow from them directly; the boxes and the map's indices are offset
+    back to the grid. The boxes are reversed back, and the map is
+    built in that order and returned transposed, F-contiguous, in the mask's
+    axes.
     """
-    fg, structure = _foreground(mask, connectivity)
+    fg, box, structure = _foreground(mask, connectivity)
     raw, n = ndimage.label(fg, structure=structure)
-    flat = raw.reshape(-1)  # x-fastest linear index
+    del fg
+    flat = raw.reshape(-1)  # x-fastest linear index in the box
     fg_idx = np.flatnonzero(flat)
     fg_raw = flat[fg_idx]
     counts = np.bincount(fg_raw, minlength=n + 1)[1:]
@@ -108,9 +132,12 @@ def label_components(mask: Volume3D, connectivity: int = DEFAULT_CONNECTIVITY) -
 
     remap = np.zeros(n + 1, dtype=np.float32)
     remap[order + 1] = np.arange(1, n + 1, dtype=np.float32)
-    label_map = np.zeros(raw.shape, dtype=np.float32)
-    label_map.reshape(-1)[fg_idx] = remap[fg_raw]
-    boxes = [box[::-1] for box in ndimage.find_objects(raw)]
+    label_map = np.zeros(mask.data.shape[::-1], dtype=np.float32)
+    label_map[box][np.unravel_index(fg_idx, raw.shape)] = remap[fg_raw]
+    boxes = [
+        tuple(slice(s.start + b.start, s.stop + b.start) for s, b in zip(obj, box))[::-1]
+        for obj in ndimage.find_objects(raw)
+    ]
     voxel_ml = mask.voxel_volume_mm3 / 1000.0
     lesions = tuple(
         Lesion(

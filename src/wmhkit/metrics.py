@@ -153,12 +153,14 @@ def pr_curve_tsv(curve: PRCurve) -> str:
     """The PR curve as TSV text: a header, then one row per operating point
     with threshold, precision and recall, each as ``format(v, '.9g')``.
 
-    ``tsv.tsv_rows`` renders the rows with numpy, TSV_CHUNK_ROWS at a time.
-    Each value's nine digits are ``rint(x·10**k)`` for an exact power of
-    ten, so they carry a single rounding; a value that rounding could leave
-    ambiguous (within 1e-6 of a tie), one outside [1e-4, 2**29), zero, a
-    negative or a non-finite value is formatted by Python's own ``format``.
-    The text is byte-identical to per-row ``str.format``.
+    ``tsv.tsv_rows`` renders the rows with numpy, TSV_CHUNK_ROWS (16384) at
+    a time. Each value's nine digits are ``rint(x·10**k)`` for an exact
+    power of ten, so they carry a single rounding; a value that rounding
+    could leave ambiguous (within 1e-6 of a tie), one outside [1e-4, 2**29),
+    zero, a negative or a non-finite value is formatted by Python's own
+    ``format``. Recall takes few distinct values, so each of its runs of
+    equal values is formatted once. The text is byte-identical to per-row
+    ``str.format``.
     """
     return "\t".join(PR_TSV_HEADER) + "\n" + tsv_rows((curve.thresholds, curve.precision, curve.recall))
 

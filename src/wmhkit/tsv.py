@@ -10,6 +10,11 @@ For the decimal exponent e of a value in fixed notation (-4 <= e <= 8):
     slot 5-14   the nine significant digits; for e >= 0 the point follows
                 digit e, in slot 6 + e, and the digits after it move up one
     slot 15     the column separator (tab, or newline after the last column)
+
+Text is rendered TSV_CHUNK_ROWS rows at a time, so a writer holds a few
+megabytes of buffers at most. Within a chunk, a column where at most half
+the rows start a run of equal values, such as a PR curve's recall, has each
+run's first value formatted once and its words repeated over the run.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-TSV_CHUNK_ROWS = 65536
+TSV_CHUNK_ROWS = 16384
 
 _FIELD = 16
 _TIE_MARGIN = 1e-6
@@ -138,9 +143,31 @@ def _fields(x: np.ndarray, out: np.ndarray) -> bool:
     return True
 
 
+def _run_fields(x: np.ndarray, out: np.ndarray) -> bool:
+    """``_fields(x, out)``, with each run of equal values formatted once
+    where at most half the rows start a run: the first value of each run is
+    formatted, and its two words are repeated over the run. Runs are found
+    on the bit patterns, so -0.0 and 0.0 stay apart and so do NaNs with
+    different payloads."""
+    bits = x.view(np.uint64)
+    new_run = np.empty(len(x), bool)
+    new_run[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=new_run[1:])
+    if 2 * np.count_nonzero(new_run) > len(x):
+        return _fields(x, out)
+    starts = np.flatnonzero(new_run)
+    firsts = np.empty((2, len(starts)), np.uint64)
+    if not _fields(x[starts], firsts):
+        return False
+    out[...] = np.repeat(firsts, np.diff(starts, append=len(x)), axis=1)
+    return True
+
+
 def tsv_chunks(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
     """The rows of ``tsv_rows`` as ASCII bytes, one ``bytes`` per
-    TSV_CHUNK_ROWS rows, so that nothing larger than a chunk is held.
+    TSV_CHUNK_ROWS rows, so that nothing larger than a chunk is held. Each
+    run of equal values is formatted once in a column where at most half
+    the chunk's rows start a run.
 
     A chunk holding a value of 16 characters is formatted value by value
     instead.
@@ -152,7 +179,7 @@ def tsv_chunks(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
         chunk = [c[start : start + TSV_CHUNK_ROWS] for c in columns]
         # word-major, so each column writes whole rows; .T gives the byte order
         words = np.empty((2 * len(chunk), len(chunk[0])), np.uint64)
-        if all(_fields(c, words[2 * i : 2 * i + 2]) for i, c in enumerate(chunk)):
+        if all(_run_fields(c, words[2 * i : 2 * i + 2]) for i, c in enumerate(chunk)):
             words[1::2] |= seps
             yield words.T.tobytes().translate(None, b"\0")
         else:

@@ -980,6 +980,61 @@ class TestEvaluate:
         curve = metrics.pr_curve_auc(gt, gt, parse_nifti((phantom_dir / "brain_mask.nii.gz").read_bytes()))
         assert tsv.read_text() == metrics.pr_curve_tsv(curve)
 
+    def test_peak_is_bounded_in_float32_volumes_and_the_curve(self, tmp_path, capsys, monkeypatch):
+        # A dense 96x112x80 subject: 15 lesions, specks in 0.2% of the brain
+        # and a posterior with a distinct value at nearly every brain voxel,
+        # so the curve (three float64 per point) is about 1.9 volumes.
+        shape = (96, 112, 80)
+        ph = make_phantom(seed=2, shape=shape, n_lesions=15)
+        rng = np.random.default_rng(2)
+        gt = ph.gt_mask.data > 0
+        inside = ph.brain_mask.data > 0
+        pred = gt | (inside & (rng.random(shape) < 0.002))
+        post = np.where(inside, np.where(gt, 0.35 + 0.65 * rng.random(shape), 0.55 * rng.random(shape)), 0.0)
+        paths = {}
+        for role, arr in (("pred", pred), ("gt", gt), ("posterior", post), ("mask", inside)):
+            paths[role] = tmp_path / f"{role}.nii.gz"
+            paths[role].write_bytes(write_nifti(Volume3D(arr.astype(np.float32), ph.flair.spacing)))
+        argv = ["evaluate", "--out-pr-tsv", str(tmp_path / "pr.tsv")]
+        for role, path in paths.items():
+            argv += [f"--{role}", str(path)]
+        peaks = {}
+
+        def traced_curve(*args):
+            peaks["parse"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            curve = pr_curve_auc(*args)
+            peaks["curve"] = tracemalloc.get_traced_memory()[1]
+            return curve
+
+        pr_curve_auc = cli.pr_curve_auc
+        monkeypatch.setattr(cli, "pr_curve_auc", traced_curve)
+        assert main(argv) == 0  # warm: first-call allocations are not the subject's
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks["rest"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        volume_bytes = 4 * int(np.prod(shape))
+        curve_bytes = 3 * 8 * np.unique(post.astype(np.float32)[inside]).size
+        # Around the curve: the posterior and the bool masks beside the
+        # curve's own peak of at most twice its size. Measured: 1.15 volumes
+        # over that. The parsed float32 brain mask kept alive through the
+        # curve adds a whole volume.
+        assert peaks["curve"] <= 2 * curve_bytes + 1.5 * volume_bytes, peaks["curve"] / volume_bytes
+        # After it: the curve beside both bool masks, both float32 label
+        # maps and the int32 labels of a foreground's box, about 3 volumes.
+        # 3 MiB more are allowed for what does not scale with the grid: the
+        # TSV writer's chunk buffers, the compressed files and the report.
+        # Measured: 3.65-3.94 volumes over the curve, depending on where the
+        # writer is when labelling peaks. Labelling the whole grid or
+        # 65536-row chunks break the bound.
+        peak = max(peaks.values())
+        assert peak <= curve_bytes + 3.5 * volume_bytes + 3 * 2**20, (peak - curve_bytes) / volume_bytes
+
     def test_writer_is_joined_when_labelling_fails(self, phantom_dir, tmp_path, capsys, monkeypatch, slow_writer):
         def failing(*args, **kwargs):
             raise DegenerateError("no lesions today")

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,6 +12,28 @@ from wmhkit.volume import Volume3D
 
 def _mask(data, spacing=(1.0, 1.0, 1.0)):
     return Volume3D(np.asarray(data, dtype=np.float32), spacing)
+
+
+def _edge_masks(shape, rng):
+    """Masks whose foreground box meets the grid's edges, where labelling on
+    the box has to offset its indices back: empty, full, one voxel in each
+    corner, and, for each of the six faces, sparse foreground in the half of
+    the grid next to that face and a voxel on it."""
+    masks = [np.zeros(shape, np.float32), np.ones(shape, np.float32)]
+    for corner in product(*((0, n - 1) for n in shape)):
+        data = np.zeros(shape, np.float32)
+        data[corner] = 1.0
+        masks.append(data)
+    for axis, end in product(range(3), (0, -1)):
+        data = (rng.random(shape) < 0.3).astype(np.float32)
+        half = [slice(None)] * 3
+        half[axis] = slice(shape[axis] // 2 + 1, None) if end == 0 else slice(None, (shape[axis] - 1) // 2)
+        data[tuple(half)] = 0.0
+        face = [n // 2 for n in shape]
+        face[axis] = end
+        data[tuple(face)] = 1.0
+        masks.append(data)
+    return masks
 
 
 def _corner_pair():
@@ -42,8 +65,8 @@ class TestLabelComponents:
 
     @pytest.mark.parametrize("connectivity", [6, 18, 26])
     def test_matches_flood_fill_oracle(self, rng, connectivity):
-        for _ in range(5):
-            mask = (rng.random((16, 16, 16)) < 0.25).astype(np.float32)
+        shape = (16, 16, 16)
+        for mask in [(rng.random(shape) < 0.25).astype(np.float32) for _ in range(5)] + _edge_masks(shape, rng):
             got = label_components(_mask(mask), connectivity)
             want = flood_fill_label(mask > 0, connectivity)
             assert partitions_equal(got.labels.data.astype(np.int64), want)
@@ -214,22 +237,21 @@ class TestStorageOrder:
     @pytest.mark.parametrize("connectivity", [6, 18, 26])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_matches_copying_labeller(self, rng, shape, connectivity, order):
-        for p in (0.1, 0.35, 0.6):
-            data = (rng.random(shape) < p).astype(np.float32)
+        for data in [(rng.random(shape) < p).astype(np.float32) for p in (0.1, 0.35, 0.6)] + _edge_masks(shape, rng):
             data = np.asfortranarray(data) if order == "F" else np.ascontiguousarray(data)
-            got = label_components(_mask(data, spacing=(0.5, 1.0, 2.0)), connectivity)
             want_map, want = copying_label_components(data, connectivity, voxel_ml=0.001)
-            assert got.labels.data.dtype == np.float32
-            assert np.array_equal(got.labels.data, want_map)
-            assert [(l.id, l.voxel_count, l.volume_ml, l.bbox) for l in got.lesions] == want
+            for dtype in (np.float32, np.bool_):  # a bool mask is cropped without a comparison
+                got = label_components(Volume3D(data.astype(dtype, order="K"), (0.5, 1.0, 2.0)), connectivity)
+                assert got.labels.data.dtype == np.float32
+                assert np.array_equal(got.labels.data, want_map)
+                assert [(l.id, l.voxel_count, l.volume_ml, l.bbox) for l in got.lesions] == want
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("connectivity", [6, 18, 26])
     def test_count_components_is_the_label_count(self, rng, connectivity, order):
         for shape in SHAPES:
-            for p in (0.0, 0.2, 0.5, 0.8):
-                data = (rng.random(shape) < p).astype(np.float32)
-                mask = _mask(np.asfortranarray(data) if order == "F" else data)
+            for data in [(rng.random(shape) < p).astype(np.float32) for p in (0.2, 0.5, 0.8)] + _edge_masks(shape, rng):
+                mask = _mask(np.asfortranarray(data) if order == "F" else np.ascontiguousarray(data))
                 assert count_components(mask, connectivity) == label_components(mask, connectivity).count
 
     def test_count_components_validates_like_label_components(self):

@@ -88,3 +88,36 @@ def test_sixteen_character_values_leave_no_room_for_a_separator():
     values = np.array([0.5, -3.194756905e140, -1.23456789e-308, 2.0])
     assert len(format(values[1], ".9g")) == 16
     assert tsv_rows([values, values[::-1]]) == per_row(values, values[::-1])
+
+
+def assert_rows_match_python_format(*columns):
+    """``tsv_rows`` against ``per_row``, line by line, so that a failure
+    names its rows instead of diffing two long texts."""
+    got, want = tsv_rows(columns).splitlines(), per_row(*columns).splitlines()
+    assert len(got) == len(want)
+    assert [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w] == []
+
+
+def test_runs_of_equal_values_match_python_format():
+    # Columns made of long runs, so each chunk formats a run's first value
+    # only. Runs are told apart by their bits: 0.0 and -0.0 must not merge.
+    n = TSV_CHUNK_ROWS + 600
+    rng = np.random.default_rng(11)
+    run_values = {
+        "signed zeros": [0.0, -0.0, 0.0, -0.0, 0.5, -0.0],
+        "nan and inf": [math.nan, math.inf, -math.inf, math.nan, 0.125, math.inf, -math.nan],
+        "decimals": [0.3, 0.30000000000000004, 123456789.5, 1e-5, 0.3],
+    }
+    columns = []
+    for values in run_values.values():
+        lengths = rng.integers(1, 200, size=n)
+        column = np.repeat(np.resize(np.array(values), n), lengths)[:n]
+        columns.append(column)
+    # one run across the chunk boundary
+    across = np.repeat(np.array([0.75, 2.5, 0.75]), [TSV_CHUNK_ROWS - 100, 200, n - TSV_CHUNK_ROWS - 100])
+    columns.append(across)
+    assert_rows_match_python_format(*columns)
+    # a run of a 16-character value: its chunk is formatted value by value
+    sixteen = np.repeat(np.array([0.5, -3.194756905e140, 2.0]), [5, 300, 5])
+    assert_rows_match_python_format(sixteen)
+    assert_rows_match_python_format(sixteen, np.zeros(sixteen.size))
