@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .volume import Volume3D, normalize_intensity
 from .nifti import parse_nifti, write_nifti
-from .reformat import PlaneOrientation, reformat_from, reformat_to, to_canonical
+from .reformat import PlaneOrientation, to_canonical
 from .network import NetworkSpec, forward
 from .ensemble import EnsembleSpec, binarize, predict_ensemble, tiled_forward, wmh_volume_ml
 from .histo import HistParams, histogram_segment
@@ -27,8 +27,6 @@ __all__ = [
     "write_nifti",
     "PlaneOrientation",
     "to_canonical",
-    "reformat_to",
-    "reformat_from",
     "NetworkSpec",
     "forward",
     "EnsembleSpec",

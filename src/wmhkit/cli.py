@@ -27,7 +27,7 @@ from . import __version__
 from .cohort import parse_cohort_csv, parse_numeric_columns, summarize
 from .ensemble import EnsembleSpec, binarize, predict_ensemble, wmh_volume_ml
 from .errors import ContractError, DegenerateError, FormatError, InputError
-from .histo import HistParams, histogram_segment, modal_threshold
+from .histo import HistParams, histogram_segment
 from .layers import POOL, one_blas_thread
 from .lesions import count_components, label_components  # noqa: F401  (perfbench/tracing.py wraps label_components here)
 from .metrics import metric_report, pr_curve_auc, write_pr_curve_tsv
@@ -42,7 +42,7 @@ from .stats import (
     paired_ttest,
 )
 from .tsv import write_tsv
-from .volume import Volume3D, binary_mask, normalize_intensity, require_binary, require_same_dims
+from .volume import Volume3D, binary_mask, normalize_intensity, require_same_dims
 from .weights_io import ENSEMBLE_ROLES, load_ensemble, load_network, save_ensemble
 
 WEIGHTS_DIR_ENV = "WMHKIT_WEIGHTS_DIR"
@@ -270,8 +270,8 @@ def cmd_baseline(run: Run, args):
         mask = parse_nifti(run.read(args.mask))
     params = HistParams(alpha=args.alpha, bins=args.bins)
     with run.stage("segment"):
-        cutoff = modal_threshold(flair, mask, params)
-        lesion_mask = histogram_segment(flair, mask, params)
+        mask = binary_mask(mask, "brain mask")
+        lesion_mask, cutoff = histogram_segment(flair, mask, params)
         volume_ml = wmh_volume_ml(lesion_mask)
         lesion_count = count_components(lesion_mask)
     out_dir = Path(args.out_dir)
@@ -291,13 +291,6 @@ def cmd_baseline(run: Run, args):
 
 # ---------------------------------------------------------------------------
 # evaluate
-
-
-def _bool_mask(v: Volume3D, name: str) -> Volume3D:
-    """``v`` as bool after its one binariness check, in its parsed storage
-    order, which labelling and the PR gather walk without a copy."""
-    require_binary(v, name)
-    return v.with_data(v.data != 0)
 
 
 def _write_stage(run: Run, curve, path) -> None:
@@ -324,12 +317,12 @@ def cmd_evaluate(run: Run, args):
             posterior = parse_nifti(run.read(args.posterior))
             mask = parse_nifti(run.read(args.mask))
     with run.stage("metrics"):
-        pred = _bool_mask(pred, "pred mask")
-        gt = _bool_mask(gt, "gt mask")
+        pred = binary_mask(pred, "pred mask")
+        gt = binary_mask(gt, "gt mask")
         require_same_dims(pred, gt, "masks")
         curve = None
         if posterior is not None:
-            mask = _bool_mask(mask, "brain mask")  # the parsed float32 mask is dropped here
+            mask = binary_mask(mask, "brain mask")  # the parsed float32 mask is dropped here
             curve = pr_curve_auc(posterior, gt, mask)
             del posterior, mask
     writer = POOL.submit(_write_stage, run, curve, args.out_pr_tsv) if args.out_pr_tsv else None

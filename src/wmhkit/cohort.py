@@ -29,19 +29,6 @@ _FIELD_ALIASES = {
     "wmh_adni": "wmh_adni_ml",
 }
 
-NUMERIC_FIELDS = (
-    "age",
-    "education",
-    "apoe4",
-    "icv_ml",
-    "wmh_stackgen_ml",
-    "wmh_adni_ml",
-    "adni_ef",
-    "adni_mem",
-    "adni_lan",
-)
-
-
 class CohortParseWarning(UserWarning):
     """A cell was unparseable or out of range and was treated as missing."""
 

@@ -16,9 +16,9 @@ blocks, each computed with the net's halo and cropped to its core, give one
 whole-volume pass bit for bit. Each core is written through the same permuted
 view of the canonical posterior, so no plane makes a copy of either.
 
-The brain mask is read through its canonical view, and a volume stored by
-``volume.canonical_zeros`` (as ``normalize_intensity`` and ``binary_mask``
-store theirs) reaches the canonical frame without a copy. A pointwise meta net
+The bool brain mask is read through its canonical view, in whatever order it
+is stored, and the normalized volume, stored by ``volume.canonical_zeros``,
+reaches the canonical frame without a copy. A pointwise meta net
 writes each fused run over the axial posterior once it has read that run, so
 fusion needs no volume of its own.
 """
@@ -34,7 +34,7 @@ from .errors import InputError, ShapeCheckFailed, ShapeMismatch, TileTooSmall
 from .layers import _RUN_BYTES
 from .network import NetworkSpec, forward, infer_shapes
 from .reformat import PLANE_AXES, PlaneOrientation, to_canonical
-from .volume import Volume3D, canonical_view, require_binary, require_same_grid
+from .volume import Volume3D, binary_mask, canonical_view, require_binary, require_same_grid
 
 DEFAULT_TILE = (64, 64, 64)
 DEFAULT_THRESHOLD = 0.5
@@ -166,7 +166,7 @@ def predict_ensemble(spec: EnsembleSpec, flair: Volume3D, mask: Volume3D) -> Vol
     net the posterior is a view of the (3, D, H, W) stack of plane posteriors.
     """
     require_same_grid(flair, mask, "volume and mask")
-    require_binary(mask, "brain mask")
+    mask = binary_mask(mask, "brain mask")
     flair_c = to_canonical(flair)
 
     stacked = np.empty((len(_PLANES), *flair_c.dims), dtype=np.float32)
@@ -176,7 +176,7 @@ def predict_ensemble(spec: EnsembleSpec, flair: Volume3D, mask: Volume3D) -> Vol
 
     meta = spec.meta_net
     fused = _tiled_posterior(meta, stacked, spec.tile, spec.cores[3], stacked[0] if meta.pointwise else None)
-    fused[canonical_view(mask.data, mask.orientation) == 0] = 0.0
+    fused[~canonical_view(mask.data, mask.orientation)] = 0.0
     return flair_c.with_data(fused)
 
 

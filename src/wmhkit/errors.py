@@ -113,10 +113,6 @@ class DegenerateMask(DegenerateError):
     pass
 
 
-class FlatHistogram(DegenerateError):
-    pass
-
-
 class TooFewPairs(DegenerateError):
     pass
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMask, FlatHistogram, InputError, NonFiniteInput
-from .volume import Volume3D, require_binary, require_same_dims
+from .errors import DegenerateMask, InputError, NonFiniteInput
+from .volume import Volume3D, binary_mask, require_same_dims
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,7 @@ def modal_threshold(flair: Volume3D, mask: Volume3D, p: HistParams = HistParams(
     """The intensity cutoff implied by the modal-Gaussian fit. Raises
     NonFiniteInput when an in-mask intensity is NaN or infinite."""
     require_same_dims(flair, mask, "volume and mask")
-    require_binary(mask, "brain mask")
-    vals = flair.data[mask.data > 0].astype(np.float64)
+    vals = flair.data[binary_mask(mask, "brain mask").data].astype(np.float64)
     if vals.size < 2:
         raise DegenerateMask(f"mask selects {vals.size} voxels; need at least 2")
     lo, hi = float(vals.min()), float(vals.max())
@@ -45,8 +44,6 @@ def modal_threshold(flair: Volume3D, mask: Volume3D, p: HistParams = HistParams(
         raise DegenerateMask("constant in-mask intensity; no mode to fit")
 
     counts, edges = np.histogram(vals, bins=p.bins, range=(lo, hi))
-    if counts.max() == 0:
-        raise FlatHistogram("histogram is empty")
     mode = int(np.argmax(counts))  # ties resolve to the lowest-intensity bin
     half = counts[mode] / 2.0
 
@@ -70,12 +67,13 @@ def modal_threshold(flair: Volume3D, mask: Volume3D, p: HistParams = HistParams(
 
 def histogram_segment(
     flair: Volume3D, mask: Volume3D, p: HistParams = HistParams()
-) -> Volume3D:
-    """Bool lesion mask from the modal-Gaussian intensity threshold.
+) -> tuple[Volume3D, float]:
+    """Bool lesion mask from the modal-Gaussian intensity threshold, and the
+    ``modal_threshold`` cutoff it thresholds at, from one fit.
 
-    The output shrinks monotonically (set inclusion) as alpha grows and is
+    The mask shrinks monotonically (set inclusion) as alpha grows and is
     always a subset of the brain mask.
     """
+    mask = binary_mask(mask, "brain mask")
     cutoff = modal_threshold(flair, mask, p)
-    out = (mask.data > 0) & (flair.data > cutoff)
-    return flair.with_data(out)
+    return flair.with_data(mask.data & (flair.data > cutoff)), cutoff

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .volume import Volume3D, require_binary, require_same_dims
+from .volume import Volume3D, binary_mask, require_same_dims
 
 CONNECTIVITY_RANK = {6: 1, 18: 2, 26: 3}
 DEFAULT_CONNECTIVITY = 26
@@ -77,19 +77,16 @@ def _foreground(mask: Volume3D, connectivity: int) -> tuple[np.ndarray, tuple[sl
 
     The reversed array walks the voxels x-fastest in C order, and so does its
     box, so a component's first voxel in the box is its first in the grid.
-    Only the box is copied, once, as bool. The 6/18/26 structuring elements
-    are symmetric under any axis permutation, so it has the same components
-    as the mask.
+    Of the bool mask (``binary_mask``), only the box is copied, once. The
+    6/18/26 structuring elements are symmetric under any axis permutation,
+    so it has the same components as the mask.
     """
-    require_binary(mask, "lesion mask")
+    rev = binary_mask(mask, "lesion mask").data.T
     if connectivity not in CONNECTIVITY_RANK:
         raise ValueError(f"connectivity must be 6, 18, or 26, got {connectivity}")
     structure = ndimage.generate_binary_structure(3, CONNECTIVITY_RANK[connectivity])
-    rev = mask.data.T
     box = _box(rev)
-    cropped = rev[box]
-    fg = np.ascontiguousarray(cropped) if cropped.dtype == np.bool_ else np.not_equal(cropped, 0, order="C")
-    return fg, box, structure
+    return np.ascontiguousarray(rev[box]), box, structure
 
 
 def count_components(mask: Volume3D, connectivity: int = DEFAULT_CONNECTIVITY) -> int:

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import NonFiniteInput, NoPositives, ZeroReference
 from .lesions import LesionMatching, label_components, match_lesions
 from .tsv import TSV_CHUNK_ROWS, tsv_rows, write_tsv  # noqa: F401  (the chunk pr_curve_tsv renders by)
-from .volume import Volume3D, require_binary, require_same_dims
+from .volume import Volume3D, binary_mask, require_same_dims
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,8 @@ class MetricReport:
 def dice_pixel(pred: Volume3D, gt: Volume3D) -> float:
     """2|P∩G| / (|P|+|G|), with the both-empty case defined as 1.0."""
     require_same_dims(pred, gt, "masks")
-    require_binary(pred, "pred mask")
-    require_binary(gt, "gt mask")
-    p = pred.data > 0
-    g = gt.data > 0
+    p = binary_mask(pred, "pred mask").data
+    g = binary_mask(gt, "gt mask").data
     denom = int(p.sum()) + int(g.sum())
     if denom == 0:
         return 1.0
@@ -94,17 +92,17 @@ def pr_curve_auc(post: Volume3D, gt: Volume3D, mask: Volume3D) -> PRCurve:
     """
     require_same_dims(post, gt, "posterior and gt")
     require_same_dims(post, mask, "posterior and mask")
-    require_binary(gt, "gt mask")
-    require_binary(mask, "brain mask")
+    gt = binary_mask(gt, "gt mask")
+    mask = binary_mask(mask, "brain mask")
     order = "F" if post.data.flags.f_contiguous else "C"
-    inside = mask.data.astype(bool, copy=False).ravel(order)
+    inside = mask.data.ravel(order)
     scores = post.data.ravel(order)[inside]
     finite = np.isfinite(scores)
     if not finite.all():
         bad = finite.size - int(np.count_nonzero(finite))
         raise NonFiniteInput(f"posterior holds {bad} NaN or infinite in-mask voxel(s)")
     del finite
-    positive = gt.data.astype(bool, copy=False).ravel(order)[inside]
+    positive = gt.data.ravel(order)[inside]
     del inside
     npos = int(np.count_nonzero(positive))
     if npos == 0:
@@ -182,12 +180,13 @@ def metric_report(
     ``curve`` is the subject's ``pr_curve_auc``; without one, PR-AUC is
     absent from the report, not zero.
     """
+    pred = binary_mask(pred, "pred mask")
+    gt = binary_mask(gt, "gt mask")
     pred_set = label_components(pred, connectivity)
     gt_set = label_components(gt, connectivity)
     matching = match_lesions(pred_set, gt_set)
 
-    p = pred.data.astype(bool, copy=False)
-    g = gt.data.astype(bool, copy=False)
+    p, g = pred.data, gt.data
     tp, fp, fn = int((p & g).sum()), int((p & ~g).sum()), int((~p & g).sum())
     counts = {
         "tp_voxels": tp,
@@ -198,7 +197,7 @@ def metric_report(
         "fn_lesions": matching.fn_lesions,
     }
 
-    # label_components and match_lesions have checked both masks for binary values and dims
+    # match_lesions has checked both masks for dims
     return MetricReport(
         dice_pixel=1.0 if tp + fp + fn == 0 else 2.0 * tp / (2 * tp + fp + fn),
         dice_lesion=dice_lesion(matching),

@@ -2,8 +2,8 @@
 
 Every operation here is a pure signed index permutation: no interpolation,
 no resampling. ``PLANE_AXES`` is the one table of plane frames: the
-ensemble reads each plane's frame through it as an axis-permuted view of the
-canonical volume, and ``reformat_to``/``reformat_from`` copy into and out of it.
+ensemble reads and writes each plane's frame through it as an axis-permuted
+view of the canonical volume, never a copy.
 
 Plane permutation table (canonical axes -> output axes, slice axis last):
 
@@ -35,13 +35,6 @@ PLANE_AXES = {
 }
 
 
-def _permute(v: Volume3D, perm: tuple[int, int, int]) -> Volume3D:
-    data = np.ascontiguousarray(v.data.transpose(perm))
-    spacing = tuple(v.spacing[p] for p in perm)
-    orientation = tuple(v.orientation[p] for p in perm)
-    return Volume3D(data, spacing, orientation)
-
-
 def to_canonical(v: Volume3D) -> Volume3D:
     """Permute/flip axes so the volume is in RAS order, values untouched. The
     data is copied only when its canonical view is not already C-contiguous,
@@ -49,17 +42,3 @@ def to_canonical(v: Volume3D) -> Volume3D:
     data = np.ascontiguousarray(canonical_view(v.data, v.orientation))
     spacing = tuple(v.spacing[p] for p in canonical_order(v.orientation))
     return Volume3D(data, spacing, CANONICAL_ORIENTATION)
-
-
-def reformat_to(v: Volume3D, plane: PlaneOrientation) -> Volume3D:
-    """Reformat a canonical RAS volume so the plane's slice axis comes last."""
-    if v.orientation != CANONICAL_ORIENTATION:
-        raise ValueError(f"reformat_to expects a canonical RAS volume, got {v.orientation}")
-    return _permute(v, PLANE_AXES[plane])
-
-
-def reformat_from(v: Volume3D, plane: PlaneOrientation) -> Volume3D:
-    """Exact inverse of ``reformat_to`` for the same plane."""
-    perm = PLANE_AXES[plane]
-    inverse = tuple(int(i) for i in np.argsort(perm))
-    return _permute(v, inverse)

@@ -100,8 +100,8 @@ def canonical_view(data: np.ndarray, orientation) -> np.ndarray:
 
 def canonical_zeros(dims, orientation, dtype) -> np.ndarray:
     """A zeroed array of ``dims``, indexed in ``orientation``, stored so that
-    its ``canonical_view`` is C-contiguous. A volume computed into it can be
-    read in the canonical frame without a copy."""
+    its ``canonical_view`` is C-contiguous. ``normalize_intensity`` computes
+    into it, so ``to_canonical`` reads its output without a copy."""
     axes = tuple(AXIS_OF_CODE[code] for code in orientation)
     shape = [0, 0, 0]
     for n, axis in zip(dims, axes):
@@ -110,15 +110,15 @@ def canonical_zeros(dims, orientation, dtype) -> np.ndarray:
 
 
 def binary_mask(v: Volume3D, name: str = "mask") -> Volume3D:
-    """``v`` as a bool mask, after its one binariness check, stored as
-    ``canonical_zeros`` stores it. Every later ``require_binary`` on it is free,
-    and it takes a quarter of a float32 volume."""
+    """``v`` as a bool mask, the one place a mask becomes bool. A bool ``v``
+    is returned as it is; any other is checked for 0/1 values once and
+    converted in its own storage order, which is the parsed order for a
+    parsed mask. Every later ``binary_mask`` or ``require_binary`` on the
+    result is free, and it takes a quarter of a float32 volume."""
     if v.data.dtype == np.bool_:
         return v
     require_binary(v, name)
-    out = canonical_zeros(v.dims, v.orientation, np.bool_)
-    np.not_equal(v.data, 0, out=out)
-    return v.with_data(out)
+    return v.with_data(v.data != 0)
 
 
 def require_same_dims(a: Volume3D, b: Volume3D, what: str = "volumes") -> None:
@@ -152,8 +152,8 @@ def normalize_intensity(v: Volume3D, mask: Volume3D) -> Volume3D:
     them is NaN or infinite.
     """
     require_same_dims(v, mask, "volume and mask")
-    require_binary(mask, "brain mask")
-    inside = mask.data.astype(bool, copy=False)  # a binary mask's nonzero voxels
+    # gathering and scattering walk the mask in C index order, fastest on a C-ordered copy
+    inside = np.ascontiguousarray(binary_mask(mask, "brain mask").data)
     n = int(np.count_nonzero(inside))
     if n < 2:
         raise DegenerateMask(f"mask selects {n} voxels; need at least 2")

@@ -615,13 +615,24 @@ class TestSegment:
         assert not out_dir.exists()
 
     def test_each_mask_is_checked_for_binariness_once(self, phantom_dir, tmp_path, capsys, monkeypatch):
-        # the brain mask once, when it becomes a bool mask; binarize's output is bool
+        # each parsed mask once, when binary_mask makes it bool; every stage
+        # after that, and binarize's and histogram_segment's outputs, are bool
         calls = []
         real = volume.is_binary
         monkeypatch.setattr(volume, "is_binary", lambda v: calls.append(v.dims) or real(v))
         assert _segment(phantom_dir, tmp_path, phantom_dir / "weights.sgwt") == 0
+        assert calls == [(24, 24, 24)]  # --mask
+        calls.clear()
+        assert main(["baseline", "--flair", str(phantom_dir / "flair.nii.gz"),
+                     "--mask", str(phantom_dir / "brain_mask.nii.gz"), "--out-dir", str(tmp_path / "base")]) == 0
+        assert calls == [(24, 24, 24)]  # --mask
+        calls.clear()
+        seg = tmp_path / "seg"
+        assert main(["evaluate", "--pred", str(seg / "flair.mask.nii.gz"), "--gt", str(phantom_dir / "gt.nii.gz"),
+                     "--posterior", str(seg / "flair.posterior.nii.gz"),
+                     "--mask", str(phantom_dir / "brain_mask.nii.gz"), "--out-pr-tsv", str(tmp_path / "pr.tsv")]) == 0
+        assert calls == [(24, 24, 24)] * 3  # --pred, --gt, --mask
         capsys.readouterr()
-        assert calls == [(24, 24, 24)]
 
     def test_non_binary_brain_mask_is_shape_error(self, phantom_dir, tmp_path, capsys):
         mask = parse_nifti((phantom_dir / "brain_mask.nii.gz").read_bytes())
@@ -741,10 +752,22 @@ class TestBaseline:
         assert _datatype(out) == (2, 8)
         flair = parse_nifti((phantom_dir / "flair.nii.gz").read_bytes())
         mask = parse_nifti((phantom_dir / "brain_mask.nii.gz").read_bytes())
-        want = histogram_segment(flair, mask, HistParams(alpha=3.0, bins=256))
+        want, cutoff = histogram_segment(flair, mask, HistParams(alpha=3.0, bins=256))
         got = parse_nifti(out.read_bytes())
+        assert report["intensity_cutoff"] == cutoff
         assert np.count_nonzero(want.data) > 0
         assert np.array_equal(got.data, want.data)
+
+    def test_fits_the_histogram_once(self, phantom_dir, tmp_path, capsys, monkeypatch):
+        # the reported cutoff is the one the mask was thresholded at, not a
+        # second fit; modal_threshold's histogram is counted wherever it is called from
+        fits = []
+        real = np.histogram
+        monkeypatch.setattr(np, "histogram", lambda *a, **k: fits.append(k["bins"]) or real(*a, **k))
+        assert main(["baseline", "--flair", str(phantom_dir / "flair.nii.gz"),
+                     "--mask", str(phantom_dir / "brain_mask.nii.gz"), "--out-dir", str(tmp_path / "base")]) == 0
+        capsys.readouterr()
+        assert fits == [256]
 
 
 class TestEvaluate:

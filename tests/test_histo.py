@@ -67,7 +67,8 @@ class TestHistogramSegment:
         flair, mask, background = _mixture_phantom()
         cutoff = modal_threshold(flair, mask, HistParams(alpha=3.0))
         assert background.max() < cutoff < 175.0
-        out = histogram_segment(flair, mask, HistParams(alpha=3.0))
+        out, out_cutoff = histogram_segment(flair, mask, HistParams(alpha=3.0))
+        assert out_cutoff == cutoff
         expected = ((mask.data > 0) & (flair.data >= 175.0)).astype(np.float32)
         assert np.array_equal(out.data, expected)
         assert int(out.data.sum()) == 200
@@ -81,14 +82,14 @@ class TestHistogramSegment:
 
     def test_huge_alpha_empty_mask(self):
         flair, mask, _ = _mixture_phantom()
-        out = histogram_segment(flair, mask, HistParams(alpha=1e9))
+        out, _ = histogram_segment(flair, mask, HistParams(alpha=1e9))
         assert out.data.sum() == 0
 
     def test_monotone_in_alpha(self):
         flair, mask, _ = _mixture_phantom(seed=11)
         previous = None
         for alpha in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0):
-            current = histogram_segment(flair, mask, HistParams(alpha=alpha)).data > 0
+            current = histogram_segment(flair, mask, HistParams(alpha=alpha))[0].data > 0
             if previous is not None:
                 assert np.all(current <= previous), f"mask grew at alpha={alpha}"
             previous = current
@@ -96,11 +97,11 @@ class TestHistogramSegment:
     def test_output_within_brain_mask(self, rng):
         data = rng.normal(100.0, 15.0, size=(12, 12, 12)).astype(np.float32)
         mask = Volume3D((rng.random((12, 12, 12)) < 0.7).astype(np.float32))
-        out = histogram_segment(Volume3D(data), mask, HistParams(alpha=1.0))
+        out, _ = histogram_segment(Volume3D(data), mask, HistParams(alpha=1.0))
         assert np.all(out.data <= mask.data)
 
     def test_deterministic(self):
         flair, mask, _ = _mixture_phantom(seed=3)
-        a = histogram_segment(flair, mask)
-        b = histogram_segment(flair, mask)
+        a, _ = histogram_segment(flair, mask)
+        b, _ = histogram_segment(flair, mask)
         assert np.array_equal(a.data, b.data)

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import PLANE_AXES, all_signed_orientations, remap_plane, remap_to_ras
-from wmhkit.reformat import (
-    PlaneOrientation,
-    reformat_from,
-    reformat_to,
-    to_canonical,
-)
+from wmhkit.reformat import PLANE_AXES as FRAME_AXES
+from wmhkit.reformat import PlaneOrientation, to_canonical
 from wmhkit.volume import Volume3D
 
 PLANES = list(PlaneOrientation)
@@ -59,44 +53,34 @@ class TestToCanonical:
 
 
 class TestPlaneReformat:
+    """Each plane's frame is an axis-permuted view of the canonical volume:
+    the ensemble reads its input and writes its posterior through it."""
+
     def test_axial_is_identity(self, rng):
         v = _ras(rng)
-        out = reformat_to(v, PlaneOrientation.AXIAL)
-        assert np.array_equal(out.data, v.data)
-        assert out.spacing == v.spacing
+        out = v.data.transpose(FRAME_AXES[PlaneOrientation.AXIAL])
+        assert np.array_equal(out, v.data)
+        assert np.shares_memory(out, v.data)
 
     def test_sagittal_dims_and_indexing(self, rng):
         v = _ras(rng, shape=(2, 3, 4))
-        out = reformat_to(v, PlaneOrientation.SAGITTAL)
-        assert out.dims == (3, 4, 2)
+        out = v.data.transpose(FRAME_AXES[PlaneOrientation.SAGITTAL])
+        assert out.shape == (3, 4, 2)
         for i in range(2):
             for j in range(3):
                 for k in range(4):
-                    assert out.data[j, k, i] == v.data[i, j, k]
+                    assert out[j, k, i] == v.data[i, j, k]
 
     @pytest.mark.parametrize("plane", PLANES)
     def test_matches_remap_oracle(self, rng, plane):
         v = _ras(rng, shape=(3, 4, 5))
-        out = reformat_to(v, plane)
-        assert np.array_equal(out.data, remap_plane(v.data, PLANE_AXES[plane.value]))
+        out = v.data.transpose(FRAME_AXES[plane])
+        assert np.array_equal(out, remap_plane(v.data, PLANE_AXES[plane.value]))
 
     @pytest.mark.parametrize("plane", PLANES)
     def test_round_trip_bit_exact(self, rng, plane):
         v = _ras(rng)
-        back = reformat_from(reformat_to(v, plane), plane)
-        assert np.array_equal(back.data, v.data)
-        assert back.spacing == v.spacing
-        assert back.orientation == v.orientation
-
-    def test_requires_canonical_input(self, rng):
-        v = Volume3D(rng.normal(size=(2, 2, 2)).astype(np.float32), orientation=("L", "A", "S"))
-        with pytest.raises(ValueError):
-            reformat_to(v, PlaneOrientation.AXIAL)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from(PLANES))
-    def test_value_multiset_preserved(self, seed, plane):
-        rng = np.random.default_rng(seed)
-        v = _ras(rng, shape=tuple(int(d) for d in rng.integers(1, 6, size=3)))
-        out = reformat_to(v, plane)
-        assert sorted(out.data.ravel().tolist()) == sorted(v.data.ravel().tolist())
+        frame = remap_plane(v.data, PLANE_AXES[plane.value])
+        back = np.empty_like(v.data)
+        back.transpose(FRAME_AXES[plane])[...] = frame  # as a plane net writes its posterior
+        assert np.array_equal(back, v.data)
