@@ -1,16 +1,30 @@
-"""Connected-component lesion extraction and pred/reference lesion matching."""
+"""Connected-component lesion extraction and pred/reference lesion matching.
+
+Components are labelled from runs: the foreground's maximal stretches of
+voxels along x. Runs in nearby rows that touch are joined by a union-find
+over arrays, so labelling takes numpy alone, with no structuring element
+and no per-voxel label pass.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .volume import Volume3D, binary_mask, require_same_dims
 
-CONNECTIVITY_RANK = {6: 1, 18: 2, 26: 3}
 DEFAULT_CONNECTIVITY = 26
+
+# For each connectivity, the earlier rows a run can touch, as (dz, dy, reach)
+# in the x-fastest axes: the row dz slices and dy rows back, whose runs touch
+# a run [s, e) when they start before e + reach and stop after s - reach.
+# The later rows' edges are the same pairs seen from the other run.
+NEIGHBOUR_ROWS = {
+    6: ((0, -1, 0), (-1, 0, 0)),
+    18: ((0, -1, 1), (-1, 0, 1), (-1, -1, 0), (-1, 1, 0)),
+    26: ((0, -1, 1), (-1, -1, 1), (-1, 0, 1), (-1, 1, 1)),
+}
 
 
 @dataclass(frozen=True)
@@ -70,79 +84,149 @@ def _box(rev: np.ndarray) -> tuple[slice, slice, slice]:
     return tuple(box)
 
 
-def _foreground(mask: Volume3D, connectivity: int) -> tuple[np.ndarray, tuple[slice, slice, slice], np.ndarray]:
+def _foreground(mask: Volume3D, connectivity: int) -> tuple[np.ndarray, tuple[slice, slice, slice]]:
     """The mask's foreground with its axes reversed, cropped to its bounding
-    box and C-contiguous; that box in the reversed axes; and the structuring
-    element of ``connectivity``.
+    box and C-contiguous, and that box in the reversed axes.
 
     The reversed array walks the voxels x-fastest in C order, and so does its
     box, so a component's first voxel in the box is its first in the grid.
     Of the bool mask (``binary_mask``), only the box is copied, once. The
-    6/18/26 structuring elements are symmetric under any axis permutation,
-    so it has the same components as the mask.
+    6/18/26 neighbourhoods are symmetric under any axis permutation, so it
+    has the same components as the mask.
     """
     rev = binary_mask(mask, "lesion mask").data.T
-    if connectivity not in CONNECTIVITY_RANK:
+    if connectivity not in NEIGHBOUR_ROWS:
         raise ValueError(f"connectivity must be 6, 18, or 26, got {connectivity}")
-    structure = ndimage.generate_binary_structure(3, CONNECTIVITY_RANK[connectivity])
     box = _box(rev)
-    return np.ascontiguousarray(rev[box]), box, structure
+    return np.ascontiguousarray(rev[box]), box
+
+
+def _runs(fg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's start and stop in ``fg``, in linear-index order, as
+    positions in its rows (along the last axis) padded to one voxel more:
+    row ``r``'s column ``c`` is at ``r * (fg.shape[2] + 1) + c``."""
+    rows = fg.reshape(-1, fg.shape[2]).view(np.int8)
+    zero = np.zeros((rows.shape[0], 1), np.int8)
+    steps = np.flatnonzero(np.diff(rows, axis=1, prepend=zero, append=zero))  # +1 at a start, -1 at a stop
+    return steps[0::2], steps[1::2]
+
+
+def _touching(
+    start: np.ndarray, stop: np.ndarray, ny: int, width: int, dz: int, dy: int, reach: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (run, other) of runs (``_runs``) where ``other`` lies in the
+    row (dz, dy) from ``run``'s and touches it. The runs of a row are sorted
+    and disjoint, so the runs that one run touches in another row are a
+    contiguous range, found by two binary searches."""
+    shift = (dz * ny + dy) * width
+    lo = np.searchsorted(stop, start + (shift - reach), side="right")
+    n = np.searchsorted(start, stop + (shift + reach), side="left")
+    n -= lo  # every run that stops before the range also starts before its end, so n >= 0
+    if dy:  # past the box's y edge, the shifted row lies in another slice
+        y = (start // width) % ny + dy
+        n[(y < 0) | (y >= ny)] = 0
+    run = np.repeat(np.arange(start.size), n)
+    lo -= np.cumsum(n) - n  # so that edge k of run i is to run lo[i] + k
+    other = np.repeat(lo, n)
+    other += np.arange(run.size)
+    return run, other
+
+
+def _components(fg: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of ``fg`` (``_runs``) and, for each, its component's root:
+    the component's first run.
+
+    A union-find over arrays joins the runs that touch, one neighbouring row
+    offset's edges at a time. Each round, every root that shares an edge
+    with a smaller root hooks onto the smallest such root, and pointer
+    jumping flattens the trees again, so every run points at its root. A
+    root that neither hooks nor is hooked onto has only larger neighbouring
+    roots, which all hooked lower, so it hooks in the next round: every tree
+    with an edge left merges within two rounds, and there are O(log R)
+    rounds for R runs.
+    """
+    start, stop = _runs(fg)
+    ny, width = fg.shape[1], fg.shape[2] + 1
+    parent = np.arange(start.size)
+    for dz, dy, reach in NEIGHBOUR_ROWS[connectivity]:
+        run, other = _touching(start, stop, ny, width, dz, dy, reach)
+        while True:
+            root, other_root = parent[run], parent[other]
+            live = root != other_root
+            if not live.any():
+                break
+            run, other = run[live], other[live]  # in two steps, to hold fewer copies at once
+            root, other_root = root[live], other_root[live]
+            np.minimum.at(parent, np.maximum(root, other_root), np.minimum(root, other_root))
+            while True:
+                up = parent[parent]
+                if np.array_equal(up, parent):
+                    break
+                parent = up
+    return start, stop, parent
 
 
 def count_components(mask: Volume3D, connectivity: int = DEFAULT_CONNECTIVITY) -> int:
     """The number of connected foreground components, which is
     ``label_components(mask, connectivity).count`` without the label map,
-    sizes and boxes. Labelling runs on the foreground's bounding box."""
-    fg, _, structure = _foreground(mask, connectivity)
-    return int(ndimage.label(fg, structure=structure)[1])
+    sizes and boxes: the number of runs that are their component's first."""
+    fg, _ = _foreground(mask, connectivity)
+    _, _, root = _components(fg, connectivity)
+    return int(np.count_nonzero(root == np.arange(root.size)))
 
 
 def label_components(mask: Volume3D, connectivity: int = DEFAULT_CONNECTIVITY) -> LesionSet:
     """Label connected foreground components under 6/18/26-connectivity.
 
     Lesion ids are 1..K, assigned by descending voxel count with ties broken
-    by the lowest x-fastest linear index. The cost is O(N + K log K) for N
-    voxels and K components: finding the foreground's bounding box and
-    writing the float32 map are whole-volume passes; labelling and the
-    components' boxes are passes over the box, which for sparse lesions is a
-    fraction of the grid; sizes and first indices are passes over the
-    foreground, and only the id order is a sort.
+    by the lowest x-fastest linear index. Finding the foreground's bounding
+    box and writing the float32 map are whole-volume passes; finding the runs
+    is a pass over the box, which for sparse lesions is a fraction of the
+    grid; joining them, and each component's size and box, are passes over
+    the runs, and only the id order is a sort.
 
     Labelling runs on the mask with its axes reversed, so its storage order
     is x-fastest, and only on its foreground's bounding box, of which one
-    bool copy is made. Box coordinates keep the x-fastest order, so ids
-    follow from them directly; the boxes and the map's indices are offset
-    back to the grid. The boxes are reversed back, and the map is
-    built in that order and returned transposed, F-contiguous, in the mask's
-    axes.
+    bool copy is made. Runs are numbered in x-fastest order, so a
+    component's first run holds its first voxel and is the root its runs
+    join to. The boxes are offset back to the grid and reversed back, and the
+    map is built in the reversed axes and returned transposed, F-contiguous,
+    in the mask's axes.
     """
-    fg, box, structure = _foreground(mask, connectivity)
-    raw, n = ndimage.label(fg, structure=structure)
-    del fg
-    flat = raw.reshape(-1)  # x-fastest linear index in the box
-    fg_idx = np.flatnonzero(flat)
-    fg_raw = flat[fg_idx]
-    counts = np.bincount(fg_raw, minlength=n + 1)[1:]
-    first_idx = np.full(n, flat.size, dtype=fg_idx.dtype)
-    np.minimum.at(first_idx, fg_raw - 1, fg_idx)
-    order = np.lexsort((first_idx, -counts))  # raw label - 1, in new-id order
+    fg, box = _foreground(mask, connectivity)
+    start, stop, root = _components(fg, connectivity)
+    first = np.flatnonzero(root == np.arange(root.size))  # each component's first run
+    n = first.size
+    comp = np.empty(root.size, dtype=np.intp)
+    comp[first] = np.arange(n)
+    comp = comp[root]  # the component of each run, numbered by first voxel
+    length = stop - start
+    counts = np.bincount(comp, weights=length, minlength=n).astype(np.int64)
+    order = np.argsort(-counts, kind="stable")  # stable: size ties stay in first-voxel order
 
-    remap = np.zeros(n + 1, dtype=np.float32)
-    remap[order + 1] = np.arange(1, n + 1, dtype=np.float32)
+    remap = np.empty(n, dtype=np.float32)
+    remap[order] = np.arange(1, n + 1, dtype=np.float32)
     label_map = np.zeros(mask.data.shape[::-1], dtype=np.float32)
-    label_map[box][np.unravel_index(fg_idx, raw.shape)] = remap[fg_raw]
-    boxes = [
-        tuple(slice(s.start + b.start, s.stop + b.start) for s, b in zip(obj, box))[::-1]
-        for obj in ndimage.find_objects(raw)
-    ]
+    label_map[box][fg] = np.repeat(remap[comp], length)
+
+    ny, width = fg.shape[1], fg.shape[2] + 1
+    del fg
+    row = start // width
+    z, y = np.divmod(row, ny)
+    x0 = start - row * width
+    extents = []  # x0, y0, z0, x1, y1, z1 of each component, in the box
+    for ufunc, values in ((np.minimum, x0), (np.minimum, y), (np.minimum, z),
+                          (np.maximum, x0 + length - 1), (np.maximum, y), (np.maximum, z)):
+        extent = values[first]
+        ufunc.at(extent, comp, values)
+        extents.append(extent)
+    offset = [b.start for b in box[::-1]] * 2
+    bboxes = (np.stack(extents, axis=1) + offset).tolist()
+
     voxel_ml = mask.voxel_volume_mm3 / 1000.0
+    sizes = counts.tolist()
     lesions = tuple(
-        Lesion(
-            id=new_id,
-            voxel_count=int(counts[old]),
-            volume_ml=float(counts[old]) * voxel_ml,
-            bbox=tuple(s.start for s in boxes[old]) + tuple(s.stop - 1 for s in boxes[old]),
-        )
+        Lesion(id=new_id, voxel_count=sizes[old], volume_ml=float(sizes[old]) * voxel_ml, bbox=tuple(bboxes[old]))
         for new_id, old in enumerate(order.tolist(), start=1)
     )
     return LesionSet(labels=mask.with_data(label_map.T), lesions=lesions, connectivity=connectivity)

@@ -4,7 +4,9 @@ Bland-Altman agreement (bias, limits of agreement, CV/RPC as percentages of
 the grand mean, R² as squared Pearson correlation), two-sided paired t-tests,
 and covariate-adjusted multiple linear regression with per-coefficient
 p-values. Tail probabilities come from the regularized incomplete beta
-function, ``scipy.special.betainc``.
+function, ``scipy.special.betainc``. It is the package's one use of scipy
+and is imported on the first p-value, so only the commands that compute
+p-values (``ttest`` and ``regress``) load scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .cohort import SubjectRecord, resolve_field
 from .errors import (
@@ -41,6 +42,8 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0, with x clipped to [0, 1]."""
     if a <= 0 or b <= 0:
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
+    from scipy.special import betainc
+
     return float(betainc(a, b, min(max(x, 0.0), 1.0)))
 
 
@@ -54,11 +57,6 @@ def t_two_sided_p(t: float, df: float) -> float:
         return 0.0
     x = df / (df + t * t)
     return min(1.0, max(0.0, regularized_incomplete_beta(df / 2.0, 0.5, x)))
-
-
-def student_t_cdf(t: float, df: float) -> float:
-    half_tail = t_two_sided_p(t, df) / 2.0
-    return half_tail if t < 0 else 1.0 - half_tail
 
 
 # ---------------------------------------------------------------------------

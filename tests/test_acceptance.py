@@ -36,7 +36,7 @@ from wmhkit.stats import (
     build_design_matrix,
     ols_regress,
     paired_ttest,
-    student_t_cdf,
+    t_two_sided_p,
 )
 from wmhkit.volume import Volume3D
 
@@ -231,13 +231,13 @@ def test_criterion_5_statistics_cross_checks():
             assert abs(tt.t - t_oracle) < 1e-9
             assert abs(tt.p - t_two_sided_p_series(t_oracle, dd.size - 1)) < 1e-6
 
-        # t-CDF against Monte Carlo at the probe degrees of freedom
+        # two-sided t tail probability against Monte Carlo at the probe degrees of freedom
         for df in (2, 10, 100):
-            samples = np.random.default_rng(7000 + df).standard_t(df, size=10**6)
+            samples = np.abs(np.random.default_rng(7000 + df).standard_t(df, size=10**6))
             for t in (-2.0, -0.5, 0.5, 2.0):
-                emp = float((samples <= t).mean())
+                emp = float((samples >= abs(t)).mean())
                 se = math.sqrt(emp * (1.0 - emp) / samples.size)
-                assert abs(student_t_cdf(t, df) - emp) < 3.0 * se
+                assert abs(t_two_sided_p(t, df) - emp) < 3.0 * se
 
 
 def test_criterion_6_synthetic_cohort_association():

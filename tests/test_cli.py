@@ -2,8 +2,11 @@ import argparse
 import gzip
 import hashlib
 import json
+import os
 import struct
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -19,13 +22,14 @@ from scipy import ndimage
 from nets import unet_net
 from wmhkit import cli, volume
 from wmhkit.cli import main
-from wmhkit.cohort import synthetic_cohort, write_cohort_csv
+from wmhkit.cohort import parse_numeric_columns, synthetic_cohort, write_cohort_csv
 from wmhkit.ensemble import EnsembleSpec, predict_ensemble
 from wmhkit.errors import DegenerateError
 from wmhkit.histo import HistParams, histogram_segment
 from wmhkit.layers import blas_threads, set_blas_threads
 from wmhkit.nifti import DATA_OFFSET, parse_nifti, write_nifti
 from wmhkit.phantom import make_phantom
+from wmhkit.stats import paired_ttest
 from wmhkit.volume import Volume3D, normalize_intensity
 from wmhkit.weights_io import load_ensemble, save_ensemble
 
@@ -1144,6 +1148,49 @@ class TestTTest:
         report = envelope(out)
         assert 0.0 <= report["p"] <= 1.0
         assert report["df"] == report["n"] - 1
+
+
+_SCIPY_FREE_RUN = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    import wmhkit
+    from wmhkit.cli import main
+
+    out, csv = sys.argv[1], sys.argv[2]
+    ph, seg = f"{out}/ph", f"{out}/seg"
+    flair, mask = ["--flair", f"{ph}/flair.nii.gz"], ["--mask", f"{ph}/brain_mask.nii.gz"]
+    def run(*argv):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(list(argv)) == 0, argv
+        return json.loads(stdout.getvalue())
+    def scipy_modules():
+        return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+    run("phantom", "--out-dir", ph, "--seed", "0", "--shape", "24,24,24")
+    run("segment", *flair, *mask, "--weights", f"{ph}/weights.sgwt", "--out-dir", seg)
+    run("baseline", *flair, *mask, "--out-dir", f"{out}/base")
+    run("evaluate", "--pred", f"{seg}/flair.mask.nii.gz", "--gt", f"{ph}/gt.nii.gz", *mask,
+        "--posterior", f"{seg}/flair.posterior.nii.gz", "--out-pr-tsv", f"{out}/pr.tsv")
+    before = scipy_modules()
+    p = run("ttest", "--csv", csv, "--col-a", "wmh_stackgen_ml", "--col-b", "wmh_adni_ml")["p"]
+    print(json.dumps({"before_ttest": before, "after_ttest": "scipy.special" in scipy_modules(), "p": p}))
+    """
+)
+
+
+def test_image_commands_load_no_scipy(tmp_path, cohort_csv):
+    # a fresh process per subject pays every module it imports; only the p-value of
+    # ttest/regress needs scipy, and it still gives the same bits once loaded lazily
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path), str(cohort_csv)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got["before_ttest"] == []
+    assert got["after_ttest"]
+    rows = parse_numeric_columns(cohort_csv.read_bytes(), ["wmh_stackgen_ml", "wmh_adni_ml"])
+    assert got["p"] == paired_ttest([r[0] for r in rows], [r[1] for r in rows]).p
 
 
 @pytest.mark.parametrize("subcommand", ["agree", "ttest"])

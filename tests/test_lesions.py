@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -36,6 +37,36 @@ def _edge_masks(shape, rng):
     return masks
 
 
+def _serpentine(shape):
+    """One 6-connected path through the grid: x rows on every other y of
+    every other z slice, walked back and forth, joined at their ends by one
+    voxel in the odd y between them and in the odd z between slices."""
+    data = np.zeros(shape, np.float32)
+    nx, ny, nz = shape
+    x_end, y_end = nx - 1, 0
+    for z in range(0, nz, 2):
+        if z:
+            data[x_end, y_end, z - 1] = 1.0
+        ys = list(range(0, ny, 2))
+        for i, y in enumerate(ys if y_end == 0 else ys[::-1]):
+            if i:
+                data[x_end, (y + y_end) // 2, z] = 1.0
+            data[:, y, z] = 1.0
+            x_end, y_end = nx - 1 - x_end, y
+    return data
+
+
+def _run_masks(shape, rng):
+    """Masks that stress labelling by runs: random ones from sparse to
+    dense, a serpentine single component, and the stride-2 lattice, whose
+    voxels are all isolated, even under 26-connectivity. The all-False and
+    all-True masks are among ``_edge_masks``."""
+    masks = [(rng.random(shape) < p).astype(np.float32) for p in (0.02, 0.1, 0.3, 0.6)]
+    lattice = np.zeros(shape, np.float32)
+    lattice[::2, ::2, ::2] = 1.0
+    return masks + [_serpentine(shape), lattice]
+
+
 def _corner_pair():
     data = np.zeros((2, 2, 2), dtype=np.float32)
     data[0, 0, 0] = 1.0
@@ -65,11 +96,26 @@ class TestLabelComponents:
 
     @pytest.mark.parametrize("connectivity", [6, 18, 26])
     def test_matches_flood_fill_oracle(self, rng, connectivity):
-        shape = (16, 16, 16)
-        for mask in [(rng.random(shape) < 0.25).astype(np.float32) for _ in range(5)] + _edge_masks(shape, rng):
-            got = label_components(_mask(mask), connectivity)
-            want = flood_fill_label(mask > 0, connectivity)
-            assert partitions_equal(got.labels.data.astype(np.int64), want)
+        for shape in ((16, 16, 16), (12, 1, 9)):
+            masks = [(rng.random(shape) < 0.25).astype(np.float32) for _ in range(5)]
+            for mask in masks + _edge_masks(shape, rng) + _run_masks(shape, rng):
+                got = label_components(_mask(mask), connectivity)
+                want = flood_fill_label(mask > 0, connectivity)
+                assert partitions_equal(got.labels.data.astype(np.int64), want)
+
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_dense_mask_peak_is_bounded_in_float32_volumes(self, connectivity):
+        # p = 0.5 has about one run per four voxels, and each run about as many
+        # edges per neighbouring row: the union-find holds a few arrays of each
+        shape = (64, 64, 64)
+        mask = _mask(np.random.default_rng(5).random(shape) < 0.5)
+        tracemalloc.start()
+        try:
+            label_components(mask, connectivity)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 4 * int(np.prod(shape)), peak
 
     def test_ids_contiguous_sorted_by_size(self, rng):
         mask = (rng.random((12, 12, 12)) < 0.2).astype(np.float32)
@@ -237,7 +283,8 @@ class TestStorageOrder:
     @pytest.mark.parametrize("connectivity", [6, 18, 26])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_matches_copying_labeller(self, rng, shape, connectivity, order):
-        for data in [(rng.random(shape) < p).astype(np.float32) for p in (0.1, 0.35, 0.6)] + _edge_masks(shape, rng):
+        randoms = [(rng.random(shape) < p).astype(np.float32) for p in (0.1, 0.35, 0.6)]
+        for data in randoms + _edge_masks(shape, rng) + _run_masks(shape, rng):
             data = np.asfortranarray(data) if order == "F" else np.ascontiguousarray(data)
             want_map, want = copying_label_components(data, connectivity, voxel_ml=0.001)
             for dtype in (np.float32, np.bool_):  # a bool mask is cropped without a comparison
@@ -250,7 +297,8 @@ class TestStorageOrder:
     @pytest.mark.parametrize("connectivity", [6, 18, 26])
     def test_count_components_is_the_label_count(self, rng, connectivity, order):
         for shape in SHAPES:
-            for data in [(rng.random(shape) < p).astype(np.float32) for p in (0.2, 0.5, 0.8)] + _edge_masks(shape, rng):
+            randoms = [(rng.random(shape) < p).astype(np.float32) for p in (0.2, 0.5, 0.8)]
+            for data in randoms + _edge_masks(shape, rng) + _run_masks(shape, rng):
                 mask = _mask(np.asfortranarray(data) if order == "F" else np.ascontiguousarray(data))
                 assert count_components(mask, connectivity) == label_components(mask, connectivity).count
 
