@@ -18,9 +18,13 @@ view of the canonical posterior, so no plane makes a copy of either.
 
 The bool brain mask is read through its canonical view, in whatever order it
 is stored, and the normalized volume, stored by ``volume.canonical_zeros``,
-reaches the canonical frame without a copy. A pointwise meta net
-writes each fused run over the axial posterior once it has read that run, so
-fusion needs no volume of its own.
+reaches the canonical frame without a copy. A pointwise meta net fuses each
+run as the plane nets make it, so only the posteriors of plane nets that need
+tiles are stacked as volumes: each run of the meta net's input is filled from
+a pointwise plane net's forward on that run of the FLAIR or from the stack,
+and the fused run is written over the first stacked plane once that run is
+read. With 1x1x1 nets the plane posteriors are never whole volumes, and the
+posterior is the one volume fusion adds.
 """
 
 from __future__ import annotations
@@ -96,6 +100,26 @@ def _blocks(n: int, tile: int, core: int, halo: int, align: int) -> list[tuple[s
     return out
 
 
+def _run_posterior(net: NetworkSpec, run: np.ndarray) -> np.ndarray:
+    """Channel-1 posterior of a pointwise net over a (C, n) run of voxels,
+    which it sees as a (C, n, 1, 1) tensor."""
+    return forward(net, run[..., np.newaxis, np.newaxis])[1, :, 0, 0]
+
+
+def _pointwise_posterior(net: NetworkSpec, out: np.ndarray, run_input) -> np.ndarray:
+    """Channel-1 posterior of the pointwise ``net``, written into the
+    C-contiguous ``out`` over runs of ``_RUN_BYTES // 8`` voxels in C order,
+    the last one shorter. ``run_input(s, e)`` gives the (C, e - s) input of
+    voxels [s, e). Each run is written after its input is made, so that input
+    may be read from ``out`` itself."""
+    flat = out.reshape(-1)
+    n = _RUN_BYTES // 8
+    for s in range(0, flat.size, n):
+        e = min(s + n, flat.size)
+        flat[s:e] = _run_posterior(net, run_input(s, e))
+    return out
+
+
 def _tiled_posterior(
     net: NetworkSpec,
     x: np.ndarray,
@@ -107,11 +131,9 @@ def _tiled_posterior(
     """Channel-1 posterior for a (C, D, H, W) input array, as float32 (D, H, W),
     written into ``out`` (C-contiguous) when given.
 
-    A pointwise net runs on consecutive runs of ``_RUN_BYTES // 8`` voxels in
-    C order (the last run shorter), each a (C, n, 1, 1) view of the input, so
-    each voxel is computed once and ``tile``, ``core`` and ``axes`` are unused.
-    Each run is written after it is read, so ``out`` may be the input's first
-    channel.
+    A pointwise net runs by ``_pointwise_posterior``, each run a view of the
+    input, so each voxel is computed once and ``tile``, ``core`` and ``axes``
+    are unused.
     Any other net runs in the frame whose axis i is the input's spatial axis
     ``axes[i]``, and must map that frame's dims to themselves. It runs on a
     view of each block's input of ``_blocks`` in that frame and writes the
@@ -126,13 +148,7 @@ def _tiled_posterior(
 
     if net.pointwise:
         flat = x.reshape(x.shape[0], -1)
-        out_flat = out.reshape(-1)
-        n = _RUN_BYTES // 8
-        for s in range(0, flat.shape[1], n):
-            run = flat[:, s : s + n]
-            pred = forward(net, run[..., np.newaxis, np.newaxis])
-            out_flat[s : s + run.shape[1]] = pred[1, :, 0, 0]
-        return out
+        return _pointwise_posterior(net, out, lambda s, e: flat[:, s:e])
 
     x = x.transpose(0, *(a + 1 for a in axes))
     frame = out.transpose(axes)
@@ -162,20 +178,43 @@ def predict_ensemble(spec: EnsembleSpec, flair: Volume3D, mask: Volume3D) -> Vol
     """Full ensemble posterior for a normalized volume, in the canonical frame.
 
     Expects ``flair`` already intensity-normalized within ``mask``. Returns a
-    posterior map with out-of-mask voxels forced to 0. After a pointwise meta
-    net the posterior is a view of the (3, D, H, W) stack of plane posteriors.
+    posterior map with out-of-mask voxels forced to 0.
+
+    The plane posteriors are stacked in the canonical frame for the meta net,
+    except that a pointwise meta net stacks only those of the plane nets that
+    are not pointwise. It then makes each run of its (3, n) input in one
+    buffer, from a pointwise plane net's run of the FLAIR or from the stack,
+    and writes the fused run over the first stacked plane, or into a volume of
+    its own when none is stacked. So no more than the stacked planes and the
+    posterior are ever whole volumes.
     """
     require_same_grid(flair, mask, "volume and mask")
     mask = binary_mask(mask, "brain mask")
     flair_c = to_canonical(flair)
-
-    stacked = np.empty((len(_PLANES), *flair_c.dims), dtype=np.float32)
-    plane_nets = (spec.axial_net, spec.sagittal_net, spec.coronal_net)
-    for post, plane, net, core in zip(stacked, _PLANES, plane_nets, spec.cores):
-        _tiled_posterior(net, flair_c.data[np.newaxis], spec.tile, core, post, PLANE_AXES[plane])
+    x = flair_c.data[np.newaxis]
 
     meta = spec.meta_net
-    fused = _tiled_posterior(meta, stacked, spec.tile, spec.cores[3], stacked[0] if meta.pointwise else None)
+    plane_nets = (spec.axial_net, spec.sagittal_net, spec.coronal_net)
+    in_stack = [k for k, net in enumerate(plane_nets) if not (meta.pointwise and net.pointwise)]
+    stacked = np.empty((len(in_stack), *flair_c.dims), dtype=np.float32)
+    for post, k in zip(stacked, in_stack):
+        _tiled_posterior(plane_nets[k], x, spec.tile, spec.cores[k], post, PLANE_AXES[_PLANES[k]])
+
+    if meta.pointwise:
+        flat = x.reshape(1, -1)
+        rows = dict(zip(in_stack, stacked.reshape(len(in_stack), flat.shape[1])))
+        buf = np.empty((len(plane_nets), min(_RUN_BYTES // 8, flat.shape[1])), dtype=np.float32)
+
+        def planes(s, e):
+            run = buf[:, : e - s]
+            for k, (row, net) in enumerate(zip(run, plane_nets)):
+                row[:] = rows[k][s:e] if k in rows else _run_posterior(net, flat[:, s:e])
+            return run
+
+        fused = stacked[0] if in_stack else np.empty(flair_c.dims, dtype=np.float32)
+        _pointwise_posterior(meta, fused, planes)
+    else:
+        fused = _tiled_posterior(meta, stacked, spec.tile, spec.cores[3])
     fused[~canonical_view(mask.data, mask.orientation)] = 0.0
     return flair_c.with_data(fused)
 

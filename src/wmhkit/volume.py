@@ -145,7 +145,8 @@ def normalize_intensity(v: Volume3D, mask: Volume3D) -> Volume3D:
     networks see a stable intensity scale regardless of scanner units. The
     output is indexed like ``v`` and stored as ``canonical_zeros`` stores it,
     so ``to_canonical`` reads it without a copy. The in-mask values are
-    gathered in ``v``'s index order and z-scored in place, in float64.
+    gathered in ``v``'s index order, one slab of its first axis at a time,
+    straight into float64, and z-scored in place.
 
     Raises DegenerateMask when the mask selects fewer than two voxels or the
     in-mask intensities have zero variance, and NonFiniteInput when one of
@@ -157,7 +158,13 @@ def normalize_intensity(v: Volume3D, mask: Volume3D) -> Volume3D:
     n = int(np.count_nonzero(inside))
     if n < 2:
         raise DegenerateMask(f"mask selects {n} voxels; need at least 2")
-    vals = v.data[inside].astype(np.float64)
+    # in the C index order of v.data[inside], with no float32 copy of them all
+    vals = np.empty(n, dtype=np.float64)
+    pos = 0
+    for slab, keep in zip(v.data, inside):
+        got = slab[keep]
+        vals[pos : pos + got.size] = got
+        pos += got.size
     mu = vals.mean()
     if not np.isfinite(mu):  # a float64 mean of float32 values is finite iff they all are
         raise NonFiniteInput("in-mask intensities hold a NaN or infinite voxel")

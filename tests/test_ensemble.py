@@ -167,9 +167,15 @@ def _small_unet(rng, cin):
 
 
 def _nets(kind, rng):
-    """(axial, sagittal, coronal, meta), four distinct network objects."""
+    """(axial, sagittal, coronal, meta), four distinct network objects. Under
+    a pointwise meta net, "mixed" has one plane net that needs tiles, the
+    sagittal, and "tiled_planes" has three."""
     if kind == "phantom":
         return (*(threshold_detector_net(t) for t in (-0.2, 0.1, 0.4)), mean_threshold_meta_net())
+    if kind == "mixed":
+        return _pointwise_net(rng, 1), _receptive_net(rng), _pointwise_net(rng, 1), _pointwise_net(rng, 3)
+    if kind == "tiled_planes":
+        return (*(_receptive_net(rng) for _ in range(3)), _pointwise_net(rng, 3))
     make = {"pointwise": _pointwise_net, "receptive": _receptive_net, "pool": _pool_net, "unet": _small_unet}[kind]
     return (*(make(rng, 1) for _ in range(3)), make(rng, 3))
 
@@ -204,16 +210,18 @@ class TestTilePlan:
         got = predict_ensemble(_spec(nets, tile), Volume3D(flair), Volume3D(mask))
         assert np.array_equal(got.data, whole_volume_ensemble(forward, nets, flair, mask))
 
-    @pytest.mark.parametrize("kind", ["phantom", "pointwise"])
-    def test_pointwise_ensemble_matches_reference_in_every_orientation(self, rng, kind):
+    @pytest.mark.parametrize("kind", ["phantom", "pointwise", "mixed", "tiled_planes"])
+    def test_pointwise_ensemble_matches_reference_in_every_orientation(self, rng, monkeypatch, kind):
         nets = _nets(kind, rng)
         flair, mask = _inputs(rng, (5, 7, 3))
-        spec = _spec(nets, (4, 3, 2))
+        spec = _spec(nets, (4, 4, 3))
         want = whole_volume_ensemble(forward, nets, flair, mask)
-        for orientation in all_signed_orientations():
-            v = Volume3D(_inverse_remap(flair, orientation), orientation=orientation)
-            m = Volume3D(_inverse_remap(mask, orientation), orientation=orientation)
-            assert np.array_equal(predict_ensemble(spec, v, m).data, want), orientation
+        for run in (ensemble._RUN_BYTES, 8 * 16):  # 105 voxels: one run, or six of 16 and one of 9
+            monkeypatch.setattr(ensemble, "_RUN_BYTES", run)
+            for orientation in all_signed_orientations():
+                v = Volume3D(_inverse_remap(flair, orientation), orientation=orientation)
+                m = Volume3D(_inverse_remap(mask, orientation), orientation=orientation)
+                assert np.array_equal(predict_ensemble(spec, v, m).data, want), (run, orientation)
 
     @pytest.mark.parametrize("kind", ["receptive", "pool", "unet"])
     def test_other_nets_match_overlap_tile_reference(self, rng, kind):
@@ -228,19 +236,31 @@ class TestTilePlan:
 
     def test_pointwise_ensemble_passes_each_voxel_once(self, rng, monkeypatch):
         nets = _nets("pointwise", rng)
-        flair, mask = _inputs(rng, (20, 17, 13))
+        flair, _ = _inputs(rng, (20, 17, 13))
         monkeypatch.setattr(ensemble, "_RUN_BYTES", 8 * 1000)
         passes, shapes, _ = _spy_plan(monkeypatch)
-        predict_ensemble(_spec(nets, (8, 8, 8)), Volume3D(flair), Volume3D(mask))
+        spied = ensemble.forward
+
+        def forward_naming_meta_runs(net, x):
+            # the meta net answers its k-th run with k
+            y = spied(net, x)
+            return np.full_like(y, len(shapes[id(net)])) if net is nets[3] else y
+
+        monkeypatch.setattr(ensemble, "forward", forward_naming_meta_runs)
+        post = predict_ensemble(_spec(nets, (8, 8, 8)), Volume3D(flair), Volume3D(np.ones_like(flair)))
+        # runs of 1000 consecutive voxels in storage order, whatever the tile;
+        # the last of the 4420 voxels form a shorter run
+        runs = [1000] * 4 + [420]
         assert sorted(passes) == sorted(id(net) for net in nets)
-        for net in nets:
+        assert all(shapes[id(net)] == [(n, 1, 1) for n in runs] for net in nets)
+        for net in nets[:3]:
             counts = passes[id(net)]
             assert counts.shape == (20, 17, 13) and np.all(counts == 1)
-            # runs of 1000 consecutive voxels in storage order, whatever the
-            # tile; the last of the 4420 voxels form a shorter run
-            assert shapes[id(net)] == [(1000, 1, 1)] * 4 + [(420, 1, 1)]
+        # the meta net reads its runs from a buffer, not from a volume, so its
+        # runs are counted by where they land in the fused posterior
+        assert np.array_equal(post.data.reshape(-1), np.repeat(np.arange(1, len(runs) + 1), runs))
 
-    @pytest.mark.parametrize("kind", ["phantom", "pointwise"])
+    @pytest.mark.parametrize("kind", ["phantom", "pointwise", "mixed", "tiled_planes"])
     @pytest.mark.parametrize(
         "shape, run",
         [
@@ -256,12 +276,12 @@ class TestTilePlan:
         nets = _nets(kind, rng)
         flair, mask = _inputs(rng, shape)
         _, shapes, _ = _spy_plan(monkeypatch)
-        got = predict_ensemble(_spec(nets, (4, 3, 2)), Volume3D(flair), Volume3D(mask))
+        got = predict_ensemble(_spec(nets, (6, 5, 4)), Volume3D(flair), Volume3D(mask))
         assert np.array_equal(got.data, whole_volume_ensemble(forward, nets, flair, mask))
         size = int(np.prod(shape))
         n = ensemble._RUN_BYTES // 8
         want = [(min(n, size - s), 1, 1) for s in range(0, size, n)]
-        assert all(shapes[id(net)] == want for net in nets)
+        assert all(shapes[id(net)] == want for net in nets if net.pointwise)
 
     @pytest.mark.parametrize("kind", ["receptive", "pool"])
     def test_other_nets_overlap_tiles_in_their_planes(self, rng, monkeypatch, kind):

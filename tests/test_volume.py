@@ -110,21 +110,27 @@ def _traced_peak(fn) -> int:
 
 class TestNormalizeIntensity:
     def test_in_place_z_score_keeps_the_bits_and_lowers_the_peak(self, rng):
-        # F-ordered and flipped, as parse_nifti returns a volume; 31% in mask
-        shape = (64, 48, 40)
-        data = np.asfortranarray(rng.normal(100.0, 15.0, shape).astype(np.float32))
-        v = Volume3D(data, orientation=("L", "P", "S"))
-        mask = binary_mask(Volume3D((rng.random(shape) < 0.31).astype(np.float32), orientation=v.orientation))
-        n = int(np.count_nonzero(mask.data))
-        got = normalize_intensity(v, mask)
-        assert got.data.tobytes() == zscore_in_mask(v.data, mask.data).tobytes()
-        assert got.orientation == v.orientation
-        assert canonical_view(got.data, got.orientation).flags.c_contiguous
-        old = _traced_peak(lambda: zscore_in_mask(v.data, mask.data))
-        new = _traced_peak(lambda: normalize_intensity(v, mask))
-        assert new < old
-        # the output, the float64 in-mask values and std's one temporary of them
-        assert new <= data.nbytes + 2 * 8 * n + 2**16, (new, old)
+        # F-ordered and flipped, as parse_nifti returns a volume; 31% in mask.
+        # The in-mask values are gathered one slab of the first axis at a
+        # time, so also: x-slabs the mask leaves empty, the first and last
+        # among them, and grids with an axis of length 1
+        for shape, empty in [((64, 48, 40), []), ((64, 48, 40), [0, 1, 17, 18, 40, 63]),
+                             ((1, 48, 40), []), ((64, 48, 1), [5]), ((64, 1, 40), [0, 63])]:
+            data = np.asfortranarray(rng.normal(100.0, 15.0, shape).astype(np.float32))
+            v = Volume3D(data, orientation=("L", "P", "S"))
+            inside = rng.random(shape) < 0.31
+            inside[empty] = False
+            mask = binary_mask(Volume3D(inside.astype(np.float32), orientation=v.orientation))
+            n = int(np.count_nonzero(mask.data))
+            got = normalize_intensity(v, mask)
+            assert got.data.tobytes() == zscore_in_mask(v.data, mask.data).tobytes(), shape
+            assert got.orientation == v.orientation
+            assert canonical_view(got.data, got.orientation).flags.c_contiguous
+            old = _traced_peak(lambda: zscore_in_mask(v.data, mask.data))
+            new = _traced_peak(lambda: normalize_intensity(v, mask))
+            assert new < old, (shape, new, old)
+            # the output, the float64 in-mask values and std's one temporary of them
+            assert new <= data.nbytes + 2 * 8 * n + 2**16, (shape, new, old)
 
     def test_two_point(self):
         v = _vol(np.array([1.0, 3.0, 99.0, 99.0]).reshape(1, 2, 2))
