@@ -4,7 +4,8 @@
 Builds a phantom volume with known lesions, runs the full ensemble pipeline
 plus the histogram baseline on it, and prints the segmentation metrics for
 both. With handcrafted threshold weights the ensemble reproduces the analytic
-ground truth exactly (pixel Dice 1.0).
+ground truth exactly: the script exits 1 unless the ensemble's pixel and
+lesion Dice are 1.0 and its absolute volume difference is 0%.
 
 Usage: python scripts/phantom_demo.py [--seed 0] [--size 64] [--workdir DIR]
 """
@@ -91,6 +92,11 @@ def main() -> None:
             f"dice_lesion={report['dice_lesion']:.4f} avd={report['avd_percent']:.2f}%"
         )
     print(f"\noutputs kept in {workdir}")
+    exact = {"dice_pixel": 1.0, "dice_lesion": 1.0, "avd_percent": 0.0}
+    missed = {k: ensemble[k] for k, v in exact.items() if ensemble[k] != v}
+    if missed:
+        print(f"ensemble does not reproduce the ground truth exactly: {missed}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

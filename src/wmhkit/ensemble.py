@@ -18,13 +18,18 @@ view of the canonical posterior, so no plane makes a copy of either.
 
 The bool brain mask is read through its canonical view, in whatever order it
 is stored, and the normalized volume, stored by ``volume.canonical_zeros``,
-reaches the canonical frame without a copy. A pointwise meta net fuses each
-run as the plane nets make it, so only the posteriors of plane nets that need
-tiles are stacked as volumes: each run of the meta net's input is filled from
-a pointwise plane net's forward on that run of the FLAIR or from the stack,
-and the fused run is written over the first stacked plane once that run is
-read. With 1x1x1 nets the plane posteriors are never whole volumes, and the
-posterior is the one volume fusion adds.
+reaches the canonical frame without a copy. A pointwise meta net fuses only
+the in-mask voxels, since every other posterior voxel is 0: they are gathered
+once from the FLAIR, in canonical C order, and every pointwise net, plane or
+meta, runs over that compact buffer in runs, each plane net's run made as the
+meta net needs it. Only the posteriors of plane nets that need tiles are
+stacked as volumes, and the meta net reads each of its runs from them one
+range of canonical x-slabs at a time. The fused runs are written over the
+compact buffer once read, then scattered into a zeroed posterior. With 1x1x1
+nets the plane posteriors are never whole volumes, and the out-of-mask voxels
+are never computed. A meta net that needs tiles reads out-of-mask neighbours,
+so it and the plane nets run over the whole grid, and its out-of-mask
+posterior is zeroed one canonical x-slab at a time.
 """
 
 from __future__ import annotations
@@ -180,17 +185,22 @@ def predict_ensemble(spec: EnsembleSpec, flair: Volume3D, mask: Volume3D) -> Vol
     Expects ``flair`` already intensity-normalized within ``mask``. Returns a
     posterior map with out-of-mask voxels forced to 0.
 
-    The plane posteriors are stacked in the canonical frame for the meta net,
-    except that a pointwise meta net stacks only those of the plane nets that
-    are not pointwise. It then makes each run of its (3, n) input in one
-    buffer, from a pointwise plane net's run of the FLAIR or from the stack,
-    and writes the fused run over the first stacked plane, or into a volume of
-    its own when none is stacked. So no more than the stacked planes and the
-    posterior are ever whole volumes.
+    The posteriors of plane nets that are not pointwise are stacked in the
+    canonical frame. A meta net that is not pointwise fuses the stack of all
+    three, and the out-of-mask voxels of its posterior are zeroed one
+    canonical x-slab at a time. A pointwise meta net computes only the in-mask
+    voxels, gathered in canonical C order into one compact buffer: it makes
+    each run of its (3, n) input in one buffer, from a pointwise plane net's
+    forward on that run of the compact FLAIR or from the stack, and writes the
+    fused run over the compact FLAIR. The compact posterior is then scattered
+    into a zeroed volume, the first stacked plane when there is one. So no
+    out-of-mask value reaches its pointwise nets, and no more than the
+    stacked planes, the compact buffer and the posterior are ever large.
     """
     require_same_grid(flair, mask, "volume and mask")
     mask = binary_mask(mask, "brain mask")
     flair_c = to_canonical(flair)
+    inside = canonical_view(mask.data, mask.orientation)
     x = flair_c.data[np.newaxis]
 
     meta = spec.meta_net
@@ -200,22 +210,39 @@ def predict_ensemble(spec: EnsembleSpec, flair: Volume3D, mask: Volume3D) -> Vol
     for post, k in zip(stacked, in_stack):
         _tiled_posterior(plane_nets[k], x, spec.tile, spec.cores[k], post, PLANE_AXES[_PLANES[k]])
 
-    if meta.pointwise:
-        flat = x.reshape(1, -1)
-        rows = dict(zip(in_stack, stacked.reshape(len(in_stack), flat.shape[1])))
-        buf = np.empty((len(plane_nets), min(_RUN_BYTES // 8, flat.shape[1])), dtype=np.float32)
-
-        def planes(s, e):
-            run = buf[:, : e - s]
-            for k, (row, net) in enumerate(zip(run, plane_nets)):
-                row[:] = rows[k][s:e] if k in rows else _run_posterior(net, flat[:, s:e])
-            return run
-
-        fused = stacked[0] if in_stack else np.empty(flair_c.dims, dtype=np.float32)
-        _pointwise_posterior(meta, fused, planes)
-    else:
+    if not meta.pointwise:
         fused = _tiled_posterior(meta, stacked, spec.tile, spec.cores[3])
-    fused[~canonical_view(mask.data, mask.orientation)] = 0.0
+        for slab, keep in zip(fused, inside):
+            slab[~keep] = 0.0
+        return flair_c.with_data(fused)
+
+    compact = flair_c.data[inside]
+    rows = dict(zip(in_stack, stacked))
+    if rows:  # the compact index of each canonical x-slab's first in-mask voxel, and the end
+        starts = np.zeros(len(inside) + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(inside, axis=(1, 2)), out=starts[1:])
+    buf = np.empty((len(plane_nets), min(_RUN_BYTES // 8, compact.size)), dtype=np.float32)
+
+    def planes(s, e):
+        run = buf[:, : e - s]
+        if rows:  # voxels [s, e) lie in the canonical x-slabs [lo, hi)
+            lo = int(np.searchsorted(starts, s, "right")) - 1
+            hi = int(np.searchsorted(starts, e, "left"))
+            first = s - starts[lo]
+        for k, (row, net) in enumerate(zip(run, plane_nets)):
+            if k in rows:
+                row[:] = rows[k][lo:hi][inside[lo:hi]][first : first + e - s]
+            else:
+                row[:] = _run_posterior(net, compact[np.newaxis, s:e])
+        return run
+
+    _pointwise_posterior(meta, compact, planes)
+    if in_stack:
+        fused = stacked[0]
+        fused.fill(0.0)
+    else:
+        fused = np.zeros(flair_c.dims, dtype=np.float32)
+    fused[inside] = compact
     return flair_c.with_data(fused)
 
 

@@ -655,12 +655,14 @@ class TestSegment:
         # and the brain mask holds 31% of its voxels. The subject peaks in
         # normalize, holding the parsed FLAIR, the bool mask and its C-ordered
         # copy, the normalized FLAIR and the float64 in-mask values: 3.12
-        # volumes. Inference peaks at 2.25 volumes and 2 MiB: the normalized
-        # FLAIR, the bool mask, the posterior, and the run buffers (the meta
+        # volumes. Inference holds the normalized FLAIR, the bool mask and the
+        # FLAIR's in-mask voxels in one compact buffer (0.31 volumes), over
+        # which the fused runs are written. The run buffers, 2 MiB (the meta
         # net's (3, n) input, one forward's outputs and float64 scratch over a
-        # run of 32768 voxels). Its inverted mask, a quarter volume, comes once
-        # the runs are done. 1 MiB more is allowed for what does not scale
-        # with the grid: the weights, the compressed files and the report.
+        # run of 32768 voxels), are all but the (3, n) input freed when the
+        # runs are scattered into the posterior: inference peaks there, at 2.7
+        # volumes. 1 MiB more is allowed for what does not scale with the
+        # grid: the weights, the compressed files and the report.
         # One more volume kept through inference, such as a plane posterior
         # or the parsed FLAIR, breaks both bounds.
         shape = (96, 112, 80)

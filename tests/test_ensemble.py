@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from wmhkit.errors import NonBinaryInput, ShapeMismatch, TileTooSmall
 from wmhkit.layers import BatchNorm, Concat, Conv3D, MaxPool, ReLU, Softmax, UpsampleNearest
 from wmhkit.network import NetworkSpec, forward
 from wmhkit.phantom import make_phantom, mean_threshold_meta_net, threshold_detector_net
-from wmhkit.volume import Volume3D, normalize_intensity
+from wmhkit.volume import Volume3D, canonical_order, normalize_intensity
 
 
 def _averaging_meta_net(level_a, level_b):
@@ -236,36 +238,43 @@ class TestTilePlan:
 
     def test_pointwise_ensemble_passes_each_voxel_once(self, rng, monkeypatch):
         nets = _nets("pointwise", rng)
-        flair, _ = _inputs(rng, (20, 17, 13))
+        shape = (20, 17, 13)
+        # each FLAIR value is its voxel's flat index, so a run's input names its voxels
+        flair = np.arange(np.prod(shape), dtype=np.float32).reshape(shape)
+        _, mask = _inputs(rng, shape)
         monkeypatch.setattr(ensemble, "_RUN_BYTES", 8 * 1000)
-        passes, shapes, _ = _spy_plan(monkeypatch)
+        seen = _spy_runs(monkeypatch)
         spied = ensemble.forward
 
         def forward_naming_meta_runs(net, x):
             # the meta net answers its k-th run with k
             y = spied(net, x)
-            return np.full_like(y, len(shapes[id(net)])) if net is nets[3] else y
+            return np.full_like(y, len(seen[id(net)])) if net is nets[3] else y
 
         monkeypatch.setattr(ensemble, "forward", forward_naming_meta_runs)
-        post = predict_ensemble(_spec(nets, (8, 8, 8)), Volume3D(flair), Volume3D(np.ones_like(flair)))
-        # runs of 1000 consecutive voxels in storage order, whatever the tile;
-        # the last of the 4420 voxels form a shorter run
-        runs = [1000] * 4 + [420]
-        assert sorted(passes) == sorted(id(net) for net in nets)
-        assert all(shapes[id(net)] == [(n, 1, 1) for n in runs] for net in nets)
+        post = predict_ensemble(_spec(nets, (8, 8, 8)), Volume3D(flair), Volume3D(mask))
+        # runs of 1000 in-mask voxels in canonical C order, whatever the tile;
+        # the last of them form a shorter run
+        inside = np.flatnonzero(mask)
+        runs = [min(1000, inside.size - s) for s in range(0, inside.size, 1000)]
+        assert len(runs) == 4 and runs[-1] < 1000
+        assert sorted(seen) == sorted(id(net) for net in nets)
+        assert all([run.shape[1] for run in seen[id(net)]] == runs for net in nets)
         for net in nets[:3]:
-            counts = passes[id(net)]
-            assert counts.shape == (20, 17, 13) and np.all(counts == 1)
-        # the meta net reads its runs from a buffer, not from a volume, so its
-        # runs are counted by where they land in the fused posterior
-        assert np.array_equal(post.data.reshape(-1), np.repeat(np.arange(1, len(runs) + 1), runs))
+            # every in-mask voxel once, in C order, and no voxel outside the mask
+            assert np.array_equal(np.concatenate(seen[id(net)], axis=1)[0], inside)
+        # the meta net reads its runs from a buffer, so its runs are counted by
+        # where they land in the fused posterior; every other voxel is 0
+        want = np.zeros(mask.size, np.float32)
+        want[inside] = np.repeat(np.arange(1, len(runs) + 1), runs)
+        assert np.array_equal(post.data.reshape(-1), want)
 
     @pytest.mark.parametrize("kind", ["phantom", "pointwise", "mixed", "tiled_planes"])
     @pytest.mark.parametrize(
         "shape, run",
         [
-            ((20, 17, 13), 1000),  # 4420 voxels: four full runs and one of 420
-            ((10, 10, 10), 250),  # a whole number of runs
+            ((20, 17, 13), 1000),  # about 3540 of 4420 voxels in the mask: runs of 1000 and a shorter one
+            ((10, 10, 10), 250),
             ((5, 7, 3), None),  # 105 voxels: less than one run at the module budget
             ((3, 1, 2), 1),  # one voxel per run
         ],
@@ -275,13 +284,116 @@ class TestTilePlan:
             monkeypatch.setattr(ensemble, "_RUN_BYTES", 8 * run)
         nets = _nets(kind, rng)
         flair, mask = _inputs(rng, shape)
-        _, shapes, _ = _spy_plan(monkeypatch)
+        seen = _spy_runs(monkeypatch)
         got = predict_ensemble(_spec(nets, (6, 5, 4)), Volume3D(flair), Volume3D(mask))
         assert np.array_equal(got.data, whole_volume_ensemble(forward, nets, flair, mask))
-        size = int(np.prod(shape))
+        # every pointwise net runs over the in-mask voxels alone, in runs
+        inside = flair[mask > 0]
         n = ensemble._RUN_BYTES // 8
-        want = [(min(n, size - s), 1, 1) for s in range(0, size, n)]
-        assert all(shapes[id(net)] == want for net in nets if net.pointwise)
+        want = [min(n, inside.size - s) for s in range(0, inside.size, n)]
+        assert all([r.shape[1] for r in seen.get(id(net), [])] == want for net in nets if net.pointwise)
+        for net in nets[:3]:
+            if net.pointwise:
+                # every in-mask voxel once, in C order, and no voxel outside the mask
+                assert np.array_equal(np.concatenate(seen[id(net)], axis=1)[0], inside)
+
+    @pytest.mark.parametrize("kind", ["phantom", "pointwise", "mixed", "tiled_planes"])
+    def test_last_in_mask_run_of_one_voxel_matches_reference(self, rng, monkeypatch, kind):
+        # 3 * 16 + 1 in-mask voxels in runs of 16: the last run holds one voxel
+        nets = _nets(kind, rng)
+        shape = (5, 7, 3)
+        flair, _ = _inputs(rng, shape)
+        mask = np.zeros(shape, np.float32)
+        mask.reshape(-1)[rng.choice(mask.size, 3 * 16 + 1, replace=False)] = 1.0
+        monkeypatch.setattr(ensemble, "_RUN_BYTES", 8 * 16)
+        seen = _spy_runs(monkeypatch)
+        spec = _spec(nets, (4, 4, 3))
+        want = whole_volume_ensemble(forward, nets, flair, mask)
+        for orientation in all_signed_orientations():
+            seen.clear()
+            v = Volume3D(_inverse_remap(flair, orientation), orientation=orientation)
+            m = Volume3D(_inverse_remap(mask, orientation), orientation=orientation)
+            assert np.array_equal(predict_ensemble(spec, v, m).data, want), orientation
+            assert [r.shape[1] for r in seen[id(nets[3])]] == [16, 16, 16, 1], orientation
+
+    @pytest.mark.parametrize("kind", ["phantom", "pointwise"])
+    def test_non_finite_flair_outside_the_mask_reaches_no_pointwise_net(self, rng, monkeypatch, kind):
+        nets = _nets(kind, rng)
+        flair, mask = _inputs(rng, (9, 8, 7))
+        outside = np.flatnonzero(mask == 0)
+        flair.reshape(-1)[outside] = np.resize(np.array([np.nan, np.inf, -np.inf], np.float32), outside.size)
+        with warnings.catch_warnings():  # the oracle computes the non-finite voxels too
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = whole_volume_ensemble(forward, nets, flair, mask)
+        seen = _spy_runs(monkeypatch)
+        got = predict_ensemble(_spec(nets, (4, 4, 4)), Volume3D(flair), Volume3D(mask))
+        assert np.array_equal(got.data, want)
+        assert sorted(seen) == sorted(id(net) for net in nets)
+        assert all(np.isfinite(run).all() for runs in seen.values() for run in runs)
+
+    @pytest.mark.parametrize("kind", ["phantom", "pointwise", "mixed", "tiled_planes"])
+    def test_empty_mask_gives_a_zero_posterior_without_pointwise_runs(self, rng, monkeypatch, kind):
+        nets = _nets(kind, rng)
+        flair, _ = _inputs(rng, (6, 5, 4))
+        seen = _spy_runs(monkeypatch)
+        post = predict_ensemble(_spec(nets, (4, 4, 4)), Volume3D(flair), Volume3D(np.zeros_like(flair)))
+        assert post.data.tobytes() == bytes(4 * flair.size)  # +0.0 everywhere
+        assert seen == {}
+
+    def test_tiled_meta_zeroes_outside_the_mask_one_slab_at_a_time(self, rng, monkeypatch):
+        # the out-of-mask voxels of a tiled meta net's posterior are zeroed one
+        # canonical x-slab at a time: that allocates one bool slab, and 16 KiB
+        # is allowed for numpy's iterator buffers, where an inverted mask of the
+        # whole volume would take eight slabs
+        nets = _nets("receptive", rng)
+        shape = (8, 192, 160)
+        flair, mask = _inputs(rng, shape)
+        spec = _spec(nets, (192, 192, 192))
+        real = ensemble._tiled_posterior
+        fused = []
+
+        def spy(net, *args, **kwargs):
+            post = real(net, *args, **kwargs)
+            if net is nets[3]:
+                fused.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+            return post
+
+        monkeypatch.setattr(ensemble, "_tiled_posterior", spy)
+        for orientation in all_signed_orientations()[::7]:
+            # the mask stored in Fortran order, as a parsed NIfTI is
+            v = Volume3D(_stored(flair, orientation), orientation=orientation)
+            m = Volume3D(np.asfortranarray(_stored(mask > 0, orientation)), orientation=orientation)
+            fused.clear()
+            tracemalloc.start()
+            try:
+                predict_ensemble(spec, v, m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - fused[0] <= shape[1] * shape[2] + 2**14, (orientation, peak - fused[0])
+
+    def test_tiled_planes_and_pointwise_meta_peak_adds_at_most_the_compact_buffer(self, rng, monkeypatch):
+        # The three tiled plane posteriors are stacked. Once they were fused,
+        # the inverted mask, a quarter volume, came on top of them; now the
+        # compact in-mask buffer may come on top of that. A compact copy of
+        # each stacked plane breaks the bound. 512 KiB is allowed for one
+        # block's or one run's forward and buffers.
+        monkeypatch.setattr(ensemble, "_RUN_BYTES", 8 * 1024)
+        nets = _nets("tiled_planes", rng)
+        shape = (64, 96, 96)
+        flair = rng.normal(size=shape).astype(np.float32)
+        mask = rng.random(shape) < 0.3
+        spec = _spec(nets, (24, 24, 24))
+        tracemalloc.start()
+        try:
+            predict_ensemble(spec, Volume3D(flair), Volume3D(mask))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        volume_bytes = 4 * mask.size
+        in_mask = np.count_nonzero(mask) / mask.size
+        assert peak <= (3.25 + in_mask) * volume_bytes + 2**19, peak / volume_bytes
 
     @pytest.mark.parametrize("kind", ["receptive", "pool"])
     def test_other_nets_overlap_tiles_in_their_planes(self, rng, monkeypatch, kind):
@@ -370,28 +482,36 @@ def _spy_plan(monkeypatch):
     Returns ``passes`` (id(net) -> how often forward saw each voxel of the
     net's input array), ``shapes`` (id(net) -> spatial shape of each forward
     call) and ``frames`` (id(net) -> the array each block is a view of and the
-    axis order of the view, one pair per block). A tile's or run's position is
-    read from its offset and strides in the contiguous array it is a view of;
-    a (C, n, 1, 1) view whose voxels are adjacent in memory is a run of n
-    consecutive voxels in storage order.
+    axis order of the view, one pair per block). A tile's position is read
+    from its offset and strides in the contiguous array it is a view of.
     """
     passes, shapes, frames = {}, {}, {}
     real_forward = ensemble.forward
 
     def spy_forward(net, x):
-        root, first = _origin(x)
-        counts = passes.setdefault(id(net), np.zeros(root.shape[-3:], np.int64))
-        if x.shape[2:] == (1, 1) and x.strides[1] == x.itemsize:
-            counts.reshape(-1)[first : first + x.shape[1]] += 1
-        else:
-            root, axes, box = _view(x)
-            counts[box] += 1
-            frames.setdefault(id(net), []).append((root, axes))
+        root, axes, box = _view(x)
+        passes.setdefault(id(net), np.zeros(root.shape[-3:], np.int64))[box] += 1
+        frames.setdefault(id(net), []).append((root, axes))
         shapes.setdefault(id(net), []).append(x.shape[1:])
         return real_forward(net, x)
 
     monkeypatch.setattr(ensemble, "forward", spy_forward)
     return passes, shapes, frames
+
+
+def _spy_runs(monkeypatch):
+    """Spy on the ensemble's forward calls on pointwise nets: returns id(net)
+    -> a copy of the (C, n) input of each (C, n, 1, 1) run, in call order."""
+    seen = {}
+    real_forward = ensemble.forward
+
+    def spy_forward(net, x):
+        if net.pointwise:
+            seen.setdefault(id(net), []).append(x[:, :, 0, 0].copy())
+        return real_forward(net, x)
+
+    monkeypatch.setattr(ensemble, "forward", spy_forward)
+    return seen
 
 
 def _normalized_phantom(seed=0, shape=(24, 24, 24)):
@@ -480,6 +600,14 @@ def _inverse_remap(canonical: np.ndarray, orientation) -> np.ndarray:
             for k in range(inv.shape[2]):
                 inv[i, j, k] = canonical[_target(orientation, inv.shape, (i, j, k))]
     return inv
+
+
+def _stored(canonical: np.ndarray, orientation) -> np.ndarray:
+    """A view of `canonical` indexed in `orientation`: the array whose
+    canonical view is `canonical`, built by axis permutes and flips."""
+    order = canonical_order(orientation)
+    flips = tuple(slice(None, None, -1) if code in "LPI" else slice(None) for code in orientation)
+    return canonical.transpose(np.argsort(order))[flips]
 
 
 def _source_dims(canonical_dims, orientation):
