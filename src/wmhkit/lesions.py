@@ -3,7 +3,9 @@
 Components are labelled from runs: the foreground's maximal stretches of
 voxels along x. Runs in nearby rows that touch are joined by a union-find
 over arrays, so labelling takes numpy alone, with no structuring element
-and no per-voxel label pass.
+and no per-voxel label pass. A labelling is its label map and one array of
+component sizes, and matching works on the pairs of ids that overlap, so no
+step makes a Python object per lesion.
 """
 
 from __future__ import annotations
@@ -28,26 +30,14 @@ NEIGHBOUR_ROWS = {
 
 
 @dataclass(frozen=True)
-class Lesion:
-    id: int
-    voxel_count: int
-    volume_ml: float
-    bbox: tuple[int, int, int, int, int, int]  # (x0, y0, z0, x1, y1, z1) inclusive
-
-
-@dataclass(frozen=True)
 class LesionSet:
     labels: Volume3D  # integer labels stored as float32; 0 = background
-    lesions: tuple[Lesion, ...]
+    sizes: np.ndarray  # int64 voxel counts in id order: sizes[i] is id i + 1's
     connectivity: int
 
     @property
     def count(self) -> int:
-        return len(self.lesions)
-
-    @property
-    def foreground_voxels(self) -> int:
-        return sum(l.voxel_count for l in self.lesions)
+        return self.sizes.size
 
 
 @dataclass(frozen=True)
@@ -168,8 +158,8 @@ def _components(fg: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.ndarr
 
 def count_components(mask: Volume3D, connectivity: int = DEFAULT_CONNECTIVITY) -> int:
     """The number of connected foreground components, which is
-    ``label_components(mask, connectivity).count`` without the label map,
-    sizes and boxes: the number of runs that are their component's first."""
+    ``label_components(mask, connectivity).count`` without the label map
+    and sizes: the number of runs that are their component's first."""
     fg, _ = _foreground(mask, connectivity)
     _, _, root = _components(fg, connectivity)
     return int(np.count_nonzero(root == np.arange(root.size)))
@@ -182,16 +172,15 @@ def label_components(mask: Volume3D, connectivity: int = DEFAULT_CONNECTIVITY) -
     by the lowest x-fastest linear index. Finding the foreground's bounding
     box and writing the float32 map are whole-volume passes; finding the runs
     is a pass over the box, which for sparse lesions is a fraction of the
-    grid; joining them, and each component's size and box, are passes over
-    the runs, and only the id order is a sort.
+    grid; joining them, and each component's size, are passes over the
+    runs, and only the id order is a sort.
 
     Labelling runs on the mask with its axes reversed, so its storage order
     is x-fastest, and only on its foreground's bounding box, of which one
     bool copy is made. Runs are numbered in x-fastest order, so a
     component's first run holds its first voxel and is the root its runs
-    join to. The boxes are offset back to the grid and reversed back, and the
-    map is built in the reversed axes and returned transposed, F-contiguous,
-    in the mask's axes.
+    join to. The map is built in the reversed axes and returned transposed,
+    F-contiguous, in the mask's axes.
     """
     fg, box = _foreground(mask, connectivity)
     start, stop, root = _components(fg, connectivity)
@@ -209,27 +198,7 @@ def label_components(mask: Volume3D, connectivity: int = DEFAULT_CONNECTIVITY) -
     label_map = np.zeros(mask.data.shape[::-1], dtype=np.float32)
     label_map[box][fg] = np.repeat(remap[comp], length)
 
-    ny, width = fg.shape[1], fg.shape[2] + 1
-    del fg
-    row = start // width
-    z, y = np.divmod(row, ny)
-    x0 = start - row * width
-    extents = []  # x0, y0, z0, x1, y1, z1 of each component, in the box
-    for ufunc, values in ((np.minimum, x0), (np.minimum, y), (np.minimum, z),
-                          (np.maximum, x0 + length - 1), (np.maximum, y), (np.maximum, z)):
-        extent = values[first]
-        ufunc.at(extent, comp, values)
-        extents.append(extent)
-    offset = [b.start for b in box[::-1]] * 2
-    bboxes = (np.stack(extents, axis=1) + offset).tolist()
-
-    voxel_ml = mask.voxel_volume_mm3 / 1000.0
-    sizes = counts.tolist()
-    lesions = tuple(
-        Lesion(id=new_id, voxel_count=sizes[old], volume_ml=float(sizes[old]) * voxel_ml, bbox=tuple(bboxes[old]))
-        for new_id, old in enumerate(order.tolist(), start=1)
-    )
-    return LesionSet(labels=mask.with_data(label_map.T), lesions=lesions, connectivity=connectivity)
+    return LesionSet(labels=mask.with_data(label_map.T), sizes=counts[order], connectivity=connectivity)
 
 
 def match_lesions(pred: LesionSet, gt: LesionSet) -> LesionMatching:
@@ -241,6 +210,10 @@ def match_lesions(pred: LesionSet, gt: LesionSet) -> LesionMatching:
     (ties to the smaller reference id, then smaller predicted id); extra
     predictions collapsing onto an already-paired reference lesion are
     neither paired nor counted as false positives.
+
+    The overlapping pairs and their voxel counts come from one ``np.unique``
+    of pair keys; the unmatched ids are those a bool table of hit ids leaves
+    False.
     """
     require_same_dims(pred.labels, gt.labels, "label maps")
     # voxels are visited in storage order; the overlap counts do not depend on it
@@ -248,34 +221,32 @@ def match_lesions(pred: LesionSet, gt: LesionSet) -> LesionMatching:
     pred_ids = pred.labels.data.ravel(order)
     gt_ids = gt.labels.data.ravel(order)
     both = (pred_ids > 0) & (gt_ids > 0)
-    overlaps: dict[tuple[int, int], int] = {}
-    if both.any():
-        p = pred_ids[both].astype(np.int64)
-        g = gt_ids[both].astype(np.int64)
-        base = int(g.max()) + 1
-        uniq, cnt = np.unique(p * base + g, return_counts=True)
-        pids, gids = np.divmod(uniq, base)
-        overlaps = dict(zip(zip(pids.tolist(), gids.tolist()), cnt.tolist()))
+    # int64 ids, so the pair keys and the ids split from them index arrays
+    # even when no voxel overlaps
+    p = pred_ids[both].astype(np.int64)
+    g = gt_ids[both].astype(np.int64)
+    base = gt.count + 1
+    keys, overlap = np.unique(p * base + g, return_counts=True)
+    pids, gids = np.divmod(keys, base)
 
-    pred_hit = {pid for pid, _ in overlaps}
-    gt_hit = {gid for _, gid in overlaps}
+    pred_hit = np.zeros(pred.count + 1, dtype=bool)
+    pred_hit[pids] = True
+    gt_hit = np.zeros(gt.count + 1, dtype=bool)
+    gt_hit[gids] = True
 
     pairs: list[tuple[int, int]] = []
-    used_pred: set[int] = set()
-    used_gt: set[int] = set()
-    for (pid, gid), _ in sorted(overlaps.items(), key=lambda kv: (-kv[1], kv[0][1], kv[0][0])):
-        if pid in used_pred or gid in used_gt:
-            continue
-        pairs.append((pid, gid))
-        used_pred.add(pid)
-        used_gt.add(gid)
+    used_pred = [False] * (pred.count + 1)
+    used_gt = [False] * (gt.count + 1)
+    walk = np.lexsort((pids, gids, -overlap))  # descending overlap, then smaller gt id, then smaller pred id
+    for pid, gid in zip(pids[walk].tolist(), gids[walk].tolist()):
+        if not (used_pred[pid] or used_gt[gid]):
+            pairs.append((pid, gid))
+            used_pred[pid] = used_gt[gid] = True
 
-    unmatched_pred = tuple(l.id for l in pred.lesions if l.id not in pred_hit)
-    unmatched_gt = tuple(l.id for l in gt.lesions if l.id not in gt_hit)
     return LesionMatching(
         pairs=tuple(sorted(pairs, key=lambda t: t[1])),
-        unmatched_pred=unmatched_pred,
-        unmatched_gt=unmatched_gt,
+        unmatched_pred=tuple((np.flatnonzero(~pred_hit[1:]) + 1).tolist()),
+        unmatched_gt=tuple((np.flatnonzero(~gt_hit[1:]) + 1).tolist()),
         n_pred=pred.count,
         n_gt=gt.count,
     )

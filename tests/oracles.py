@@ -234,11 +234,11 @@ def argsort_pr_curve(post: np.ndarray, gt: np.ndarray, mask: np.ndarray):
     return scores_sorted[last], precision, recall, auc
 
 
-def copying_label_components(mask: np.ndarray, connectivity: int, voxel_ml: float = 0.001):
+def copying_label_components(mask: np.ndarray, connectivity: int):
     """Component labels in the mask's own axes: ``ndimage.label``, sizes by a
     bincount of every voxel, first x-fastest indices from an F-order copy of
     the labels, ids by (size desc, first index). Returns the float32 id map
-    and, in id order, (id, voxel_count, volume_ml, bbox) tuples."""
+    and the voxel counts in id order."""
     from scipy import ndimage
 
     rank = {6: 1, 18: 2, 26: 3}[connectivity]
@@ -251,17 +251,7 @@ def copying_label_components(mask: np.ndarray, connectivity: int, voxel_ml: floa
     order = np.lexsort((first_idx, -counts))
     remap = np.zeros(n + 1, dtype=np.float32)
     remap[order + 1] = np.arange(1, n + 1, dtype=np.float32)
-    boxes = ndimage.find_objects(raw)
-    lesions = [
-        (
-            new_id,
-            int(counts[old]),
-            float(counts[old]) * voxel_ml,
-            tuple(s.start for s in boxes[old]) + tuple(s.stop - 1 for s in boxes[old]),
-        )
-        for new_id, old in enumerate(order.tolist(), start=1)
-    ]
-    return remap[raw], lesions
+    return remap[raw], counts[order]
 
 
 # ---------------------------------------------------------------------------

@@ -117,13 +117,29 @@ class TestLabelComponents:
             tracemalloc.stop()
         assert peak <= 8 * 4 * int(np.prod(shape)), peak
 
+    @pytest.mark.parametrize("shape", [(64, 64, 64), (96, 112, 80)])
+    def test_lattice_peak_is_bounded_in_float32_volumes(self, shape):
+        # every eighth voxel is its own component: labelling holds a few
+        # arrays per run and per component, and no object per component
+        data = np.zeros(shape, np.float32)
+        data[::2, ::2, ::2] = 1.0
+        mask = _mask(data)
+        tracemalloc.start()
+        try:
+            out = label_components(mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.count == int(data.sum())
+        assert peak <= 5 * 4 * data.size, peak / (4 * data.size)
+
     def test_ids_contiguous_sorted_by_size(self, rng):
         mask = (rng.random((12, 12, 12)) < 0.2).astype(np.float32)
         out = label_components(_mask(mask))
-        ids = [l.id for l in out.lesions]
-        assert ids == list(range(1, out.count + 1))
-        counts = [l.voxel_count for l in out.lesions]
-        assert counts == sorted(counts, reverse=True)
+        assert out.sizes.dtype == np.int64
+        assert np.array_equal(np.unique(out.labels.data), np.arange(out.count + 1))
+        assert np.array_equal(np.bincount(out.labels.data.astype(np.int64).ravel())[1:], out.sizes)
+        assert np.all(np.diff(out.sizes) <= 0)
 
     def test_size_tie_breaks_by_linear_index(self):
         # two single-voxel lesions; x-fastest order ranks (0,0,0) before (0,0,3)
@@ -137,18 +153,16 @@ class TestLabelComponents:
     def test_counts_partition_foreground(self, rng):
         mask = (rng.random((10, 10, 10)) < 0.3).astype(np.float32)
         out = label_components(_mask(mask))
-        assert out.foreground_voxels == int(mask.sum())
+        assert int(out.sizes.sum()) == int(mask.sum())
         fg = out.labels.data > 0
         assert np.array_equal(fg, mask > 0)
 
-    def test_volume_and_bbox(self):
+    def test_size_of_one_lesion(self):
         data = np.zeros((5, 5, 5), dtype=np.float32)
         data[1:3, 1:4, 2] = 1.0
         out = label_components(_mask(data, spacing=(2.0, 1.0, 1.0)))
-        lesion = out.lesions[0]
-        assert lesion.voxel_count == 6
-        assert lesion.volume_ml == pytest.approx(6 * 2.0 / 1000.0)
-        assert lesion.bbox == (1, 1, 2, 2, 3, 2)
+        assert out.sizes.tolist() == [6]
+        assert np.array_equal(out.labels.data, data)
 
 
 class TestMatchLesions:
@@ -218,18 +232,17 @@ class TestMatchLesions:
 
 
 def _reference_lesions(mask: np.ndarray, connectivity: int):
-    """(voxel_count, bbox) per component in id order, and each component's voxels,
-    from the flood-fill oracle and one np.nonzero per component."""
+    """The voxel count of each component in id order, and each component's
+    voxels, from the flood-fill oracle and one np.nonzero per component."""
     flood = flood_fill_label(mask > 0, connectivity)
     nx, ny, _ = mask.shape
     comps = []
     for k in range(1, int(flood.max()) + 1):
         xs, ys, zs = np.nonzero(flood == k)
         first = int((xs + nx * (ys + ny * zs)).min())
-        bbox = (int(xs.min()), int(ys.min()), int(zs.min()), int(xs.max()), int(ys.max()), int(zs.max()))
-        comps.append((-xs.size, first, bbox, flood == k))
+        comps.append((-xs.size, first, flood == k))
     comps.sort(key=lambda c: (c[0], c[1]))
-    return [(-c[0], c[2]) for c in comps], [c[3] for c in comps]
+    return [-c[0] for c in comps], [c[2] for c in comps]
 
 
 class TestManyComponents:
@@ -258,16 +271,14 @@ class TestManyComponents:
         assert partitions_equal(got.labels.data.astype(np.int64), want)
 
     @pytest.mark.parametrize("connectivity", [6, 18, 26])
-    def test_counts_bboxes_and_order_match_brute_force(self, rng, connectivity):
+    def test_sizes_and_order_match_brute_force(self, rng, connectivity):
         for shape, p in (((9, 13, 7), 0.15), ((11, 6, 10), 0.3), ((5, 8, 12), 0.5)):
             mask = (rng.random(shape) < p).astype(np.float32)
             got = label_components(_mask(mask, spacing=(0.5, 1.0, 2.0)), connectivity)
             want, voxels = _reference_lesions(mask, connectivity)
-            assert [(l.voxel_count, l.bbox) for l in got.lesions] == want
-            assert [l.id for l in got.lesions] == list(range(1, len(want) + 1))
-            for lesion, where in zip(got.lesions, voxels):
-                assert np.all(got.labels.data[where] == lesion.id)
-                assert lesion.volume_ml == pytest.approx(lesion.voxel_count / 1000.0)
+            assert got.sizes.tolist() == want
+            for lesion_id, where in enumerate(voxels, start=1):
+                assert np.all(got.labels.data[where] == lesion_id)
             assert got.labels.data.dtype == np.float32
 
 
@@ -286,12 +297,13 @@ class TestStorageOrder:
         randoms = [(rng.random(shape) < p).astype(np.float32) for p in (0.1, 0.35, 0.6)]
         for data in randoms + _edge_masks(shape, rng) + _run_masks(shape, rng):
             data = np.asfortranarray(data) if order == "F" else np.ascontiguousarray(data)
-            want_map, want = copying_label_components(data, connectivity, voxel_ml=0.001)
+            want_map, want_sizes = copying_label_components(data, connectivity)
             for dtype in (np.float32, np.bool_):  # a bool mask is cropped without a comparison
                 got = label_components(Volume3D(data.astype(dtype, order="K"), (0.5, 1.0, 2.0)), connectivity)
                 assert got.labels.data.dtype == np.float32
                 assert np.array_equal(got.labels.data, want_map)
-                assert [(l.id, l.voxel_count, l.volume_ml, l.bbox) for l in got.lesions] == want
+                assert got.sizes.dtype == np.int64
+                assert np.array_equal(got.sizes, want_sizes)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("connectivity", [6, 18, 26])
@@ -325,19 +337,27 @@ def _reference_matching(pred: np.ndarray, gt: np.ndarray):
     return overlaps, sorted(pairs, key=lambda t: t[1])
 
 
+def _assert_matches_reference(pred, gt):
+    """``match_lesions(pred, gt)`` against ``_reference_matching``; returns
+    the reference overlaps."""
+    overlaps, pairs = _reference_matching(pred.labels.data, gt.labels.data)
+    m = match_lesions(pred, gt)
+    assert list(m.pairs) == pairs
+    pred_hit = {p for p, _ in overlaps}
+    gt_hit = {g for _, g in overlaps}
+    assert m.unmatched_pred == tuple(i for i in range(1, pred.count + 1) if i not in pred_hit)
+    assert m.unmatched_gt == tuple(i for i in range(1, gt.count + 1) if i not in gt_hit)
+    assert (m.n_pred, m.n_gt) == (pred.count, gt.count)
+    assert all(type(i) is int for pair in m.pairs for i in pair)
+    assert all(type(i) is int for i in m.unmatched_pred + m.unmatched_gt)
+    return overlaps
+
+
 class TestMatchDense:
     def test_noisy_pair_matches_brute_force(self, rng):
         pred = label_components(_mask((rng.random((24, 24, 24)) < 0.3).astype(np.float32)), 6)
         gt = label_components(_mask((rng.random((24, 24, 24)) < 0.3).astype(np.float32)), 6)
-        overlaps, pairs = _reference_matching(pred.labels.data, gt.labels.data)
-        assert len(overlaps) >= 300
-        m = match_lesions(pred, gt)
-        assert list(m.pairs) == pairs
-        pred_hit = {p for p, _ in overlaps}
-        gt_hit = {g for _, g in overlaps}
-        assert m.unmatched_pred == tuple(i for i in range(1, pred.count + 1) if i not in pred_hit)
-        assert m.unmatched_gt == tuple(i for i in range(1, gt.count + 1) if i not in gt_hit)
-        assert (m.n_pred, m.n_gt) == (pred.count, gt.count)
+        assert len(_assert_matches_reference(pred, gt)) >= 300
 
     def test_label_map_layout_does_not_change_the_matching(self, rng):
         pred = label_components(_mask((rng.random((9, 14, 11)) < 0.3).astype(np.float32)), 6)
@@ -346,3 +366,61 @@ class TestMatchDense:
         c_pred, c_gt = (replace(s, labels=s.labels.with_data(np.ascontiguousarray(s.labels.data))) for s in (pred, gt))
         assert not c_pred.labels.data.flags.f_contiguous
         assert match_lesions(c_pred, gt) == match_lesions(pred, c_gt) == match_lesions(c_pred, c_gt) == want
+
+
+class TestMatchEdges:
+    """Matchings with no overlap at all, where the pair keys are empty, and
+    overlaps that leave the first and the last id unmatched."""
+
+    @staticmethod
+    def _sets(pred_data, gt_data):
+        return label_components(_mask(pred_data)), label_components(_mask(gt_data))
+
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_one_side_empty(self, rng, side):
+        data = (rng.random((9, 8, 7)) < 0.2).astype(np.float32)
+        empty = np.zeros_like(data)
+        pred, gt = self._sets(data, empty) if side == "pred" else self._sets(empty, data)
+        assert max(pred.count, gt.count) > 1
+        assert _assert_matches_reference(pred, gt) == {}
+
+    def test_both_empty(self):
+        pred, gt = self._sets(np.zeros((4, 5, 6), np.float32), np.zeros((4, 5, 6), np.float32))
+        assert _assert_matches_reference(pred, gt) == {}
+        m = match_lesions(pred, gt)
+        assert (m.pairs, m.unmatched_pred, m.unmatched_gt, m.n_pred, m.n_gt) == ((), (), (), 0, 0)
+
+    def test_disjoint_sets_overlap_nothing(self, rng):
+        data = (rng.random((10, 9, 8)) < 0.3).astype(np.float32)
+        pred_data, gt_data = data.copy(), data.copy()
+        pred_data[:, :, 4:] = 0.0
+        gt_data[:, :, :4] = 0.0
+        pred, gt = self._sets(pred_data, gt_data)
+        assert pred.count > 1 and gt.count > 1
+        assert _assert_matches_reference(pred, gt) == {}
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_first_and_last_ids_unmatched(self, swap):
+        # three lesions of 8, 4 and 1 voxels, so ids 1..3 by size; the other
+        # mask overlaps only the middle one, leaving ids 1 and K = 3 unmatched
+        three = np.zeros((12, 4, 4), np.float32)
+        three[0:2, 0:2, 0:2] = 1.0
+        three[4:8, 1, 1] = 1.0
+        three[10, 2, 2] = 1.0
+        middle = np.zeros_like(three)
+        middle[5:7, 1, 1] = 1.0
+        pred, gt = self._sets(middle, three) if swap else self._sets(three, middle)
+        assert _assert_matches_reference(pred, gt) == ({(1, 2): 2} if swap else {(2, 1): 2})
+        m = match_lesions(pred, gt)
+        assert (m.unmatched_gt if swap else m.unmatched_pred) == (1, 3)
+        assert (m.unmatched_pred if swap else m.unmatched_gt) == ()
+
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_random_pairs_match_brute_force(self, rng, connectivity):
+        # sparse to dense pairs on small grids, many with an empty side or no overlap
+        for _ in range(40):
+            shape = tuple(int(n) for n in rng.integers(1, 9, size=3))
+            p_pred, p_gt = rng.choice([0.0, 0.05, 0.2, 0.5], size=2)
+            pred = label_components(_mask((rng.random(shape) < p_pred).astype(np.float32)), connectivity)
+            gt = label_components(_mask((rng.random(shape) < p_gt).astype(np.float32)), connectivity)
+            _assert_matches_reference(pred, gt)
