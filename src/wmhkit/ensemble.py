@@ -1,35 +1,38 @@
 """Orthogonal-plane ensemble inference with meta-network fusion.
 
 The pipeline: run each plane's network over the normalized volume in that
-plane's frame, stack the three posteriors as channels in the canonical frame,
-and fuse them with the meta network. Fusion happens in canonical space, so
-results are bit-exact regardless of the input volume's on-disk orientation.
+plane's frame, stack the three posteriors as channels, and fuse them with the
+meta network. Every whole volume is stored in the normalized FLAIR's memory
+order, x-fastest for a parsed volume, and the canonical frame is only a view
+of it (``volume.canonical_view``). Each voxel goes through the same
+operations whatever the storage order, so results are bit-exact regardless
+of the input volume's on-disk orientation.
 
-The tile plan follows from each network's receptive field. A pointwise net
-(receptive field of one voxel) commutes with the plane's axis permutation, so
-it runs on the canonical volume directly, over runs of consecutive voxels in
-storage order, each sized by ``_RUN_BYTES`` and viewed as a (C, n, 1, 1)
-tensor: each voxel is computed once, and the tile geometry is unused. Any other
-net runs in its plane's frame on an axis-permuted view of the canonical volume,
-by U-Net's overlap-tile strategy (arXiv:1505.04597, Fig. 2): disjoint core
-blocks, each computed with the net's halo and cropped to its core, give one
-whole-volume pass bit for bit. Each core is written through the same permuted
-view of the canonical posterior, so no plane makes a copy of either.
+Inference indexes the FLAIR and the mask so that C order walks that memory,
+their axes reversed when the FLAIR is F-ordered. The tile plan follows from
+each network's receptive field. A pointwise net (receptive field of one
+voxel) commutes with any flip or permutation of the axes, so it runs over
+runs of consecutive voxels in memory order, each sized by ``_RUN_BYTES`` and
+viewed as a (C, n, 1, 1) tensor: each voxel is computed once, and the tile
+geometry is unused. Any other net runs in its plane's frame, an
+axis-permuted canonical view of the storage, by U-Net's overlap-tile
+strategy (arXiv:1505.04597, Fig. 2): disjoint core blocks, each computed
+with the net's halo and cropped to its core, give one whole-volume pass bit
+for bit. Each core is written through the same view of the posterior, so no
+plane makes a copy of either.
 
-The bool brain mask is read through its canonical view, in whatever order it
-is stored, and the normalized volume, stored by ``volume.canonical_zeros``,
-reaches the canonical frame without a copy. A pointwise meta net fuses only
-the in-mask voxels, since every other posterior voxel is 0: they are gathered
-once from the FLAIR, in canonical C order, and every pointwise net, plane or
-meta, runs over that compact buffer in runs, each plane net's run made as the
-meta net needs it. Only the posteriors of plane nets that need tiles are
-stacked as volumes, and the meta net reads each of its runs from them one
-range of canonical x-slabs at a time. The fused runs are written over the
-compact buffer once read, then scattered into a zeroed posterior. With 1x1x1
-nets the plane posteriors are never whole volumes, and the out-of-mask voxels
-are never computed. A meta net that needs tiles reads out-of-mask neighbours,
-so it and the plane nets run over the whole grid, and its out-of-mask
-posterior is zeroed one canonical x-slab at a time.
+A pointwise meta net fuses only the in-mask voxels, since every other
+posterior voxel is 0: they are gathered once from the FLAIR, in memory
+order, and every pointwise net, plane or meta, runs over that compact buffer
+in runs, each plane net's run made as the meta net needs it. Only the
+posteriors of plane nets that need tiles are stacked as volumes, and the
+meta net reads each of its runs from them one range of slabs of the slowest
+memory axis at a time. The fused runs are written over the compact buffer
+once read, then scattered into a zeroed posterior. With 1x1x1 nets the plane
+posteriors are never whole volumes, and the out-of-mask voxels are never
+computed. A meta net that needs tiles reads out-of-mask neighbours, so it
+and the plane nets run over the whole grid, and its out-of-mask posterior is
+zeroed one slab of the slowest memory axis at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .errors import InputError, ShapeCheckFailed, ShapeMismatch, TileTooSmall
 from .layers import _RUN_BYTES
 from .network import NetworkSpec, forward, infer_shapes
 from .reformat import PLANE_AXES, PlaneOrientation, to_canonical
-from .volume import Volume3D, binary_mask, canonical_view, require_binary, require_same_grid
+from .volume import CANONICAL_ORIENTATION, Volume3D, binary_mask, canonical_view, require_binary, require_same_grid
 
 DEFAULT_TILE = (64, 64, 64)
 DEFAULT_THRESHOLD = 0.5
@@ -131,18 +134,20 @@ def _tiled_posterior(
     tile: tuple[int, int, int],
     core: tuple[int, int, int],
     out: np.ndarray | None = None,
+    orientation: tuple[str, str, str] = CANONICAL_ORIENTATION,
     axes: tuple[int, int, int] = (0, 1, 2),
 ) -> np.ndarray:
     """Channel-1 posterior for a (C, D, H, W) input array, as float32 (D, H, W),
-    written into ``out`` (C-contiguous) when given.
+    written into ``out`` when given, C-contiguous for a pointwise net. Both
+    are indexed in ``orientation``.
 
-    A pointwise net runs by ``_pointwise_posterior``, each run a view of the
-    input, so each voxel is computed once and ``tile``, ``core`` and ``axes``
-    are unused.
-    Any other net runs in the frame whose axis i is the input's spatial axis
+    A pointwise net runs by ``_pointwise_posterior`` in C order, each run a
+    view of the input, so each voxel is computed once and ``tile``, ``core``,
+    ``orientation`` and ``axes`` are unused.
+    Any other net runs in the frame whose axis i is canonical axis
     ``axes[i]``, and must map that frame's dims to themselves. It runs on a
     view of each block's input of ``_blocks`` in that frame and writes the
-    block's core through the same permuted view of ``out``.
+    block's core through the same view of ``out``.
     """
     if net.out_channels < 2:
         raise ShapeMismatch(
@@ -155,8 +160,8 @@ def _tiled_posterior(
         flat = x.reshape(x.shape[0], -1)
         return _pointwise_posterior(net, out, lambda s, e: flat[:, s:e])
 
-    x = x.transpose(0, *(a + 1 for a in axes))
-    frame = out.transpose(axes)
+    x = canonical_view(x, orientation).transpose(0, *(a + 1 for a in axes))
+    frame = canonical_view(out, orientation).transpose(axes)
     spatial = x.shape[1:]
     produced = infer_shapes(net, spatial)[-1][1:]
     if produced != spatial:
@@ -179,53 +184,64 @@ def tiled_forward(net: NetworkSpec, v: Volume3D, tile: tuple[int, int, int] = DE
     return v.with_data(post)
 
 
+def _reversed(v: Volume3D) -> Volume3D:
+    """``v`` indexed with its axes reversed: the same memory, whose C order
+    is ``v``'s F order, and the same ``canonical_view``."""
+    return Volume3D(v.data.T, v.spacing[::-1], v.orientation[::-1])
+
+
 def predict_ensemble(spec: EnsembleSpec, flair: Volume3D, mask: Volume3D) -> Volume3D:
     """Full ensemble posterior for a normalized volume, in the canonical frame.
 
     Expects ``flair`` already intensity-normalized within ``mask``. Returns a
-    posterior map with out-of-mask voxels forced to 0.
+    posterior map with out-of-mask voxels forced to 0, stored in ``flair``'s
+    memory order (F when it is F-contiguous, C otherwise) and returned as
+    its canonical view. A mask stored in another layout is copied once.
 
-    The posteriors of plane nets that are not pointwise are stacked in the
-    canonical frame. A meta net that is not pointwise fuses the stack of all
-    three, and the out-of-mask voxels of its posterior are zeroed one
-    canonical x-slab at a time. A pointwise meta net computes only the in-mask
-    voxels, gathered in canonical C order into one compact buffer: it makes
-    each run of its (3, n) input in one buffer, from a pointwise plane net's
-    forward on that run of the compact FLAIR or from the stack, and writes the
-    fused run over the compact FLAIR. The compact posterior is then scattered
-    into a zeroed volume, the first stacked plane when there is one. So no
-    out-of-mask value reaches its pointwise nets, and no more than the
-    stacked planes, the compact buffer and the posterior are ever large.
+    The posteriors of plane nets that are not pointwise are stacked in that
+    storage order. A meta net that is not pointwise fuses the stack of all
+    three, and the out-of-mask voxels of its posterior are zeroed one slab of
+    the slowest memory axis at a time. A pointwise meta net computes only the
+    in-mask voxels, gathered in memory order into one compact buffer: it
+    makes each run of its (3, n) input in one buffer, from a pointwise plane
+    net's forward on that run of the compact FLAIR or from the stack, and
+    writes the fused run over the compact FLAIR. The compact posterior is
+    then scattered into a zeroed volume, the first stacked plane when there
+    is one. So no out-of-mask value reaches its pointwise nets, and no more
+    than the stacked planes, the compact buffer and the posterior are ever
+    large.
     """
     require_same_grid(flair, mask, "volume and mask")
     mask = binary_mask(mask, "brain mask")
-    flair_c = to_canonical(flair)
-    inside = canonical_view(mask.data, mask.orientation)
-    x = flair_c.data[np.newaxis]
+    if flair.data.flags.f_contiguous:  # so that C order walks the FLAIR's memory
+        flair, mask = _reversed(flair), _reversed(mask)
+    inside = np.ascontiguousarray(mask.data)
+    x = flair.data[np.newaxis]
 
     meta = spec.meta_net
     plane_nets = (spec.axial_net, spec.sagittal_net, spec.coronal_net)
     in_stack = [k for k, net in enumerate(plane_nets) if not (meta.pointwise and net.pointwise)]
-    stacked = np.empty((len(in_stack), *flair_c.dims), dtype=np.float32)
+    stacked = np.empty((len(in_stack), *flair.dims), dtype=np.float32)
     for post, k in zip(stacked, in_stack):
-        _tiled_posterior(plane_nets[k], x, spec.tile, spec.cores[k], post, PLANE_AXES[_PLANES[k]])
+        plane = PLANE_AXES[_PLANES[k]]
+        _tiled_posterior(plane_nets[k], x, spec.tile, spec.cores[k], post, flair.orientation, plane)
 
     if not meta.pointwise:
-        fused = _tiled_posterior(meta, stacked, spec.tile, spec.cores[3])
+        fused = _tiled_posterior(meta, stacked, spec.tile, spec.cores[3], orientation=flair.orientation)
         for slab, keep in zip(fused, inside):
             slab[~keep] = 0.0
-        return flair_c.with_data(fused)
+        return to_canonical(flair.with_data(fused))
 
-    compact = flair_c.data[inside]
+    compact = flair.data[inside]
     rows = dict(zip(in_stack, stacked))
-    if rows:  # the compact index of each canonical x-slab's first in-mask voxel, and the end
+    if rows:  # the compact index of each slab's first in-mask voxel, and the end
         starts = np.zeros(len(inside) + 1, dtype=np.int64)
         np.cumsum(np.count_nonzero(inside, axis=(1, 2)), out=starts[1:])
     buf = np.empty((len(plane_nets), min(_RUN_BYTES // 8, compact.size)), dtype=np.float32)
 
     def planes(s, e):
         run = buf[:, : e - s]
-        if rows:  # voxels [s, e) lie in the canonical x-slabs [lo, hi)
+        if rows:  # voxels [s, e) lie in the slabs [lo, hi)
             lo = int(np.searchsorted(starts, s, "right")) - 1
             hi = int(np.searchsorted(starts, e, "left"))
             first = s - starts[lo]
@@ -241,9 +257,9 @@ def predict_ensemble(spec: EnsembleSpec, flair: Volume3D, mask: Volume3D) -> Vol
         fused = stacked[0]
         fused.fill(0.0)
     else:
-        fused = np.zeros(flair_c.dims, dtype=np.float32)
+        fused = np.zeros(flair.dims, dtype=np.float32)
     fused[inside] = compact
-    return flair_c.with_data(fused)
+    return to_canonical(flair.with_data(fused))
 
 
 def binarize(post: Volume3D, threshold: float = DEFAULT_THRESHOLD) -> Volume3D:

@@ -479,6 +479,10 @@ class Softmax(Layer):
             z[...] = src[:, lo:hi]
             np.max(z, axis=0, out=top)
             z -= top
+            # a z below about -104 gives a probability that rounds to 0 in
+            # float32, so the clamp keeps every output bit, and np.exp is about
+            # 17x slower where its float64 result is subnormal (z below -708)
+            np.maximum(z, -110.0, out=z)
             np.exp(z, out=z)
             np.sum(z, axis=0, out=total)
             z /= total

@@ -212,8 +212,10 @@ def match_lesions(pred: LesionSet, gt: LesionSet) -> LesionMatching:
     neither paired nor counted as false positives.
 
     The overlapping pairs and their voxel counts come from one ``np.unique``
-    of pair keys; the unmatched ids are those a bool table of hit ids leaves
-    False.
+    of pair keys, and the unmatched ids are those no pair names. A pair
+    whose ids each occur in no other pair is uncontested: the greedy always
+    takes it, and it blocks no other pair, so these pairs are taken by array
+    ops and only the contested ones are walked, in the greedy's order.
     """
     require_same_dims(pred.labels, gt.labels, "label maps")
     # voxels are visited in storage order; the overlap counts do not depend on it
@@ -228,25 +230,25 @@ def match_lesions(pred: LesionSet, gt: LesionSet) -> LesionMatching:
     base = gt.count + 1
     keys, overlap = np.unique(p * base + g, return_counts=True)
     pids, gids = np.divmod(keys, base)
+    pred_pairs = np.bincount(pids, minlength=pred.count + 1)
+    gt_pairs = np.bincount(gids, minlength=base)
 
-    pred_hit = np.zeros(pred.count + 1, dtype=bool)
-    pred_hit[pids] = True
-    gt_hit = np.zeros(gt.count + 1, dtype=bool)
-    gt_hit[gids] = True
-
-    pairs: list[tuple[int, int]] = []
+    taken = (pred_pairs[pids] == 1) & (gt_pairs[gids] == 1)
+    contested = np.flatnonzero(~taken)
     used_pred = [False] * (pred.count + 1)
-    used_gt = [False] * (gt.count + 1)
-    walk = np.lexsort((pids, gids, -overlap))  # descending overlap, then smaller gt id, then smaller pred id
-    for pid, gid in zip(pids[walk].tolist(), gids[walk].tolist()):
+    used_gt = [False] * base
+    # descending overlap, then smaller gt id, then smaller pred id
+    walk = contested[np.lexsort((pids[contested], gids[contested], -overlap[contested]))]
+    for i, pid, gid in zip(walk.tolist(), pids[walk].tolist(), gids[walk].tolist()):
         if not (used_pred[pid] or used_gt[gid]):
-            pairs.append((pid, gid))
-            used_pred[pid] = used_gt[gid] = True
+            taken[i] = used_pred[pid] = used_gt[gid] = True
+    pairs = np.flatnonzero(taken)
+    pairs = pairs[np.argsort(gids[pairs])]  # each gt id is in one taken pair at most
 
     return LesionMatching(
-        pairs=tuple(sorted(pairs, key=lambda t: t[1])),
-        unmatched_pred=tuple((np.flatnonzero(~pred_hit[1:]) + 1).tolist()),
-        unmatched_gt=tuple((np.flatnonzero(~gt_hit[1:]) + 1).tolist()),
+        pairs=tuple(zip(pids[pairs].tolist(), gids[pairs].tolist())),
+        unmatched_pred=tuple((np.flatnonzero(pred_pairs[1:] == 0) + 1).tolist()),
+        unmatched_gt=tuple((np.flatnonzero(gt_pairs[1:] == 0) + 1).tolist()),
         n_pred=pred.count,
         n_gt=gt.count,
     )

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from enum import Enum
 
-import numpy as np
-
 from .volume import CANONICAL_ORIENTATION, Volume3D, canonical_order, canonical_view
 
 
@@ -37,8 +35,6 @@ PLANE_AXES = {
 
 def to_canonical(v: Volume3D) -> Volume3D:
     """Permute/flip axes so the volume is in RAS order, values untouched. The
-    data is copied only when its canonical view is not already C-contiguous,
-    as it is for ``canonical_zeros`` storage."""
-    data = np.ascontiguousarray(canonical_view(v.data, v.orientation))
+    data is ``canonical_view`` of ``v``'s: a view, never a copy."""
     spacing = tuple(v.spacing[p] for p in canonical_order(v.orientation))
-    return Volume3D(data, spacing, CANONICAL_ORIENTATION)
+    return Volume3D(canonical_view(v.data, v.orientation), spacing, CANONICAL_ORIENTATION)

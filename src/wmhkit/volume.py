@@ -1,4 +1,11 @@
-"""Voxel grid container and in-mask intensity normalization."""
+"""Voxel grid container and in-mask intensity normalization.
+
+Volumes are computed in the memory order they are stored in. NIfTI voxels
+are x-fastest, so a parsed volume is F-ordered, and so is every whole
+volume ``segment`` makes from it: the normalized FLAIR, the posterior and
+the lesion mask. The canonical RAS frame is only a view of that storage
+(``canonical_view``).
+"""
 
 from __future__ import annotations
 
@@ -14,6 +21,11 @@ CANONICAL_ORIENTATION = ("R", "A", "S")
 # named by each code, and whether the code points along the negative direction.
 AXIS_OF_CODE = {"R": 0, "L": 0, "A": 1, "P": 1, "S": 2, "I": 2}
 NEGATIVE_CODES = frozenset({"L", "P", "I"})
+
+# normalize_intensity gathers the in-mask values this many voxels at a time,
+# so that no float32 copy of them all is made: such a copy, freed at once,
+# raised the peak RSS of a two-subject 160x192x160 batch by about 16 MB
+_GATHER_VOXELS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -93,20 +105,13 @@ def canonical_order(orientation) -> tuple[int, int, int]:
 
 
 def canonical_view(data: np.ndarray, orientation) -> np.ndarray:
-    """``data``, indexed in ``orientation``, as a view indexed in RAS order:
-    its axes flipped and permuted, no value moved or copied."""
-    return data[_flips(orientation)].transpose(canonical_order(orientation))
-
-
-def canonical_zeros(dims, orientation, dtype) -> np.ndarray:
-    """A zeroed array of ``dims``, indexed in ``orientation``, stored so that
-    its ``canonical_view`` is C-contiguous. ``normalize_intensity`` computes
-    into it, so ``to_canonical`` reads its output without a copy."""
-    axes = tuple(AXIS_OF_CODE[code] for code in orientation)
-    shape = [0, 0, 0]
-    for n, axis in zip(dims, axes):
-        shape[axis] = n
-    return np.zeros(shape, dtype).transpose(axes)[_flips(orientation)]
+    """``data``, whose last three axes are indexed in ``orientation``, as a
+    view whose last three are indexed in RAS order: those axes flipped and
+    permuted, no value moved or copied. A leading axis, such as the
+    channels of a stack, stays in front."""
+    lead = data.ndim - 3
+    axes = (*range(lead), *(lead + a for a in canonical_order(orientation)))
+    return data[(..., *_flips(orientation))].transpose(axes)
 
 
 def binary_mask(v: Volume3D, name: str = "mask") -> Volume3D:
@@ -143,26 +148,28 @@ def normalize_intensity(v: Volume3D, mask: Volume3D) -> Volume3D:
 
     Uses the in-mask mean and *population* standard deviation, so downstream
     networks see a stable intensity scale regardless of scanner units. The
-    output is indexed like ``v`` and stored as ``canonical_zeros`` stores it,
-    so ``to_canonical`` reads it without a copy. The in-mask values are
-    gathered in ``v``'s index order, one slab of its first axis at a time,
-    straight into float64, and z-scored in place.
+    output is indexed like ``v`` and stored in ``v``'s memory order: F when
+    ``v`` is F-contiguous, as ``parse_nifti`` returns it, and C otherwise.
+    Every pass walks that order: the in-mask values are gathered through
+    flat views of ``v`` and the mask straight into float64, a chunk at a
+    time, z-scored in place and scattered into the zeroed output. A mask
+    stored in another layout is copied to that order once.
 
     Raises DegenerateMask when the mask selects fewer than two voxels or the
     in-mask intensities have zero variance, and NonFiniteInput when one of
     them is NaN or infinite.
     """
     require_same_dims(v, mask, "volume and mask")
-    # gathering and scattering walk the mask in C index order, fastest on a C-ordered copy
-    inside = np.ascontiguousarray(binary_mask(mask, "brain mask").data)
-    n = int(np.count_nonzero(inside))
+    order = "F" if v.data.flags.f_contiguous else "C"
+    keep = binary_mask(mask, "brain mask").data.ravel(order)
+    n = int(np.count_nonzero(keep))
     if n < 2:
         raise DegenerateMask(f"mask selects {n} voxels; need at least 2")
-    # in the C index order of v.data[inside], with no float32 copy of them all
+    flat = v.data.ravel(order)
     vals = np.empty(n, dtype=np.float64)
     pos = 0
-    for slab, keep in zip(v.data, inside):
-        got = slab[keep]
+    for s in range(0, flat.size, _GATHER_VOXELS):
+        got = flat[s : s + _GATHER_VOXELS][keep[s : s + _GATHER_VOXELS]]
         vals[pos : pos + got.size] = got
         pos += got.size
     mu = vals.mean()
@@ -173,6 +180,6 @@ def normalize_intensity(v: Volume3D, mask: Volume3D) -> Volume3D:
         raise DegenerateMask("in-mask intensity variance is zero")
     vals -= mu
     vals /= sigma
-    out = canonical_zeros(v.dims, v.orientation, np.float32)
-    out[inside] = vals
+    out = np.zeros(v.dims, np.float32, order=order)
+    out.ravel(order)[keep] = vals
     return v.with_data(out)

@@ -653,9 +653,10 @@ class TestSegment:
     def test_subject_peak_is_bounded_in_float32_volumes(self, tmp_path, capsys, monkeypatch):
         # 96x112x80 with the 1^3 phantom nets: one float32 volume is 3.3 MiB,
         # and the brain mask holds 31% of its voxels. The subject peaks in
-        # normalize, holding the parsed FLAIR, the bool mask and its C-ordered
-        # copy, the normalized FLAIR and the float64 in-mask values: 3.12
-        # volumes. Inference holds the normalized FLAIR, the bool mask and the
+        # normalize, holding the parsed FLAIR, the bool mask, the normalized
+        # FLAIR and the float64 in-mask values: 2.87 volumes. A copy of the
+        # mask in another storage order, a quarter volume, breaks the bound.
+        # Inference holds the normalized FLAIR, the bool mask and the
         # FLAIR's in-mask voxels in one compact buffer (0.31 volumes), over
         # which the fused runs are written. The run buffers, 2 MiB (the meta
         # net's (3, n) input, one forward's outputs and float64 scratch over a
@@ -690,7 +691,7 @@ class TestSegment:
             tracemalloc.stop()
         capsys.readouterr()
         volume_bytes = 4 * int(np.prod(shape))
-        assert peak <= 3.125 * volume_bytes + 2**20, peak / volume_bytes
+        assert peak <= 2.75 * volume_bytes + 2**20, peak / volume_bytes
         assert peaks[1] <= 2.25 * volume_bytes + 3 * 2**20, peaks[1] / volume_bytes
 
     @pytest.mark.skipif(blas_threads() is None, reason="numpy's OpenBLAS thread count cannot be read or set")

@@ -217,13 +217,18 @@ class TestTilePlan:
         nets = _nets(kind, rng)
         flair, mask = _inputs(rng, (5, 7, 3))
         spec = _spec(nets, (4, 4, 3))
-        want = whole_volume_ensemble(forward, nets, flair, mask)
+        want = whole_volume_ensemble(forward, nets, flair, mask).tobytes()
+        # the storage orders of (FLAIR, mask): C, F as parsed, and either one mixed
+        layouts = [("C", "C"), ("F", "F"), ("C", "F"), ("F", "C")]
         for run in (ensemble._RUN_BYTES, 8 * 16):  # 105 voxels: one run, or six of 16 and one of 9
             monkeypatch.setattr(ensemble, "_RUN_BYTES", run)
             for orientation in all_signed_orientations():
-                v = Volume3D(_inverse_remap(flair, orientation), orientation=orientation)
-                m = Volume3D(_inverse_remap(mask, orientation), orientation=orientation)
-                assert np.array_equal(predict_ensemble(spec, v, m).data, want), (run, orientation)
+                source = _inverse_remap(flair, orientation), _inverse_remap(mask, orientation)
+                for layout in layouts:
+                    v, m = (Volume3D(np.asarray(a, order=o), orientation=orientation) for a, o in zip(source, layout))
+                    assert v.data.flags[f"{layout[0]}_CONTIGUOUS"] and m.data.flags[f"{layout[1]}_CONTIGUOUS"]
+                    got = predict_ensemble(spec, v, m).data.tobytes()
+                    assert got == want, (run, orientation, layout)
 
     @pytest.mark.parametrize("kind", ["receptive", "pool", "unet"])
     def test_other_nets_match_overlap_tile_reference(self, rng, kind):

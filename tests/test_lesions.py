@@ -415,6 +415,16 @@ class TestMatchEdges:
         assert (m.unmatched_gt if swap else m.unmatched_pred) == (1, 3)
         assert (m.unmatched_pred if swap else m.unmatched_gt) == ()
 
+    def test_stride_2_lattice_matched_against_itself(self):
+        # each single-voxel component overlaps only itself, so every pair is
+        # uncontested and no pair is walked
+        lattice = np.zeros((12, 10, 8), np.float32)
+        lattice[::2, ::2, ::2] = 1.0
+        pred, gt = self._sets(lattice, lattice)
+        assert pred.count == gt.count == 6 * 5 * 4
+        assert len(_assert_matches_reference(pred, gt)) == pred.count
+        assert match_lesions(pred, gt).pairs == tuple((i, i) for i in range(1, pred.count + 1))
+
     @pytest.mark.parametrize("connectivity", [6, 18, 26])
     def test_random_pairs_match_brute_force(self, rng, connectivity):
         # sparse to dense pairs on small grids, many with an empty side or no overlap

@@ -565,6 +565,43 @@ class TestLayers:
         assert (want != (e * (1.0 / total)).astype(np.float32)).any(axis=0).all()
         assert _same_bits(apply_layer(x, Softmax()), want)
 
+    @staticmethod
+    def _unclamped_softmax(logits):
+        """The float64 softmax formula the kernel computes, without its clamp."""
+        z = logits.astype(np.float64)
+        z = z - z.max(axis=0, keepdims=True)
+        e = np.exp(z)
+        return (e / e.sum(axis=0, keepdims=True)).astype(np.float32)
+
+    @pytest.mark.parametrize("channels", [2, 3])
+    def test_softmax_clamp_keeps_the_bits(self, rng, channels):
+        # the kernel clamps z - max z at -110, and every probability the clamp
+        # moves rounds to 0 in float32: logit gaps from 0 to 2000, past where
+        # a probability rounds to 0 (about 104), exp turns subnormal (708) and
+        # exp is 0 (745), each with the top logit in a random channel
+        gaps = np.concatenate([np.linspace(0.0, 2000.0, 8001), [103.2, 103.3, 103.9, 104.0, 110.0, 708.4, 745.2]])
+        top = rng.normal(scale=30.0, size=gaps.size)
+        x = np.stack([top, top - gaps, top - gaps * rng.random(gaps.size)][:channels])
+        x = np.take_along_axis(x, rng.permuted(np.tile(np.arange(channels)[:, None], gaps.size), axis=0), axis=0)
+        special = np.array([[np.inf, 0.0], [-np.inf, 0.0], [np.nan, 0.0], [np.inf, -np.inf],
+                            [-np.inf, -np.inf], [np.inf, np.inf], [np.nan, np.inf], [-np.inf, 5.0]]).T
+        x = np.concatenate([x, np.resize(special, (channels, special.shape[1]))], axis=1).astype(np.float32)
+        with np.errstate(invalid="ignore"):
+            want = self._unclamped_softmax(x)
+            got = apply_layer(x.reshape(channels, -1, 1, 1), Softmax())
+        assert _same_bits(got.reshape(x.shape), want)
+
+    def test_conv_softmax_with_wide_logit_gaps_matches_the_naive_oracle(self, rng):
+        # logits up to about 2000 apart through a 3^3 conv: the posterior the
+        # forward pass gives is the naive convolution's, softmaxed unclamped
+        conv = _conv(3, 2, 3, padding=(1, 1, 1), rng=rng)
+        conv = Conv3D(weights=conv.weights * np.float32(60.0), bias=conv.bias, padding=(1, 1, 1))
+        net = NetworkSpec(layers=(("logits", conv), ("post", Softmax())), in_channels=2, out_channels=3)
+        x = rng.normal(size=(2, 6, 5, 4)).astype(np.float32)
+        logits = naive_conv3d(x, conv.weights, conv.bias, conv.stride, conv.padding)
+        assert np.ptp(logits, axis=0).max() > 708.0
+        np.testing.assert_allclose(forward(net, x), self._unclamped_softmax(logits), rtol=1e-5, atol=1e-6)
+
     def test_maxpool_enumeration(self):
         x = np.arange(1.0, 9.0, dtype=np.float32).reshape(1, 2, 2, 2)
         out = apply_layer(x, MaxPool(kernel=(2, 2, 2), stride=(2, 2, 2)))

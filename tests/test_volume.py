@@ -13,7 +13,6 @@ from wmhkit.volume import (
     Volume3D,
     binary_mask,
     canonical_view,
-    canonical_zeros,
     is_binary,
     normalize_intensity,
     require_binary,
@@ -89,14 +88,21 @@ class TestBinaryHelpers:
 
 @pytest.mark.parametrize("orientation", all_signed_orientations())
 def test_canonical_zeros_read_canonically_without_a_copy(orientation):
+    # normalize_intensity's zeroed output, stored in its input's memory order
+    # (F as parsed, or C), is read in the canonical frame as a view of that
+    # storage, and so is a leading channel axis's stack
     dims = (2, 3, 4)
-    data = canonical_zeros(dims, orientation, np.float32)
-    assert data.shape == dims and not data.any()
-    data[...] = np.arange(24, dtype=np.float32).reshape(dims)
-    view = canonical_view(data, orientation)
-    assert view.flags.c_contiguous
-    assert np.array_equal(view, remap_to_ras(data, orientation))
-    assert np.shares_memory(to_canonical(Volume3D(data, orientation=orientation)).data, data)
+    c = np.arange(1, 25, dtype=np.float32).reshape(dims)
+    inside = np.arange(24).reshape(dims) % 3 > 0
+    for order in ("C", "F"):
+        v = Volume3D(np.asarray(c, order=order), orientation=orientation)
+        out = normalize_intensity(v, v.with_data(np.asarray(inside, order=order)))
+        assert out.data.flags[f"{order}_CONTIGUOUS"]
+        assert not out.data[~inside].any()
+        view = to_canonical(out)
+        assert np.shares_memory(view.data, out.data)
+        assert np.array_equal(view.data, remap_to_ras(out.data, orientation))
+        assert np.array_equal(canonical_view(out.data[np.newaxis], orientation)[0], view.data)
 
 
 def _traced_peak(fn) -> int:
@@ -110,27 +116,33 @@ def _traced_peak(fn) -> int:
 
 class TestNormalizeIntensity:
     def test_in_place_z_score_keeps_the_bits_and_lowers_the_peak(self, rng):
-        # F-ordered and flipped, as parse_nifti returns a volume; 31% in mask.
-        # The in-mask values are gathered one slab of the first axis at a
-        # time, so also: x-slabs the mask leaves empty, the first and last
-        # among them, and grids with an axis of length 1
+        # F-ordered and flipped, as parse_nifti returns a volume, and C-ordered,
+        # each with masks stored either way; 31% in mask. The output is stored
+        # in the order the volume is walked in, its own. Also: x-slabs the
+        # mask leaves empty, the first and last among them, and grids with an
+        # axis of length 1
         for shape, empty in [((64, 48, 40), []), ((64, 48, 40), [0, 1, 17, 18, 40, 63]),
                              ((1, 48, 40), []), ((64, 48, 1), [5]), ((64, 1, 40), [0, 63])]:
-            data = np.asfortranarray(rng.normal(100.0, 15.0, shape).astype(np.float32))
-            v = Volume3D(data, orientation=("L", "P", "S"))
-            inside = rng.random(shape) < 0.31
-            inside[empty] = False
-            mask = binary_mask(Volume3D(inside.astype(np.float32), orientation=v.orientation))
-            n = int(np.count_nonzero(mask.data))
-            got = normalize_intensity(v, mask)
-            assert got.data.tobytes() == zscore_in_mask(v.data, mask.data).tobytes(), shape
-            assert got.orientation == v.orientation
-            assert canonical_view(got.data, got.orientation).flags.c_contiguous
-            old = _traced_peak(lambda: zscore_in_mask(v.data, mask.data))
-            new = _traced_peak(lambda: normalize_intensity(v, mask))
-            assert new < old, (shape, new, old)
-            # the output, the float64 in-mask values and std's one temporary of them
-            assert new <= data.nbytes + 2 * 8 * n + 2**16, (shape, new, old)
+            for order, mask_order in [("F", "F"), ("F", "C"), ("C", "C"), ("C", "F")]:
+                case = (shape, order, mask_order)
+                data = np.asarray(rng.normal(100.0, 15.0, shape).astype(np.float32), order=order)
+                v = Volume3D(data, orientation=("L", "P", "S"))
+                inside = np.asarray(rng.random(shape) < 0.31, order=mask_order)
+                inside[empty] = False
+                mask = binary_mask(Volume3D(inside.astype(np.float32, order="K"), orientation=v.orientation))
+                assert mask.data.flags[f"{mask_order}_CONTIGUOUS"]
+                n = int(np.count_nonzero(mask.data))
+                got = normalize_intensity(v, mask)
+                assert got.data.tobytes() == zscore_in_mask(v.data, mask.data).tobytes(), case
+                assert got.orientation == v.orientation
+                assert got.data.flags[f"{order}_CONTIGUOUS"], case
+                old = _traced_peak(lambda: zscore_in_mask(v.data, mask.data))
+                new = _traced_peak(lambda: normalize_intensity(v, mask))
+                assert new < old, (case, new, old)
+                # the output, the float64 in-mask values and std's one temporary
+                # of them; a mask stored in the other order is copied once
+                copied = 0 if mask.data.flags[f"{order}_CONTIGUOUS"] else inside.size
+                assert new <= data.nbytes + 2 * 8 * n + copied + 2**16, (case, new, old)
 
     def test_two_point(self):
         v = _vol(np.array([1.0, 3.0, 99.0, 99.0]).reshape(1, 2, 2))
