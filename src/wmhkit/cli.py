@@ -42,7 +42,7 @@ from .stats import (
     paired_ttest,
 )
 from .tsv import write_tsv
-from .volume import Volume3D, binary_mask, normalize_intensity, require_same_dims
+from .volume import Volume3D, binary_mask, normalize_intensity, require_same_grid
 from .weights_io import ENSEMBLE_ROLES, load_ensemble, load_network, save_ensemble
 
 WEIGHTS_DIR_ENV = "WMHKIT_WEIGHTS_DIR"
@@ -319,9 +319,12 @@ def cmd_evaluate(run: Run, args):
     with run.stage("metrics"):
         pred = binary_mask(pred, "pred mask")
         gt = binary_mask(gt, "gt mask")
-        require_same_dims(pred, gt, "masks")
+        # voxels are compared by index, so every input must lie on gt's grid
+        require_same_grid(pred, gt, "masks")
         curve = None
         if posterior is not None:
+            require_same_grid(posterior, gt, "posterior and gt")
+            require_same_grid(mask, gt, "brain mask and gt")
             mask = binary_mask(mask, "brain mask")  # the parsed float32 mask is dropped here
             curve = pr_curve_auc(posterior, gt, mask)
             del posterior, mask

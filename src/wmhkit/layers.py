@@ -3,48 +3,68 @@
 Activations are float32 arrays of shape (C, D, H, W). Convolution is
 cross-correlation (no kernel flip) with zero padding, lowered to float64 GEMM
 and streamed over the input's depth planes, input-stationary: each real input
-plane i is lowered once to its im2col (Cin, kh, kw, Ho, Wo), a plane-column
-(lowering over some kernel axes only, as in MEC, arXiv 1706.06873), and
-multiplied once by the weight rows of the depth taps a that read it: all kd
-at depth stride 1, those with a = i (mod sd) at stride sd. That one GEMM gives
-a (Cout, Ho Wo) partial sum per tap; at stride 1 its kd Cout rows do kd times
-the flops per column byte streamed that one output plane's Cout rows would (a
-taller weight panel, as in Goto and van de Geijn, ACM TOMS 2008). Each partial
-is added into the float64 accumulator of the output plane that reads plane i
-through tap a; ceil(kd / sd) accumulators serve the output planes in turn. So
-each output voxel is, per depth tap a in increasing order, one float64 dot
-product over the taps (Cin, kh, kw), summed, then the bias, and it is rounded
-to float32 once. Zero-padding planes add exact zeros and are skipped, so an
-output plane that reads only padding is its bias.
+plane i is lowered once to a plane-column (lowering over some kernel axes
+only, as in MEC, arXiv 1706.06873) and multiplied by the weight rows of the
+depth taps a that read it: all kd at depth stride 1, those with a = i (mod sd)
+at stride sd. At stride 1 those kd Cout rows do kd times the flops per column
+byte streamed that one output plane's Cout rows would (a taller weight panel,
+as in Goto and van de Geijn, ACM TOMS 2008). Each GEMM adds its products
+straight into the float64 accumulators of the output planes that read plane i
+(dgemm with beta = 1): a ring of ceil(kd / sd) accumulators serves the output
+planes in turn, each zeroed when its output plane starts. Weight rows go in
+descending depth tap, so a plane's taps land in consecutive slots of the ring,
+one GEMM per run of slots; a plane with all ceil(kd / sd) taps fills the ring,
+its rows rotated into slot order.
+
+At in-plane stride 1 a plane-column's columns run at the padded row pitch
+W + 2 pw, of which the last kw - 1 of each row are not outputs, so the lowering
+copies shifted runs of the flat padded rows. With Cin kw >= 64 a plane is
+lowered over (Cin, kw) only, and each kernel row b is one GEMM on those lowered
+rows shifted down b rows: the copy is a third of the (Cin, kh, kw) lowering at
+kh = 3. With fewer input channels it is lowered over (Cin, kh, kw), one GEMM,
+as at any other in-plane stride, where the columns run at pitch Wo. So each
+output voxel is, per depth tap a in increasing order and per kernel row (or
+all kh rows at once), one float64 dot product over (Cin, kw) (or (Cin, kh, kw))
+added into its accumulator, then the bias, and it is rounded to float32 once.
+Zero-padding planes add exact zeros and are skipped, so an output plane that
+reads only padding is its bias.
 
 That loop runs in bands of output rows, each over every depth plane on its
-own rows: it fills its padded input rows (its rows and a halo of kh - sh
-rows), lowers its rows of the plane-column and adds its GEMM's (Cout, rows
-Wo) partials into its rows of the accumulators. The bands, at least two, of at
-most ``_BAND_COLS`` output columns each, follow from the output plane's shape
-alone. They run on one pool of as many threads as the process may use cores,
-``_workers()`` bands at once: the cores over the BLAS thread count, or one
-where that count is unknown. ``cli.main`` sets numpy's OpenBLAS to one thread
-while a command runs (``one_blas_thread``) and restores the count it found,
-so a conv's bands use every core and the im2col copies, plane fills and
-accumulations run in parallel too, not only the GEMM. Beyond its float32
-output, such a conv holds one allocation shared by its bands: one
-plane-column (8 Cin kh kw Ho Wo bytes), the partial sums and the
-accumulators (8 ceil(kd / sd) Cout Ho Wo bytes each), and each band's padded
-float64 input rows.
+own rows: it fills its padded float32 input rows (its rows and a halo of
+kh - sh rows), lowers them (the copy casts to float64) and runs its GEMMs into
+its rows of the ring. The bands, at least two, of at most ``_BAND_COLS`` output
+columns each, follow from the output plane's shape alone. They run on one pool
+of as many threads as the process may use cores, ``_workers()`` bands at once:
+the cores over the BLAS thread count, or one where that count is unknown.
+``cli.main`` sets numpy's OpenBLAS to one thread while a command runs
+(``one_blas_thread``) and restores the count it found, so a conv's bands use
+every core and the lowering copies and plane fills run in parallel too, not
+only the GEMM. Beyond its float32 output, such a conv holds one allocation
+shared by its bands: each band's lowered rows (8 Cin kw (rows + kh - 1)
+(W + 2 pw) bytes when lowered by kernel row, 8 Cin kh kw rows pitch otherwise)
+and its ring (8 ceil(kd / sd) Cout rows pitch bytes), and each band's padded
+float32 input rows.
+
+The GEMMs call the ``cblas_dgemm`` of the OpenBLAS that numpy bundles through
+ctypes (``_dgemm``; ``scipy_cblas_dgemm64_``, with 64-bit ints, in numpy 2's
+wheels), bound on the first conv call, not at import. Where numpy exposes no
+such symbol, each GEMM is ``np.matmul`` into a scratch buffer plus an add into
+the ring: the same float64 bits where BLAS does not split the reduction (up to
+K = 384 in OpenBLAS 0.3.31 on AVX-512), and the same float32 bits in every case
+tested.
 
 The GEMM shapes follow from the layer and the input shape alone, never from
 the core or BLAS thread count, so repeated runs are bit-identical, and so are
 runs on any number of workers. They are not free of the GEMM's column count
-N, a band's rows times Wo: in OpenBLAS 0.3.31 the float64 bits of a (48, 288),
-(48, 144) or (48, 27) DGEMM (the 32-, 16- and 3-channel 3x3x3 convs to 16
-channels) differ from a wider product's in some of the last 8 columns for
-about half of all N up to 300, while those of a (48, 9) one differ only at N =
-1. At N = 160, 576 and 4096 these four did not depend on the thread count (1
-or 2), but a (48, 432) one did. That a tiled forward equals the whole-volume
-one, and that outputs do not depend on the BLAS thread count, is therefore
-pinned by tests on float32 outputs, not guaranteed by construction. The CLI
-runs every GEMM on one thread, so its outputs depend on neither
+N, a band's rows times the pitch: in OpenBLAS 0.3.31 the float64 bits of a
+(48, 288), (48, 144) or (48, 27) DGEMM (32-, 16- and 3-channel 3x3x3 convs to
+16 channels, lowered over (Cin, kh, kw)) differ from a wider product's in some
+of the last 8 columns for about half of all N up to 300, while those of a
+(48, 9) one differ only at N = 1. At N = 160, 576 and 4096 these four did not depend on the thread count
+(1 or 2), but a (48, 432) one did. That a tiled forward equals the
+whole-volume one, and that outputs do not depend on the BLAS thread count, is
+therefore pinned by tests on float32 outputs, not guaranteed by construction.
+The CLI runs every GEMM on one thread, so its outputs depend on neither
 ``OPENBLAS_NUM_THREADS`` nor the core count.
 
 A kernel, ``forward(x, out, bindings)``, writes into ``out``: a C-contiguous
@@ -112,9 +132,11 @@ _RUN_BYTES = 256 * 2**10
 
 # most output columns (rows x Wo) in one band of a non-pointwise conv; the bands,
 # and so the GEMM shapes, follow from the layer and the input shape alone. On 2
-# vCPUs, two workers ran the 32->16 3^3 conv at 64^3 in 109-134 ms in bands of
-# 2048 columns, 121-147 ms of 1024 and 125-164 ms of 512 (more bands, more
-# Python steps per plane)
+# vCPUs, two workers ran the 32->16 3^3 conv at 64^3 in a median 104 ms in bands
+# of 2048 columns, 110 ms of 1024 and 124 ms of 512 (more bands, more Python
+# steps per plane), and the 1->16 one in 14, 18 and 28 ms (16 alternating
+# calls each). At 64^3 any larger size gives the same two bands; on an 8 x 192
+# x 160 input the 32->16 conv took a median 95 ms at 2048 and 4096 alike
 _BAND_COLS = 2048
 
 _NPROC = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -123,14 +145,20 @@ _NPROC = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else o
 POOL = ThreadPoolExecutor(max_workers=_NPROC, thread_name_prefix="wmhkit")
 
 
+def _numpy_libs():
+    """numpy's own extension module loaded as a shared library, through which the
+    symbols of the BLAS it bundles resolve."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            yield ctypes.CDLL(importlib.import_module(name).__file__)
+        except (ImportError, OSError):
+            continue
+
+
 @cache
 def _openblas():
     """(get, set) of the thread count of numpy's OpenBLAS, or None without one."""
-    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
-        try:
-            lib = ctypes.CDLL(importlib.import_module(name).__file__)
-        except (ImportError, OSError):
-            continue
+    for lib in _numpy_libs():
         for prefix in ("scipy_openblas", "openblas"):
             for suffix in ("64_", ""):
                 get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
@@ -139,6 +167,26 @@ def _openblas():
                     get.restype, get.argtypes = ctypes.c_int, []
                     put.restype, put.argtypes = None, [ctypes.c_int]
                     return get, put
+    return None
+
+
+@cache
+def _dgemm():
+    """(name, cblas_dgemm) of the BLAS numpy bundles, or None without one; a
+    conv binds it on its first call. Row-major C += A @ B is
+    ``dgemm(101, 111, 111, m, n, k, 1.0, A, lda, B, ldb, 1.0, C, ldc)``, with
+    pointers as ints and 64-bit ints for a "64_" symbol."""
+    for lib in _numpy_libs():
+        for prefix in ("scipy_", ""):
+            for suffix in ("64_", ""):
+                name = f"{prefix}cblas_dgemm{suffix}"
+                fn = getattr(lib, name, None)
+                if fn is not None:
+                    i = ctypes.c_int64 if suffix else ctypes.c_int
+                    fn.restype = None
+                    fn.argtypes = [ctypes.c_int] * 3 + [i] * 3 + [ctypes.c_double] + [ctypes.c_void_p, i] * 2 + [
+                        ctypes.c_double, ctypes.c_void_p, i]
+                    return name, fn
     return None
 
 
@@ -503,13 +551,14 @@ def conv3d(x: np.ndarray, p: Conv3D, out: np.ndarray) -> None:
     Lowered to float64 GEMM: a 1x1x1 stride-1 unpadded kernel is one matmul
     per run of voxels; any other kernel streams over the input's depth planes,
     in bands of output rows that the pool's workers run at once. Within a
-    band, each real input plane is lowered once to the band's rows of its
-    im2col (Cin, kh, kw, rows, Wo) and multiplied once by the weight rows of
-    the depth taps that read it, giving one (Cout, rows Wo) partial sum per
-    tap. Each partial is added into the band's rows of the float64 accumulator
-    of the output plane that reads the input plane through that tap. An output
-    plane takes its bias and is rounded to float32 once its last real input
-    plane is in; one that reads only zero padding is its bias.
+    band, each real input plane is lowered once, over (Cin, kw) at in-plane
+    stride 1 with Cin kw >= 64 and over (Cin, kh, kw) otherwise, and its GEMMs
+    (one per kernel row, or one) add the weight rows of the depth taps that
+    read it times the lowered rows straight into the band's rows of the
+    float64 accumulators of the output planes that read it through those
+    taps. An output plane's accumulator is zeroed at its first real input
+    plane; it takes its bias and is rounded to float32 once its last one is
+    in. An output plane that reads only zero padding is its bias.
     """
     cout, cin, kd, kh, kw = p.weights.shape
     _, do, ho, wo = out.shape
@@ -542,59 +591,92 @@ def conv3d(x: np.ndarray, p: Conv3D, out: np.ndarray) -> None:
         return
 
     d, h, w = x.shape[1:]
-    # padded plane i reaches output plane z through depth tap a = i - z*sd, so the
-    # taps a = i (mod sd) read it: one weight matrix per residue, rows in the
-    # order (a, cout), taps in the order (cin, kh, kw)
-    by_tap = p.weights.transpose(2, 0, 1, 3, 4).astype(np.float64)
-    wts = [by_tap[r::sd].reshape(-1, cin * kh * kw) for r in range(min(sd, kd))]
-    # at most ceil(kd / sd) output planes read one input plane, so as many
-    # accumulators serve them in turn: output plane z uses slot z mod nacc
-    nacc = len(wts[0]) // cout
-    flat = out.reshape(cout, do, -1)
+    wp = w + 2 * pw
+    # lowered over kl = 1 kernel row (one GEMM per kernel row) or all kl = kh
+    # (one GEMM), with columns at the padded row pitch wp at in-plane stride 1
+    stride1 = (sh, sw) == (1, 1)
+    kl = 1 if stride1 and cin * kw >= 64 else kh
+    pitch = wp if stride1 else wo
+    # by_row[b, a]: depth tap a's (cout, (cin, kl, kw)) weights for kernel rows [b kl, (b + 1) kl)
+    by_row = p.weights.astype(np.float64).reshape(cout, cin, kd, kh // kl, kl, kw).transpose(3, 2, 0, 1, 4, 5)
+    # padded plane i reaches output plane z through depth tap a = i - z*sd, so
+    # the taps a = i (mod sd) read it, and output plane z accumulates in slot z
+    # mod nacc of the ring. In descending order those taps reach consecutive
+    # output planes, the last z = i // sd: a run of slots that wraps at most
+    # once, one GEMM per run, keyed by (i mod sd, the last one's slot)
+    nacc = -(-kd // sd)
+    gemms = {}
+    for r, last in product(range(min(sd, kd)), range(nacc)):
+        taps = list(range(r, kd, sd))[::-1]
+        cut = nacc - (last - len(taps) + 1) % nacc  # taps before the ring wraps
+        runs = [(0, taps[cut:] + taps[:cut])] if len(taps) == nacc else [(nacc - cut, taps[:cut]), (0, taps[cut:])]
+        assert all(s0 + len(run) <= nacc for s0, run in runs)  # the GEMMs write inside the ring
+        gemms[r, last] = [(s0, [np.ascontiguousarray(w[run].reshape(len(run) * cout, -1)) for w in by_row])
+                          for s0, run in runs if run]
     for z in range(do):
         if not (pd < z * sd + kd and z * sd < pd + d):  # reads only padding
-            flat[:, z] = bias
-    # each real padded plane i that some output plane reads, with those planes
-    planes = [(i, zs) for i in range(pd, min(pd + d, (do - 1) * sd + kd))
+            out[:, z] = bias[:, :, None]
+    # each real padded plane i that some output plane reads, with the output
+    # planes whose first and whose last real plane it is
+    planes = [(i, [z for z in zs if i == max(z * sd, pd)], [z for z in zs if i == min(z * sd + kd, pd + d) - 1])
+              for i in range(pd, min(pd + d, (do - 1) * sd + kd))
               if (zs := range(max(0, -(-(i - kd + 1) // sd)), min(do - 1, i // sd) + 1))]
     bands = _bands(ho, wo)
-    # every band's plane-column rows, partial sums and accumulators are carved
-    # out of one allocation made here: a plane-column and 2 nacc Cout Ho Wo more
-    per_col = cin * kh * kw + 2 * nacc * cout
-    buf = np.empty(per_col * ho * wo, dtype=np.float64)
-    # and each band's padded input rows, its kh - sh halo included, zeroed once
-    pads = [np.zeros((cin, (r1 - r0 - 1) * sh + kh, w + 2 * pw), dtype=np.float64) for r0, r1 in bands]
+    k_rows = cin * kl * kw
+    # each band lowers its output rows, and at stride 1 the kh - kl rows below
+    # them that the shifted GEMMs read. Every band's lowered rows and ring (nacc
+    # Cout rows pitch) are carved out of one zeroed allocation made here, and
+    # each band has its padded float32 input rows, halo and kw - 1 spare zeros
+    # included, zeroed once
+    lowered = [((r1 - r0 + kh - kl) if stride1 else (r1 - r0)) * pitch for r0, r1 in bands]
+    spans = np.cumsum([0] + [k_rows * n + nacc * cout * (r1 - r0) * pitch for n, (r0, r1) in zip(lowered, bands)])
+    buf = np.zeros(spans[-1], dtype=np.float64)
+    pads = [np.zeros((cin, ((r1 - r0 - 1) * sh + kh) * wp + kw - 1), dtype=np.float32) for r0, r1 in bands]
+    _, dgemm = _dgemm() or (None, None)
 
-    def run_band(k, _):
-        (r0, r1), plane = bands[k], pads[k]
-        n = (r1 - r0) * wo
-        col, part, accs = np.split(buf[per_col * r0 * wo : per_col * r1 * wo],
-                                   [cin * kh * kw * n, (cin * kh * kw + nacc * cout) * n])
-        col = col.reshape(cin, kh, kw, r1 - r0, wo)
-        part, accs = part.reshape(nacc, cout, n), accs.reshape(nacc, cout, n)
+    def run_band(k, scratch):
+        (r0, r1), pad, lcol = bands[k], pads[k], lowered[k]
+        n = (r1 - r0) * pitch
+        col, ring = np.split(buf[spans[k] : spans[k + 1]], [k_rows * lcol])
+        col, ring = col.reshape(k_rows, lcol), ring.reshape(nacc, cout, n)
         # the band's padded rows start at padded row r0*sh, input row top
+        rows_p = (r1 - r0 - 1) * sh + kh
+        plane = pad[:, : rows_p * wp].reshape(cin, rows_p, wp)
         top = r0 * sh - ph
         lo = max(0, top)
-        hi = max(lo, min(h, top + plane.shape[1]))  # lo = hi: the band reads only padding rows
-        # windows[c, j, k, b, e] = plane[c, j*sh + b, k*sw + e]
-        windows = np.lib.stride_tricks.sliding_window_view(plane, (kh, kw), axis=(1, 2))
-        windows = windows[:, ::sh, ::sw].transpose(0, 3, 4, 1, 2)
-        for i, zs in planes:
+        hi = max(lo, min(h, top + rows_p))  # lo = hi: the band reads only padding rows
+        if stride1:
+            # windows[c, b, e, j] = the flat padded rows at b wp + e + j
+            windows = np.lib.stride_tricks.as_strided(pad, (cin, kl, kw, lcol), (pad.strides[0], 4 * wp, 4, 4),
+                                                      writeable=False)
+        else:
+            # windows[c, b, e, j, q] = plane[c, j*sh + b, q*sw + e]
+            windows = np.lib.stride_tricks.sliding_window_view(plane, (kh, kw), axis=(1, 2))
+            windows = windows[:, ::sh, ::sw].transpose(0, 3, 4, 1, 2)
+        lowering = col.reshape(windows.shape)
+        if dgemm is not None:
+            at, ld = col.ctypes.data, ring.ctypes.data
+        for i, starts, ends in planes:
             plane[:, lo - top : hi - top, pw : pw + w] = x[:, i - pd, lo:hi]
-            col[...] = windows
-            wt = wts[i % sd]
-            np.matmul(wt, col.reshape(-1, n), out=part[: len(wt) // cout].reshape(len(wt), n))
-            for z in zs:
-                a, acc = i - z * sd, accs[z % nacc]
-                if i == max(z * sd, pd):  # the first real plane z reads
-                    acc[...] = part[a // sd]
-                else:
-                    acc += part[a // sd]
-                if i == min(z * sd + kd, pd + d) - 1:  # the last one
-                    acc += bias
-                    flat[:, z, r0 * wo : r1 * wo] = acc
+            lowering[...] = windows  # the cast to float64
+            for z in starts:
+                ring[z % nacc] = 0.0
+            for s0, mats in gemms[i % sd, (i // sd) % nacc]:
+                for b, wt in enumerate(mats):
+                    # ring[s0:] += wt @ (the lowered rows shifted down b kernel rows)
+                    if dgemm is None:
+                        acc = ring[s0 : s0 + len(wt) // cout].reshape(len(wt), n)
+                        part = scratch[: acc.size].reshape(acc.shape)
+                        np.matmul(wt, col[:, b * wp : b * wp + n], out=part)
+                        acc += part
+                    else:
+                        dgemm(101, 111, 111, len(wt), n, k_rows, 1.0, wt.ctypes.data, k_rows,
+                              at + 8 * b * wp, lcol, 1.0, ld + 8 * s0 * cout * n, n)
+            for z in ends:
+                np.add(ring[z % nacc].reshape(cout, r1 - r0, pitch)[..., :wo], bias[:, :, None], out=out[:, z, r0:r1])
 
-    _run(run_band, len(bands))
+    _run(run_band, len(bands),
+         None if dgemm is not None else lambda: np.empty(nacc * cout * max(r1 - r0 for r0, r1 in bands) * pitch))
 
 
 def apply_layer(

@@ -980,6 +980,42 @@ class TestEvaluate:
         assert err.startswith("error [shape]: masks have different dims")
         assert not tsv.exists()
 
+    def test_gt_on_another_grid_exits_3_without_tsv(self, tmp_path, capsys):
+        # a subject stored as LPS, its voxels unchanged: segment writes RAS
+        # outputs, whose voxels lie mirrored in x and y against the gt's in
+        # world space, so comparing them by index gave a Dice of 0.197
+        ph, seg = tmp_path / "ph", tmp_path / "seg"
+        assert main(["phantom", "--out-dir", str(ph), "--seed", "0", "--shape", "48,40,36"]) == 0
+        for name in ("flair", "brain_mask", "gt"):
+            v = parse_nifti((ph / f"{name}.nii.gz").read_bytes())
+            (ph / f"{name}.nii.gz").write_bytes(write_nifti(Volume3D(v.data, v.spacing, ("L", "P", "S"))))
+        assert main(["segment", "--flair", str(ph / "flair.nii.gz"), "--mask", str(ph / "brain_mask.nii.gz"),
+                     "--weights", str(ph / "weights.sgwt"), "--out-dir", str(seg)]) == 0
+        capsys.readouterr()
+        tsv = tmp_path / "pr.tsv"
+        code = main(["evaluate", "--pred", str(seg / "flair.mask.nii.gz"), "--gt", str(ph / "gt.nii.gz"),
+                     "--posterior", str(seg / "flair.posterior.nii.gz"), "--mask", str(ph / "brain_mask.nii.gz"),
+                     "--out-pr-tsv", str(tsv)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error [shape]: masks have different orientations")
+        assert captured.err.count("\n") == 1
+        assert not tsv.exists()
+
+    @pytest.mark.parametrize("role", ["posterior", "mask"])
+    def test_posterior_or_mask_on_another_grid_exits_3_without_tsv(self, phantom_dir, tmp_path, capsys, role):
+        v = parse_nifti((phantom_dir / "gt.nii.gz").read_bytes())
+        moved = tmp_path / f"{role}.nii.gz"
+        moved.write_bytes(write_nifti(Volume3D(v.data, (1.0, 1.0, 2.0), v.orientation)))
+        gt, tsv = str(phantom_dir / "gt.nii.gz"), tmp_path / "pr.tsv"
+        paths = {"posterior": gt, "mask": str(phantom_dir / "brain_mask.nii.gz"), role: str(moved)}
+        code = main(["evaluate", "--pred", gt, "--gt", gt, "--posterior", paths["posterior"], "--mask", paths["mask"],
+                     "--out-pr-tsv", str(tsv)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error [shape]: ") and "different spacing" in err
+        assert not tsv.exists()
+
     def test_unwritable_tsv_exits_2(self, phantom_dir, tmp_path, capsys):
         code, _, err, _ = self._evaluate(capsys, phantom_dir, tmp_path / "missing")
         assert code == 2

@@ -52,6 +52,7 @@ _PLANE_CASES = [
     (3, 4, (3, 3, 3), (2, 2, 1), (0, 1, 1), (13, 6, 5)),  # sd = 2, no depth padding
     (3, 4, (2, 3, 3), (3, 1, 1), (1, 1, 1), (16, 5, 6)),  # sd > kd: one accumulator
     (3, 4, (1, 3, 3), (4, 1, 1), (2, 1, 1), (20, 5, 6)),  # sd > kd, padding planes some outputs read
+    (2, 3, (5, 2, 3), (2, 1, 1), (2, 0, 1), (17, 4, 5)),  # sd = 2, kd = 5: odd planes' 2 taps wrap a ring of 3
 ]
 
 
@@ -159,8 +160,12 @@ class TestConvAtScale:
         assert peak < x.size * 8
 
     def test_transient_memory_is_a_plane_column(self, rng):
-        # beyond its float32 output, a conv holds one plane-column and a few
-        # plane-sized buffers: below two plane-columns, where a ring of them is not
+        # beyond its float32 output, a conv with Cin kw >= 64 holds its bands'
+        # padded input rows (float32, each band's rows and its kh - 1 row halo
+        # at the padded pitch), those rows lowered over (Cin, kw) only (float64)
+        # and each band's ring of kd float64 accumulators at the padded pitch;
+        # the rest (its weight matrices, numpy's cast buffers) is in the 30%. A
+        # (Cin, kh, kw) plane-column and partial sums would take 2.5 times the three
         x = rng.normal(size=(32, 48, 48, 48)).astype(np.float32)
         p = _conv(8, 32, 3, padding=(1, 1, 1), rng=rng)
         tracemalloc.start()
@@ -171,7 +176,9 @@ class TestConvAtScale:
             tracemalloc.stop()
         cout, cin, kd, kh, kw = p.weights.shape
         _, _, ho, wo = out.shape
-        assert peak < out.nbytes + 8 * 2 * cin * kh * kw * ho * wo
+        wp = x.shape[3] + 2
+        rows = ho + len(layers._bands(ho, wo)) * (kh - 1)
+        assert peak < out.nbytes + 1.3 * (4 * cin * rows * wp + 8 * cin * kw * rows * wp + 8 * kd * cout * ho * wp)
 
     def test_output_plane_of_padding_only_is_its_bias(self, rng):
         # kd = 2, pd = 3 over 2 planes: output planes 0, 1, 5 and 6 read only zero padding
@@ -277,6 +284,50 @@ class TestBands:
                    stride=stride, padding=padding)
         got = at_workers(lambda: apply_layer(x, p))
         assert _rel_err(got, tapwise_conv3d(x, p.weights, p.bias, stride, padding)) < 1e-6
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_kernels_match_tapwise(self, at_workers, seed):
+        # one case in three is lowered by kernel row (in-plane stride 1 and Cin
+        # kw >= 64), one in three is one kernel row tall with an in-plane stride
+        # (half of them with Cin kw >= 64 too), the rest any kernel and stride
+        rng = np.random.default_rng(seed)
+        kernel, stride = rng.integers(1, 5, size=3), rng.integers(1, 4, size=3)
+        cin = int(rng.integers(1, 33))
+        if seed % 3 == 0:
+            stride[1:] = 1
+            kernel[2] = max(2, kernel[2])
+        elif seed % 3 == 1:
+            kernel[1] = 1
+            stride[1 + seed % 2] = rng.integers(2, 4)
+        if seed % 3 == 0 or seed % 6 == 1:
+            cin = -(-64 // int(kernel[2])) + int(rng.integers(0, 8))
+        kernel, stride = tuple(map(int, kernel)), tuple(map(int, stride))
+        # at least two output planes, rows and columns, and never the pointwise path
+        padding = tuple(int(rng.integers(0, k + 1)) for k in kernel)
+        padding = (max(padding[0], (kernel, stride) == ((1, 1, 1), (1, 1, 1))), *padding[1:])
+        x = rng.normal(size=(cin, *(int(rng.integers(k + s, 15)) for k, s in zip(kernel, stride))))
+        x = x.astype(np.float32)
+        cout = int(rng.integers(1, 7))
+        p = Conv3D(weights=rng.normal(size=(cout, cin, *kernel)), bias=rng.normal(size=cout), stride=stride,
+                   padding=padding)
+        got = at_workers(lambda: apply_layer(x, p))
+        assert _rel_err(got, tapwise_conv3d(x, p.weights, p.bias, stride, padding)) < 1e-6
+
+    @pytest.mark.parametrize("cin, cout, kernel, stride, padding, spatial", [
+        (32, 16, (3, 3, 3), (1, 1, 1), (1, 1, 1), (12, 20, 17)),  # lowered by kernel row
+        (16, 16, (3, 3, 3), (2, 2, 2), (1, 1, 1), (13, 16, 15)),  # K = 432: BLAS splits the reduction
+        *_PLANE_CASES[:3],
+    ])
+    def test_gemm_fallback_gives_the_same_bits(self, rng, at_workers, monkeypatch, cin, cout, kernel, stride,
+                                               padding, spatial):
+        # without numpy's cblas_dgemm each GEMM goes to np.matmul into a scratch
+        # buffer and is added into the accumulators
+        x = rng.normal(size=(cin, *spatial)).astype(np.float32)
+        p = Conv3D(weights=rng.normal(size=(cout, cin, *kernel)), bias=rng.normal(size=cout), stride=stride,
+                   padding=padding)
+        want = at_workers(lambda: apply_layer(x, p))
+        monkeypatch.setattr(layers, "_dgemm", lambda: None)
+        assert _same_bits(at_workers(lambda: apply_layer(x, p)), want)
 
     def test_output_plane_of_padding_only(self, rng, at_workers):
         x = rng.normal(size=(3, 2, 5, 6)).astype(np.float32)
