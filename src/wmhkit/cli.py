@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .cohort import parse_cohort_csv, parse_numeric_columns, summarize
-from .ensemble import EnsembleSpec, binarize, predict_ensemble, wmh_volume_ml
+from .ensemble import DEFAULT_THRESHOLD, DEFAULT_TILE, EnsembleSpec, binarize, predict_ensemble, wmh_volume_ml
 from .errors import ContractError, DegenerateError, FormatError, InputError
 from .histo import HistParams, histogram_segment
 from .layers import POOL, one_blas_thread
@@ -445,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flair", required=True, help="FLAIR NIfTI file (or directory for batch mode)")
     p.add_argument("--mask", required=True, help="brain mask NIfTI file (or directory)")
     p.add_argument("--weights", default=None, help=f"SGWT bundle; defaults to ${WEIGHTS_DIR_ENV}/{DEFAULT_WEIGHTS_NAME}")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--tile", type=int, default=64, help="largest input tile edge of a net, halo included")
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--tile", type=int, default=DEFAULT_TILE[0], help="largest input tile edge of a net, halo included")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--jobs", type=int, default=1, help="parallel subjects in batch mode")
     p.set_defaults(func=cmd_segment)

@@ -49,10 +49,13 @@ class SubjectRecord:
     adni_lan: float | None = None
 
 
+_CSV_COLUMNS = tuple(f.name for f in fields(SubjectRecord))
+
+
 def resolve_field(name: str) -> str:
     """Map a CLI-facing field name (or alias) to a SubjectRecord attribute."""
     attr = _FIELD_ALIASES.get(name.lower(), name.lower())
-    if attr not in {f.name for f in fields(SubjectRecord)}:
+    if attr not in _CSV_COLUMNS:
         raise InputError(f"unknown cohort field {name!r}")
     return attr
 
@@ -154,20 +157,11 @@ def parse_cohort_csv(data: bytes | str) -> list[SubjectRecord]:
                 apoe4=apoe4,
                 diagnosis=diagnosis,
                 icv_ml=icv,
-                wmh_stackgen_ml=_parse_float(cell(row, "wmh_stackgen_ml"), rownum, "wmh_stackgen_ml"),
-                wmh_adni_ml=_parse_float(cell(row, "wmh_adni_ml"), rownum, "wmh_adni_ml"),
-                adni_ef=_parse_float(cell(row, "adni_ef"), rownum, "adni_ef"),
-                adni_mem=_parse_float(cell(row, "adni_mem"), rownum, "adni_mem"),
-                adni_lan=_parse_float(cell(row, "adni_lan"), rownum, "adni_lan"),
+                **{col: _parse_float(cell(row, col), rownum, col)
+                   for col in ("wmh_stackgen_ml", "wmh_adni_ml", "adni_ef", "adni_mem", "adni_lan")},
             )
         )
     return records
-
-
-_CSV_COLUMNS = (
-    "id", "age", "sex", "education", "apoe4", "diagnosis",
-    "icv_ml", "wmh_stackgen_ml", "wmh_adni_ml", "adni_ef", "adni_mem", "adni_lan",
-)
 
 
 def write_cohort_csv(records) -> bytes:

@@ -25,14 +25,14 @@ A pointwise meta net fuses only the in-mask voxels, since every other
 posterior voxel is 0: they are gathered once from the FLAIR, in memory
 order, and every pointwise net, plane or meta, runs over that compact buffer
 in runs, each plane net's run made as the meta net needs it. Only the
-posteriors of plane nets that need tiles are stacked as volumes, and the
-meta net reads each of its runs from them one range of slabs of the slowest
-memory axis at a time. The fused runs are written over the compact buffer
-once read, then scattered into a zeroed posterior. With 1x1x1 nets the plane
-posteriors are never whole volumes, and the out-of-mask voxels are never
-computed. A meta net that needs tiles reads out-of-mask neighbours, so it
-and the plane nets run over the whole grid, and its out-of-mask posterior is
-zeroed one slab of the slowest memory axis at a time.
+posteriors of plane nets that need tiles are stacked as volumes, each then
+compacted in place to its in-mask voxels, so that a run of it is a slice.
+The fused runs are written over the compact buffer once read, then
+scattered into a zeroed posterior. With 1x1x1 nets the plane posteriors are
+never whole volumes, and the out-of-mask voxels are never computed. A meta
+net that needs tiles reads out-of-mask neighbours, so it and the plane nets
+run over the whole grid, and its out-of-mask posterior is zeroed one slab
+of the slowest memory axis at a time.
 """
 
 from __future__ import annotations
@@ -202,14 +202,15 @@ def predict_ensemble(spec: EnsembleSpec, flair: Volume3D, mask: Volume3D) -> Vol
     storage order. A meta net that is not pointwise fuses the stack of all
     three, and the out-of-mask voxels of its posterior are zeroed one slab of
     the slowest memory axis at a time. A pointwise meta net computes only the
-    in-mask voxels, gathered in memory order into one compact buffer: it
-    makes each run of its (3, n) input in one buffer, from a pointwise plane
-    net's forward on that run of the compact FLAIR or from the stack, and
-    writes the fused run over the compact FLAIR. The compact posterior is
-    then scattered into a zeroed volume, the first stacked plane when there
-    is one. So no out-of-mask value reaches its pointwise nets, and no more
-    than the stacked planes, the compact buffer and the posterior are ever
-    large.
+    in-mask voxels, gathered in memory order into one compact buffer, each
+    stacked plane first compacted in place the same way: it makes each run
+    of its (3, n) input in one buffer, from a pointwise plane net's forward
+    on that run of the compact FLAIR or from that slice of a stacked plane,
+    and writes the fused run over the compact FLAIR. The compact posterior
+    is then scattered into a zeroed volume, the first stacked plane when
+    there is one. So no out-of-mask value reaches its pointwise nets, and no
+    more than the stacked planes, the compact buffer and the posterior are
+    ever large.
     """
     require_same_grid(flair, mask, "volume and mask")
     mask = binary_mask(mask, "brain mask")
@@ -232,24 +233,18 @@ def predict_ensemble(spec: EnsembleSpec, flair: Volume3D, mask: Volume3D) -> Vol
             slab[~keep] = 0.0
         return to_canonical(flair.with_data(fused))
 
+    for post in stacked:  # compacted in place to its in-mask voxels, in memory order
+        gathered = post[inside]
+        post.reshape(-1)[: gathered.size] = gathered
+        del gathered
     compact = flair.data[inside]
-    rows = dict(zip(in_stack, stacked))
-    if rows:  # the compact index of each slab's first in-mask voxel, and the end
-        starts = np.zeros(len(inside) + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(inside, axis=(1, 2)), out=starts[1:])
+    rows = {k: post.reshape(-1) for k, post in zip(in_stack, stacked)}
     buf = np.empty((len(plane_nets), min(_RUN_BYTES // 8, compact.size)), dtype=np.float32)
 
     def planes(s, e):
         run = buf[:, : e - s]
-        if rows:  # voxels [s, e) lie in the slabs [lo, hi)
-            lo = int(np.searchsorted(starts, s, "right")) - 1
-            hi = int(np.searchsorted(starts, e, "left"))
-            first = s - starts[lo]
         for k, (row, net) in enumerate(zip(run, plane_nets)):
-            if k in rows:
-                row[:] = rows[k][lo:hi][inside[lo:hi]][first : first + e - s]
-            else:
-                row[:] = _run_posterior(net, compact[np.newaxis, s:e])
+            row[:] = rows[k][s:e] if k in rows else _run_posterior(net, compact[np.newaxis, s:e])
         return run
 
     _pointwise_posterior(meta, compact, planes)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NonFiniteInput, NoPositives, ZeroReference
 from .lesions import LesionMatching, label_components, match_lesions
-from .tsv import TSV_CHUNK_ROWS, tsv_rows, write_tsv  # noqa: F401  (the chunk pr_curve_tsv renders by)
+from .tsv import write_tsv
 from .volume import Volume3D, binary_mask, require_same_dims
 
 
@@ -43,23 +43,23 @@ class MetricReport:
         return out
 
 
+def _dice(tp: int, fp: int, fn: int) -> float:
+    """2·TP / (2·TP + FP + FN), with all three 0 defined as 1.0."""
+    return 1.0 if tp + fp + fn == 0 else 2.0 * tp / (2 * tp + fp + fn)
+
+
 def dice_pixel(pred: Volume3D, gt: Volume3D) -> float:
     """2|P∩G| / (|P|+|G|), with the both-empty case defined as 1.0."""
     require_same_dims(pred, gt, "masks")
     p = binary_mask(pred, "pred mask").data
     g = binary_mask(gt, "gt mask").data
-    denom = int(p.sum()) + int(g.sum())
-    if denom == 0:
-        return 1.0
-    return 2.0 * int((p & g).sum()) / denom
+    tp = int((p & g).sum())
+    return _dice(tp, int(p.sum()) - tp, int(g.sum()) - tp)
 
 
 def dice_lesion(matching: LesionMatching) -> float:
     """Detection Dice over lesions: 2·TP / (2·TP + FP + FN); 1.0 if all zero."""
-    tp, fp, fn = matching.tp_lesions, matching.fp_lesions, matching.fn_lesions
-    if tp == 0 and fp == 0 and fn == 0:
-        return 1.0
-    return 2.0 * tp / (2.0 * tp + fp + fn)
+    return _dice(matching.tp_lesions, matching.fp_lesions, matching.fn_lesions)
 
 
 def abs_volume_diff_pct(pred_ml: float, gt_ml: float) -> float:
@@ -147,25 +147,20 @@ def pr_curve_auc(post: Volume3D, gt: Volume3D, mask: Volume3D) -> PRCurve:
 PR_TSV_HEADER = ("threshold", "precision", "recall")
 
 
-def pr_curve_tsv(curve: PRCurve) -> str:
-    """The PR curve as TSV text: a header, then one row per operating point
-    with threshold, precision and recall, each as ``format(v, '.9g')``.
-
-    ``tsv.tsv_rows`` renders the rows with numpy, TSV_CHUNK_ROWS (16384) at
-    a time. Each value's nine digits are ``rint(x·10**k)`` for an exact
-    power of ten, so they carry a single rounding; a value that rounding
-    could leave ambiguous (within 1e-6 of a tie), one outside [1e-4, 2**29),
-    zero, a negative or a non-finite value is formatted by Python's own
-    ``format``. Recall takes few distinct values, so each of its runs of
-    equal values is formatted once. The text is byte-identical to per-row
-    ``str.format``.
-    """
-    return "\t".join(PR_TSV_HEADER) + "\n" + tsv_rows((curve.thresholds, curve.precision, curve.recall))
-
-
 def write_pr_curve_tsv(curve: PRCurve, path: str | os.PathLike) -> None:
-    """Write ``pr_curve_tsv(curve)`` to ``path`` as ASCII, one rendered
-    chunk at a time, without holding the whole text."""
+    """Write the PR curve to ``path`` as ASCII TSV: a header, then one row
+    per operating point with threshold, precision and recall, each as
+    ``format(v, '.9g')``.
+
+    ``tsv.write_tsv`` renders the rows with numpy, TSV_CHUNK_ROWS (16384) at
+    a time, and writes each chunk without holding the whole text. Each
+    value's nine digits are ``rint(x·10**k)`` for an exact power of ten, so
+    they carry a single rounding; a value that rounding could leave
+    ambiguous (within 1e-6 of a tie), one outside [1e-4, 2**29), zero, a
+    negative or a non-finite value is formatted by Python's own ``format``.
+    Recall takes few distinct values, so each of its runs of equal values
+    is formatted once. The bytes are those of per-row ``str.format``.
+    """
     write_tsv(path, PR_TSV_HEADER, (curve.thresholds, curve.precision, curve.recall))
 
 
@@ -199,7 +194,7 @@ def metric_report(
 
     # match_lesions has checked both masks for dims
     return MetricReport(
-        dice_pixel=1.0 if tp + fp + fn == 0 else 2.0 * tp / (2 * tp + fp + fn),
+        dice_pixel=_dice(tp, fp, fn),
         dice_lesion=dice_lesion(matching),
         avd_percent=abs_volume_diff_pct(float(tp + fp) * pred.voxel_volume_mm3 / 1000.0,
                                         float(tp + fn) * gt.voxel_volume_mm3 / 1000.0),

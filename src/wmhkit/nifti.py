@@ -34,15 +34,14 @@ from .errors import (
     UnsupportedDatatype,
     UnsupportedDim,
 )
-from .volume import AXIS_OF_CODE, Volume3D, require_binary
+from .volume import AXIS_OF_CODE, CANONICAL_ORIENTATION, NEGATIVE_CODES, Volume3D, require_binary
 
 HEADER_SIZE = 348
 DATA_OFFSET = 352  # header + 4-byte extension flag
 MAGIC = b"n+1\x00"
 GZIP_MAGIC = b"\x1f\x8b"
 
-# NIfTI datatype code -> struct format char
-_DTYPE_CODES = {2: "B", 4: "h", 16: "f", 64: "d"}
+# NIfTI datatype code -> numpy type
 _DTYPE_NUMPY = {2: np.uint8, 4: np.int16, 16: np.float32, 64: np.float64}
 _CODE_UINT8 = 2
 _CODE_FLOAT32 = 16
@@ -60,9 +59,6 @@ GZIP_LEVEL = 1
 _GZIP_HEADER = gzip.compress(b"", GZIP_LEVEL, mtime=0)[:10]
 _MAX_INFLATE = 1032  # deflate's largest expansion ratio
 _CHUNK_BYTES = 2**18  # piece size of the streamed gunzip and encode
-
-_POSITIVE_CODE = ("R", "A", "S")
-_NEGATIVE_CODE = ("L", "P", "I")
 
 
 def _gunzip(raw: bytes) -> bytearray:
@@ -118,7 +114,7 @@ def _snap_orientation(affine: np.ndarray) -> tuple[str, str, str]:
     codes = []
     for v in range(3):
         w = world_of_voxel[v]
-        codes.append(_NEGATIVE_CODE[w] if affine[w, v] < 0 else _POSITIVE_CODE[w])
+        codes.append(NEGATIVE_CODES[w] if affine[w, v] < 0 else CANONICAL_ORIENTATION[w])
     return tuple(codes)
 
 
@@ -172,9 +168,9 @@ def _layout(raw: bytes) -> tuple[str, tuple[int, int, int], int, int, int]:
         raise BadHeader(f"non-positive voxel counts {(nx, ny, nz)}")
 
     datatype = struct.unpack_from(end + "h", raw, 70)[0]
-    if datatype not in _DTYPE_CODES:
+    if datatype not in _DTYPE_NUMPY:
         raise UnsupportedDatatype(f"datatype code {datatype} not supported")
-    itemsize = struct.calcsize(_DTYPE_CODES[datatype])
+    itemsize = np.dtype(_DTYPE_NUMPY[datatype]).itemsize
 
     vox_offset = struct.unpack_from(end + "f", raw, 108)[0]
     if not math.isfinite(vox_offset) or vox_offset < HEADER_SIZE:
@@ -187,9 +183,9 @@ def _layout(raw: bytes) -> tuple[str, tuple[int, int, int], int, int, int]:
 def parse_nifti(raw: bytes) -> Volume3D:
     """Parse a .nii or .nii.gz byte stream into a float32 Volume3D.
 
-    scl_slope/scl_inter are applied when scl_slope is nonzero. Orientation
-    comes from the sform when sform_code > 0, else the qform when
-    qform_code > 0, else RAS is assumed.
+    scl_slope/scl_inter are applied when scl_slope is nonzero; a NaN or
+    infinite one reads as 0. Orientation comes from the sform when
+    sform_code > 0, else the qform when qform_code > 0, else RAS is assumed.
 
     Raises BadGzip, BadMagic, UnsupportedDim, UnsupportedDatatype,
     TruncatedData, or BadHeader.
@@ -204,8 +200,8 @@ def parse_nifti(raw: bytes) -> Volume3D:
         )
 
     pixdim = struct.unpack_from(end + "8f", raw, 76)
-    scl_slope = struct.unpack_from(end + "f", raw, 112)[0]
-    scl_inter = struct.unpack_from(end + "f", raw, 116)[0]
+    # a non-finite scale field reads as 0, as in the NIfTI-1 reference library
+    scl_slope, scl_inter = (x if math.isfinite(x) else 0.0 for x in struct.unpack_from(end + "2f", raw, 112))
     qform_code = struct.unpack_from(end + "h", raw, 252)[0]
     sform_code = struct.unpack_from(end + "h", raw, 254)[0]
 
@@ -231,7 +227,7 @@ def parse_nifti(raw: bytes) -> Volume3D:
 
     if not all(math.isfinite(s) and s > 0 for s in spacing):
         raise BadHeader(f"non-positive voxel spacing {spacing}")
-    orientation = _snap_orientation(affine) if affine is not None else ("R", "A", "S")
+    orientation = _snap_orientation(affine) if affine is not None else CANONICAL_ORIENTATION
 
     # A native float32 payload in the buffer _gunzip made here is used where
     # it lies; any other payload, the caller's buffer included, is cast or
@@ -256,7 +252,7 @@ def _header(v: Volume3D, datatype: int) -> bytes:
     struct.pack_into("<i", header, 0, HEADER_SIZE)
     nx, ny, nz = v.dims
     struct.pack_into("<8h", header, 40, 3, nx, ny, nz, 1, 1, 1, 1)
-    itemsize = struct.calcsize(_DTYPE_CODES[datatype])
+    itemsize = np.dtype(_DTYPE_NUMPY[datatype]).itemsize
     struct.pack_into("<h", header, 70, datatype)
     struct.pack_into("<h", header, 72, itemsize * 8)
     sx, sy, sz = v.spacing
@@ -271,7 +267,7 @@ def _header(v: Volume3D, datatype: int) -> bytes:
     affine = np.zeros((3, 4))
     for j, code in enumerate(v.orientation):
         w = AXIS_OF_CODE[code]
-        affine[w, j] = -v.spacing[j] if code in _NEGATIVE_CODE else v.spacing[j]
+        affine[w, j] = -v.spacing[j] if code in NEGATIVE_CODES else v.spacing[j]
     struct.pack_into("<4f", header, 280, *affine[0])
     struct.pack_into("<4f", header, 296, *affine[1])
     struct.pack_into("<4f", header, 312, *affine[2])

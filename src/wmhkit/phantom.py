@@ -28,6 +28,9 @@ from .network import NetworkSpec
 from .volume import Volume3D
 
 SHARPNESS = 50.0
+BACKGROUND_LEVEL = 100.0
+BACKGROUND_JITTER = 5.0
+LESION_LEVEL = 180.0
 
 
 def threshold_detector_net(t: float, w: float = SHARPNESS) -> NetworkSpec:
@@ -74,16 +77,13 @@ def _ellipsoid_mask(shape: tuple[int, int, int]) -> np.ndarray:
 def make_phantom(
     seed: int = 0,
     shape: tuple[int, int, int] = (64, 64, 64),
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
     n_lesions: int = 4,
-    background_level: float = 100.0,
-    background_jitter: float = 5.0,
-    lesion_level: float = 180.0,
 ) -> Phantom:
-    """Deterministic phantom volume, mask, analytic ground truth, and weights.
+    """Deterministic phantom volume, mask, analytic ground truth, and weights,
+    on a 1 mm grid.
 
-    Background intensities are jittered uniformly within ±background_jitter
-    of the base level; lesion blobs sit at lesion_level ± jitter. The
+    Background intensities are jittered uniformly within ±BACKGROUND_JITTER
+    of BACKGROUND_LEVEL; lesion blobs sit at LESION_LEVEL ± the same. The
     detection cutoff is placed midway across the (wide) gap between the two
     populations, expressed in normalized z-units. A blob is a whole cube of
     edge 2 to 5 inside the brain; raises InputError when none fits.
@@ -92,7 +92,7 @@ def make_phantom(
     inside = _ellipsoid_mask(shape)
 
     data = np.zeros(shape, dtype=np.float64)
-    data[inside] = background_level + rng.uniform(-background_jitter, background_jitter, int(inside.sum()))
+    data[inside] = BACKGROUND_LEVEL + rng.uniform(-BACKGROUND_JITTER, BACKGROUND_JITTER, int(inside.sum()))
 
     gt = np.zeros(shape, dtype=bool)
     placed = 0
@@ -105,21 +105,21 @@ def make_phantom(
         # a blob clipped by the volume edge is rejected like one outside the brain
         if inside[block].shape != (size,) * 3 or not inside[block].all():
             continue
-        data[block] = lesion_level + rng.uniform(-background_jitter, background_jitter, (size,) * 3)
+        data[block] = LESION_LEVEL + rng.uniform(-BACKGROUND_JITTER, BACKGROUND_JITTER, (size,) * 3)
         gt[block] = True
         placed += 1
     if placed == 0:
         raise InputError(f"no lesion blob fits inside the brain of a {tuple(shape)} phantom")
 
-    flair = Volume3D(data.astype(np.float32), spacing)
-    brain_mask = Volume3D(inside.astype(np.float32), spacing)
-    gt_mask = Volume3D(gt.astype(np.float32), spacing)
+    flair = Volume3D(data.astype(np.float32))
+    brain_mask = Volume3D(inside.astype(np.float32))
+    gt_mask = Volume3D(gt.astype(np.float32))
 
     # Normalize exactly as the pipeline will, then split the gap.
     vals = flair.data[inside].astype(np.float64)
     mu, sigma = vals.mean(), vals.std()
-    hi_background = (background_level + background_jitter - mu) / sigma
-    lo_lesion = (lesion_level - background_jitter - mu) / sigma
+    hi_background = (BACKGROUND_LEVEL + BACKGROUND_JITTER - mu) / sigma
+    lo_lesion = (LESION_LEVEL - BACKGROUND_JITTER - mu) / sigma
     z_cutoff = float((hi_background + lo_lesion) / 2.0)
 
     plane_net = threshold_detector_net(z_cutoff)

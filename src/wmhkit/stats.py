@@ -12,7 +12,7 @@ p-values (``ttest`` and ``regress``) load scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,6 +63,16 @@ def t_two_sided_p(t: float, df: float) -> float:
 # agreement
 
 
+def _paired(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two measurement series as float64 vectors; raises LengthMismatch
+    unless both are 1-D and of one length."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise LengthMismatch(f"series lengths differ: {a.shape} vs {b.shape}")
+    return a, b
+
+
 @dataclass(frozen=True)
 class BlandAltmanResult:
     n: int
@@ -75,16 +85,7 @@ class BlandAltmanResult:
     r_squared: float  # squared Pearson correlation of the two series
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "bias": self.bias,
-            "sd_diff": self.sd_diff,
-            "loa_low": self.loa_low,
-            "loa_high": self.loa_high,
-            "cv_percent": self.cv_percent,
-            "rpc_percent": self.rpc_percent,
-            "r_squared": self.r_squared,
-        }
+        return asdict(self)
 
 
 def bland_altman(a, b) -> BlandAltmanResult:
@@ -93,10 +94,7 @@ def bland_altman(a, b) -> BlandAltmanResult:
     Differences are taken as ``b - a``; limits of agreement are
     bias ± 1.96·SD(differences) with the sample (n-1) SD.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise LengthMismatch(f"series lengths differ: {a.shape} vs {b.shape}")
+    a, b = _paired(a, b)
     n = a.size
     if n < 3:
         raise TooFewPairs(f"need at least 3 pairs, got {n}")
@@ -128,10 +126,7 @@ def bland_altman(a, b) -> BlandAltmanResult:
 
 def bland_altman_points(a, b) -> list[tuple[float, float]]:
     """Per-pair (mean, difference) plot points, difference = b - a."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise LengthMismatch(f"series lengths differ: {a.shape} vs {b.shape}")
+    a, b = _paired(a, b)
     return [(float(m), float(d)) for m, d in zip((a + b) / 2.0, b - a)]
 
 
@@ -143,7 +138,7 @@ class TTestResult:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {"t": self.t, "df": self.df, "p": self.p, "degenerate": self.degenerate}
+        return asdict(self)
 
 
 def paired_ttest(a, b) -> TTestResult:
@@ -152,10 +147,7 @@ def paired_ttest(a, b) -> TTestResult:
     Zero-variance differences are degenerate: p is 0 when the mean difference
     is nonzero (flagged), and 1 when the series agree exactly.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise LengthMismatch(f"series lengths differ: {a.shape} vs {b.shape}")
+    a, b = _paired(a, b)
     n = a.size
     if n < 2:
         raise TooFewPairs(f"need at least 2 pairs, got {n}")
@@ -206,16 +198,7 @@ class RegressionResult:
 
     def to_dict(self) -> dict:
         return {
-            "coefficients": [
-                {
-                    "name": name,
-                    "estimate": float(self.estimates[i]),
-                    "std_error": float(self.std_errors[i]),
-                    "t": float(self.t_statistics[i]),
-                    "p": float(self.p_values[i]),
-                }
-                for i, name in enumerate(self.names)
-            ],
+            "coefficients": [{"name": name, **self.coefficient(name)} for name in self.names],
             "r_squared": self.r_squared,
             "n_used": self.n_used,
             "n_dropped": self.n_dropped,

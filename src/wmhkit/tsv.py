@@ -164,7 +164,8 @@ def _run_fields(x: np.ndarray, out: np.ndarray) -> bool:
 
 
 def tsv_chunks(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
-    """The rows of ``tsv_rows`` as ASCII bytes, one ``bytes`` per
+    """The rows of ``columns`` as ASCII bytes, one line per row with the
+    columns' '.9g' values tab-separated, and one ``bytes`` per
     TSV_CHUNK_ROWS rows, so that nothing larger than a chunk is held. Each
     run of equal values is formatted once in a column where at most half
     the chunk's rows start a run.
@@ -185,11 +186,6 @@ def tsv_chunks(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
         else:
             rows = zip(*(c.tolist() for c in chunk))
             yield "".join("\t".join(format(v, ".9g") for v in row) + "\n" for row in rows).encode("ascii")
-
-
-def tsv_rows(columns: Sequence[np.ndarray]) -> str:
-    """One line per row: the columns' '.9g' values, tab-separated."""
-    return b"".join(tsv_chunks(columns)).decode("ascii")
 
 
 def write_tsv(path: str | os.PathLike, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:

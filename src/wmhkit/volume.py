@@ -18,9 +18,9 @@ from .errors import DegenerateMask, NonBinaryInput, NonFiniteInput, OrientationM
 CANONICAL_ORIENTATION = ("R", "A", "S")
 
 # Anatomical axis (0=left/right, 1=posterior/anterior, 2=inferior/superior)
-# named by each code, and whether the code points along the negative direction.
+# named by each code, and the code of each axis's negative direction.
 AXIS_OF_CODE = {"R": 0, "L": 0, "A": 1, "P": 1, "S": 2, "I": 2}
-NEGATIVE_CODES = frozenset({"L", "P", "I"})
+NEGATIVE_CODES = ("L", "P", "I")
 
 # normalize_intensity gathers the in-mask values this many voxels at a time,
 # so that no float32 copy of them all is made: such a copy, freed at once,

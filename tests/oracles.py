@@ -213,6 +213,15 @@ def pr_enumeration(scores: np.ndarray, labels: np.ndarray):
     return points, auc
 
 
+def pr_tsv_text(curve) -> str:
+    """The PR curve's TSV text: a header, then threshold, precision and
+    recall of each operating point, each value by one ``format(v, '.9g')``."""
+    lines = ["threshold\tprecision\trecall\n"]
+    for row in zip(curve.thresholds.tolist(), curve.precision.tolist(), curve.recall.tolist()):
+        lines.append("\t".join(format(v, ".9g") for v in row) + "\n")
+    return "".join(lines)
+
+
 def argsort_pr_curve(post: np.ndarray, gt: np.ndarray, mask: np.ndarray):
     """The PR curve by ordering voxels: a stable argsort of the negated
     float64 in-mask scores, a cumulative positive count along it, and one

@@ -20,6 +20,7 @@ import pytest
 from scipy import ndimage
 
 from nets import unet_net
+from oracles import pr_tsv_text
 from wmhkit import cli, volume
 from wmhkit.cli import main
 from wmhkit.cohort import parse_numeric_columns, synthetic_cohort, write_cohort_csv
@@ -871,7 +872,7 @@ class TestEvaluate:
         assert len(calls) == 1
         mask = parse_nifti((phantom_dir / "brain_mask.nii.gz").read_bytes())
         curve = original(parse_nifti(post_path.read_bytes()), gt, mask)
-        assert tsv.read_text() == metrics.pr_curve_tsv(curve)
+        assert tsv.read_text() == pr_tsv_text(curve)
         assert curve.thresholds.size > 1000
         assert envelope(out)["auc_pr"] == curve.auc
 
@@ -1061,7 +1062,7 @@ class TestEvaluate:
         assert timings["write"] >= 200.0  # the writer's own time, not the join
         gt = parse_nifti((phantom_dir / "gt.nii.gz").read_bytes())
         curve = metrics.pr_curve_auc(gt, gt, parse_nifti((phantom_dir / "brain_mask.nii.gz").read_bytes()))
-        assert tsv.read_text() == metrics.pr_curve_tsv(curve)
+        assert tsv.read_text() == pr_tsv_text(curve)
 
     def test_peak_is_bounded_in_float32_volumes_and_the_curve(self, tmp_path, capsys, monkeypatch):
         # A dense 96x112x80 subject: 15 lesions, specks in 0.2% of the brain
@@ -1204,6 +1205,18 @@ class TestTTest:
         report = envelope(out)
         assert 0.0 <= report["p"] <= 1.0
         assert report["df"] == report["n"] - 1
+
+
+@pytest.mark.parametrize("subcommand", ["agree", "ttest"])
+def test_payload_keys_are_the_schema_required_list(subcommand, cohort_csv, capsys):
+    # every result field goes into the report, so a field added to the
+    # result must be added to the schema as well
+    code, out = run_cli(
+        capsys, subcommand, "--csv", str(cohort_csv), "--col-a", "wmh_stackgen_ml", "--col-b", "wmh_adni_ml",
+    )
+    assert code == 0
+    payload = {key for key in envelope(out) if key != "manifest"}
+    assert sorted(payload) == sorted(SCHEMA["payloads"][subcommand]["required"])
 
 
 _SCIPY_FREE_RUN = textwrap.dedent(

@@ -3,22 +3,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import argsort_pr_curve, pr_enumeration
+from oracles import argsort_pr_curve, pr_enumeration, pr_tsv_text
 from wmhkit.ensemble import wmh_volume_ml
 from wmhkit.errors import NonBinaryInput, NonFiniteInput, NoPositives, ShapeMismatch, ZeroReference
 from wmhkit.lesions import label_components, match_lesions
 from wmhkit.metrics import (
-    TSV_CHUNK_ROWS,
     PRCurve,
     abs_volume_diff_pct,
     dice_lesion,
     dice_pixel,
     metric_report,
     pr_curve_auc,
-    pr_curve_tsv,
     write_pr_curve_tsv,
 )
-from wmhkit.tsv import tsv_chunks
+from wmhkit.tsv import TSV_CHUNK_ROWS, tsv_chunks
 from wmhkit.volume import Volume3D
 
 
@@ -28,6 +26,13 @@ def _vol(data):
 
 def _ones(shape):
     return Volume3D(np.ones(shape, dtype=np.float32))
+
+
+def _written(curve, tmp_path) -> str:
+    """The text ``write_pr_curve_tsv`` writes for ``curve``."""
+    path = tmp_path / "pr.tsv"
+    write_pr_curve_tsv(curve, path)
+    return path.read_text()
 
 
 class TestDicePixel:
@@ -182,16 +187,16 @@ class TestPRCurve:
         with pytest.raises(NoPositives):
             pr_curve_auc(post, _vol(np.zeros((3, 3, 3))), _ones((3, 3, 3)))
 
-    def test_tsv_has_one_row_per_operating_point(self, rng):
+    def test_tsv_has_one_row_per_operating_point(self, rng, tmp_path):
         post = (rng.integers(0, 5, size=(4, 4, 4)) / 4.0).astype(np.float32)
         gt = (rng.random((4, 4, 4)) < 0.4).astype(np.float32)
         gt[0, 0, 0] = 1.0
         curve = pr_curve_auc(Volume3D(post), _vol(gt), _ones((4, 4, 4)))
-        lines = pr_curve_tsv(curve).strip().splitlines()
+        lines = _written(curve, tmp_path).strip().splitlines()
         assert lines[0] == "threshold\tprecision\trecall"
         assert len(lines) == curve.thresholds.size + 1
 
-    def test_tsv_matches_per_row_formatting_across_chunks(self, rng):
+    def test_tsv_matches_per_row_formatting_across_chunks(self, rng, tmp_path):
         n = 2 * TSV_CHUNK_ROWS + 7
         thresholds = np.sort(rng.random(n))[::-1]
         thresholds[0], thresholds[-1] = 1.0, 0.0
@@ -200,11 +205,8 @@ class TestPRCurve:
         precision[TSV_CHUNK_ROWS] = 1.0
         recall = np.linspace(0.0, 1.0, n)
         curve = PRCurve(thresholds=thresholds, precision=precision, recall=recall, auc=0.5)
-        per_row = ["threshold\tprecision\trecall"]
-        for t, p, r in zip(thresholds, precision, recall):
-            per_row.append(f"{t:.9g}\t{p:.9g}\t{r:.9g}")
-        text = pr_curve_tsv(curve)
-        assert text == "\n".join(per_row) + "\n"
+        text = _written(curve, tmp_path)
+        assert text == pr_tsv_text(curve)
         lines = text.splitlines()  # lines[i + 1] is row i
         assert lines[1].startswith("1\t") and lines[-1].startswith("0\t")
         assert lines[TSV_CHUNK_ROWS].startswith("0.333333333\t")  # last row of chunk 1
@@ -266,7 +268,7 @@ class TestPRCurveValueSort:
         assert set(curve.recall.tolist()) <= {0.0, 1.0}
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_signed_zeros_are_one_point_written_as_0(self, rng, order):
+    def test_signed_zeros_are_one_point_written_as_0(self, rng, order, tmp_path):
         shape = (6, 5, 4)
         post = (rng.integers(0, 4, size=shape) / 3.0).astype(np.float32)
         post[post == 0] = -0.0
@@ -276,13 +278,13 @@ class TestPRCurveValueSort:
         mask = np.ones(shape, np.float32)
         curve = _assert_matches_argsort(*(_layout(a, order) for a in (post, gt, mask)))
         assert curve.thresholds[-1] == 0.0 and not np.signbit(curve.thresholds).any()
-        assert pr_curve_tsv(curve).splitlines()[-1].startswith("0\t")
+        assert _written(curve, tmp_path).splitlines()[-1].startswith("0\t")
 
-    def test_only_negative_zeros_still_write_0(self):
+    def test_only_negative_zeros_still_write_0(self, tmp_path):
         post = np.array([0.5, -0.0, -0.0, 0.5], dtype=np.float32).reshape(2, 2, 1)
         gt = np.array([1, 0, 1, 0], dtype=np.float32).reshape(2, 2, 1)
         curve = pr_curve_auc(Volume3D(post), _vol(gt), _ones((2, 2, 1)))
-        assert pr_curve_tsv(curve).splitlines()[1:] == ["0.5\t0.5\t0.5", "0\t0.5\t1"]
+        assert _written(curve, tmp_path).splitlines()[1:] == ["0.5\t0.5\t0.5", "0\t0.5\t1"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_in_mask_is_rejected(self, rng, bad):
@@ -337,7 +339,7 @@ class TestPRCurveValueSort:
         curve = PRCurve(thresholds=thresholds, precision=precision, recall=recall, auc=0.5)
         path = tmp_path / "pr.tsv"
         write_pr_curve_tsv(curve, path)
-        assert path.read_bytes() == pr_curve_tsv(curve).encode()
+        assert path.read_bytes() == pr_tsv_text(curve).encode()
         chunks = list(tsv_chunks((thresholds, precision, recall)))
         assert [c.count(b"\n") for c in chunks] == [TSV_CHUNK_ROWS, TSV_CHUNK_ROWS, 7]
         assert f"\t{precision[TSV_CHUNK_ROWS + 3]:.9g}\t".encode() in chunks[1]

@@ -233,6 +233,21 @@ class TestHeaderFields:
         out = parse_nifti(raw)
         assert out.data[0, 0, 0] == pytest.approx(11.0)
 
+    @pytest.mark.parametrize(
+        "slope, inter, factor",
+        [(np.nan, 3.0, 1.0), (np.inf, 0.0, 1.0), (2.0, np.nan, 2.0), (2.0, -np.inf, 2.0)],
+        ids=["nan-slope", "inf-slope", "nan-inter", "inf-inter"],
+    )
+    def test_non_finite_scale_field_reads_as_zero(self, rng, slope, inter, factor):
+        # as the NIfTI-1 reference library does: a slope read as 0 means no
+        # scaling at all, an intercept read as 0 leaves the slope alone
+        v = _volume(rng)
+        raw = bytearray(write_nifti(v))
+        struct.pack_into("<2f", raw, 112, slope, inter)
+        out = parse_nifti(bytes(raw))
+        assert np.isfinite(out.data).all()
+        assert np.array_equal(out.data, (v.data.astype(np.float64) * factor).astype(np.float32))
+
     def test_big_endian_header_accepted(self, rng):
         # rebuild the written header with swapped byte order
         v = _volume(rng, shape=(2, 2, 2), spacing=(1.0, 1.0, 1.0))

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wmhkit.tsv import TSV_CHUNK_ROWS, tsv_rows
+from wmhkit.tsv import TSV_CHUNK_ROWS, tsv_chunks
+
+
+def tsv_rows(columns) -> str:
+    return b"".join(tsv_chunks(columns)).decode("ascii")
 
 
 def per_row(*columns) -> str:
@@ -91,7 +95,7 @@ def test_sixteen_character_values_leave_no_room_for_a_separator():
 
 
 def assert_rows_match_python_format(*columns):
-    """``tsv_rows`` against ``per_row``, line by line, so that a failure
+    """``tsv_chunks`` against ``per_row``, line by line, so that a failure
     names its rows instead of diffing two long texts."""
     got, want = tsv_rows(columns).splitlines(), per_row(*columns).splitlines()
     assert len(got) == len(want)
