@@ -31,7 +31,7 @@ from .histo import HistParams, histogram_segment
 from .layers import POOL, one_blas_thread
 from .lesions import count_components, label_components  # noqa: F401  (perfbench/tracing.py wraps label_components here)
 from .metrics import metric_report, pr_curve_auc, write_pr_curve_tsv
-from .nifti import parse_nifti, write_nifti, write_nifti_mask
+from .nifti import parse_mask, parse_nifti, write_nifti, write_nifti_mask
 from .phantom import make_phantom
 from .stats import (
     DEFAULT_COVARIATES,
@@ -42,7 +42,7 @@ from .stats import (
     paired_ttest,
 )
 from .tsv import write_tsv
-from .volume import Volume3D, binary_mask, normalize_intensity, require_same_grid
+from .volume import Volume3D, normalize_intensity, require_same_grid
 from .weights_io import ENSEMBLE_ROLES, load_ensemble, load_network, save_ensemble
 
 WEIGHTS_DIR_ENV = "WMHKIT_WEIGHTS_DIR"
@@ -160,15 +160,14 @@ def _load_networks(run: Run, weights_path: str) -> dict:
 
 
 def _posterior(run: Run, flair_path: str, mask_path: str, spec: EnsembleSpec) -> Volume3D:
-    """One subject's ensemble posterior. Each volume is dropped once no later
-    stage reads it: the parsed mask when it becomes a bool mask (its one
-    binariness check), the parsed FLAIR when it is normalized, and the rest
-    when this returns."""
+    """One subject's ensemble posterior. The mask is decoded straight to
+    bool, its one binariness check, and the parsed FLAIR's buffer is the one
+    whole float32 volume: normalized in place, then overwritten by the
+    posterior once every net has read it."""
     with run.stage("parse"):
         flair = parse_nifti(run.read(flair_path))
-        mask = parse_nifti(run.read(mask_path))
+        mask = parse_mask(run.read(mask_path), "brain mask")
     with run.stage("normalize"):
-        mask = binary_mask(mask, "brain mask")
         flair = normalize_intensity(flair, mask)
     with run.stage("inference"):
         return predict_ensemble(spec, flair, mask)
@@ -267,10 +266,9 @@ def cmd_segment(run: Run, args):
 def cmd_baseline(run: Run, args):
     with run.stage("parse"):
         flair = parse_nifti(run.read(args.flair))
-        mask = parse_nifti(run.read(args.mask))
+        mask = parse_mask(run.read(args.mask), "brain mask")
     params = HistParams(alpha=args.alpha, bins=args.bins)
     with run.stage("segment"):
-        mask = binary_mask(mask, "brain mask")
         lesion_mask, cutoff = histogram_segment(flair, mask, params)
         volume_ml = wmh_volume_ml(lesion_mask)
         lesion_count = count_components(lesion_mask)
@@ -310,22 +308,19 @@ def cmd_evaluate(run: Run, args):
     if args.out_pr_tsv and not args.posterior:
         raise ContractError("--out-pr-tsv needs --posterior (and --mask): there is no PR curve without one")
     with run.stage("parse"):
-        pred = parse_nifti(run.read(args.pred))
-        gt = parse_nifti(run.read(args.gt))
+        pred = parse_mask(run.read(args.pred), "pred mask")
+        gt = parse_mask(run.read(args.gt), "gt mask")
         posterior = mask = None
         if args.posterior:
             posterior = parse_nifti(run.read(args.posterior))
-            mask = parse_nifti(run.read(args.mask))
+            mask = parse_mask(run.read(args.mask), "brain mask")
     with run.stage("metrics"):
-        pred = binary_mask(pred, "pred mask")
-        gt = binary_mask(gt, "gt mask")
         # voxels are compared by index, so every input must lie on gt's grid
         require_same_grid(pred, gt, "masks")
         curve = None
         if posterior is not None:
             require_same_grid(posterior, gt, "posterior and gt")
             require_same_grid(mask, gt, "brain mask and gt")
-            mask = binary_mask(mask, "brain mask")  # the parsed float32 mask is dropped here
             curve = pr_curve_auc(posterior, gt, mask)
             del posterior, mask
     writer = POOL.submit(_write_stage, run, curve, args.out_pr_tsv) if args.out_pr_tsv else None

@@ -83,6 +83,16 @@ def _parse_float(raw: str, row: int, column: str) -> float | None:
     return value
 
 
+def _bounded_float(raw: str, row: int, column: str, allow_zero: bool = False) -> float | None:
+    """``_parse_float`` of a cell that must be positive, or non-negative with
+    ``allow_zero``; a value out of that range warns and reads as missing."""
+    value = _parse_float(raw, row, column)
+    if value is not None and (value < 0 if allow_zero else value <= 0):
+        _warn(row, column, raw, "must be non-negative" if allow_zero else "must be positive")
+        return None
+    return value
+
+
 def parse_cohort_csv(data: bytes | str) -> list[SubjectRecord]:
     """Parse cohort CSV bytes into typed subject records.
 
@@ -128,14 +138,8 @@ def parse_cohort_csv(data: bytes | str) -> list[SubjectRecord]:
             if sex is None:
                 _warn(rownum, "sex", sex_raw, "is not F/M")
 
-        age = _parse_float(cell(row, "age"), rownum, "age")
-        if age is not None and age <= 0:
-            _warn(rownum, "age", cell(row, "age"), "must be positive")
-            age = None
-        education = _parse_float(cell(row, "education"), rownum, "education")
-        if education is not None and education < 0:
-            _warn(rownum, "education", cell(row, "education"), "must be non-negative")
-            education = None
+        age = _bounded_float(cell(row, "age"), rownum, "age")
+        education = _bounded_float(cell(row, "education"), rownum, "education", allow_zero=True)
         apoe4_f = _parse_float(cell(row, "apoe4"), rownum, "apoe4")
         apoe4 = None
         if apoe4_f is not None:
@@ -143,10 +147,7 @@ def parse_cohort_csv(data: bytes | str) -> list[SubjectRecord]:
                 apoe4 = int(apoe4_f)
             else:
                 _warn(rownum, "apoe4", cell(row, "apoe4"), "must be an allele count 0-2")
-        icv = _parse_float(cell(row, "icv_ml"), rownum, "icv_ml")
-        if icv is not None and icv <= 0:
-            _warn(rownum, "icv_ml", cell(row, "icv_ml"), "must be positive")
-            icv = None
+        icv = _bounded_float(cell(row, "icv_ml"), rownum, "icv_ml")
 
         records.append(
             SubjectRecord(

@@ -193,24 +193,25 @@ def _reversed(v: Volume3D) -> Volume3D:
 def predict_ensemble(spec: EnsembleSpec, flair: Volume3D, mask: Volume3D) -> Volume3D:
     """Full ensemble posterior for a normalized volume, in the canonical frame.
 
-    Expects ``flair`` already intensity-normalized within ``mask``. Returns a
-    posterior map with out-of-mask voxels forced to 0, stored in ``flair``'s
-    memory order (F when it is F-contiguous, C otherwise) and returned as
-    its canonical view. A mask stored in another layout is copied once.
+    Expects ``flair`` already intensity-normalized within ``mask``, float32
+    as ``normalize_intensity`` returns it, and consumes it: the posterior,
+    with out-of-mask voxels forced to 0, is written over ``flair.data`` once
+    every net has read the FLAIR, and returned as its canonical view. A mask
+    stored in another layout is copied once.
 
-    The posteriors of plane nets that are not pointwise are stacked in that
-    storage order. A meta net that is not pointwise fuses the stack of all
-    three, and the out-of-mask voxels of its posterior are zeroed one slab of
-    the slowest memory axis at a time. A pointwise meta net computes only the
+    The posteriors of plane nets that are not pointwise are stacked in the
+    FLAIR's storage order (F when it is F-contiguous, C otherwise). A meta
+    net that is not pointwise fuses the stack of all three, and the
+    out-of-mask voxels of its posterior are zeroed one slab of the slowest
+    memory axis at a time. A pointwise meta net computes only the
     in-mask voxels, gathered in memory order into one compact buffer, each
     stacked plane first compacted in place the same way: it makes each run
     of its (3, n) input in one buffer, from a pointwise plane net's forward
     on that run of the compact FLAIR or from that slice of a stacked plane,
     and writes the fused run over the compact FLAIR. The compact posterior
-    is then scattered into a zeroed volume, the first stacked plane when
-    there is one. So no out-of-mask value reaches its pointwise nets, and no
-    more than the stacked planes, the compact buffer and the posterior are
-    ever large.
+    is then scattered into the zeroed FLAIR. So no out-of-mask value
+    reaches its pointwise nets, and no more than the FLAIR, the stacked
+    planes and the compact buffer are ever large.
     """
     require_same_grid(flair, mask, "volume and mask")
     mask = binary_mask(mask, "brain mask")
@@ -228,10 +229,10 @@ def predict_ensemble(spec: EnsembleSpec, flair: Volume3D, mask: Volume3D) -> Vol
         _tiled_posterior(plane_nets[k], x, spec.tile, spec.cores[k], post, flair.orientation, plane)
 
     if not meta.pointwise:
-        fused = _tiled_posterior(meta, stacked, spec.tile, spec.cores[3], orientation=flair.orientation)
-        for slab, keep in zip(fused, inside):
+        _tiled_posterior(meta, stacked, spec.tile, spec.cores[3], flair.data, flair.orientation)
+        for slab, keep in zip(flair.data, inside):
             slab[~keep] = 0.0
-        return to_canonical(flair.with_data(fused))
+        return to_canonical(flair)
 
     for post in stacked:  # compacted in place to its in-mask voxels, in memory order
         gathered = post[inside]
@@ -248,13 +249,9 @@ def predict_ensemble(spec: EnsembleSpec, flair: Volume3D, mask: Volume3D) -> Vol
         return run
 
     _pointwise_posterior(meta, compact, planes)
-    if in_stack:
-        fused = stacked[0]
-        fused.fill(0.0)
-    else:
-        fused = np.zeros(flair.dims, dtype=np.float32)
-    fused[inside] = compact
-    return to_canonical(flair.with_data(fused))
+    flair.data.fill(0.0)
+    flair.data[inside] = compact
+    return to_canonical(flair)
 
 
 def binarize(post: Volume3D, threshold: float = DEFAULT_THRESHOLD) -> Volume3D:

@@ -48,13 +48,17 @@ def _dice(tp: int, fp: int, fn: int) -> float:
     return 1.0 if tp + fp + fn == 0 else 2.0 * tp / (2 * tp + fp + fn)
 
 
+def _voxel_counts(p: np.ndarray, g: np.ndarray) -> tuple[int, int, int]:
+    """(TP, FP, FN) voxel counts of two bool masks, with one temporary:
+    FP = |P| - TP and FN = |G| - TP."""
+    tp = int(np.count_nonzero(p & g))
+    return tp, int(np.count_nonzero(p)) - tp, int(np.count_nonzero(g)) - tp
+
+
 def dice_pixel(pred: Volume3D, gt: Volume3D) -> float:
     """2|P∩G| / (|P|+|G|), with the both-empty case defined as 1.0."""
     require_same_dims(pred, gt, "masks")
-    p = binary_mask(pred, "pred mask").data
-    g = binary_mask(gt, "gt mask").data
-    tp = int((p & g).sum())
-    return _dice(tp, int(p.sum()) - tp, int(g.sum()) - tp)
+    return _dice(*_voxel_counts(binary_mask(pred, "pred mask").data, binary_mask(gt, "gt mask").data))
 
 
 def dice_lesion(matching: LesionMatching) -> float:
@@ -181,8 +185,7 @@ def metric_report(
     gt_set = label_components(gt, connectivity)
     matching = match_lesions(pred_set, gt_set)
 
-    p, g = pred.data, gt.data
-    tp, fp, fn = int((p & g).sum()), int((p & ~g).sum()), int((~p & g).sum())
+    tp, fp, fn = _voxel_counts(pred.data, gt.data)
     counts = {
         "tp_voxels": tp,
         "fp_voxels": fp,

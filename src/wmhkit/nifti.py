@@ -3,7 +3,9 @@
 Implements exactly the subset the pipeline needs: .nii bytes or their gzip
 wrapping, 3D single-frame images, datatypes uint8/int16/float32/float64,
 orientation from sform (preferred) or qform snapped to the nearest signed
-principal axes. Everything is materialized as float32 ``Volume3D`` values.
+principal axes. An image is materialized as a float32 ``Volume3D``
+(``parse_nifti``), and a binary mask straight as a bool one (``parse_mask``),
+whatever the payload's datatype.
 
 Writing produces float32 (``write_nifti``, e.g. posteriors and intensities) or,
 for binary masks, uint8 (``write_nifti_mask``, datatype 2), which holds the same
@@ -58,7 +60,7 @@ GZIP_LEVEL = 1
 # its OS byte is 255 under Python 3.10 and zlib's (3 on Unix) from 3.11 on.
 _GZIP_HEADER = gzip.compress(b"", GZIP_LEVEL, mtime=0)[:10]
 _MAX_INFLATE = 1032  # deflate's largest expansion ratio
-_CHUNK_BYTES = 2**18  # piece size of the streamed gunzip and encode
+_CHUNK_BYTES = 2**18  # piece size of the streamed gunzip and encode, and of parse_mask in float32
 
 
 def _gunzip(raw: bytes) -> bytearray:
@@ -180,12 +182,16 @@ def _layout(raw: bytes) -> tuple[str, tuple[int, int, int], int, int, int]:
     return end, (nx, ny, nz), datatype, start, start + nx * ny * nz * itemsize
 
 
-def parse_nifti(raw: bytes) -> Volume3D:
-    """Parse a .nii or .nii.gz byte stream into a float32 Volume3D.
+def _open(raw: bytes):
+    """The voxels of a .nii or .nii.gz byte stream as a flat array in file
+    order (x fastest), a view of the buffer they lie in; the volume's dims;
+    its scaling as (slope, intercept), None when there is none; its
+    (spacing, orientation); and whether the buffer was made here by
+    ``_gunzip``, not passed in by the caller.
 
-    scl_slope/scl_inter are applied when scl_slope is nonzero; a NaN or
-    infinite one reads as 0. Orientation comes from the sform when
-    sform_code > 0, else the qform when qform_code > 0, else RAS is assumed.
+    scl_slope/scl_inter scale when scl_slope is nonzero; a NaN or infinite
+    one reads as 0. Orientation comes from the sform when sform_code > 0,
+    else the qform when qform_code > 0, else RAS is assumed.
 
     Raises BadGzip, BadMagic, UnsupportedDim, UnsupportedDatatype,
     TruncatedData, or BadHeader.
@@ -229,21 +235,60 @@ def parse_nifti(raw: bytes) -> Volume3D:
         raise BadHeader(f"non-positive voxel spacing {spacing}")
     orientation = _snap_orientation(affine) if affine is not None else CANONICAL_ORIENTATION
 
+    scale = None if scl_slope == 0.0 or (scl_slope == 1.0 and scl_inter == 0.0) else (scl_slope, scl_inter)
+    np_dtype = np.dtype(_DTYPE_NUMPY[datatype]).newbyteorder(end)
+    flat = np.frombuffer(raw, dtype=np_dtype, count=nx * ny * nz, offset=start)
+    return flat, (nx, ny, nz), scale, (spacing, orientation), inflated
+
+
+def _float32(values: np.ndarray, scale, copy: bool) -> np.ndarray:
+    """``values`` cast to float32 and scaled by ``scale``, as ``_open`` gives
+    them; with ``copy`` false, native float32 values with no scaling are
+    returned as they are."""
+    data = values.astype(np.float32, copy=copy)
+    if scale is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = (data.astype(np.float64) * scale[0] + scale[1]).astype(np.float32)
+    return data
+
+
+def _volume(data: np.ndarray, grid) -> Volume3D:
+    try:
+        return Volume3D(data, *grid)
+    except ValueError as exc:
+        raise BadHeader(str(exc)) from exc
+
+
+def parse_nifti(raw: bytes) -> Volume3D:
+    """Parse a .nii or .nii.gz byte stream into a float32 Volume3D, F-ordered
+    (see ``_open`` for the header fields read and the errors raised)."""
+    flat, dims, scale, grid, inflated = _open(raw)
     # A native float32 payload in the buffer _gunzip made here is used where
     # it lies; any other payload, the caller's buffer included, is cast or
     # copied once, so the volume never shares the caller's memory.
-    np_dtype = np.dtype(_DTYPE_NUMPY[datatype]).newbyteorder(end)
-    flat = np.frombuffer(raw, dtype=np_dtype, count=nx * ny * nz, offset=start)
-    in_place = inflated and flat.flags.aligned
-    data = flat.reshape((nx, ny, nz), order="F").astype(np.float32, copy=not in_place)
-    if scl_slope != 0.0 and not (scl_slope == 1.0 and scl_inter == 0.0):
-        with np.errstate(over="ignore", invalid="ignore"):
-            data = (data.astype(np.float64) * scl_slope + scl_inter).astype(np.float32)
+    data = _float32(flat, scale, copy=not (inflated and flat.flags.aligned))
+    return _volume(data.reshape(dims, order="F"), grid)
 
-    try:
-        return Volume3D(data, spacing, orientation)
-    except ValueError as exc:
-        raise BadHeader(str(exc)) from exc
+
+def parse_mask(raw: bytes, name: str) -> Volume3D:
+    """Parse a .nii or .nii.gz binary mask into a bool Volume3D, F-ordered:
+    ``binary_mask(parse_nifti(raw), name)`` bit for bit, with no float32
+    volume made. The payload is decoded ``_CHUNK_BYTES // 4`` voxels at a
+    time: each chunk is cast and scaled to float32 as ``parse_nifti`` does,
+    checked for 0/1 values and written as ``!= 0``.
+
+    Raises what ``parse_nifti`` raises, and NonBinaryInput when a voxel is
+    neither 0 nor 1 (NaN included), after the whole header is checked.
+    """
+    flat, dims, scale, grid, _ = _open(raw)
+    mask = np.empty(dims, dtype=np.bool_, order="F")
+    out = mask.reshape(-1, order="F")  # a view: the file's voxel order
+    step = _CHUNK_BYTES // 4
+    for s in range(0, flat.size, step):
+        values = _float32(flat[s : s + step], scale, copy=False)
+        require_binary(values, name)
+        np.not_equal(values, 0, out=out[s : s + step])
+    return _volume(mask, grid)
 
 
 def _header(v: Volume3D, datatype: int) -> bytes:

@@ -28,6 +28,9 @@ from .errors import (
 )
 
 LOA_FACTOR = 1.96
+# ols_regress rejects a design whose smallest singular value is below this
+# fraction of its largest as collinear
+RANK_TOL = 1e-10
 
 DEFAULT_COVARIATES = ("age", "icv", "sex", "education", "apoe4", "diagnosis")
 # canonical design-matrix ordering for covariate columns
@@ -277,11 +280,11 @@ def ols_regress(
     y: np.ndarray,
     names: tuple[str, ...] | None = None,
     n_dropped: int = 0,
-    rank_tol: float = 1e-10,
 ) -> RegressionResult:
     """Least squares via SVD with classical OLS standard errors.
 
-    Collinear designs are an error (RankDeficient), never silently reduced.
+    Collinear designs, whose singular values span more than 1 / ``RANK_TOL``,
+    are an error (RankDeficient), never silently reduced.
     An exact fit (zero residual) reports p-values of 0 with ``exact_fit`` set.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -293,7 +296,7 @@ def ols_regress(
         raise TooFewRows(f"need more rows ({n}) than columns ({k})")
 
     u, s, vt = np.linalg.svd(X, full_matrices=False)
-    if s[0] == 0.0 or s[-1] < rank_tol * s[0]:
+    if s[0] == 0.0 or s[-1] < RANK_TOL * s[0]:
         raise RankDeficient(
             f"design matrix is rank deficient (singular value ratio {s[-1]:.3e}/{s[0]:.3e})"
         )

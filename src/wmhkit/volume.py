@@ -80,15 +80,17 @@ class Volume3D:
         return Volume3D(data, self.spacing, self.orientation)
 
 
-def is_binary(v: Volume3D) -> bool:
-    d = v.data
+def is_binary(v: Volume3D | np.ndarray) -> bool:
+    """Whether every value of ``v``, a volume or an array, is 0 or 1."""
+    d = v.data if isinstance(v, Volume3D) else v
     return bool(((d == 0) | (d == 1)).all())
 
 
-def require_binary(v: Volume3D, name: str = "mask") -> None:
-    """Raise NonBinaryInput unless every voxel is 0 or 1. A bool mask is
-    binary by its type and is not scanned."""
-    if v.data.dtype != np.bool_ and not is_binary(v):
+def require_binary(v: Volume3D | np.ndarray, name: str = "mask") -> None:
+    """Raise NonBinaryInput unless every value of ``v``, a volume or an
+    array, is 0 or 1. A bool mask is binary by its type and is not scanned."""
+    d = v.data if isinstance(v, Volume3D) else v
+    if d.dtype != np.bool_ and not is_binary(d):
         raise NonBinaryInput(f"{name} must contain only 0/1 values")
 
 
@@ -115,11 +117,11 @@ def canonical_view(data: np.ndarray, orientation) -> np.ndarray:
 
 
 def binary_mask(v: Volume3D, name: str = "mask") -> Volume3D:
-    """``v`` as a bool mask, the one place a mask becomes bool. A bool ``v``
-    is returned as it is; any other is checked for 0/1 values once and
-    converted in its own storage order, which is the parsed order for a
-    parsed mask. Every later ``binary_mask`` or ``require_binary`` on the
-    result is free, and it takes a quarter of a float32 volume."""
+    """``v`` as a bool mask. A bool ``v``, such as ``nifti.parse_mask``
+    returns, is returned as it is; any other is checked for 0/1 values once
+    and converted in its own storage order. Every later ``binary_mask`` or
+    ``require_binary`` on the result is free, and it takes a quarter of a
+    float32 volume."""
     if v.data.dtype == np.bool_:
         return v
     require_binary(v, name)
@@ -155,6 +157,11 @@ def normalize_intensity(v: Volume3D, mask: Volume3D) -> Volume3D:
     time, z-scored in place and scattered into the zeroed output. A mask
     stored in another layout is copied to that order once.
 
+    The output consumes ``v``: it is written over ``v.data`` when that is a
+    contiguous float32 array, as ``parse_nifti`` returns it, once every
+    in-mask value is gathered, and ``v.data`` is left as it was when this
+    raises. Only a volume of another type or layout gets a new array.
+
     Raises DegenerateMask when the mask selects fewer than two voxels or the
     in-mask intensities have zero variance, and NonFiniteInput when one of
     them is NaN or infinite.
@@ -180,6 +187,8 @@ def normalize_intensity(v: Volume3D, mask: Volume3D) -> Volume3D:
         raise DegenerateMask("in-mask intensity variance is zero")
     vals -= mu
     vals /= sigma
-    out = np.zeros(v.dims, np.float32, order=order)
+    in_place = v.data.dtype == np.float32 and v.data.flags[order + "_CONTIGUOUS"]
+    out = v.data if in_place else np.empty(v.dims, np.float32, order=order)
+    out.fill(0.0)
     out.ravel(order)[keep] = vals
     return v.with_data(out)

@@ -209,8 +209,9 @@ class TestTilePlan:
         nets = _nets(kind, rng)
         assert all(net.pointwise for net in nets)
         flair, mask = _inputs(rng, shape)
+        want = whole_volume_ensemble(forward, nets, flair, mask)
         got = predict_ensemble(_spec(nets, tile), Volume3D(flair), Volume3D(mask))
-        assert np.array_equal(got.data, whole_volume_ensemble(forward, nets, flair, mask))
+        assert np.array_equal(got.data, want)
 
     @pytest.mark.parametrize("kind", ["phantom", "pointwise", "mixed", "tiled_planes"])
     def test_pointwise_ensemble_matches_reference_in_every_orientation(self, rng, monkeypatch, kind):
@@ -225,10 +226,27 @@ class TestTilePlan:
             for orientation in all_signed_orientations():
                 source = _inverse_remap(flair, orientation), _inverse_remap(mask, orientation)
                 for layout in layouts:
-                    v, m = (Volume3D(np.asarray(a, order=o), orientation=orientation) for a, o in zip(source, layout))
+                    v, m = (Volume3D(np.array(a, order=o), orientation=orientation) for a, o in zip(source, layout))
                     assert v.data.flags[f"{layout[0]}_CONTIGUOUS"] and m.data.flags[f"{layout[1]}_CONTIGUOUS"]
                     got = predict_ensemble(spec, v, m).data.tobytes()
                     assert got == want, (run, orientation, layout)
+
+    @pytest.mark.parametrize("kind", ["phantom", "pointwise", "mixed", "tiled_planes", "receptive"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_posterior_is_written_over_the_flair(self, rng, kind, order):
+        # the FLAIR's buffer takes the posterior only after every net has
+        # read it: under a pointwise meta net with pointwise and tiled plane
+        # nets, and under a tiled meta net ("receptive"), each over several
+        # blocks
+        nets = _nets(kind, rng)
+        flair, mask = _inputs(rng, (9, 7, 5))
+        want = whole_volume_ensemble(forward, nets, flair, mask)
+        orientation = ("P", "I", "R")
+        v, m = (Volume3D(np.array(_inverse_remap(a, orientation), order=order), orientation=orientation)
+                for a in (flair, mask))
+        got = predict_ensemble(_spec(nets, (4, 4, 3)), v, m)
+        assert np.shares_memory(got.data, v.data)
+        assert got.data.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["receptive", "pool", "unet"])
     def test_other_nets_match_overlap_tile_reference(self, rng, kind):
@@ -238,8 +256,9 @@ class TestTilePlan:
         assert not any(net.pointwise for net in nets)
         for shape, tile in [((48, 40, 56), (24, 16, 32)), ((26, 34, 18), (20, 20, 20))]:
             flair, mask = _inputs(rng, shape)
+            want = whole_volume_ensemble(forward, nets, flair, mask)
             got = predict_ensemble(_spec(nets, tile), Volume3D(flair), Volume3D(mask))
-            assert np.array_equal(got.data, whole_volume_ensemble(forward, nets, flair, mask)), shape
+            assert np.array_equal(got.data, want), shape
 
     def test_pointwise_ensemble_passes_each_voxel_once(self, rng, monkeypatch):
         nets = _nets("pointwise", rng)
@@ -290,7 +309,7 @@ class TestTilePlan:
         nets = _nets(kind, rng)
         flair, mask = _inputs(rng, shape)
         seen = _spy_runs(monkeypatch)
-        got = predict_ensemble(_spec(nets, (6, 5, 4)), Volume3D(flair), Volume3D(mask))
+        got = predict_ensemble(_spec(nets, (6, 5, 4)), Volume3D(flair.copy()), Volume3D(mask))
         assert np.array_equal(got.data, whole_volume_ensemble(forward, nets, flair, mask))
         # every pointwise net runs over the in-mask voxels alone, in runs
         inside = flair[mask > 0]
@@ -367,7 +386,7 @@ class TestTilePlan:
         monkeypatch.setattr(ensemble, "_tiled_posterior", spy)
         for orientation in all_signed_orientations()[::7]:
             # the mask stored in Fortran order, as a parsed NIfTI is
-            v = Volume3D(_stored(flair, orientation), orientation=orientation)
+            v = Volume3D(_stored(flair.copy(), orientation), orientation=orientation)
             m = Volume3D(np.asfortranarray(_stored(mask > 0, orientation)), orientation=orientation)
             fused.clear()
             tracemalloc.start()
@@ -581,7 +600,7 @@ class TestPredictEnsemble:
     def test_invariant_to_on_disk_orientation(self):
         p, norm = _normalized_phantom(seed=4, shape=(10, 12, 14))
         spec = _phantom_ensemble(p)
-        reference = predict_ensemble(spec, norm, p.brain_mask)
+        reference = predict_ensemble(spec, norm.with_data(norm.data.copy()), p.brain_mask)
         for orientation in all_signed_orientations()[::7]:
             # express the same physical volume with a different axis labeling:
             # remap data so that interpreting it under `orientation` recovers norm

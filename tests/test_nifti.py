@@ -20,11 +20,12 @@ from wmhkit.nifti import (
     DATA_OFFSET,
     GZIP_LEVEL,
     HEADER_SIZE,
+    parse_mask,
     parse_nifti,
     write_nifti,
     write_nifti_mask,
 )
-from wmhkit.volume import Volume3D
+from wmhkit.volume import Volume3D, binary_mask
 
 
 def _volume(rng, shape=(4, 5, 6), spacing=(1.0, 1.2, 0.8), orientation=("R", "A", "S")):
@@ -178,6 +179,115 @@ class TestParseBuffers:
         cut = len(plain) // 3
         raw = gzip.compress(plain[:cut], mtime=0) + gzip.compress(plain[cut:], mtime=0) + b"\x00" * 8
         assert np.array_equal(parse_nifti(raw).data, v.data)
+
+
+# the header fields the reader reads, as (struct format, offset)
+_HEADER_FIELDS = (("i", 0), ("8h", 40), ("h", 70), ("h", 72), ("8f", 76), ("f", 108), ("2f", 112),
+                  ("2h", 252), ("3f", 256), ("4f", 280), ("4f", 296), ("4f", 312))
+
+
+def _image_bytes(values, dtype, end="<", scale=(0.0, 0.0), compress=False):
+    """A NIfTI-1 file of ``values`` stored as ``dtype`` in byte order ``end``,
+    with scl_slope and scl_inter ``scale``, from the float32 writer's header."""
+    le = write_nifti(Volume3D(np.zeros(values.shape, np.float32), (1.0, 1.2, 0.8), ("L", "I", "A")))
+    raw = bytearray(le[:DATA_OFFSET])
+    for fmt, off in _HEADER_FIELDS:
+        struct.pack_into(end + fmt, raw, off, *struct.unpack_from("<" + fmt, le, off))
+    code = {np.uint8: 2, np.int16: 4, np.float32: 16, np.float64: 64}[dtype]
+    struct.pack_into(end + "2h", raw, 70, code, 8 * np.dtype(dtype).itemsize)
+    struct.pack_into(end + "2f", raw, 112, *scale)
+    raw += values.astype(np.dtype(dtype).newbyteorder(end)).ravel(order="F").tobytes()
+    return gzip.compress(bytes(raw), mtime=0) if compress else bytes(raw)
+
+
+def _outcome(fn):
+    """``fn()``'s bool data, orientation and spacing, or its error's class and message."""
+    try:
+        v = fn()
+    except Exception as exc:  # noqa: BLE001  (compared, not handled)
+        return type(exc), str(exc)
+    return v.data.dtype, v.data.strides, v.data.tobytes(), v.orientation, v.spacing
+
+
+def _mask_reference(raw, name="brain mask"):
+    return binary_mask(parse_nifti(raw), name)
+
+
+class TestParseMask:
+    @pytest.mark.parametrize("compress", [False, True], ids=["nii", "nii.gz"])
+    @pytest.mark.parametrize("end", ["<", ">"])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.float32, np.float64])
+    def test_equals_binary_mask_of_parse_nifti(self, rng, monkeypatch, dtype, end, compress):
+        # 7x5x6 = 210 voxels in chunks of 16, the last one of 2; then the real
+        # chunk size, 65536 voxels, over 82861 (one chunk and a part)
+        for chunk_bytes, shape in ((4 * 16, (7, 5, 6)), (nifti._CHUNK_BYTES, (41, 43, 47))):
+            monkeypatch.setattr(nifti, "_CHUNK_BYTES", chunk_bytes)
+            values = rng.random(shape) < 0.4
+            if dtype in (np.float32, np.float64):
+                values = np.where(values, 1.0, np.where(rng.random(shape) < 0.5, -0.0, 0.0))
+            raw = _image_bytes(values, dtype, end, compress=compress)
+            got = parse_mask(raw, "brain mask")
+            assert got.data.dtype == np.bool_ and got.data.flags.f_contiguous
+            assert _outcome(lambda: got) == _outcome(lambda: _mask_reference(raw))
+            assert got.orientation == ("L", "I", "A")
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["nii", "nii.gz"])
+    @pytest.mark.parametrize(
+        "dtype, stored, scale",
+        [(np.int16, (4, 6), (0.5, -2.0)), (np.uint8, (0, 2), (0.5, 0.0)), (np.float32, (3.0, 5.0), (0.5, -1.5)),
+         (np.float64, (0.0, 1.0), (1.0, 0.0)), (np.int16, (0, 1), (np.nan, 7.0)), (np.int16, (0, 3), (3.0, 1.0))],
+        ids=["int16", "uint8", "float32", "identity", "nan-slope", "non-binary"],
+    )
+    def test_scaling_is_applied_per_chunk_as_parse_nifti_does(self, rng, monkeypatch, dtype, stored, scale, compress):
+        # the last case scales 0 and 3 to 1 and 10, so it is rejected
+        monkeypatch.setattr(nifti, "_CHUNK_BYTES", 4 * 16)
+        shape = (7, 5, 6)
+        values = np.where(rng.random(shape) < 0.4, stored[1], stored[0])
+        raw = _image_bytes(values, dtype, scale=scale, compress=compress)
+        got = _outcome(lambda: parse_mask(raw, "gt mask"))
+        assert got == _outcome(lambda: _mask_reference(raw, "gt mask"))
+        assert got[0] == (NonBinaryInput if scale == (3.0, 1.0) else np.bool_)
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["nii", "nii.gz"])
+    @pytest.mark.parametrize("value", [0.5, np.nan, 2.0, -1.0, np.inf])
+    @pytest.mark.parametrize("where", [0, 100, 209], ids=["first", "middle", "last"])
+    def test_non_binary_and_nan_voxels_raise_as_before(self, monkeypatch, value, where, compress):
+        # in the first chunk, a middle one and the last, shorter one
+        monkeypatch.setattr(nifti, "_CHUNK_BYTES", 4 * 16)
+        values = np.zeros(210, np.float32)
+        values[where] = value
+        raw = _image_bytes(values.reshape((7, 5, 6), order="F"), np.float32, compress=compress)
+        got = _outcome(lambda: parse_mask(raw, "pred mask"))
+        assert got == (NonBinaryInput, "pred mask must contain only 0/1 values")
+        assert got == _outcome(lambda: _mask_reference(raw, "pred mask"))
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["nii", "nii.gz"])
+    def test_truncated_and_corrupt_files_raise_as_before(self, rng, compress):
+        # every cut of the file, and for gzip a flipped byte at each of
+        # several offsets: the same error class and message as parse_nifti
+        values = (rng.random((4, 3, 5)) < 0.5).astype(np.float32)
+        raw = write_nifti_mask(Volume3D(values), compress=compress)
+        for cut in range(0, len(raw), 3):
+            assert _outcome(lambda: parse_mask(raw[:cut], "mask")) == _outcome(lambda: _mask_reference(raw[:cut], "mask"))
+        if compress:
+            for pos in range(2, len(raw), 5):
+                bad = bytearray(raw)
+                bad[pos] ^= 0xFF
+                bad = bytes(bad)
+                assert _outcome(lambda: parse_mask(bad, "mask")) == _outcome(lambda: _mask_reference(bad, "mask"))
+
+    def test_truncation_wins_over_non_binary(self):
+        raw = write_nifti(Volume3D(np.full((4, 4, 4), 0.5, np.float32)))
+        assert _outcome(lambda: parse_mask(raw[:-5], "mask"))[0] is TruncatedData
+
+    def test_peak_is_the_bool_mask_and_one_chunk(self, rng):
+        # a uint8 .nii.gz mask: the inflated payload, the bool mask and the
+        # float32 and bool temporaries of one chunk; a float32 volume of the
+        # mask, four times the bool mask, would break the bound
+        shape = (128, 128, 64)
+        raw = write_nifti_mask(Volume3D(rng.random(shape) < 0.3), compress=True)
+        voxels = int(np.prod(shape))
+        assert _traced_peak(lambda: parse_mask(raw, "mask")) < 2 * voxels + 8 * nifti._CHUNK_BYTES
 
 
 class TestStreamedWrite:

@@ -95,7 +95,7 @@ def test_canonical_zeros_read_canonically_without_a_copy(orientation):
     c = np.arange(1, 25, dtype=np.float32).reshape(dims)
     inside = np.arange(24).reshape(dims) % 3 > 0
     for order in ("C", "F"):
-        v = Volume3D(np.asarray(c, order=order), orientation=orientation)
+        v = Volume3D(np.array(c, order=order), orientation=orientation)
         out = normalize_intensity(v, v.with_data(np.asarray(inside, order=order)))
         assert out.data.flags[f"{order}_CONTIGUOUS"]
         assert not out.data[~inside].any()
@@ -117,8 +117,8 @@ def _traced_peak(fn) -> int:
 class TestNormalizeIntensity:
     def test_in_place_z_score_keeps_the_bits_and_lowers_the_peak(self, rng):
         # F-ordered and flipped, as parse_nifti returns a volume, and C-ordered,
-        # each with masks stored either way; 31% in mask. The output is stored
-        # in the order the volume is walked in, its own. Also: x-slabs the
+        # each with masks stored either way; 31% in mask. The output is
+        # written over the volume's own buffer. Also: x-slabs the
         # mask leaves empty, the first and last among them, and grids with an
         # axis of length 1
         for shape, empty in [((64, 48, 40), []), ((64, 48, 40), [0, 1, 17, 18, 40, 63]),
@@ -126,23 +126,43 @@ class TestNormalizeIntensity:
             for order, mask_order in [("F", "F"), ("F", "C"), ("C", "C"), ("C", "F")]:
                 case = (shape, order, mask_order)
                 data = np.asarray(rng.normal(100.0, 15.0, shape).astype(np.float32), order=order)
-                v = Volume3D(data, orientation=("L", "P", "S"))
+                v = Volume3D(data.copy(order="K"), orientation=("L", "P", "S"))
                 inside = np.asarray(rng.random(shape) < 0.31, order=mask_order)
                 inside[empty] = False
                 mask = binary_mask(Volume3D(inside.astype(np.float32, order="K"), orientation=v.orientation))
                 assert mask.data.flags[f"{mask_order}_CONTIGUOUS"]
                 n = int(np.count_nonzero(mask.data))
-                got = normalize_intensity(v, mask)
-                assert got.data.tobytes() == zscore_in_mask(v.data, mask.data).tobytes(), case
+                old = _traced_peak(lambda: zscore_in_mask(data, mask.data))
+                got = []
+                new = _traced_peak(lambda: got.append(normalize_intensity(v, mask)))
+                got = got[0]
+                assert got.data.tobytes() == zscore_in_mask(data, mask.data).tobytes(), case
                 assert got.orientation == v.orientation
-                assert got.data.flags[f"{order}_CONTIGUOUS"], case
-                old = _traced_peak(lambda: zscore_in_mask(v.data, mask.data))
-                new = _traced_peak(lambda: normalize_intensity(v, mask))
+                assert got.data is v.data, case  # written over the volume's own buffer
                 assert new < old, (case, new, old)
-                # the output, the float64 in-mask values and std's one temporary
-                # of them; a mask stored in the other order is copied once
+                # the float64 in-mask values, std's one temporary of them and
+                # the last chunk's float32 gather, here all of them; a mask
+                # stored in the other order is copied once
                 copied = 0 if mask.data.flags[f"{order}_CONTIGUOUS"] else inside.size
-                assert new <= data.nbytes + 2 * 8 * n + copied + 2**16, (case, new, old)
+                assert new <= (2 * 8 + 4) * n + copied + 2**16, (case, new, old)
+
+    def test_volume_is_left_as_it_was_on_error(self):
+        data = np.full((3, 3, 3), 7.0, dtype=np.float32, order="F")
+        with pytest.raises(DegenerateMask):
+            normalize_intensity(Volume3D(data), _full_mask((3, 3, 3)))
+        assert (data == 7.0).all()
+
+    @pytest.mark.parametrize("layout", ["float64", "strided"])
+    def test_other_volumes_are_left_as_they_were(self, rng, layout):
+        # only a contiguous float32 buffer can take the output; any other
+        # volume gets a new float32 array with the same bits
+        data = rng.normal(100.0, 15.0, (6, 5, 4)).astype(np.float32)
+        mask = Volume3D(rng.random(data.shape) < 0.5)
+        v = data.astype(np.float64) if layout == "float64" else np.repeat(data, 2, axis=0)[::2]
+        before = v.copy()
+        got = normalize_intensity(Volume3D(v), mask)
+        assert not np.shares_memory(got.data, v) and np.array_equal(v, before)
+        assert got.data.tobytes() == zscore_in_mask(data, mask.data).tobytes()
 
     def test_two_point(self):
         v = _vol(np.array([1.0, 3.0, 99.0, 99.0]).reshape(1, 2, 2))
