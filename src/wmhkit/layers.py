@@ -25,7 +25,9 @@ kh = 3. With fewer input channels it is lowered over (Cin, kh, kw), one GEMM,
 as at any other in-plane stride, where the columns run at pitch Wo. So each
 output voxel is, per depth tap a in increasing order and per kernel row (or
 all kh rows at once), one float64 dot product over (Cin, kw) (or (Cin, kh, kw))
-added into its accumulator, then the bias, and it is rounded to float32 once.
+added into its accumulator, then the bias, and it is rounded to float32 once:
+when an output plane's last real input plane is in, the bias is added into its
+finished accumulator in place and one casting copy stores it in ``out``.
 Zero-padding planes add exact zeros and are skipped, so an output plane that
 reads only padding is its bias.
 
@@ -74,7 +76,10 @@ shape rule. It neither allocates its output nor checks shapes, and it writes
 through ``out.reshape``, which would silently copy a non-contiguous array.
 Concat copies only the parts that are not already in their channels of
 ``out``: ``network.forward`` has most producers write there (see its
-docstring for the cases it does not place).
+docstring for the cases it does not place). BatchNorm, ReLU and Softmax
+(``IN_PLACE``) may be handed ``out is x``: each reads a run of its input before
+it writes that run, and no other, so ``network.forward`` has them write over
+an input that no later layer reads.
 
 Every other kernel, and a 1x1x1 stride-1 unpadded conv, runs on the same pool,
 ``_workers()`` pieces at once (``_run``): BatchNorm, ReLU and Concat over runs
@@ -285,6 +290,10 @@ class Layer:
     """Base of the vocabulary; by default a layer keeps its input's shape and
     maps each voxel on its own. Only Concat reads an earlier output."""
 
+    # True when ``forward`` may be handed ``out is x``: the kernel reads each
+    # run of its input before it writes that run, and no other
+    IN_PLACE = False
+
     def out_shape(self, shape: Shape, produced: dict[str, Shape]) -> Shape:
         """Output shape for an input of ``shape``, given the shapes of earlier
         named outputs. Raises ShapeMismatch or UnknownConcatSource exactly when
@@ -339,6 +348,7 @@ class Conv3D(Layer):
 @dataclass(frozen=True)
 class BatchNorm(Layer):
     TYPE = "batchnorm"
+    IN_PLACE = True
     gamma: np.ndarray
     beta: np.ndarray
     mean: np.ndarray
@@ -367,6 +377,7 @@ class BatchNorm(Layer):
         return shape
 
     def forward(self, x, out, bindings):
+        """``out`` may be ``x``: each run is read into a float64 buffer first."""
         g = self.gamma.astype(np.float64)
         b = self.beta.astype(np.float64)
         m = self.mean.astype(np.float64)
@@ -391,8 +402,10 @@ class BatchNorm(Layer):
 @dataclass(frozen=True)
 class ReLU(Layer):
     TYPE = "relu"
+    IN_PLACE = True
 
     def forward(self, x, out, bindings):
+        """``out`` may be ``x``: np.maximum reads each voxel before writing it."""
         src = x.reshape(x.shape[0], -1)
         dst = out.reshape(src.shape)
 
@@ -512,8 +525,11 @@ class Concat(Layer):
 @dataclass(frozen=True)
 class Softmax(Layer):
     TYPE = "softmax"
+    IN_PLACE = True
 
     def forward(self, x, out, bindings):
+        """``out`` may be ``x``: each run of every channel is read into a
+        float64 buffer first."""
         # exp(z - max z) / sum exp(z - max z) over the channels in float64, one run
         # of every channel at a time in float64 buffers per worker
         src = x.reshape(x.shape[0], -1)
@@ -557,8 +573,9 @@ def conv3d(x: np.ndarray, p: Conv3D, out: np.ndarray) -> None:
     read it times the lowered rows straight into the band's rows of the
     float64 accumulators of the output planes that read it through those
     taps. An output plane's accumulator is zeroed at its first real input
-    plane; it takes its bias and is rounded to float32 once its last one is
-    in. An output plane that reads only zero padding is its bias.
+    plane; once its last one is in, it takes its bias in place and one casting
+    copy rounds it into ``out``. An output plane that reads only zero padding
+    is its bias.
     """
     cout, cin, kd, kh, kw = p.weights.shape
     _, do, ho, wo = out.shape
@@ -637,6 +654,10 @@ def conv3d(x: np.ndarray, p: Conv3D, out: np.ndarray) -> None:
     def run_band(k, scratch):
         (r0, r1), pad, lcol = bands[k], pads[k], lowered[k]
         n = (r1 - r0) * pitch
+        # the bias over a ring slot's columns: an add of two contiguous arrays is
+        # one inner loop, while a broadcast (cout, 1) one took 21 against 10 us
+        # per 16 x 2112 slot
+        biases = np.repeat(bias, n, axis=1)
         col, ring = np.split(buf[spans[k] : spans[k + 1]], [k_rows * lcol])
         col, ring = col.reshape(k_rows, lcol), ring.reshape(nacc, cout, n)
         # the band's padded rows start at padded row r0*sh, input row top
@@ -673,7 +694,14 @@ def conv3d(x: np.ndarray, p: Conv3D, out: np.ndarray) -> None:
                         dgemm(101, 111, 111, len(wt), n, k_rows, 1.0, wt.ctypes.data, k_rows,
                               at + 8 * b * wp, lcol, 1.0, ld + 8 * s0 * cout * n, n)
             for z in ends:
-                np.add(ring[z % nacc].reshape(cout, r1 - r0, pitch)[..., :wo], bias[:, :, None], out=out[:, z, r0:r1])
+                # the bias goes into the finished accumulator in place, then one
+                # copy casts its outputs to float32. A casting np.add into ``out``
+                # does the same add and rounding but runs buffered loops one row
+                # long: 56 us per plane of a 1->16 conv's band at 64^3 against 23
+                # (numpy 2.4)
+                acc = ring[z % nacc]
+                acc += biases
+                out[:, z, r0:r1] = acc.reshape(cout, r1 - r0, pitch)[..., :wo]
 
     _run(run_band, len(bands),
          None if dgemm is not None else lambda: np.empty(nacc * cout * max(r1 - r0 for r0, r1 in bands) * pitch))
@@ -687,6 +715,8 @@ def apply_layer(
     ``bindings`` maps earlier layer names to their outputs; only Concat reads it.
     The layer writes into ``out``, a C-contiguous float32 array of its output
     shape; without one, its shape rule is checked and its output allocated here.
+    For a layer with ``IN_PLACE`` (BatchNorm, ReLU, Softmax) ``out`` may be
+    ``x``, which it then writes over.
     """
     bindings = bindings or {}
     if out is None:

@@ -95,7 +95,12 @@ def forward(net: NetworkSpec, x: np.ndarray) -> np.ndarray:
     that read it: a source two Concats read, and a tensor that is a source and
     also a current tensor (both halves of a Concat of a tensor with itself).
     The network input is never a part, as no Concat is the first layer. A
-    named output stays bound only while a later Concat still reads it.
+    layer with ``IN_PLACE`` (BatchNorm, ReLU, Softmax) that is no Concat's part
+    gets no output of its own: it writes over its input, unless that input is
+    the network input or some Concat reads it, so neither ``x`` nor an output
+    a Concat reads is ever written over (static memory planning, as in TVM,
+    arXiv:1802.04799). A named output stays bound only while a later Concat
+    still reads it.
     Deterministic: identical inputs and weights give bit-identical outputs.
     """
     x = np.asarray(x, dtype=np.float32)
@@ -128,9 +133,15 @@ def forward(net: NetworkSpec, x: np.ndarray) -> np.ndarray:
     bindings: dict[str, np.ndarray] = {}
     for i, (name, layer) in enumerate(net.layers):
         k, lo = home.get(i, (i, 0))
-        if k not in bufs:
-            bufs[k] = np.empty(shapes[k], dtype=np.float32)
-        out = bufs.pop(i) if k == i else bufs[k][lo : lo + shapes[i][0]]
+        if layer.IN_PLACE and 0 < i and k == i and names[i - 1] not in readers:
+            # written over its input, which no later layer reads; that input is
+            # its producer's own array, as only a Concat's source or its
+            # current tensor is placed in its output
+            out = x
+        else:
+            if k not in bufs:
+                bufs[k] = np.empty(shapes[k], dtype=np.float32)
+            out = bufs.pop(i) if k == i else bufs[k][lo : lo + shapes[i][0]]
         x = apply_layer(x, layer, bindings, out)
         bindings = {src: y for src, y in bindings.items() if readers[src][-1] > i}
         if name in readers:

@@ -151,7 +151,8 @@ def _layout(raw: bytes) -> tuple[str, tuple[int, int, int], int, int, int]:
     if len(raw) < HEADER_SIZE:
         raise TruncatedData(f"file is {len(raw)} bytes; NIfTI-1 header needs {HEADER_SIZE}")
     if raw[344:348] != MAGIC:
-        raise BadMagic(f"magic {raw[344:348]!r} is not a NIfTI-1 single-file magic")
+        # as bytes: an inflated .nii.gz is a bytearray, and its message is the .nii's
+        raise BadMagic(f"magic {bytes(raw[344:348])!r} is not a NIfTI-1 single-file magic")
 
     # Endianness: dim[0] must land in 1..7 under exactly one byte order.
     end = "<"

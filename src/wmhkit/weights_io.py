@@ -19,7 +19,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import BadMagic, BadManifest, BadVersion, ShapeMismatch, TruncatedTensor
-from .layers import LAYER_TYPES, Layer
+from .layers import LAYER_TYPES, Layer, _is_int
 from .network import NetworkSpec
 
 MAGIC = b"SGWT"
@@ -128,13 +128,22 @@ def _layer_from_manifest(entry: dict, blob: bytes) -> tuple[str, Layer]:
         raise BadManifest(f"layer {name!r} has malformed parameters: {exc}") from exc
 
 
+def _channel_count(entry: dict, key: str) -> int:
+    """A network's channel count, which must be a JSON integer: ``1.9``, ``"1"``
+    and ``true`` are refused, not read as 1."""
+    value = entry[key]
+    if not _is_int(value):
+        raise BadManifest(f"network {key} must be an integer, got {value!r}")
+    return value
+
+
 def _network_from_manifest(entry: dict, blob: bytes) -> NetworkSpec:
     try:
         layers = tuple(_layer_from_manifest(e, blob) for e in entry["layers"])
         net = NetworkSpec(
             layers=layers,
-            in_channels=int(entry["in_channels"]),
-            out_channels=int(entry["out_channels"]),
+            in_channels=_channel_count(entry, "in_channels"),
+            out_channels=_channel_count(entry, "out_channels"),
         )
     except KeyError as exc:
         raise BadManifest(f"network entry missing field {exc}") from exc

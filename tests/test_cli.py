@@ -416,6 +416,15 @@ class TestSegment:
         assert code == 3
         assert err.startswith("error [format]:") and "eps" in err
 
+    def test_non_integer_channel_count_in_bundle_is_format_error(self, phantom_dir, tmp_path, capsys):
+        def float_channels(manifest, blob):
+            _network(manifest, "meta")["in_channels"] = 3.0
+
+        code = _segment(phantom_dir, tmp_path, _edited_bundle(phantom_dir, tmp_path, float_channels))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error [format]:") and "in_channels must be an integer" in err
+
     def test_wrong_channel_count_in_bundle_is_format_error(self, phantom_dir, tmp_path, capsys):
         def one_input_meta(manifest, blob):
             meta = _network(manifest, "meta")

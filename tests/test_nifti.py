@@ -404,6 +404,14 @@ class TestErrors:
         with pytest.raises(BadMagic):
             parse_nifti(bytes(raw))
 
+    @pytest.mark.parametrize("compress", [False, True], ids=["nii", "nii.gz"])
+    def test_bad_magic_message_is_the_same_in_both_containers(self, rng, compress):
+        raw = bytearray(write_nifti(_volume(rng, shape=(2, 2, 2))))
+        raw[344:348] = b"abcd"
+        with pytest.raises(BadMagic) as exc:
+            parse_nifti(gzip.compress(bytes(raw), mtime=0) if compress else bytes(raw))
+        assert str(exc.value) == "magic b'abcd' is not a NIfTI-1 single-file magic"
+
     def test_short_file_truncated(self):
         with pytest.raises(TruncatedData):
             parse_nifti(b"\x00" * 100)

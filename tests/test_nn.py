@@ -395,6 +395,25 @@ class TestBands:
         want = (e / e.sum(axis=0, keepdims=True)).astype(np.float32)
         assert _same_bits(at_workers(lambda: apply_layer(x, Softmax())), want)
 
+    @pytest.mark.parametrize("layer, channels", [
+        (BatchNorm(gamma=[0.5, -2.0, 1.5], beta=[0.1, 0.0, -3.0], mean=[1.0, -0.5, 0.0], var=[0.2, 2.0, 1.0]), 3),
+        (ReLU(), 3),
+        (Softmax(), 2),
+        (Softmax(), 5),
+    ], ids=["batchnorm", "relu", "softmax2", "softmax5"])
+    def test_in_place_kernel(self, rng, at_workers, layer, channels):
+        # network.forward hands these layers out = x when x is dead; each run is
+        # read before it is written, so the bits are those of a fresh out
+        x = _several_runs(rng, channels=channels, special=_SPECIAL if isinstance(layer, ReLU) else ())
+        want = apply_layer(x, layer)
+
+        def over_x():
+            y = x.copy()
+            assert apply_layer(y, layer, out=y) is y
+            return y
+
+        assert layer.IN_PLACE and _same_bits(at_workers(over_x), want)
+
     @pytest.mark.parametrize("cin, cout", [(1, 2), (1, 5), (3, 2), (16, 2), (2, 16)])
     def test_pointwise_conv_kernel(self, rng, at_workers, cin, cout):
         # with one input channel the kernel is a broadcast product, not a K = 1 GEMM
@@ -761,6 +780,23 @@ def _nested(rng):
     )
 
 
+def _two_readers_later(rng):
+    """Two ReLUs after an output that two later Concats read: the first ReLU
+    reads it and has its own output, the second is a part of c."""
+    return NetworkSpec(
+        layers=(
+            ("a", _conv(2, 1, 3, padding=(1, 1, 1), rng=rng)),
+            ("relu", ReLU()),
+            ("b", ReLU()),
+            ("c", Concat(source="a")),
+            ("d", Concat(source="a")),
+            ("post", Softmax()),
+        ),
+        in_channels=1,
+        out_channels=6,
+    )
+
+
 def _spy_outputs(monkeypatch):
     """The list of outputs forward hands to network.apply_layer, in call order."""
     outs, real = [], network.apply_layer
@@ -771,6 +807,36 @@ def _spy_outputs(monkeypatch):
 
     monkeypatch.setattr(network, "apply_layer", spy)
     return outs
+
+
+def _layer_by_layer(net, x):
+    """Each layer's output by name, every layer run through apply_layer into a
+    fresh array."""
+    bindings, y = {}, x
+    for name, layer in net.layers:
+        y = bindings[name] = apply_layer(y, layer, bindings)
+    return bindings
+
+
+def _forward_leaving_inputs(net, x, want):
+    """forward(net, x), checking that it leaves its inputs alone: x is bitwise
+    unchanged after it, and before each layer runs, its input and every output
+    a later Concat reads hold the bits of ``want`` (``_layer_by_layer``)."""
+    before, names = x.copy(), [name for name, _ in net.layers]
+    real, seen = network.apply_layer, []
+
+    def spy(y, layer, bindings, out):
+        i = len(seen)
+        seen.append(layer)
+        assert _same_bits(y, want[names[i - 1]] if i else before)
+        assert all(_same_bits(b, want[name]) for name, b in bindings.items())
+        return real(y, layer, bindings, out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "apply_layer", spy)
+        got = forward(net, x)
+    assert len(seen) == len(net.layers) and _same_bits(x, before)
+    return got
 
 
 class TestForward:
@@ -795,17 +861,14 @@ class TestForward:
         np.testing.assert_allclose(out[0], expect, rtol=1e-5, atol=1e-6)
 
     def test_unet_matches_layer_composition(self, rng):
-        net = _unet(rng)
-        x = rng.normal(size=(1, 8, 8, 8)).astype(np.float32)
-        got = forward(net, x)
-
-        bindings = {}
-        y = x
-        for name, layer in net.layers:
-            y = apply_layer(y, layer, bindings)
-            bindings[name] = y
-        assert np.array_equal(got, y)
-        np.testing.assert_allclose(got.sum(axis=0), 1.0, atol=1e-6)
+        # forward writes BatchNorm, ReLU and Softmax over dead inputs, but never
+        # over its own input or an output a later Concat reads
+        for net in (_unet(rng), unet_net(rng, 1, 4), unet_net(rng, 2, 3)):
+            x = rng.normal(size=(net.in_channels, 8, 8, 8)).astype(np.float32)
+            want = _layer_by_layer(net, x)
+            got = _forward_leaving_inputs(net, x, want)
+            assert _same_bits(got, want[net.layers[-1][0]])
+            np.testing.assert_allclose(got.sum(axis=0), 1.0, atol=1e-6)
 
     def test_forward_binds_only_outputs_a_later_layer_reads(self, rng, monkeypatch):
         # the bindings each layer sees: an output is bound from the layer that
@@ -833,10 +896,17 @@ class TestForward:
         # write into a later Concat's output, so its parts land two levels deep
         monkeypatch.undo()
         for net in (unet, twice, _nested(rng)):
-            bindings, y = {}, x
-            for name, layer in net.layers:
-                y = bindings[name] = apply_layer(y, layer, bindings)
-            assert np.array_equal(forward(net, x), y)
+            assert np.array_equal(forward(net, x), _layer_by_layer(net, x)[net.layers[-1][0]])
+
+    @pytest.mark.parametrize("make", [_twice, _nested, _two_readers_later])
+    def test_forward_leaves_its_inputs_alone(self, rng, make):
+        # a first layer that could write over its input, an output that two
+        # Concats read, and Concats nested in Concats
+        inner = make(rng)
+        net = NetworkSpec(layers=(("first", ReLU()), *inner.layers), in_channels=1, out_channels=inner.out_channels)
+        x = rng.normal(size=(1, 8, 8, 8)).astype(np.float32)
+        want = _layer_by_layer(net, x)
+        assert _same_bits(_forward_leaving_inputs(net, x, want), want["post"])
 
     def test_concat_parts_land_in_place(self, rng, monkeypatch):
         # forward hands each producer of a Concat part a view of the Concat's
@@ -854,15 +924,23 @@ class TestForward:
             return {(p, q) for (p, a), (q, b) in combinations(named, 2) if np.shares_memory(a, b)}
 
         net = unet_net(rng, 1, 4)
-        assert shared(net) == {("enc1_relu", "skip"), ("up", "skip")}
+        # BatchNorm, ReLU and Softmax write over a dead input that is its
+        # producer's own array; enc1_relu is a part of skip's output, so it
+        # does not write over enc1_bn
+        in_place = {("enc1", "enc1_bn"), ("head", "post"),
+                    *(pair for b in ("enc2", "dec1") for pair in combinations((b, f"{b}_bn", f"{b}_relu"), 2))}
+        assert shared(net) == {("enc1_relu", "skip"), ("up", "skip"), *in_place}
         by_name = dict(zip((name for name, _ in net.layers), outs))
         assert by_name["up"].ctypes.data == by_name["skip"].ctypes.data
         assert by_name["enc1_relu"].ctypes.data == by_name["skip"][4:].ctypes.data
-        # c is a part of e, and c's own parts, a and b, land inside it
-        assert shared(_nested(rng)) == {("a", "c"), ("b", "c"), *((p, "e") for p in "abcd")}
+        # c is a part of e, and c's own parts, a and b, land inside it; b reads
+        # a, which c reads too, so b has its output in c's; post writes over e
+        assert shared(_nested(rng)) == {("a", "c"), ("b", "c"), *((p, "e") for p in "abcd"),
+                                        *((p, "post") for p in "abcde")}
         # a is read by two Concats, and b by the Concat of b with itself (as is a
-        # by b), so both live on their own; only c lands in d's output
-        assert shared(_twice(rng)) == {("c", "d")}
+        # by b), so both live on their own; only c lands in d's output, and post
+        # writes over d
+        assert shared(_twice(rng)) == {("c", "d"), ("c", "post"), ("d", "post")}
 
     @pytest.mark.parametrize("error, layers", [
         # the last layer makes 2 channels, the net declares 3
@@ -1170,16 +1248,16 @@ class TestShapeCheck:
             except Exception:
                 ok = False
             try:
-                bindings = {}
-                y = x
-                for name, layer in net.layers:
-                    y = bindings[name] = apply_layer(y, layer, bindings)
+                bindings = _layer_by_layer(net, x)
                 ran = True
             except Exception:
                 ran = False
             assert ok == ran
             if ran:
-                assert np.array_equal(forward(net, x), y)
+                # and forward leaves its input, and each output a later Concat
+                # reads, as they were
+                y = bindings[net.layers[-1][0]]
+                assert _same_bits(_forward_leaving_inputs(net, x, bindings), y)
                 assert y.shape == infer_shapes(net, (8, 8, 8))[-1]
             outcomes.add(ok)
         assert min(seen.values()) > 0 and outcomes == {True, False}

@@ -234,6 +234,19 @@ class TestContainerErrors:
         with pytest.raises(BadManifest):
             load_network(raw)
 
+    @pytest.mark.parametrize("key", ["in_channels", "out_channels"])
+    @pytest.mark.parametrize("loose", [lambda n: n + 0.9, float, str, lambda n: True, lambda n: None, lambda n: [n]],
+                             ids=["fraction", "float", "string", "true", "null", "list"])
+    def test_channel_count_must_be_a_json_integer(self, key, loose):
+        # the first three once loaded as the count through int(...), and true as 1
+        raw = save_ensemble({None: threshold_detector_net(0.5)})
+        (mlen,) = struct.unpack_from("<I", raw, 8)
+        manifest = json.loads(raw[12 : 12 + mlen])
+        manifest["networks"][0][key] = loose(manifest["networks"][0][key])
+        body = json.dumps(manifest).encode()
+        with pytest.raises(BadManifest, match=f"network {key} must be an integer"):
+            load_network(raw[:8] + struct.pack("<I", len(body)) + body + raw[12 + mlen :])
+
     @pytest.mark.parametrize("eps", [-1.0, -1e-12, float("nan"), float("inf")])
     def test_bad_batchnorm_eps(self, rng, eps):
         # json writes NaN and Infinity as bare tokens, which the reader accepts
