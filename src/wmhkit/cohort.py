@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DuplicateId, EmptyCohort, InputError, MissingHeader, UnknownDiagnosis
+from .errors import DuplicateId, EmptyCohort, FormatError, InputError, MissingHeader, UnknownDiagnosis
 
 DIAGNOSES = ("CN", "MCI", "AD")
 
@@ -93,14 +93,24 @@ def _bounded_float(raw: str, row: int, column: str, allow_zero: bool = False) ->
     return value
 
 
+def _csv_rows(data: bytes | str):
+    """A csv reader over CSV text or UTF-8 bytes; a leading byte-order mark,
+    as Excel's "CSV UTF-8" writes, is dropped, and other bytes are a FormatError."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"CSV is not UTF-8: {exc}") from None
+    return csv.reader(io.StringIO(data))
+
+
 def parse_cohort_csv(data: bytes | str) -> list[SubjectRecord]:
     """Parse cohort CSV bytes into typed subject records.
 
     Unparseable numeric cells become missing values with a CohortParseWarning
     per cell; unknown diagnosis strings and duplicated ids are hard errors.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_rows(data)
     try:
         header = next(reader)
     except StopIteration:
@@ -180,8 +190,7 @@ def write_cohort_csv(records) -> bytes:
 
 def parse_numeric_columns(data: bytes | str, columns: list[str]) -> list[tuple[float, ...]]:
     """Rows of the named numeric columns from any CSV; incomplete rows dropped."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_rows(data)
     try:
         header = [h.strip().lower() for h in next(reader)]
     except StopIteration:

@@ -16,8 +16,6 @@ import numpy as np
 from .errors import ShapeCheckFailed, ShapeMismatch, UnknownConcatSource
 from .layers import Concat, Layer, apply_layer
 
-DEFAULT_PROBE_SPATIAL = (16, 16, 16)
-
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -55,8 +53,15 @@ class NetworkSpec:
         volume into blocks gives the same output as one pass."""
         return self.halo == (0, 0, 0) and self.align == (1, 1, 1)
 
-    def validate(self, spatial: tuple[int, int, int] = DEFAULT_PROBE_SPATIAL) -> None:
-        """Dry-run shape inference; raises ShapeCheckFailed on any violation."""
+    def validate(self, spatial: tuple[int, int, int] | None = None) -> None:
+        """Dry-run shape inference; raises ShapeCheckFailed on any violation.
+
+        The default probe is, per axis, the smallest multiple of ``align`` that
+        is at least 16 and at least ``2 * halo + align``, so a net deep enough
+        to pool 16 voxels away is probed at a size it can run on.
+        """
+        if spatial is None:
+            spatial = tuple(-(-max(16, 2 * h + a) // a) * a for h, a in zip(self.halo, self.align))
         try:
             shape = infer_shapes(self, spatial)[-1] if self.layers else (self.in_channels, *spatial)
         except (ShapeMismatch, UnknownConcatSource) as exc:

@@ -89,10 +89,11 @@ def _read_tensor(entry, blob: bytes, what: str) -> np.ndarray:
         raise BadManifest(f"{what}: tensor entry must carry shape and offset")
     shape = entry["shape"]
     offset = entry["offset"]
+    # JSON integers only: ``true`` is not an offset of 1 nor a dimension of 1
     if (
         not isinstance(shape, list)
-        or not all(isinstance(d, int) and d >= 1 for d in shape)
-        or not isinstance(offset, int)
+        or not all(_is_int(d) and d >= 1 for d in shape)
+        or not _is_int(offset)
         or offset < 0
     ):
         raise BadManifest(f"{what}: malformed tensor entry {entry}")
@@ -121,7 +122,7 @@ def _layer_from_manifest(entry: dict, blob: bytes) -> tuple[str, Layer]:
     for f in fields(cls):
         if f.name in entry:
             value = entry[f.name]
-            params[f.name] = _read_tensor(value, blob, name) if f.name in _TENSOR_FIELDS[cls] else value
+            params[f.name] = _read_tensor(value, blob, f"{name}.{f.name}") if f.name in _TENSOR_FIELDS[cls] else value
     try:
         return name, cls(**params)
     except (ShapeMismatch, TypeError, ValueError) as exc:

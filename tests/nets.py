@@ -25,3 +25,12 @@ def unet_net(rng, cin, channels):
               ("head", Conv3D(weights=rng.normal(0.0, 0.5, (2, c, 1, 1, 1)), bias=rng.normal(0.0, 0.05, 2))),
               ("post", Softmax())]
     return NetworkSpec(layers=tuple(layers), in_channels=cin, out_channels=2)
+
+
+def five_pool_net(net):
+    """``net``, a 1x1x1 conv and a softmax, with five 2^3 max-pools and five
+    2x upsamples between the two: halo 31 voxels per axis on a pool grid of 32."""
+    (conv_name, conv), post = net.layers
+    layers = [(conv_name, conv), *((f"pool{i}", MaxPool()) for i in range(5)),
+              *((f"up{i}", UpsampleNearest(factor=2)) for i in range(5)), post]
+    return NetworkSpec(layers=tuple(layers), in_channels=net.in_channels, out_channels=net.out_channels)

@@ -17,9 +17,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.stats
 from scipy import ndimage
 
-from nets import unet_net
+from nets import five_pool_net, unet_net
 from oracles import pr_tsv_text
 from wmhkit import cli, volume
 from wmhkit.cli import main
@@ -424,6 +425,37 @@ class TestSegment:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error [format]:") and "in_channels must be an integer" in err
+
+    def test_boolean_tensor_offset_in_bundle_is_format_error(self, phantom_dir, tmp_path, capsys):
+        # an offset of true once loaded the bias one byte off
+        def true_offset(manifest, blob):
+            _network(manifest, "axial")["layers"][0]["bias"]["offset"] = True
+
+        code = _segment(phantom_dir, tmp_path, _edited_bundle(phantom_dir, tmp_path, true_offset))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error [format]:") and ".bias: malformed tensor entry" in err
+
+    def test_five_pool_bundle_loads_and_segments(self, tmp_path, capsys):
+        # loading once probed every net at 16^3, which five 2x pools cannot take
+        ph = tmp_path / "ph"
+        assert main(["phantom", "--out-dir", str(ph), "--seed", "0", "--shape", "64,64,64"]) == 0
+        nets = load_ensemble((ph / "weights.sgwt").read_bytes())
+        weights = tmp_path / "deep.sgwt"
+        weights.write_bytes(save_ensemble({role: five_pool_net(net) for role, net in nets.items()}))
+        code = main(
+            [
+                "segment",
+                "--flair", str(ph / "flair.nii.gz"),
+                "--mask", str(ph / "brain_mask.nii.gz"),
+                "--weights", str(weights),
+                "--tile", "128",
+                "--out-dir", str(tmp_path / "seg"),
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        assert (tmp_path / "seg" / "flair.mask.nii.gz").exists()
 
     def test_wrong_channel_count_in_bundle_is_format_error(self, phantom_dir, tmp_path, capsys):
         def one_input_meta(manifest, blob):
@@ -1238,44 +1270,51 @@ def test_payload_keys_are_the_schema_required_list(subcommand, cohort_csv, capsy
 _SCIPY_FREE_RUN = textwrap.dedent(
     """
     import contextlib, io, json, sys
-    import wmhkit
+    out, csv, scipy_state = sys.argv[1:]
+    if scipy_state == "unimportable":
+        sys.modules["scipy"] = None  # every import of scipy now raises ImportError
     from wmhkit.cli import main
 
-    out, csv = sys.argv[1], sys.argv[2]
     ph, seg = f"{out}/ph", f"{out}/seg"
     flair, mask = ["--flair", f"{ph}/flair.nii.gz"], ["--mask", f"{ph}/brain_mask.nii.gz"]
+    pair = ["--csv", csv, "--col-a", "wmh_stackgen_ml", "--col-b", "wmh_adni_ml"]
     def run(*argv):
         with contextlib.redirect_stdout(io.StringIO()) as stdout:
             assert main(list(argv)) == 0, argv
         return json.loads(stdout.getvalue())
-    def scipy_modules():
-        return [m for m in sys.modules if m.split(".")[0] == "scipy"]
     run("phantom", "--out-dir", ph, "--seed", "0", "--shape", "24,24,24")
     run("segment", *flair, *mask, "--weights", f"{ph}/weights.sgwt", "--out-dir", seg)
     run("baseline", *flair, *mask, "--out-dir", f"{out}/base")
     run("evaluate", "--pred", f"{seg}/flair.mask.nii.gz", "--gt", f"{ph}/gt.nii.gz", *mask,
         "--posterior", f"{seg}/flair.posterior.nii.gz", "--out-pr-tsv", f"{out}/pr.tsv")
-    before = scipy_modules()
-    p = run("ttest", "--csv", csv, "--col-a", "wmh_stackgen_ml", "--col-b", "wmh_adni_ml")["p"]
-    print(json.dumps({"before_ttest": before, "after_ttest": "scipy.special" in scipy_modules(), "p": p}))
+    run("agree", *pair)
+    run("cohort-summary", "--csv", csv)
+    ttest = run("ttest", *pair)
+    regress = run("regress", "--csv", csv, "--outcome", "adni_ef", "--exposure", "wmh_stackgen")
+    loaded = [m for m, module in sys.modules.items() if m.split(".")[0] == "scipy" and module is not None]
+    print(json.dumps({"scipy_modules": loaded, "ttest_p": ttest["p"], "regress_p": regress["coefficients"][1]["p"]}))
     """
 )
 
 
-def test_image_commands_load_no_scipy(tmp_path, cohort_csv):
-    # a fresh process per subject pays every module it imports; only the p-value of
-    # ttest/regress needs scipy, and it still gives the same bits once loaded lazily
+@pytest.mark.parametrize("scipy_state", ["installed", "unimportable"])
+def test_no_command_loads_scipy(tmp_path, cohort_csv, scipy_state):
+    # a fresh process per subject pays every module it imports, and numpy is the
+    # one runtime dependency: all eight subcommands run without scipy, p-values
+    # included, whether or not it is installed
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     run = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path), str(cohort_csv)],
+        [sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path), str(cohort_csv), scipy_state],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
     got = json.loads(run.stdout)
-    assert got["before_ttest"] == []
-    assert got["after_ttest"]
+    assert got["scipy_modules"] == []
     rows = parse_numeric_columns(cohort_csv.read_bytes(), ["wmh_stackgen_ml", "wmh_adni_ml"])
-    assert got["p"] == paired_ttest([r[0] for r in rows], [r[1] for r in rows]).p
+    a, b = [r[0] for r in rows], [r[1] for r in rows]
+    assert got["ttest_p"] == paired_ttest(a, b).p
+    assert got["ttest_p"] == pytest.approx(float(scipy.stats.ttest_rel(a, b).pvalue), abs=1e-12)
+    assert 0.0 < got["regress_p"] < 0.05
 
 
 @pytest.mark.parametrize("subcommand", ["agree", "ttest"])
@@ -1300,6 +1339,45 @@ def test_csv_header_defects_stay_format_errors(tmp_path, capsys, argv):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("error [format]:") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["cohort-summary"], ["ttest", "--col-a", "id", "--col-b", "age"]])
+def test_csv_that_is_not_utf8_is_a_format_error(tmp_path, capsys, argv):
+    # a Latin-1 byte once ended in a UnicodeDecodeError traceback and exit 1
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("id,age,diagnosis\nJos\xe9,70,CN\n".encode("latin-1"))
+    code = main([argv[0], "--csv", str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error [format]: CSV is not UTF-8") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohort-summary"],
+        ["regress", "--outcome", "adni_ef", "--exposure", "wmh_stackgen"],
+        ["agree", "--col-a", "manual", "--col-b", "auto"],
+        ["ttest", "--col-a", "manual", "--col-b", "auto"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_with_a_byte_order_mark_reads_as_without(cohort_csv, tmp_path, capsys, argv):
+    # a BOM once stuck to the first header name, so cohort-summary found no id
+    # column and agree/ttest could not name the first column
+    plain = cohort_csv
+    if "--col-a" in argv:
+        plain = tmp_path / "pairs.csv"
+        plain.write_text("manual,auto\n10,12\n20,18\n30,33\n41,40\n")
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    payloads = []
+    for path in (plain, bom):
+        code, out = run_cli(capsys, argv[0], "--csv", str(path), *argv[1:])
+        assert code == 0
+        payloads.append({k: v for k, v in envelope(out).items() if k != "manifest"})
+    assert payloads[0] == payloads[1]
 
 
 class TestRegress:

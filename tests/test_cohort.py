@@ -10,7 +10,7 @@ from wmhkit.cohort import (
     synthetic_cohort,
     write_cohort_csv,
 )
-from wmhkit.errors import DuplicateId, EmptyCohort, InputError, MissingHeader, UnknownDiagnosis
+from wmhkit.errors import DuplicateId, EmptyCohort, FormatError, InputError, MissingHeader, UnknownDiagnosis
 
 HEADER = (
     "id,age,sex,education,apoe4,diagnosis,icv_ml,"
@@ -80,6 +80,20 @@ class TestParse:
             parse_numeric_columns(text, ["z"])
         with pytest.raises(MissingHeader):
             parse_numeric_columns("", ["x"])
+
+    def test_byte_order_mark_is_dropped(self):
+        # Excel's "CSV UTF-8" starts with one; it once stuck to the first header name
+        bom = b"\xef\xbb\xbf"
+        text = HEADER + "\nS1,72,F,16,1,CN,1432.5,4.2,5.0,0.3,-0.1,0.2\n"
+        assert parse_cohort_csv(bom + text.encode()) == parse_cohort_csv(text)
+        assert parse_numeric_columns(bom + b"x,y\n1,2\n", ["x", "y"]) == [(1.0, 2.0)]
+
+    @pytest.mark.parametrize("parse", [parse_cohort_csv, lambda data: parse_numeric_columns(data, ["id"])],
+                             ids=["cohort", "numeric"])
+    def test_bytes_that_are_not_utf8_are_a_format_error(self, parse):
+        # a Latin-1 é once escaped as an uncaught UnicodeDecodeError
+        with pytest.raises(FormatError, match="CSV is not UTF-8"):
+            parse("id,diagnosis\nJos\xe9,CN\n".encode("latin-1"))
 
 
 class TestResolveField:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nets import unet_net
+from nets import five_pool_net, unet_net
 from oracles import loop_maxpool, naive_conv3d, tapwise_conv3d
 from wmhkit.errors import ShapeMismatch, UnknownConcatSource
 from wmhkit import layers, network
@@ -1145,6 +1145,19 @@ class TestShapeCheck:
 
     def test_validate_accepts_unet(self, rng):
         _unet(rng).validate(spatial=(8, 8, 8))
+
+    def test_validate_probes_a_deep_net_at_a_size_it_runs_on(self):
+        # five 2x pools take a 16^3 probe to nothing, so such a net once failed
+        # to load though forward runs it at 32^3 and up
+        from wmhkit.errors import ShapeCheckFailed
+        from wmhkit.phantom import threshold_detector_net
+
+        net = five_pool_net(threshold_detector_net(0.5))
+        assert (net.halo, net.align) == ((31,) * 3, (32,) * 3)
+        net.validate()
+        assert forward(net, np.zeros((1, 32, 32, 32), np.float32)).shape == (2, 32, 32, 32)
+        with pytest.raises(ShapeCheckFailed, match="pool kernel"):
+            net.validate(spatial=(16, 16, 16))
 
     def test_validate_rejects_channel_mismatch(self, rng):
         net = NetworkSpec(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +38,8 @@ class TestIncompleteBeta:
             assert mine == pytest.approx(want, abs=1e-12)
 
     def test_against_scipy(self):
-        for a, b in [(1.0, 0.5), (5.0, 0.5), (50.0, 0.5), (0.7, 3.0)]:
+        small = [(0.01, 1.0), (1.0, 0.01), (0.01, 0.01), (0.01, 50.0), (50.0, 0.01)]
+        for a, b in [(1.0, 0.5), (5.0, 0.5), (50.0, 0.5), (0.7, 3.0), *small]:
             for x in np.linspace(0.005, 0.995, 40):
                 assert regularized_incomplete_beta(a, b, float(x)) == pytest.approx(
                     float(scipy.stats.beta.cdf(x, a, b)), abs=1e-12
@@ -46,6 +48,39 @@ class TestIncompleteBeta:
     def test_bounds(self):
         assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
         assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
+
+    @pytest.mark.parametrize("dfs", [range(1, 1001), [2000, 5000, 10**4, 3 * 10**4, 10**5]],
+                             ids=["df1-1000", "df2000-1e5"])
+    def test_t_distribution_shapes_against_scipy(self, dfs):
+        # a = df/2, b = 1/2, as t_two_sided_p asks; at the larger df a log-beta
+        # of plain lgamma differences misses this tolerance (2e-11 at df = 1e5)
+        for df in dfs:
+            for t in np.linspace(0.0, 12.0, 10):
+                x = df / (df + t * t)
+                assert regularized_incomplete_beta(df / 2, 0.5, x) == pytest.approx(
+                    float(scipy.special.betainc(df / 2, 0.5, x)), abs=1e-12
+                ), (df, t)
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (2.5, 7.5), (50.0, 0.5), (0.5, 50.0), (5e4, 0.5), (0.01, 1.0)])
+    def test_either_side_of_the_symmetry_switch(self, a, b):
+        switch = (a + 1.0) / (a + b + 2.0)
+        for step in (1e-12, 1e-6, 1e-3, 1e-1):
+            for x in (switch * (1 - step), switch * (1 + step)):
+                if x < 1.0:
+                    assert regularized_incomplete_beta(a, b, x) == pytest.approx(
+                        float(scipy.special.betainc(a, b, x)), abs=1e-12
+                    ), (step, x)
+
+    def test_fraction_ends_at_large_shapes(self):
+        # the t-distribution at df = 1e6 converges well within the bound on terms
+        for t in np.linspace(0.0, 12.0, 10):
+            x = 1e6 / (1e6 + t * t)
+            assert regularized_incomplete_beta(5e5, 0.5, x) == pytest.approx(
+                float(scipy.special.betainc(5e5, 0.5, x)), abs=1e-12
+            ), t
+        # shapes both this large, and a NaN x, stop at the bound
+        assert 0.0 <= regularized_incomplete_beta(1e10, 3e10, 0.25) <= 1.0
+        assert math.isnan(regularized_incomplete_beta(2.0, 3.0, math.nan))
 
 
 class TestTDistribution:

@@ -247,6 +247,22 @@ class TestContainerErrors:
         with pytest.raises(BadManifest, match=f"network {key} must be an integer"):
             load_network(raw[:8] + struct.pack("<I", len(body)) + body + raw[12 + mlen :])
 
+    @pytest.mark.parametrize(
+        "tensor, key, loose",
+        [("bias", "offset", lambda v: True), ("weights", "shape", lambda v: [v[0], True, *v[2:]])],
+        ids=["offset-true", "shape-true"],
+    )
+    def test_tensor_entry_must_hold_json_integers(self, rng, tensor, key, loose):
+        # true once passed as 1: an offset of true read the bias one byte off,
+        # and a dimension of true failed only later, as a malformed network
+        raw = save_ensemble({None: _rich_net(rng)})
+        (mlen,) = struct.unpack_from("<I", raw, 8)
+        layers = json.loads(raw[12 : 12 + mlen])["networks"][0]["layers"]
+        entry = next(e for e in layers if e["name"] == "head")[tensor]
+        edited = _edit_layer(raw, "head", **{tensor: {**entry, key: loose(entry[key])}})
+        with pytest.raises(BadManifest, match=rf"head\.{tensor}: malformed tensor entry"):
+            load_network(edited)
+
     @pytest.mark.parametrize("eps", [-1.0, -1e-12, float("nan"), float("inf")])
     def test_bad_batchnorm_eps(self, rng, eps):
         # json writes NaN and Infinity as bare tokens, which the reader accepts
