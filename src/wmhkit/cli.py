@@ -15,20 +15,19 @@ import json
 import math
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .cohort import parse_cohort_csv, parse_numeric_columns, summarize
+from .cohort import numeric_field, parse_cohort_csv, parse_numeric_columns, summarize
 from .ensemble import DEFAULT_THRESHOLD, DEFAULT_TILE, EnsembleSpec, binarize, predict_ensemble, wmh_volume_ml
 from .errors import ContractError, DegenerateError, FormatError, InputError
 from .histo import HistParams, histogram_segment
-from .layers import POOL, one_blas_thread
+from .layers import one_blas_thread
 from .lesions import count_components, label_components  # noqa: F401  (perfbench/tracing.py wraps label_components here)
 from .metrics import metric_report, pr_curve_auc, write_pr_curve_tsv
 from .nifti import parse_mask, parse_nifti, write_nifti, write_nifti_mask
@@ -69,27 +68,24 @@ class Run:
 
     ``parameters`` is the argparse namespace as the command leaves it, so a
     command records what it resolved (the weights path, the shape triple) by
-    assigning it there. A stage's time excludes the stages nested in it on
-    its own thread; stages on two threads may overlap."""
+    assigning it there. A stage's time excludes the stages nested in it.
+    A ``Run`` is used by one thread: batch mode makes one per subject."""
 
     def __init__(self, args: argparse.Namespace, input_digests: dict | None = None):
         self.args = args
         self.input_digests = dict(input_digests or {})
         self.exit_code = 0
         self._seconds: dict[str, float] = {}
-        self._lock = threading.Lock()
-        self._local = threading.local()  # .nested: time of the stages nested in this thread's open one
+        self._nested = 0.0  # time of the stages nested in the open one
 
     @contextmanager
     def stage(self, name: str):
-        local = self._local
-        t0, outer = time.perf_counter(), getattr(local, "nested", 0.0)
-        local.nested = 0.0
+        t0, outer = time.perf_counter(), self._nested
+        self._nested = 0.0
         yield
         spent = time.perf_counter() - t0
-        with self._lock:
-            self._seconds[name] = self._seconds.get(name, 0.0) + spent - local.nested
-        local.nested = outer + spent
+        self._seconds[name] = self._seconds.get(name, 0.0) + spent - self._nested
+        self._nested = outer + spent
 
     def read(self, path) -> bytes:
         raw = Path(path).read_bytes()
@@ -291,18 +287,10 @@ def cmd_baseline(run: Run, args):
 # evaluate
 
 
-def _write_stage(run: Run, curve, path) -> None:
-    """The PR-TSV write as the ``write`` stage, timed on the thread that runs
-    it. It runs on a ``POOL`` thread, which on one core is the pool's only
-    one, so it must submit no pool work of its own."""
-    with run.stage("write"):
-        write_pr_curve_tsv(curve, path)
-
-
 def cmd_evaluate(run: Run, args):
-    """Every input check and the PR curve come first, so a bad input writes no
-    TSV. The TSV is then written on a pool thread while this one labels and
-    matches the lesions, so the report's ``write`` stage overlaps ``metrics``."""
+    """Parse, then check the grids, compute the PR curve and the report, then
+    write the TSV: every check and metric comes before it, so a bad input
+    writes no TSV."""
     if args.posterior and not args.mask:
         raise ContractError("--posterior needs --mask for in-mask PR evaluation")
     if args.out_pr_tsv and not args.posterior:
@@ -323,15 +311,10 @@ def cmd_evaluate(run: Run, args):
             require_same_grid(mask, gt, "brain mask and gt")
             curve = pr_curve_auc(posterior, gt, mask)
             del posterior, mask
-    writer = POOL.submit(_write_stage, run, curve, args.out_pr_tsv) if args.out_pr_tsv else None
-    try:
-        with run.stage("metrics"):
-            report_obj = metric_report(pred, gt, curve, connectivity=args.connectivity)
-    finally:
-        if writer is not None:
-            wait([writer])
-    if writer is not None:
-        writer.result()
+        report_obj = metric_report(pred, gt, None if curve is None else curve.auc, connectivity=args.connectivity)
+    if args.out_pr_tsv:
+        with run.stage("write"):
+            write_pr_curve_tsv(curve, args.out_pr_tsv)
     return report_obj.to_dict(), args.out_report
 
 
@@ -363,9 +346,7 @@ def cmd_regress(run: Run, args):
     with run.stage("analyze"):
         records = parse_cohort_csv(run.read(args.csv))
         if args.log10:
-            from .cohort import resolve_field
-
-            attr = resolve_field(args.exposure)
+            attr = numeric_field(args.exposure)
             for rec in records:
                 value = getattr(rec, attr)
                 setattr(rec, attr, math.log10(value) if value is not None and value > 0 else None)

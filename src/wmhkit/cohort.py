@@ -60,6 +60,15 @@ def resolve_field(name: str) -> str:
     return attr
 
 
+def numeric_field(name: str) -> str:
+    """``resolve_field`` of a field that holds numbers, as an outcome or
+    exposure must; id, sex and diagnosis are text."""
+    attr = resolve_field(name)
+    if attr in ("id", "sex", "diagnosis"):
+        raise InputError(f"cohort field {name!r} is not numeric")
+    return attr
+
+
 def _warn(row: int, column: str, value: str, why: str) -> None:
     warnings.warn(
         f"row {row}: {column}={value!r} {why}; treated as missing",

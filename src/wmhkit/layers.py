@@ -145,8 +145,7 @@ _RUN_BYTES = 256 * 2**10
 _BAND_COLS = 2048
 
 _NPROC = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# the pieces of every layer kernel run on these threads, and so does `evaluate`'s
-# PR-TSV write; they start on first use
+# the pieces of every layer kernel run on these threads; they start on first use
 POOL = ThreadPoolExecutor(max_workers=_NPROC, thread_name_prefix="wmhkit")
 
 

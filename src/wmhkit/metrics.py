@@ -4,7 +4,7 @@ and the precision-recall curve with its trapezoidal area."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class MetricReport:
     avd_percent: float
     auc_pr: float | None
     counts: dict[str, int]
-    pr_curve: PRCurve | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -171,13 +170,13 @@ def write_pr_curve_tsv(curve: PRCurve, path: str | os.PathLike) -> None:
 def metric_report(
     pred: Volume3D,
     gt: Volume3D,
-    curve: PRCurve | None = None,
+    auc_pr: float | None = None,
     connectivity: int = 26,
 ) -> MetricReport:
     """All Results-style metrics for one subject.
 
-    ``curve`` is the subject's ``pr_curve_auc``; without one, PR-AUC is
-    absent from the report, not zero.
+    ``auc_pr`` is the ``auc`` of the subject's ``pr_curve_auc``; without
+    one, PR-AUC is absent from the report, not zero.
     """
     pred = binary_mask(pred, "pred mask")
     gt = binary_mask(gt, "gt mask")
@@ -201,7 +200,6 @@ def metric_report(
         dice_lesion=dice_lesion(matching),
         avd_percent=abs_volume_diff_pct(float(tp + fp) * pred.voxel_volume_mm3 / 1000.0,
                                         float(tp + fn) * gt.voxel_volume_mm3 / 1000.0),
-        auc_pr=None if curve is None else curve.auc,
+        auc_pr=auc_pr,
         counts=counts,
-        pr_curve=curve,
     )

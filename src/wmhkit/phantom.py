@@ -63,15 +63,15 @@ class Phantom:
 
 
 def _ellipsoid_mask(shape: tuple[int, int, int]) -> np.ndarray:
-    grids = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in shape), indexing="ij")
-    inside = np.zeros(shape, dtype=bool)
-    acc = np.zeros(shape, dtype=np.float64)
-    for g, n in zip(grids, shape):
+    """The ellipsoid of semi-axes 0.42·n (at least 1) about the grid centre.
+    Each axis's squared offsets are a broadcast 1-D axis, added in axis order."""
+    acc = 0.0
+    for axis, n in enumerate(shape):
         c = (n - 1) / 2.0
         r = max(n * 0.42, 1.0)
-        acc += ((g - c) / r) ** 2
-    inside = acc <= 1.0
-    return inside
+        offsets = (np.arange(n, dtype=np.float64) - c) / r
+        acc = acc + (offsets**2).reshape([n if a == axis else 1 for a in range(3)])
+    return acc <= 1.0
 
 
 def make_phantom(
@@ -86,8 +86,11 @@ def make_phantom(
     of BACKGROUND_LEVEL; lesion blobs sit at LESION_LEVEL ± the same. The
     detection cutoff is placed midway across the (wide) gap between the two
     populations, expressed in normalized z-units. A blob is a whole cube of
-    edge 2 to 5 inside the brain; raises InputError when none fits.
+    edge 2 to 5 inside the brain; raises InputError when none fits, or
+    for a negative seed.
     """
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     inside = _ellipsoid_mask(shape)
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cohort import SubjectRecord, resolve_field
+from .cohort import SubjectRecord, numeric_field, resolve_field
 from .errors import (
     InputError,
     LengthMismatch,
@@ -283,10 +283,10 @@ def build_design_matrix(
     Covariate columns follow the fixed canonical order (age, icv, sex,
     education, apoe4, diagnosis dummies with CN as reference) regardless of
     the order requested. Rows missing any required value are dropped and
-    counted.
+    counted. A non-numeric outcome or exposure is an InputError.
     """
-    outcome_attr = resolve_field(outcome)
-    exposure_attr = resolve_field(exposure)
+    outcome_attr = numeric_field(outcome)
+    exposure_attr = numeric_field(exposure)
     ordered = sorted(set(covariates), key=lambda c: _COVARIATE_ORDER.get(c, 99))
     for c in ordered:
         if c not in _COVARIATE_ORDER:

@@ -128,7 +128,7 @@ def test_criterion_3_end_to_end_phantom(tmp_path, capsys):
         mask = parse_nifti((phantom_dir / "brain_mask.nii.gz").read_bytes())
         assert pred.dims == (64, 64, 64)
         assert np.array_equal(pred.data, gt.data)
-        report = metric_report(pred, gt, pr_curve_auc(post, gt, mask))
+        report = metric_report(pred, gt, pr_curve_auc(post, gt, mask).auc)
         assert report.dice_pixel == 1.0
         assert report.dice_lesion == 1.0
         assert report.avd_percent == 0.0
@@ -150,7 +150,7 @@ def test_criterion_4_metric_oracles():
             gt = Volume3D(gt_arr)
             ones = Volume3D(np.ones(shape, dtype=np.float32))
 
-            report = metric_report(pred, gt, pr_curve_auc(Volume3D(posterior), gt, ones))
+            report = metric_report(pred, gt, pr_curve_auc(Volume3D(posterior), gt, ones).auc)
 
             # voxel-level brute force
             tp = fp = fn = 0

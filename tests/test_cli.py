@@ -7,10 +7,7 @@ import struct
 import subprocess
 import sys
 import textwrap
-import threading
-import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -30,7 +27,7 @@ from wmhkit.errors import DegenerateError
 from wmhkit.histo import HistParams, histogram_segment
 from wmhkit.layers import blas_threads, set_blas_threads
 from wmhkit.nifti import DATA_OFFSET, parse_nifti, write_nifti
-from wmhkit.phantom import make_phantom
+from wmhkit.phantom import _ellipsoid_mask, make_phantom
 from wmhkit.stats import paired_ttest
 from wmhkit.volume import Volume3D, normalize_intensity
 from wmhkit.weights_io import load_ensemble, save_ensemble
@@ -199,46 +196,6 @@ def test_stage_times_exclude_nested_stages_and_add_up(monkeypatch):
     assert manifest["parameters"] == {"pred": "p.nii"}
 
 
-def test_stages_on_two_threads_do_not_nest_in_each_other():
-    run = cli.Run(argparse.Namespace(subcommand="evaluate", func=None))
-
-    def write():
-        with run.stage("write"):
-            time.sleep(0.2)
-
-    with run.stage("metrics"), ThreadPoolExecutor(max_workers=1) as pool:
-        pool.submit(write).result(timeout=10)
-    timings = run.envelope({})["manifest"]["timings_ms"]
-    assert timings["write"] >= 200.0
-    assert timings["metrics"] >= timings["write"]
-
-
-def test_stage_totals_lose_no_update_across_threads(monkeypatch):
-    clock = threading.local()  # each thread's clock ticks 1 s per reading
-
-    def tick():
-        clock.now = getattr(clock, "now", 0.0) + 1.0
-        return clock.now
-
-    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=tick))
-    run = cli.Run(argparse.Namespace(subcommand="evaluate", func=None))
-
-    def stages():
-        for _ in range(2000):
-            with run.stage("write"):
-                pass
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads switch often, so a lost update would show
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            for future in [pool.submit(stages) for _ in range(8)]:
-                future.result(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert run.envelope({})["manifest"]["timings_ms"] == {"write": 8 * 2000 * 1000.0}
-
-
 class TestPhantom:
     def test_outputs_deterministic(self, tmp_path, capsys):
         a = tmp_path / "a"
@@ -256,6 +213,21 @@ class TestPhantom:
         main(["phantom", "--out-dir", str(b), "--seed", "2", "--shape", "16,16,16"])
         capsys.readouterr()
         assert (a / "flair.nii.gz").read_bytes() != (b / "flair.nii.gz").read_bytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 1), (64, 64, 3), (48, 40, 36), (96, 112, 80)])
+    def test_brain_mask_is_the_whole_grid_ellipsoid(self, shape):
+        # the reference sums three whole float64 coordinate grids in axis order
+        acc = np.zeros(shape)
+        for g, n in zip(np.meshgrid(*(np.arange(n, dtype=np.float64) for n in shape), indexing="ij"), shape):
+            acc += ((g - (n - 1) / 2.0) / max(n * 0.42, 1.0)) ** 2
+        assert np.array_equal(_ellipsoid_mask(shape), acc <= 1.0)
+
+    def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
+        code = main(["phantom", "--out-dir", str(tmp_path / "p"), "--seed", "-1", "--shape", "16,16,16"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error [input]: seed must be non-negative, got -1\n"
+        assert not (tmp_path / "p").exists()
 
     def test_emitted_weights_load(self, phantom_dir):
         from wmhkit.weights_io import load_ensemble, save_ensemble
@@ -1070,44 +1042,21 @@ class TestEvaluate:
         assert code == 2
         assert err.startswith("error [io]:") and "pr.tsv" in err
 
-    @pytest.fixture
-    def slow_writer(self, monkeypatch):
-        """``cli.write_pr_curve_tsv`` made to sleep 0.2 s before it writes.
-        The log has (event, time, thread) for the write's start and end and
-        for each ``label_components`` call."""
+    def test_tsv_is_written_after_the_lesions_and_without_the_pool(self, phantom_dir, tmp_path, capsys, monkeypatch):
+        import wmhkit.layers as layers
         import wmhkit.metrics as metrics
+
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("evaluate submitted work to the kernel pool")
 
         log = []
-
-        def slow(curve, path):
-            log.append(("write", time.perf_counter(), threading.current_thread()))
-            time.sleep(0.2)
-            metrics.write_pr_curve_tsv(curve, path)
-            log.append(("written", time.perf_counter(), threading.current_thread()))
-
-        def label(*args, **kwargs):
-            log.append(("label", time.perf_counter(), threading.current_thread()))
-            return label_components(*args, **kwargs)
-
-        label_components = metrics.label_components
-        monkeypatch.setattr(cli, "write_pr_curve_tsv", slow)
-        monkeypatch.setattr(metrics, "label_components", label)
-        return log
-
-    def test_tsv_is_written_on_a_pool_thread_while_lesions_are_labelled(
-        self, phantom_dir, tmp_path, capsys, slow_writer
-    ):
-        import wmhkit.metrics as metrics
-
-        code, out, _, tsv = self._evaluate(capsys, phantom_dir, tmp_path)
+        label_components, write_pr_curve_tsv = metrics.label_components, cli.write_pr_curve_tsv
+        monkeypatch.setattr(layers.POOL, "submit", no_pool)
+        monkeypatch.setattr(metrics, "label_components", lambda *a, **k: log.append("label") or label_components(*a, **k))
+        monkeypatch.setattr(cli, "write_pr_curve_tsv", lambda *a: log.append("write") or write_pr_curve_tsv(*a))
+        code, _, _, tsv = self._evaluate(capsys, phantom_dir, tmp_path)
         assert code == 0
-        (_, _, writer), (_, end, _) = [e for e in slow_writer if e[0] != "label"]
-        labels = [(t, thread) for name, t, thread in slow_writer if name == "label"]
-        assert writer is not threading.main_thread()
-        assert [thread for _, thread in labels] == [threading.main_thread()] * 2
-        assert labels[-1][0] < end  # both masks were labelled before the write ended
-        timings = envelope(out)["manifest"]["timings_ms"]
-        assert timings["write"] >= 200.0  # the writer's own time, not the join
+        assert log == ["label", "label", "write"]
         gt = parse_nifti((phantom_dir / "gt.nii.gz").read_bytes())
         curve = metrics.pr_curve_auc(gt, gt, parse_nifti((phantom_dir / "brain_mask.nii.gz").read_bytes()))
         assert tsv.read_text() == pr_tsv_text(curve)
@@ -1161,21 +1110,20 @@ class TestEvaluate:
         # maps and the int32 labels of a foreground's box, about 3 volumes.
         # 3 MiB more are allowed for what does not scale with the grid: the
         # TSV writer's chunk buffers, the compressed files and the report.
-        # Measured: 3.65-3.94 volumes over the curve, depending on where the
-        # writer is when labelling peaks. Labelling the whole grid or
-        # 65536-row chunks break the bound.
+        # Measured: 3.02 volumes over the curve, with the TSV written after
+        # the labelling. Labelling the whole grid or 65536-row chunks break
+        # the bound.
         peak = max(peaks.values())
         assert peak <= curve_bytes + 3.5 * volume_bytes + 3 * 2**20, (peak - curve_bytes) / volume_bytes
 
-    def test_writer_is_joined_when_labelling_fails(self, phantom_dir, tmp_path, capsys, monkeypatch, slow_writer):
+    def test_labelling_failure_writes_no_tsv(self, phantom_dir, tmp_path, capsys, monkeypatch):
         def failing(*args, **kwargs):
             raise DegenerateError("no lesions today")
 
         monkeypatch.setattr(cli, "metric_report", failing)
         code, _, err, tsv = self._evaluate(capsys, phantom_dir, tmp_path)
         assert code == 1 and "no lesions today" in err
-        assert [name for name, _, _ in slow_writer] == ["write", "written"]
-        assert tsv.read_text().startswith("threshold\tprecision\trecall\n")
+        assert not tsv.exists()
 
 
 @pytest.fixture
@@ -1408,7 +1356,10 @@ class TestRegress:
         assert parameters["log10"] is True
         assert parameters["covariates"] == ["age", "icv", "sex", "education", "apoe4", "diagnosis"]
 
-    @pytest.mark.parametrize("flag, value", [("--exposure", "nope"), ("--outcome", "nope"), ("--covariates", "age,bogus")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--exposure", "nope"), ("--outcome", "nope"), ("--covariates", "age,bogus"),
+        ("--exposure", "sex"), ("--exposure", "diagnosis"), ("--exposure", "id"), ("--outcome", "sex"),
+    ])
     def test_unknown_fields_are_input_errors(self, cohort_csv, capsys, flag, value):
         options = {"--outcome": "adni_ef", "--exposure": "wmh_stackgen", flag: value}
         code = main(["regress", "--csv", str(cohort_csv)] + [x for option in options.items() for x in option])
@@ -1416,6 +1367,12 @@ class TestRegress:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error [input]:") and len(captured.err.splitlines()) == 1
+
+    def test_log10_of_a_text_exposure_is_an_input_error(self, cohort_csv, capsys):
+        code = main(["regress", "--csv", str(cohort_csv), "--outcome", "adni_ef", "--exposure", "sex", "--log10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error [input]: cohort field 'sex' is not numeric\n"
 
     def test_rank_deficient_exits_degenerate(self, tmp_path, capsys):
         records = synthetic_cohort(n_per_group=(20, 0, 0), f_per_group=(10, 0, 0), seed=1)

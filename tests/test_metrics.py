@@ -360,19 +360,9 @@ class TestMetricReport:
         gt = np.zeros((6, 6, 6), dtype=np.float32)
         gt[2:4, 2:4, 2:4] = 1.0
         post = Volume3D(gt * 0.9 + 0.05)
-        report = metric_report(_vol(gt), _vol(gt), pr_curve_auc(post, _vol(gt), _ones((6, 6, 6))))
+        report = metric_report(_vol(gt), _vol(gt), pr_curve_auc(post, _vol(gt), _ones((6, 6, 6))).auc)
         assert report.auc_pr == pytest.approx(1.0)
         assert report.to_dict()["auc_pr"] == pytest.approx(1.0)
-
-    def test_report_keeps_its_pr_curve(self, rng):
-        gt = (rng.random((6, 6, 6)) < 0.3).astype(np.float32)
-        post = Volume3D(rng.random((6, 6, 6)).astype(np.float32))
-        curve = pr_curve_auc(post, _vol(gt), _ones((6, 6, 6)))
-        report = metric_report(_vol(gt), _vol(gt), curve)
-        assert report.pr_curve.auc == report.auc_pr == curve.auc
-        assert np.array_equal(report.pr_curve.thresholds, curve.thresholds)
-        assert "pr_curve" not in report.to_dict()
-        assert metric_report(_vol(gt), _vol(gt)).pr_curve is None
 
     def test_counts_consistent(self, rng):
         pred = (rng.random((8, 8, 8)) < 0.25).astype(np.float32)
